@@ -1,59 +1,27 @@
 """Integer kernels: exact determinants, BFS distances, component counts.
 
-Two interchangeable backends drive the hot loops (the random-graph ensemble
-and the exhaustive test corpora):
-
-* ``numba``: @njit-compiled kernels, used when numba imports cleanly and the
-  environment variable ``SIGNEDLAP_NUMBA`` is not set to ``0``;
-* ``numpy``: vectorized fallback with identical semantics.
-
-Both int64 paths are guarded by a Hadamard bound so that no intermediate of
-the fraction-free (Bareiss) elimination can overflow; matrices that fail the
-guard are routed to an arbitrary-precision Python-int elimination.  Results
-are therefore exact integers regardless of backend.
+All three are plain Python over Python ints and adjacency lists.  On the
+matrix sizes this package meets (minors of a few to a few dozen rows) the
+fraction-free elimination over Python ints is faster than an int64 numpy
+elimination, needs no overflow guard and is exact for any entry size.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
-import numpy as np
-
-_ENV_FLAG = "SIGNEDLAP_NUMBA"
-
-# Largest log2(minor bound) for which a*b - c*d stays inside int64.
-_I64_SAFE_LOG2 = 30.5
-
-
-def _numba_requested() -> bool:
-    return os.environ.get(_ENV_FLAG, "1").strip().lower() not in ("0", "false", "off")
-
-
-if _numba_requested():
-    try:
-        from numba import njit as _njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag tests
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+from collections import deque
 
 
 def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return BACKEND
+    """Name of the kernel implementation; there is only the pure-Python one."""
+    return "python"
 
 
-# ---------------------------------------------------------------------------
-# Exact determinants
+def det_int(rows) -> int:
+    """Exact determinant of a square integer matrix (sequence of rows).
 
-
-def _det_bareiss_object(rows: list[list[int]]) -> int:
-    """Fraction-free elimination over Python ints. Exact for any size."""
+    Fraction-free (Bareiss) elimination with row swaps on zero pivots; every
+    division by the previous pivot is exact.
+    """
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:
@@ -69,209 +37,51 @@ def _det_bareiss_object(rows: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pk = a[k][k]
         rk = a[k]
+        pk = rk[k]
+        tail = rk[k + 1 :]
         for i in range(k + 1, n):
             ri = a[i]
-            rik = ri[k]
-            for j in range(k + 1, n):
-                # division by the previous pivot is exact (Bareiss)
-                ri[j] = (ri[j] * pk - rik * rk[j]) // prev
-            ri[k] = 0
+            f = ri[k]
+            if f:
+                ri[k + 1 :] = [(x * pk - f * y) // prev for x, y in zip(ri[k + 1 :], tail)]
+            elif pk != prev:
+                ri[k + 1 :] = [x * pk // prev for x in ri[k + 1 :]]
         prev = pk
     return sign * a[n - 1][n - 1]
 
 
-def _det_bareiss_i64_numpy(a: np.ndarray) -> int:
-    n = a.shape[0]
-    if n == 0:
-        return 1
-    sign = 1
-    prev = np.int64(1)
-    for k in range(n - 1):
-        if a[k, k] == 0:
-            nz = np.nonzero(a[k + 1 :, k])[0]
-            if nz.size == 0:
-                return 0
-            r = k + 1 + int(nz[0])
-            a[[k, r]] = a[[r, k]]
-            sign = -sign
-        sub = a[k + 1 :, k + 1 :]
-        sub[...] = (sub * a[k, k] - np.outer(a[k + 1 :, k], a[k, k + 1 :])) // prev
-        a[k + 1 :, k] = 0
-        prev = a[k, k]
-    return sign * int(a[n - 1, n - 1])
-
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True, nogil=True)
-    def _det_bareiss_i64_numba(a):  # pragma: no cover - jitted
-        n = a.shape[0]
-        if n == 0:
-            return np.int64(1)
-        sign = np.int64(1)
-        prev = np.int64(1)
-        for k in range(n - 1):
-            if a[k, k] == 0:
-                piv = -1
-                for r in range(k + 1, n):
-                    if a[r, k] != 0:
-                        piv = r
-                        break
-                if piv < 0:
-                    return np.int64(0)
-                for c in range(k, n):
-                    tmp = a[k, c]
-                    a[k, c] = a[piv, c]
-                    a[piv, c] = tmp
-                sign = -sign
-            pk = a[k, k]
-            for i in range(k + 1, n):
-                aik = a[i, k]
-                for j in range(k + 1, n):
-                    a[i, j] = (a[i, j] * pk - aik * a[k, j]) // prev
-                a[i, k] = 0
-            prev = pk
-        return sign * a[n - 1, n - 1]
-
-
-def _minor_bound_log2(rows) -> float:
-    """log2 Hadamard bound on any minor of the matrix (hence on every Bareiss
-    intermediate entry)."""
-    total = 0.0
-    for row in rows:
-        s = 0
-        for x in row:
-            s += x * x
-        if s == 0:
-            continue
-        if s.bit_length() < 1000:
-            total += 0.5 * math.log2(s)
-        else:
-            total += 0.5 * s.bit_length()
-    return total
-
-
-def det_int(rows) -> int:
-    """Exact determinant of a square integer matrix (sequence of rows).
-
-    Dispatches to the int64 backend when the Hadamard guard allows it,
-    otherwise to arbitrary-precision elimination.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    if _minor_bound_log2(rows) <= _I64_SAFE_LOG2:
-        a = np.array(rows, dtype=np.int64)
-        if BACKEND == "numba":
-            return int(_det_bareiss_i64_numba(a))
-        return _det_bareiss_i64_numpy(a)
-    return _det_bareiss_object(rows)
-
-
-# ---------------------------------------------------------------------------
-# BFS distances / component counts on dense adjacency matrices
-
-
-def _bfs_numpy(adj: np.ndarray, source: int) -> np.ndarray:
-    n = adj.shape[0]
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    adjb = adj != 0
-    d = 0
-    while frontier.any():
-        d += 1
-        reach = adjb[frontier].any(axis=0) & (dist < 0)
-        dist[reach] = d
-        frontier = reach
-    return dist
-
-
-def _components_numpy(adj: np.ndarray) -> int:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    adjb = adj != 0
-    comps = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        comps += 1
-        frontier = np.zeros(n, dtype=bool)
-        frontier[s] = True
-        seen[s] = True
-        while frontier.any():
-            reach = adjb[frontier].any(axis=0) & ~seen
-            seen |= reach
-            frontier = reach
-    return comps
-
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True, nogil=True)
-    def _bfs_numba(adj, source):  # pragma: no cover - jitted
-        n = adj.shape[0]
-        dist = np.full(n, -1, dtype=np.int64)
-        queue = np.empty(n, dtype=np.int64)
-        head = 0
-        tail = 0
-        dist[source] = 0
-        queue[tail] = source
-        tail += 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            for v in range(n):
-                if adj[u, v] != 0 and dist[v] < 0:
-                    dist[v] = du + 1
-                    queue[tail] = v
-                    tail += 1
-        return dist
-
-    @_njit(cache=True, nogil=True)
-    def _components_numba(adj):  # pragma: no cover - jitted
-        n = adj.shape[0]
-        seen = np.zeros(n, dtype=np.uint8)
-        queue = np.empty(n, dtype=np.int64)
-        comps = 0
-        for s in range(n):
-            if seen[s]:
-                continue
-            comps += 1
-            seen[s] = 1
-            head = 0
-            tail = 0
-            queue[tail] = s
-            tail += 1
-            while head < tail:
-                u = queue[head]
-                head += 1
-                for v in range(n):
-                    if adj[u, v] != 0 and seen[v] == 0:
-                        seen[v] = 1
-                        queue[tail] = v
-                        tail += 1
-        return comps
-
-
-def bfs_distances(adj: np.ndarray, source: int) -> np.ndarray:
-    """Hop distances from ``source`` on a dense 0/1 adjacency matrix.
+def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
+    """Hop distances from ``source`` given adjacency lists ``adj[v]``.
 
     Unreachable vertices get -1.
     """
-    if BACKEND == "numba":
-        return _bfs_numba(np.ascontiguousarray(adj, dtype=np.uint8), source)
-    return _bfs_numpy(adj, source)
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = deque((source,))
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                queue.append(v)
+    return dist
 
 
-def component_count(adj: np.ndarray) -> int:
-    """Number of connected components of a dense 0/1 adjacency matrix."""
-    if adj.shape[0] == 0:
-        return 0
-    if BACKEND == "numba":
-        return int(_components_numba(np.ascontiguousarray(adj, dtype=np.uint8)))
-    return _components_numpy(adj)
+def component_count(adj: list[list[int]]) -> int:
+    """Number of connected components given adjacency lists ``adj[v]``."""
+    seen = [False] * len(adj)
+    comps = 0
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        comps += 1
+        seen[s] = True
+        stack = [s]
+        while stack:
+            for v in adj[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+    return comps

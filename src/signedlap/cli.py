@@ -196,7 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", help="input graph/config JSON path")
     common.add_argument("--output", help="output path (default: stdout JSON)")
     common.add_argument("--seed", type=int, help="override the config master seed (ensemble)")
-    common.add_argument("--threads", type=int, default=1, help="worker threads (ensemble)")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: ensemble samples run serially, "
+        "and the output is fixed by the seed",
+    )
     for name in _COMMANDS:
         p = sub.add_parser(name, parents=[common])
         if name in ("analyze", "stability"):

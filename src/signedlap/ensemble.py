@@ -4,7 +4,7 @@ Samples G(N,M) (or optionally G(N,p)) graphs, makes two uniformly chosen
 edges red, and records the discriminant, the level-repulsion gap, and a
 red-edge geometry class per sample.  Everything is driven by per-sample seeds
 derived from (master_seed, M, sample_index), so output is byte-identical
-regardless of worker count or execution order.
+for a given config whatever the order in which samples are computed.
 
 delta_zero is decided by exact integer arithmetic (the four coefficients are
 integer tree counts), never by float thresholding.
@@ -16,14 +16,11 @@ import hashlib
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph
 
 _HIST_LO = -10.0
@@ -55,21 +52,41 @@ class EnsembleConfig:
                 raise InputError(f"M={m} outside 2..{total} for N={self.n}")
 
 
+def _integer_field(name: str, value) -> int:
+    """``value`` as an int when it is an integer or an integral float;
+    booleans, fractional numbers and strings are rejected, not coerced."""
+    if isinstance(value, bool):
+        raise InputError(f"ensemble config {name} must be an integer, got boolean {value}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InputError(f"ensemble config {name} must be an integer, got {value!r}")
+
+
 def config_from_dict(d: dict) -> EnsembleConfig:
     """Accepts {"N": .., "M": [..] or int, "samples": .., "seed": ..,
-    "model": "gnm"|"gnp", "p": ..}."""
+    "model": "gnm"|"gnp", "p": ..}.
+
+    N, every M, samples and seed must be integers (integral floats such as
+    1e4 are accepted); p must be a number.  Nothing is truncated or coerced.
+    """
     if not isinstance(d, dict):
         raise InputError("ensemble config must be a JSON object")
-    try:
-        n = int(d["N"])
-        m_raw = d["M"]
-        samples = int(d["samples"])
-        seed = int(d["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"ensemble config needs integer N, M, samples, seed: {exc}") from exc
-    m_values = tuple(int(m) for m in (m_raw if isinstance(m_raw, list) else [m_raw]))
+    missing = [key for key in ("N", "M", "samples", "seed") if key not in d]
+    if missing:
+        raise InputError(f"ensemble config needs integer N, M, samples, seed; missing {missing}")
+    n = _integer_field("N", d["N"])
+    m_raw = d["M"]
+    m_values = tuple(_integer_field("M", m) for m in (m_raw if isinstance(m_raw, list) else [m_raw]))
+    samples = _integer_field("samples", d["samples"])
+    seed = _integer_field("seed", d["seed"])
     model = d.get("model", "gnm")
-    p = float(d["p"]) if "p" in d else None
+    p = d.get("p")
+    if p is not None:
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise InputError(f"ensemble config p must be a number, got {p!r}")
+        p = float(p)
     return EnsembleConfig(n, m_values, samples, seed, model, p)
 
 
@@ -147,13 +164,74 @@ def _tree_count(n: int, pairs, unions) -> int:
     return _kernels.det_int(sub)
 
 
+def _bordered_solve(n: int, black_pairs, red1, red2) -> tuple[int, int, int, int] | None:
+    """(A_empty, A_x, A_y, A_xy) from one fraction-free elimination, or None
+    when the black subgraph is disconnected (A_empty = 0).
+
+    The matrix is [[Q, b1, b2], [b1^T, 0, 0], [b2^T, 0, 0]], where Q is the
+    black Laplacian grounded at vertex 0 and b_i the incidence vector of red
+    edge i without its vertex-0 entry.  After the n-1 pivots of Q, the last
+    pivot is det Q = A_empty and the trailing 2x2 block is
+    -[[A_x, s], [s, A_y]] with A_x = b1^T adj(Q) b1, s = b1^T adj(Q) b2 and
+    A_y = b2^T adj(Q) b2 (matrix determinant lemma); then
+    A_xy = (A_x A_y - s^2) / A_empty.  Q is positive semidefinite, so a zero
+    pivot appears exactly when det Q = 0 and no row swaps are needed.
+    Every intermediate is symmetric, so only the upper triangle is kept:
+    ``rows[i]`` holds the entries of row i from the diagonal on.
+    """
+    size = n + 1
+    rows = [[0] * (size - i) for i in range(size)]
+    for u, v in black_pairs:  # u < v, as _sample_pairs draws them
+        if u:
+            rows[u - 1][0] += 1
+            rows[u - 1][v - u] -= 1
+        rows[v - 1][0] += 1
+    for col, (u, v) in ((n - 1, red1), (n, red2)):
+        if u:
+            rows[u - 1][col - u + 1] = 1
+        if v:
+            rows[v - 1][col - v + 1] = -1
+    prev = 1
+    for _ in range(n - 1):
+        pivot_row = rows[0]
+        pk = pivot_row[0]
+        if pk == 0:
+            return None
+        nxt = []
+        for i in range(1, len(rows)):
+            f = pivot_row[i]
+            row = rows[i]
+            if f:
+                nxt.append([(x * pk - f * y) // prev for x, y in zip(row, pivot_row[i:])])
+            elif pk != prev:
+                nxt.append([x * pk // prev for x in row])
+            else:
+                nxt.append(row)
+        rows = nxt
+        prev = pk
+    (mxx, mxy), (myy,) = rows
+    ax, ay, s = -mxx, -myy, -mxy
+    axy, rem = divmod(ax * ay - s * s, prev)
+    if rem:
+        raise InternalConsistencyError(
+            f"bordered solve: A_x*A_y - s^2 = {ax * ay - s * s} not divisible by A_empty = {prev}"
+        )
+    return prev, ax, ay, axy
+
+
 def _coefficients_r2(n: int, black_pairs, red1, red2) -> tuple[int, int, int, int]:
-    """(A_empty, A_x, A_y, A_xy) for two red edges over unit black weights."""
-    a00 = _tree_count(n, black_pairs, ())
+    """(A_empty, A_x, A_y, A_xy) for two red edges over unit black weights.
+
+    One bordered elimination when the black subgraph is connected; otherwise
+    A_empty = 0 and the other three are counted on the contracted graphs.
+    """
+    coeffs = _bordered_solve(n, black_pairs, red1, red2)
+    if coeffs is not None:
+        return coeffs
     ax = _tree_count(n, black_pairs, (red1,))
     ay = _tree_count(n, black_pairs, (red2,))
     axy = _tree_count(n, black_pairs, (red1, red2))
-    return a00, ax, ay, axy
+    return 0, ax, ay, axy
 
 
 def _log10_int(x: int) -> float:
@@ -193,16 +271,21 @@ class EnsembleRecord:
     log10_gap: float | None  # -inf when gap == 0; None when gap undefined
 
 
+def _adjacency(n: int, pairs) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def _distance_class(n: int, black_pairs, red1, red2) -> str:
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for u, v in black_pairs:
-        adj[u, v] = 1
-        adj[v, u] = 1
+    adj = _adjacency(n, black_pairs)
     symbols = []
     for x in red1:
         dist = _kernels.bfs_distances(adj, x)
         for y in red2:
-            d = int(dist[y])
+            d = dist[y]
             symbols.append("+" if d < 0 or d >= 10 else str(d))
     symbols.sort(key=lambda s: 10 if s == "+" else int(s))
     return "".join(symbols)
@@ -219,11 +302,7 @@ def classify(g: SignedWeightedGraph) -> str:
     if g.red_count != 2:
         raise InputError(f"classification requires exactly 2 red edges, got {g.red_count}")
     black_pairs = [(u, v) for u, v, _ in g.black_edges]
-    adj = np.zeros((g.n, g.n), dtype=np.uint8)
-    for u, v in black_pairs:
-        adj[u, v] = 1
-        adj[v, u] = 1
-    if _kernels.component_count(adj) != 1:
+    if _kernels.component_count(_adjacency(g.n, black_pairs)) != 1:
         return "disconnected_plus"
     (u1, v1, _), (u2, v2, _) = g.red_edges
     if {u1, v1} & {u2, v2}:
@@ -271,14 +350,11 @@ def compute_record(cfg: EnsembleConfig, m: int, index: int) -> EnsembleRecord:
 def generate_records(cfg: EnsembleConfig, threads: int = 1) -> list[EnsembleRecord]:
     """All records in deterministic (M, sample_id) order.
 
-    Threads only change wall time: per-sample seeding makes the result
-    independent of scheduling.
+    Samples run serially.  ``threads`` is accepted for compatibility and
+    ignored: the per-sample work is pure Python and holds the GIL, so worker
+    threads cannot speed it up.
     """
-    tasks = [(m, i) for m in cfg.m_values for i in range(cfg.samples_per_m)]
-    if threads <= 1:
-        return [compute_record(cfg, m, i) for m, i in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda mi: compute_record(cfg, *mi), tasks, chunksize=64))
+    return [compute_record(cfg, m, i) for m in cfg.m_values for i in range(cfg.samples_per_m)]
 
 
 # ---------------------------------------------------------------------------

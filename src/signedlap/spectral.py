@@ -164,8 +164,7 @@ def inertia(m) -> SpectralIndex:
 def det_rational(rows) -> Fraction:
     """Exact determinant of a square matrix of rationals.
 
-    Clears denominators row-wise and defers to the integer kernel, which is
-    exact regardless of backend.
+    Clears denominators row-wise and defers to the exact integer kernel.
     """
     rows = [list(row) for row in rows]
     n = len(rows)

@@ -165,6 +165,15 @@ def test_ensemble_invalid_samples(tmp_path, capsys):
     assert cli.main(["ensemble", "--input", str(cfg_path), "--output", "x.csv"]) == 1
 
 
+def test_ensemble_rejects_fractional_n(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"N": 10.7, "M": [15], "samples": 5, "seed": 1}))
+    out = tmp_path / "x.csv"
+    assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(out)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ensemble_seed_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"N": 8, "M": [10], "samples": 15, "seed": 1}))

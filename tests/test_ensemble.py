@@ -42,6 +42,68 @@ def test_config_validation():
         ens.config_from_dict({"N": 10, "M": [45], "samples": 10})  # missing seed
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"N": 10.7},
+        {"N": True},
+        {"N": "10"},
+        {"M": [15, 30.5]},
+        {"M": True},
+        {"samples": 40.2},
+        {"samples": "40"},
+        {"seed": False},
+        {"seed": 1.5},
+        {"model": "gnp", "p": True},
+        {"model": "gnp", "p": "0.5"},
+    ],
+)
+def test_config_rejects_coercion(patch):
+    base = {"N": 10, "M": [15, 30], "samples": 40, "seed": 1}
+    with pytest.raises(InputError):
+        ens.config_from_dict({**base, **patch})
+
+
+def test_config_accepts_integral_numbers():
+    cfg = ens.config_from_dict({"N": 10.0, "M": 15, "samples": 4e1, "seed": 1, "model": "gnp", "p": 1})
+    assert cfg == EnsembleConfig(10, (15,), 40, 1, "gnp", 1.0)
+    assert all(type(x) is int for x in (cfg.n, cfg.samples_per_m, cfg.master_seed, *cfg.m_values))
+
+
+def test_coefficients_match_minors_and_tree_counts(monkeypatch):
+    # oracles: the 2^R minor path and the contracted tree counter, on sparse
+    # (black subgraph disconnected, A_empty = 0) up to complete graphs
+    tree_count = ens._tree_count
+    fallback_calls = []
+
+    def counted(n, pairs, unions):
+        fallback_calls.append(unions)
+        return tree_count(n, pairs, unions)
+
+    monkeypatch.setattr(ens, "_tree_count", counted)
+    seen = set()
+    for n in range(5, 13):
+        total = n * (n - 1) // 2
+        for m in sorted({n - 2, n + 1, (n + total) // 2, total}):
+            for seed in range(8):
+                g = sample_graph(n, m, seed)
+                red1, red2 = (e[:2] for e in g.red_edges)
+                black = [(u, v) for u, v, _ in g.black_edges]
+                expect = tuple(crossing_polynomial(g).coeffs)
+                contracted = tuple(
+                    tree_count(n, black, unions) for unions in ((), (red1,), (red2,), (red1, red2))
+                )
+                assert contracted == expect
+                before = len(fallback_calls)
+                assert ens._coefficients_r2(n, black, red1, red2) == expect
+                one_solve = expect[0] != 0
+                assert (ens._bordered_solve(n, black, red1, red2) is not None) == one_solve
+                assert len(fallback_calls) - before == (0 if one_solve else 3)
+                seen.add((one_solve, bool(set(red1) & set(red2))))
+    # both routes ran, each on disjoint and on vertex-sharing red pairs
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_classify_examples():
     g = swg(4, [(0, 1, -1), (1, 2, -1), (0, 2, 1), (0, 3, 1), (1, 3, 1), (2, 3, 1)])
     assert classify(g) == "adj"
