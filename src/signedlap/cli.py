@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import crossing, discriminants, ensemble, spectral, stability
 from .errors import InputError, InternalConsistencyError
-from .graph import ORACLE_MAX_VERTICES, component_counts, is_connected, parse_graph
+from .graph import component_counts, is_connected, parse_graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,14 +99,9 @@ def _cmd_disc(args) -> dict:
         "delta": str(delta),
         "gap": discriminants.gap(p),
         "degenerate_point": None if point is None else [str(point[0]), str(point[1])],
-        "forest_sum": None,
+        "forest_sum": str(discriminants._forest_dual(g)),
         "cycle_minor": None,
     }
-    if g.n <= ORACLE_MAX_VERTICES:
-        try:
-            out["forest_sum"] = str(discriminants.forest_sum(g))
-        except InputError:
-            pass  # enumeration too large for this graph; leave null
     if all(w == 1 for _, _, w in g.black_edges):
         cm = discriminants.cycle_basis_minor(g)
         out["cycle_minor"] = None if cm is None else str(cm)

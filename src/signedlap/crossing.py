@@ -9,6 +9,10 @@ sum of the minor that contracts the red edges in I and deletes the rest.  The
 zero set of M is exactly where the Laplacian picks up an extra zero
 eigenvalue, so positive roots along rays are eigenvalue crossings.
 
+All A_I are principal minors of one bordered matrix H = [[Q, B], [B^T, 0]]
+(Q the grounded black Laplacian, B the red incidence columns), read off one
+fraction-free elimination (``spectral._bordered_minors``).
+
 Bitmask convention: bit k of a coefficient index corresponds to red edge k
 (0-based); serialized binary strings put red edge 0 leftmost.
 """
@@ -21,15 +25,9 @@ from typing import Sequence
 
 from . import polyroots
 from .errors import InputError, InternalConsistencyError
-from .graph import (
-    SignedWeightedGraph,
-    component_counts,
-    is_connected,
-    minor,
-    red_subset_is_forest,
-)
+from .graph import SignedWeightedGraph, component_counts, is_connected, red_subset_is_forest
 from .polyroots import RootRecord
-from .spectral import tree_sum
+from .spectral import _graph_minors
 
 MAX_RED_DEFAULT = 20
 
@@ -104,29 +102,23 @@ def bits_to_mask(bits: str) -> int:
 
 
 def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) -> CrossingPolynomial:
-    """All 2^R coefficients, each an exact minor determinant.
-
-    A_I = tree_sum of the minor contracting red edges in I and deleting the
-    rest.  Rejects R > max_red (2^R blow-up guard).
+    """All 2^R coefficients from one bordered elimination; cyclic red subsets
+    are skipped (their A_I is 0).  Rejects R > max_red (2^R blow-up guard).
     """
-    reds = g.red_indices
-    r = len(reds)
+    r = g.red_count
     if r > max_red:
         raise InputError(f"{r} red edges exceeds the 2^R guard (max_red={max_red})")
-    all_red = set(range(r))
-    coeffs = []
-    for mask in range(1 << r):
-        inside = {i for i in range(r) if mask >> i & 1}
-        if not red_subset_is_forest(g, inside):
-            coeffs.append(Fraction(0))  # a cyclic red set fits inside no tree
-            continue
-        a = tree_sum(minor(g, inside, all_red - inside))
+    subsets = [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1 << r)]
+    forests = [s for s in subsets if red_subset_is_forest(g, s)]
+    reds = [(u, v) for u, v, _ in g.red_edges]
+    values = dict(zip(forests, _graph_minors(g, reds, [(s, s) for s in forests])))
+    coeffs = tuple(values.get(s, Fraction(0)) for s in subsets)
+    for mask, a in enumerate(coeffs):
         if a < 0:
             raise InternalConsistencyError(
                 f"negative tree-sum coefficient {a} at mask {mask} (positive black weights)"
             )
-        coeffs.append(a)
-    return CrossingPolynomial(r, tuple(coeffs))
+    return CrossingPolynomial(r, coeffs)
 
 
 def evaluate(p: CrossingPolynomial, t: Sequence[Fraction]) -> Fraction:

@@ -25,7 +25,7 @@ from typing import Sequence
 from .crossing import CrossingPolynomial
 from .errors import InputError
 from .graph import SignedWeightedGraph, minor_with_info, red_subset_is_forest, two_forests
-from .spectral import _as_rows, det_rational
+from .spectral import _as_rows, _graph_minors, det_rational
 
 
 def _require_r2(p: CrossingPolynomial):
@@ -97,6 +97,16 @@ def forest_sum(g: SignedWeightedGraph) -> Fraction:
     for f in two_forests(g, u_pair, w_pair):
         total += f.epsilon * f.pi
     return total
+
+
+def _forest_dual(g: SignedWeightedGraph) -> Fraction:
+    """sigma = forest_sum(g), value and sign, at any size: -det H[Q+U, Q+W]
+    from the bordered elimination of the grounded black Laplacian, with the
+    red columns oriented by ``_forest_pairs`` (transfer-current theorem)."""
+    if g.red_count != 2:
+        raise InputError(f"forest sum requires exactly 2 red edges, got {g.red_count}")
+    (sigma,) = _graph_minors(g, _forest_pairs(g), [((0,), (1,))])
+    return sigma
 
 
 def laplacian_minor(m, rows_removed: Sequence[int], cols_removed: Sequence[int]) -> Fraction:

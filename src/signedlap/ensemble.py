@@ -7,7 +7,8 @@ derived from (master_seed, M, sample_index), so output is byte-identical
 for a given config whatever the order in which samples are computed.
 
 delta_zero is decided by exact integer arithmetic (the four coefficients are
-integer tree counts), never by float thresholding.
+integer tree counts, from the bordered elimination that ``crossing_polynomial``
+also uses), never by float thresholding.
 """
 
 from __future__ import annotations
@@ -20,12 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError
 from .graph import SignedWeightedGraph
+from .spectral import _bordered_minors
 
 _HIST_LO = -10.0
 _HIST_HI = 10.0
 _HIST_BINS = 200  # 0.1-wide bins in log10(gap)
+# G(N,p) draws with fewer than two edges are redrawn at most this many times
+_GNP_MAX_DRAWS = 1000
+# (A_empty, A_x, A_y, A_xy) as bordered minors over the two red columns
+_R2_MINORS = (((), ()), ((0,), (0,)), ((1,), (1,)), ((0, 1), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,8 @@ class EnsembleConfig:
             raise InputError(f"unknown model {self.model!r}")
         if self.model == "gnp" and not (self.p and 0 < self.p <= 1):
             raise InputError("gnp model needs 0 < p <= 1")
+        if self.model == "gnp" and self.n < 3:
+            raise InputError(f"gnp model needs N >= 3 to draw two red edges, got N={self.n}")
         total = self.n * (self.n - 1) // 2
         for m in self.m_values:
             if self.model == "gnm" and not 2 <= m <= total:
@@ -109,10 +117,15 @@ def _sample_pairs(cfg: EnsembleConfig, m: int, seed: int):
     if cfg.model == "gnm":
         chosen = sorted(rng.sample(range(len(pairs)), m))
     else:
-        while True:
+        for _ in range(_GNP_MAX_DRAWS):
             chosen = [i for i in range(len(pairs)) if rng.random() < cfg.p]
             if len(chosen) >= 2:
                 break
+        else:
+            raise InputError(
+                f"gnp model at N={cfg.n}, p={cfg.p} drew fewer than 2 edges "
+                f"in {_GNP_MAX_DRAWS} tries; raise p or N"
+            )
     edges = [pairs[i] for i in chosen]
     r1, r2 = sorted(rng.sample(range(len(edges)), 2))
     return edges, r1, r2
@@ -126,112 +139,6 @@ def sample_graph(n: int, m: int, seed: int) -> SignedWeightedGraph:
     w[r1] = Fraction(-1)
     w[r2] = Fraction(-1)
     return SignedWeightedGraph(n, tuple((u, v, wi) for (u, v), wi in zip(edges, w)))
-
-
-# ---------------------------------------------------------------------------
-# Integer coefficient pipeline (unit black weights, weights -1 on reds)
-
-
-def _tree_count(n: int, pairs, unions) -> int:
-    """Spanning-tree count of the multigraph on n vertices given by ``pairs``
-    after identifying the vertex pairs in ``unions``: exact cofactor of the
-    contracted positive Laplacian."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in unions:
-        parent[find(a)] = find(b)
-    roots = sorted({find(v) for v in range(n)})
-    cls = {root: i for i, root in enumerate(roots)}
-    k = len(roots)
-    if k == 1:
-        return 1
-    q = [[0] * k for _ in range(k)]
-    for u, v in pairs:
-        a, b = cls[find(u)], cls[find(v)]
-        if a == b:
-            continue
-        q[a][b] -= 1
-        q[b][a] -= 1
-        q[a][a] += 1
-        q[b][b] += 1
-    sub = [row[1:] for row in q[1:]]
-    return _kernels.det_int(sub)
-
-
-def _bordered_solve(n: int, black_pairs, red1, red2) -> tuple[int, int, int, int] | None:
-    """(A_empty, A_x, A_y, A_xy) from one fraction-free elimination, or None
-    when the black subgraph is disconnected (A_empty = 0).
-
-    The matrix is [[Q, b1, b2], [b1^T, 0, 0], [b2^T, 0, 0]], where Q is the
-    black Laplacian grounded at vertex 0 and b_i the incidence vector of red
-    edge i without its vertex-0 entry.  After the n-1 pivots of Q, the last
-    pivot is det Q = A_empty and the trailing 2x2 block is
-    -[[A_x, s], [s, A_y]] with A_x = b1^T adj(Q) b1, s = b1^T adj(Q) b2 and
-    A_y = b2^T adj(Q) b2 (matrix determinant lemma); then
-    A_xy = (A_x A_y - s^2) / A_empty.  Q is positive semidefinite, so a zero
-    pivot appears exactly when det Q = 0 and no row swaps are needed.
-    Every intermediate is symmetric, so only the upper triangle is kept:
-    ``rows[i]`` holds the entries of row i from the diagonal on.
-    """
-    size = n + 1
-    rows = [[0] * (size - i) for i in range(size)]
-    for u, v in black_pairs:  # u < v, as _sample_pairs draws them
-        if u:
-            rows[u - 1][0] += 1
-            rows[u - 1][v - u] -= 1
-        rows[v - 1][0] += 1
-    for col, (u, v) in ((n - 1, red1), (n, red2)):
-        if u:
-            rows[u - 1][col - u + 1] = 1
-        if v:
-            rows[v - 1][col - v + 1] = -1
-    prev = 1
-    for _ in range(n - 1):
-        pivot_row = rows[0]
-        pk = pivot_row[0]
-        if pk == 0:
-            return None
-        nxt = []
-        for i in range(1, len(rows)):
-            f = pivot_row[i]
-            row = rows[i]
-            if f:
-                nxt.append([(x * pk - f * y) // prev for x, y in zip(row, pivot_row[i:])])
-            elif pk != prev:
-                nxt.append([x * pk // prev for x in row])
-            else:
-                nxt.append(row)
-        rows = nxt
-        prev = pk
-    (mxx, mxy), (myy,) = rows
-    ax, ay, s = -mxx, -myy, -mxy
-    axy, rem = divmod(ax * ay - s * s, prev)
-    if rem:
-        raise InternalConsistencyError(
-            f"bordered solve: A_x*A_y - s^2 = {ax * ay - s * s} not divisible by A_empty = {prev}"
-        )
-    return prev, ax, ay, axy
-
-
-def _coefficients_r2(n: int, black_pairs, red1, red2) -> tuple[int, int, int, int]:
-    """(A_empty, A_x, A_y, A_xy) for two red edges over unit black weights.
-
-    One bordered elimination when the black subgraph is connected; otherwise
-    A_empty = 0 and the other three are counted on the contracted graphs.
-    """
-    coeffs = _bordered_solve(n, black_pairs, red1, red2)
-    if coeffs is not None:
-        return coeffs
-    ax = _tree_count(n, black_pairs, (red1,))
-    ay = _tree_count(n, black_pairs, (red2,))
-    axy = _tree_count(n, black_pairs, (red1, red2))
-    return 0, ax, ay, axy
 
 
 def _log10_int(x: int) -> float:
@@ -317,7 +224,8 @@ def compute_record(cfg: EnsembleConfig, m: int, index: int) -> EnsembleRecord:
     red1, red2 = edges[r1], edges[r2]
     black_pairs = [e for i, e in enumerate(edges) if i not in (r1, r2)]
     n = cfg.n
-    a00, ax, ay, axy = _coefficients_r2(n, black_pairs, red1, red2)
+    black = [(u, v, 1) for u, v in black_pairs]
+    a00, ax, ay, axy = _bordered_minors(n, black, (red1, red2), _R2_MINORS)
     delta = axy * a00 - ax * ay
     gplus_connected = a00 != 0
     if not gplus_connected:

@@ -1,4 +1,5 @@
-"""Laplacians, exact inertia, float eigenvalues, and the spanning-tree sum.
+"""Laplacians, exact inertia, float eigenvalues, the spanning-tree sum, and
+the bordered elimination that every crossing coefficient comes from.
 
 The Laplacian convention is off-diagonal entry = edge weight, diagonal =
 minus the row sum, so an all-positive graph gives a negative-semidefinite
@@ -15,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, component_counts, is_connected
 
 
@@ -195,6 +196,96 @@ def tree_sum(g: SignedWeightedGraph, t: Sequence[Fraction] | None = None) -> Fra
     sub = [row[1:] for row in lap.rows[1:]]
     d = det_rational(sub)
     return -d if (n - 1) % 2 else d
+
+
+def _bordered_minors(n: int, black, reds, index_pairs) -> list[int]:
+    """(-1)^|I| det H[Q+I, Q+J] for each pair (I, J) of equally long tuples
+    of red-column indices, with H = [[Q, B], [B^T, 0]].
+
+    Q is the Laplacian of the ``black`` edges (u, v, w), u < v, w a positive
+    integer, grounded at vertex 0; column i of B is e_u - e_v for
+    ``reds[i]`` = (u, v) without its vertex-0 entry.  I = J gives the
+    crossing coefficient A_I; I = (0,), J = (1,) the signed 2-forest sum.
+
+    One Bareiss pass runs over the n - 1 rows of Q, keeping only upper
+    triangles (every intermediate is symmetric).  Q is positive
+    semidefinite, so a zero pivot has a zero row within Q: it is skipped,
+    and its row only rescales.  With P the pivots taken, d = det Q[P, P]
+    (the last pivot) and Z the skipped rows (one per black component past
+    the first), Sylvester's identity turns each value into the exact
+    division det M[I+Z, J+Z] / d^(|I| + |Z| - 1) of a small minor of the
+    trailing block M over the red columns and Z.  When the black subgraph
+    is connected, Z is empty, d = A_empty and M = -K with K = B^T adj(Q) B.
+    """
+    size = n - 1 + len(reds)
+    upper = [[0] * (size - i) for i in range(size)]
+    for u, v, w in black:
+        if u:
+            upper[u - 1][0] += w
+            upper[u - 1][v - u] -= w
+        upper[v - 1][0] += w
+    for col, (u, v) in enumerate(reds, n - 1):
+        if u:
+            upper[u - 1][col - u + 1] = 1
+        if v:
+            upper[v - 1][col - v + 1] = -1
+    rows = upper
+    skipped = []  # rows of the zero pivots, over the columns still to come
+    prev = 1
+    for _ in range(n - 1):
+        pivot_row = rows[0]
+        pk = pivot_row[0]
+        if pk == 0:
+            skipped = [row[1:] for row in skipped] + [pivot_row[1:]]
+            rows = rows[1:]
+            continue
+        nxt = []
+        for i in range(1, len(rows)):
+            f = pivot_row[i]
+            row = rows[i]
+            if f:
+                nxt.append([(x * pk - f * y) // prev for x, y in zip(row, pivot_row[i:])])
+            elif pk != prev:
+                nxt.append([x * pk // prev for x in row])
+            else:
+                nxt.append(row)
+        if skipped:
+            skipped = [[x * pk // prev for x in row[1:]] for row in skipped]
+        rows = nxt
+        prev = pk
+    # the trailing block, dense: the red columns first, then the skipped rows
+    r = len(reds)
+    m = [[rows[min(i, j)][abs(i - j)] for j in range(r)] + [row[i] for row in skipped] for i in range(r)]
+    m += [row + [0] * len(skipped) for row in skipped]
+    border = tuple(range(r, len(m)))
+    out = []
+    for rows_i, cols_j in index_pairs:
+        keep_r, keep_c = rows_i + border, cols_j + border
+        if len(keep_r) > 1:
+            det = _kernels.det_int([[m[i][j] for j in keep_c] for i in keep_r])
+        else:  # read off: the ensemble asks for three such minors per sample
+            det = m[keep_r[0]][keep_c[0]] if keep_r else 1
+        value, rem = divmod((-1) ** len(rows_i) * det * prev, prev ** len(keep_r))
+        if rem:
+            raise InternalConsistencyError(
+                f"bordered minor {rows_i}x{cols_j}: {det} not divisible by {prev}^{len(keep_r) - 1}"
+            )
+        out.append(value)
+    return out
+
+
+def _graph_minors(g: SignedWeightedGraph, reds, index_pairs) -> list[Fraction]:
+    """``_bordered_minors`` of ``g``, its black weights scaled by the lcm L of
+    their denominators; a value with |I| red columns has degree N - 1 - |I|
+    in the weights, so it is divided by L^(N - 1 - |I|)."""
+    black = g.black_edges
+    scale = lcm(*(w.denominator for _, _, w in black)) if black else 1
+    scaled = [(u, v, int(w * scale)) for u, v, w in black]
+    values = _bordered_minors(g.n, scaled, reds, index_pairs)
+    return [
+        Fraction(x) / Fraction(scale) ** (g.n - 1 - len(rows_i))
+        for x, (rows_i, _) in zip(values, index_pairs)
+    ]
 
 
 def index_limits(g: SignedWeightedGraph) -> tuple[SpectralIndex, SpectralIndex]:

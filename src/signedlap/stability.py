@@ -2,9 +2,11 @@
 
 Along the i-th axis ray the crossing polynomial is A_empty - A_{e_i} * t, so
 omega_i = A_empty / A_{e_i} is the exact magnitude where stability is first
-lost on that axis.  Any t with ||t||_1 <= min_i omega_i is a convex
-combination of stable axis points, hence certified; the certificate is
-sufficient only.
+lost on that axis.  Both numbers come from one bordered elimination of the
+grounded black Laplacian Q: A_empty = det Q and A_{e_i} = K_ii, the
+diagonal of K = B^T adj(Q) B over the red incidence columns B.  Any t with
+||t||_1 <= min_i omega_i is a convex combination of stable axis points,
+hence certified; the certificate is sufficient only.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .graph import SignedWeightedGraph, component_counts, minor
-from .spectral import SpectralIndex, inertia, laplacian, tree_sum
+from .graph import SignedWeightedGraph, component_counts
+from .spectral import SpectralIndex, _graph_minors, inertia, laplacian
 
 
 def axis_thresholds(g: SignedWeightedGraph) -> list[Fraction | None]:
@@ -25,14 +27,10 @@ def axis_thresholds(g: SignedWeightedGraph) -> list[Fraction | None]:
     _, c_plus, _ = component_counts(g)
     if c_plus != 1:
         raise InputError("thresholds require a connected black subgraph")
-    r = g.red_count
-    all_red = set(range(r))
-    a_empty = tree_sum(minor(g, set(), all_red))
-    out: list[Fraction | None] = []
-    for i in range(r):
-        a_i = tree_sum(minor(g, {i}, all_red - {i}))
-        out.append(a_empty / a_i if a_i != 0 else None)
-    return out
+    reds = [(u, v) for u, v, _ in g.red_edges]
+    axes = [((i,), (i,)) for i in range(len(reds))]
+    a_empty, *a_axes = _graph_minors(g, reds, [((), ())] + axes)
+    return [a_empty / a_i if a_i != 0 else None for a_i in a_axes]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from signedlap import SignedWeightedGraph
+from signedlap import SignedWeightedGraph, minor, tree_sum
+from signedlap.graph import red_subset_is_forest
 
 
 def swg(n, edges) -> SignedWeightedGraph:
@@ -48,6 +49,23 @@ def triangle_chain(r) -> SignedWeightedGraph:
         a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
         edges += [(a, b, 1), (b, c, 1), (a, c, -1)]
     return swg(2 * r + 1, edges)
+
+
+def minor_path_coefficients(g: SignedWeightedGraph) -> tuple[Fraction, ...]:
+    """The 2^R crossing coefficients by the per-mask route, an oracle
+    independent of the bordered elimination: A_I is the tree sum of the
+    minor contracting the red edges in I and deleting the rest, and 0 when
+    I is cyclic."""
+    r = g.red_count
+    all_red = set(range(r))
+    coeffs = []
+    for mask in range(1 << r):
+        inside = {i for i in range(r) if mask >> i & 1}
+        if red_subset_is_forest(g, inside):
+            coeffs.append(tree_sum(minor(g, inside, all_red - inside)))
+        else:
+            coeffs.append(Fraction(0))
+    return tuple(coeffs)
 
 
 def random_fraction(rng: random.Random, num_max=9999, den_max=20) -> Fraction:

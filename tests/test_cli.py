@@ -1,10 +1,14 @@
 """CLI behavior: outputs, formats, exit codes."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
-from signedlap import cli
+from signedlap import cli, graph, spectral
+
+from conftest import kn_with_reds
 
 K4_SHARED = {
     "n": 4,
@@ -29,6 +33,21 @@ CHAIN2 = {
         {"u": 2, "v": 4, "w": "-1"},
     ],
 }
+
+
+def _n13_doc():
+    """Unit-weight two-red graph on 13 vertices: a black cycle with chords,
+    reds (3,9) and (5,9) sharing their larger endpoint."""
+    black = [(i, i + 1) for i in range(12)] + [(0, 12)] + [(i, i + 4) for i in range(0, 9, 2)]
+    edges = [{"u": u, "v": v, "w": "1"} for u, v in black]
+    edges += [{"u": 3, "v": 9, "w": "-1"}, {"u": 5, "v": 9, "w": "-1"}]
+    return {"n": 13, "edges": edges}
+
+
+def _graph_file(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture
@@ -96,6 +115,47 @@ def test_disc(capsys, k4_file):
     assert out["degenerate_point"] is None
     assert out["forest_sum"] in ("4", "-4")
     assert out["cycle_minor"] in ("4", "-4")
+
+
+def test_disc_forest_sum_beyond_the_enumeration_caps(capsys, tmp_path):
+    # N = 13 is over the 12-vertex oracle limit, and K12 has C(66, 10)
+    # 2-forest candidates, over the 4M-subset cap; sigma comes from the
+    # bordered elimination at any size
+    k12 = kn_with_reds(12, [(0, 1), (0, 2)])
+    k12_doc = {"n": 12, "edges": [{"u": u, "v": v, "w": str(w)} for u, v, w in k12.edges]}
+    for name, doc in (("n13", _n13_doc()), ("k12", k12_doc)):
+        code, out = _run(capsys, ["disc", "--input", _graph_file(tmp_path, name, doc)])
+        assert code == 0
+        assert out["forest_sum"] is not None and Fraction(out["forest_sum"]) != 0
+        assert Fraction(out["forest_sum"]) ** 2 == abs(Fraction(out["delta"]))
+        assert Fraction(out["cycle_minor"]) ** 2 == abs(Fraction(out["delta"]))
+
+
+def test_user_facing_commands_take_no_exponential_or_per_mask_route(monkeypatch, capsys, tmp_path):
+    # minors, tree sums and the enumerations are test oracles; no command
+    # may reach them, in whatever module namespace it looks them up
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a user-facing command reached an oracle route")
+
+    modules = [m for key, m in sys.modules.items() if key == "signedlap" or key.startswith("signedlap.")]
+    for fn in (graph.minor, spectral.tree_sum, graph.two_forests, graph.spanning_trees):
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, forbidden)
+    for name, doc in (("k4", K4_SHARED), ("chain", CHAIN2), ("n13", _n13_doc())):
+        path = _graph_file(tmp_path, name, doc)
+        for argv in (
+            ["analyze", "--t", "1,1"],
+            ["coeffs"],
+            ["disc"],
+            ["factorize"],
+            ["stability", "--t", "1/10,1/10"],
+            ["crossings", "--ray", "1,2"],
+        ):
+            assert cli.main([*argv, "--input", path]) == 0, (name, argv, capsys.readouterr().err)
+    cfg = _graph_file(tmp_path, "cfg", {"N": 7, "M": [6, 12], "samples": 10, "seed": 3})
+    assert cli.main(["ensemble", "--input", cfg, "--output", str(tmp_path / "runs.csv")]) == 0
 
 
 def test_factorize_chain(capsys, chain_file):
@@ -171,6 +231,15 @@ def test_ensemble_rejects_fractional_n(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(out)]) == 1
     assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ensemble_gnp_redraw_cap_is_input_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"N": 10, "M": [1], "samples": 3, "seed": 1, "model": "gnp", "p": 1e-9}))
+    out = tmp_path / "x.csv"
+    assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(out)]) == 1
+    assert "N=10, p=1e-09 drew fewer than 2 edges" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -19,8 +19,9 @@ from signedlap import (
     tree_sum,
 )
 from signedlap.crossing import bits_to_mask, mask_to_bits
+from signedlap.graph import red_subset_is_forest
 
-from conftest import k4_disjoint, k4_shared, random_connected_graph, swg
+from conftest import k4_disjoint, k4_shared, minor_path_coefficients, random_connected_graph, swg
 
 
 def test_k4_shared_coefficients():
@@ -81,6 +82,36 @@ def test_coefficients_match_tree_classification_oracle():
         for mask in sums:
             assert p.coeffs[mask] == sums[mask]
             assert (p.coeffs[mask] > 0) == (sums[mask] > 0)
+
+
+def _tree_classification(g):
+    """A_I as the black-weight product sum over spanning trees whose red set
+    is exactly I."""
+    reds = g.red_indices
+    sums = [F(0)] * (1 << g.red_count)
+    for t in spanning_trees(g):
+        sums[sum(1 << k for k, pos in enumerate(reds) if pos in t.edge_indices)] += t.pi_black
+    return tuple(sums)
+
+
+def test_bordered_core_matches_minor_path_on_weighted_graphs():
+    # random rational weights, N <= 9, R <= 5; covers a disconnected black
+    # subgraph (A_empty = 0), cyclic red subsets and R > N - 1
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(150):
+        g = random_connected_graph(rng, n_min=3, n_max=9, extra_max=6, red_choices=(1, 2, 3, 4, 5))
+        p = crossing_polynomial(g)
+        assert p.coeffs == minor_path_coefficients(g)
+        if g.n <= 6:
+            assert p.coeffs == _tree_classification(g)
+        r = g.red_count
+        subsets = ([i for i in range(r) if mask >> i & 1] for mask in range(1 << r))
+        cyclic = not all(red_subset_is_forest(g, s) for s in subsets)
+        seen.update(
+            {("a_empty_zero", p.coeffs[0] == 0), ("cyclic", cyclic), ("r_above_n_minus_1", r > g.n - 1)}
+        )
+    assert seen == {(name, flag) for name in ("a_empty_zero", "cyclic", "r_above_n_minus_1") for flag in (True, False)}
 
 
 def test_degree_support_examples():

@@ -26,6 +26,7 @@ from signedlap import (
     wildcard_discriminant,
     wildcard_forest_sum,
 )
+from signedlap.discriminants import _forest_dual
 
 from conftest import (
     k4_disjoint,
@@ -102,6 +103,25 @@ def test_forest_sum_squared_equals_abs_discriminant_random():
         s = forest_sum(g)
         assert s * s == abs(discriminant(p))
         done += 1
+
+
+def test_forest_dual_matches_forest_sum_value_and_sign():
+    # the bordered-elimination sigma against the 2-forest enumeration, on
+    # rational weights, with and without a connected black subgraph, and on
+    # vertex-sharing red pairs whose shared vertex is the larger endpoint
+    # (there _forest_pairs flips a red column)
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(200):
+        g = random_connected_graph(rng, n_min=3, n_max=8, extra_max=4, red_choices=(2,))
+        if g.red_count != 2:
+            continue
+        assert _forest_dual(g) == forest_sum(g)
+        (u1, v1, _), (u2, v2, _) = g.red_edges
+        shared = {u1, v1} & {u2, v2}
+        flipped = bool(shared) and min(shared) in (v1, v2)
+        seen.add((crossing_polynomial(g).coeffs[0] == 0, bool(shared), flipped))
+    assert {(False, False, False), (False, True, True), (True, False, False), (True, True, True)} <= seen
 
 
 def test_laplacian_minor_examples():

@@ -12,9 +12,11 @@ from signedlap import (
     discriminant,
     sample_graph,
 )
+from signedlap import _kernels, component_counts
 from signedlap import ensemble as ens
+from signedlap.spectral import _bordered_minors
 
-from conftest import kn_with_reds, swg
+from conftest import kn_with_reds, minor_path_coefficients, swg
 
 
 def test_sample_graph_complete_at_max_m():
@@ -70,38 +72,52 @@ def test_config_accepts_integral_numbers():
     assert all(type(x) is int for x in (cfg.n, cfg.samples_per_m, cfg.master_seed, *cfg.m_values))
 
 
-def test_coefficients_match_minors_and_tree_counts(monkeypatch):
-    # oracles: the 2^R minor path and the contracted tree counter, on sparse
-    # (black subgraph disconnected, A_empty = 0) up to complete graphs
-    tree_count = ens._tree_count
-    fallback_calls = []
+def test_coefficients_match_minor_path(monkeypatch):
+    # oracle: the per-mask minor path, on sparse (black subgraph
+    # disconnected, A_empty = 0) up to complete graphs.  The determinant
+    # sizes tell the routes apart: the elimination skips one zero pivot per
+    # black component past the first, and the skipped rows border the small
+    # minors left after it, the largest being A_xy's.
+    det_int = _kernels.det_int
+    dims = []
 
-    def counted(n, pairs, unions):
-        fallback_calls.append(unions)
-        return tree_count(n, pairs, unions)
+    def counted(rows):
+        dims.append(len(rows))
+        return det_int(rows)
 
-    monkeypatch.setattr(ens, "_tree_count", counted)
     seen = set()
     for n in range(5, 13):
         total = n * (n - 1) // 2
-        for m in sorted({n - 2, n + 1, (n + total) // 2, total}):
+        for m in sorted({n - 2, n, n + 1, (n + total) // 2, total}):
             for seed in range(8):
                 g = sample_graph(n, m, seed)
                 red1, red2 = (e[:2] for e in g.red_edges)
-                black = [(u, v) for u, v, _ in g.black_edges]
-                expect = tuple(crossing_polynomial(g).coeffs)
-                contracted = tuple(
-                    tree_count(n, black, unions) for unions in ((), (red1,), (red2,), (red1, red2))
-                )
-                assert contracted == expect
-                before = len(fallback_calls)
-                assert ens._coefficients_r2(n, black, red1, red2) == expect
-                one_solve = expect[0] != 0
-                assert (ens._bordered_solve(n, black, red1, red2) is not None) == one_solve
-                assert len(fallback_calls) - before == (0 if one_solve else 3)
-                seen.add((one_solve, bool(set(red1) & set(red2))))
-    # both routes ran, each on disjoint and on vertex-sharing red pairs
+                black = [(u, v, 1) for u, v, _ in g.black_edges]
+                expect = minor_path_coefficients(g)
+                dims.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(_kernels, "det_int", counted)
+                    got = _bordered_minors(n, black, (red1, red2), ens._R2_MINORS)
+                assert tuple(got) == expect
+                skipped = component_counts(g)[1] - 1
+                assert max(dims) == skipped + 2
+                assert (expect[0] != 0) == (skipped == 0)
+                seen.add((skipped == 0, bool(set(red1) & set(red2))))
+    # both routes ran (no pivot skipped, A_empty = 0), each on disjoint and
+    # on vertex-sharing red pairs
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_gnp_rejects_fewer_than_three_vertices():
+    with pytest.raises(InputError, match="N >= 3"):
+        EnsembleConfig(2, (1,), 5, 0, model="gnp", p=1.0)
+    EnsembleConfig(3, (1,), 5, 0, model="gnp", p=1.0)
+
+
+def test_gnp_redraw_cap_raises():
+    cfg = EnsembleConfig(10, (1,), 3, 0, model="gnp", p=1e-9)
+    with pytest.raises(InputError, match=r"N=10, p=1e-09 drew fewer than 2 edges in 1000 tries"):
+        ens.compute_record(cfg, 1, 0)
 
 
 def test_classify_examples():
