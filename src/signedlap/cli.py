@@ -41,8 +41,15 @@ def _load_graph(path: str):
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
+    """Comma-separated rationals; an empty (or all-blank) string is the empty
+    vector, and an empty component is an error."""
+    if text.strip() == "":
+        return []
+    parts = [part.strip() for part in text.split(",")]
+    if "" in parts:
+        raise InputError(f"empty component in rational vector {text!r}")
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
+        return [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse rational vector {text!r}") from exc
 
@@ -140,12 +147,10 @@ def _cmd_crossings(args) -> dict:
     if not is_connected(g):
         raise InputError("ray crossings require a connected graph")
     alpha = _parse_fractions(args.ray)
-    p = crossing.crossing_polynomial(g)
-    q = crossing.ray_polynomial(p, alpha)
-    result = crossing.ray_crossings(p, alpha)
+    result = crossing.ray_crossings(crossing.crossing_polynomial(g), alpha)
     return {
         "ray": [str(a) for a in alpha],
-        "ray_polynomial": [str(c) for c in q],
+        "ray_polynomial": [str(c) for c in result.polynomial],
         "roots": [
             {
                 "value": _frac(r.value),

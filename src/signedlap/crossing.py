@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import polyroots
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, component_counts, is_connected, red_subset_is_forest
+from .graph import SignedWeightedGraph, component_counts, is_connected, pairs_form_forest
 from .polyroots import RootRecord
 from .spectral import _graph_minors
 
@@ -105,12 +105,12 @@ def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) 
     """All 2^R coefficients from one bordered elimination; cyclic red subsets
     are skipped (their A_I is 0).  Rejects R > max_red (2^R blow-up guard).
     """
-    r = g.red_count
+    reds = [(u, v) for u, v, _ in g.red_edges]
+    r = len(reds)
     if r > max_red:
         raise InputError(f"{r} red edges exceeds the 2^R guard (max_red={max_red})")
     subsets = [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1 << r)]
-    forests = [s for s in subsets if red_subset_is_forest(g, s)]
-    reds = [(u, v) for u, v, _ in g.red_edges]
+    forests = [s for s in subsets if pairs_form_forest(g.n, (reds[i] for i in s))]
     values = dict(zip(forests, _graph_minors(g, reds, [(s, s) for s in forests])))
     coeffs = tuple(values.get(s, Fraction(0)) for s in subsets)
     for mask, a in enumerate(coeffs):
@@ -172,20 +172,24 @@ def ray_polynomial(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> list[Fra
 
 @dataclass(frozen=True)
 class RayCrossings:
-    """Positive roots of the ray polynomial, ascending, with multiplicities."""
+    """Positive roots of the ray polynomial, ascending, with multiplicities,
+    and the ray polynomial itself (lowest degree first)."""
 
     alpha: tuple[Fraction, ...]
     roots: tuple[RootRecord, ...]
+    polynomial: tuple[Fraction, ...]
 
 
 def ray_crossings(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> RayCrossings:
     """Eigenvalue-crossing locations along the ray t*alpha.
 
     Exact pipeline: square-free decomposition for multiplicities, Sturm
-    isolation, bisection to width 1e-12, rational roots reported exactly.
+    isolation and bisection in integer arithmetic; rational roots are
+    reported exactly, irrational ones as isolating intervals of width at most
+    1e-30.
     """
     q = ray_polynomial(p, alpha)
     if not q:
         raise InternalConsistencyError("ray polynomial is identically zero")
     roots = polyroots.positive_roots(q)
-    return RayCrossings(tuple(Fraction(a) for a in alpha), tuple(roots))
+    return RayCrossings(tuple(Fraction(a) for a in alpha), tuple(roots), tuple(q))

@@ -289,16 +289,17 @@ def minor(g: SignedWeightedGraph, contract: Iterable[int], delete: Iterable[int]
     return minor_with_info(g, contract, delete).graph
 
 
+def pairs_form_forest(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the edges (u, v) on vertices 0..n-1 form a forest."""
+    uf = _UnionFind(n)
+    return all(uf.union(u, v) for u, v in pairs)
+
+
 def red_subset_is_forest(g: SignedWeightedGraph, indices: Iterable[int]) -> bool:
     """Whether the given red edges form a forest.  A cyclic subset can never
     lie inside a spanning tree, so its crossing coefficient is zero."""
-    reds = g.red_indices
-    uf = _UnionFind(g.n)
-    for ri in indices:
-        u, v, _ = g.edges[reds[ri]]
-        if not uf.union(u, v):
-            return False
-    return True
+    reds = g.red_edges
+    return pairs_form_forest(g.n, (reds[ri][:2] for ri in indices))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """Exact univariate polynomial arithmetic and positive real root isolation.
 
-Polynomials are dense lists of Fractions, lowest degree first.  The driver
-``positive_roots`` returns every positive real root with its multiplicity:
-multiplicities via Yun's square-free decomposition, isolation via Sturm
-sequences, refinement by exact bisection, and rational roots recognized by
-probing the simplest rational (smallest denominator) inside the isolating
-interval and verifying exactly.  The probe is sound always and complete for
-root denominators up to ~1e14.
+Polynomials are dense coefficient lists, lowest degree first: Fractions in
+the division-based helpers, Python ints once made primitive (``_primitive``,
+Sturm sequences, square-free factors).  The driver ``positive_roots``
+returns every positive real root with its multiplicity: multiplicities via
+Yun's square-free decomposition, isolation via Sturm sequences, refinement
+by exact bisection, and rational roots recognized by probing the simplest
+rational (smallest denominator) inside the isolating interval and verifying
+exactly.  The probe is sound always and complete for root denominators up to
+~1e14.
+
+Isolation and refinement run on integers only.  A square-free factor h and
+its Sturm sequence are rescaled to s = x / B, B the Cauchy bound, so that
+every bisection point is a dyadic j / 2^k in [0, 1] and the sign of h there
+is the sign of the homogenised Horner value sum_i c_i j^i 2^(k (deg - i)).
+Rational probes p/q are tested the same way, by sum_i c_i p^i q^(deg - i).
+Fractions are built only for the reported roots and interval ends.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from math import gcd, lcm
 from .errors import InputError
 
 Poly = list[Fraction]
+IntPoly = list[int]
 
 _REPORT_WIDTH = Fraction(1, 10**12)
 _PROBE_WIDTH = Fraction(1, 10**30)
@@ -59,10 +69,11 @@ def multiply(p: Poly, q: Poly) -> Poly:
 
 
 def divmod_exact(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Polynomial division with remainder over the rationals."""
+    """Polynomial division with remainder over the rationals (int or
+    Fraction coefficients in, Fractions out)."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
+    rem = [Fraction(c) for c in p]
     quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
     dq = len(q) - 1
     lead = q[-1]
@@ -76,23 +87,23 @@ def divmod_exact(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return strip(quo), strip(rem)
 
 
-def _primitive_keep_sign(p: Poly) -> Poly:
+def _primitive_keep_sign(p: Poly) -> IntPoly:
     """Scale by a positive rational to integer, content-free coefficients.
 
     Positive scaling only, so sign patterns (and Sturm variation counts) are
     preserved exactly."""
     p = strip(p)
     if not p:
-        return p
+        return []
     mult = lcm(*(c.denominator for c in p))
-    ints = [int(c * mult) for c in p]
+    ints = [c.numerator * (mult // c.denominator) for c in p]
     g = 0
     for c in ints:
         g = gcd(g, abs(c))
-    return [Fraction(c // g) for c in ints]
+    return [c // g for c in ints]
 
 
-def _primitive(p: Poly) -> Poly:
+def _primitive(p: Poly) -> IntPoly:
     """Like _primitive_keep_sign but also forces a positive leading
     coefficient (canonical form for gcds and square-free factors)."""
     p = _primitive_keep_sign(p)
@@ -145,7 +156,7 @@ def _padded(p: Poly, q: Poly):
 # Sturm sequences
 
 
-def sturm_sequence(p: Poly) -> list[Poly]:
+def sturm_sequence(p: Poly) -> list[IntPoly]:
     seq = [_primitive_keep_sign(p), _primitive_keep_sign(derivative(p))]
     while seq[-1]:
         _, r = divmod_exact(seq[-2], seq[-1])
@@ -156,13 +167,44 @@ def sturm_sequence(p: Poly) -> list[Poly]:
     return [s for s in seq if s]
 
 
+def _sign_changes(values) -> int:
+    """Sign changes along a sequence of numbers, zeros skipped."""
+    changes = 0
+    last = 0
+    for v in values:
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes
+
+
+def _homogeneous_value(h: Poly, a: int, b: int):
+    """sum_i h_i a^i b^(deg - i) = b^deg * h(a/b), an int for integer
+    coefficients: for b > 0 it has the sign of h(a/b)."""
+    acc = 0
+    power = 1
+    for c in reversed(h):
+        acc = acc * a + c * power
+        power *= b
+    return acc
+
+
+def _dyadic_value(h: IntPoly, j: int, k: int) -> int:
+    """2^(k deg) * h(j / 2^k): ``_homogeneous_value`` at b = 2^k, with
+    shifts in place of the multiplications by powers of b (the bisection's
+    hot loop)."""
+    acc = 0
+    shift = 0
+    for c in reversed(h):
+        acc = acc * j + (c << shift)
+        shift += k
+    return acc
+
+
 def _variations_at(seq: list[Poly], x: Fraction) -> int:
-    signs = []
-    for s in seq:
-        v = evaluate(s, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    x = Fraction(x)
+    return _sign_changes(_homogeneous_value(s, x.numerator, x.denominator) for s in seq)
 
 
 def count_roots_halfopen(seq: list[Poly], lo: Fraction, hi: Fraction) -> int:
@@ -176,21 +218,33 @@ def cauchy_bound(p: Poly) -> Fraction:
     return 1 + max(abs(c) for c in p) / lead
 
 
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational in [lo, hi], 0 < lo <= hi.
+def _simplest(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
+    """Smallest-denominator p/q in [ln/ld, hn/hd], for 0 < ln/ld <= hn/hd
+    with positive denominators.
 
-    Classic continued-fraction walk: if an integer lies in the interval take
-    the smallest one, otherwise recurse on the reciprocal fractional parts.
+    Continued-fraction walk: if an integer lies in the interval take the
+    smallest one, otherwise take the integer part of the lower end and go on
+    with the reciprocal fractional parts (upper end first).  The terms build
+    the convergents p/q as they come, so the result is in lowest terms.
     """
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        whole, rest = divmod(ln, ld)
+        last = rest == 0 or (whole + 1) * hd <= hn
+        if rest and last:
+            whole += 1
+        p0, q0, p1, q1 = p1, q1, whole * p1 + p0, whole * q1 + q0
+        if last:
+            return p1, q1
+        ln, ld, hn, hd = hd, hn - whole * hd, ld, rest
+
+
+def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """Smallest-denominator rational in [lo, hi], 0 < lo <= hi."""
     if not (0 < lo <= hi):
         raise InputError("simplest_between requires 0 < lo <= hi")
-    whole = lo.numerator // lo.denominator
-    frac_lo = lo - whole
-    if frac_lo == 0:
-        return lo
-    if whole + 1 <= hi:
-        return Fraction(whole + 1)
-    return whole + 1 / simplest_between(1 / (hi - whole), 1 / frac_lo)
+    p, q = _simplest(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    return Fraction(p, q)
 
 
 @dataclass(frozen=True)
@@ -198,8 +252,8 @@ class RootRecord:
     """One positive real root.
 
     value is the exact Fraction when the root is rational, else None with
-    (lo, hi) an isolating interval of width <= 1e-12.  midpoint is a float
-    convenience view.
+    (lo, hi) an isolating interval of width <= 1e-30 (``_PROBE_WIDTH``).
+    midpoint is a float convenience view.
     """
 
     value: Fraction | None
@@ -214,73 +268,131 @@ class RootRecord:
         return float((self.lo + self.hi) / 2)
 
 
-def _isolate_positive(h: Poly) -> tuple[Poly, list[Fraction], list[tuple[Fraction, Fraction]]]:
+def _rescaled(h: IntPoly, bn: int, bd: int) -> IntPoly:
+    """bd^deg * h(s * bn/bd), whose sign at s is that of h at x = s * bn/bd."""
+    n = len(h) - 1
+    return [c * bn**i * bd ** (n - i) for i, c in enumerate(h)]
+
+
+def _deflate(h: IntPoly, a: int, b: int) -> IntPoly:
+    """h / (b x - a) for a root a/b of h in lowest terms (exact over the
+    integers by Gauss's lemma): q_(i-1) = (h_i + a q_i) / b from the top."""
+    quo = [0] * (len(h) - 1)
+    carry = 0
+    for i in range(len(h) - 1, 0, -1):
+        carry = (h[i] + a * carry) // b
+        quo[i - 1] = carry
+    return quo
+
+
+@dataclass(frozen=True)
+class _Isolation:
+    """Isolating intervals of one square-free factor.
+
+    ``residual`` is the factor with the exact ``roots`` (midpoint hits)
+    divided out, and ``scaled`` its rescaling to s = x / bound with bound =
+    bn/bd.  An interval (lo, hi, k) is s in (lo/2^k, hi/2^k]; it holds
+    exactly one root of the residual and none at either end.
+    """
+
+    residual: IntPoly
+    roots: list[Fraction]
+    bn: int
+    bd: int
+    scaled: IntPoly
+    intervals: list[tuple[int, int, int]]
+
+    def at(self, j: int, k: int) -> Fraction:
+        """x = bound * j / 2^k."""
+        return Fraction(self.bn * j, self.bd << k)
+
+
+def _isolate_positive(h: Poly) -> _Isolation:
     """Isolating intervals for the positive roots of a square-free h.
 
-    Returns (h_residual, exact_roots_found_by_midpoint_hits, intervals).
-    Exact midpoint hits are deflated out and isolation restarts; the
-    intervals refer to h_residual, each (lo, hi] containing exactly one of
-    its roots with no root at either endpoint.
+    Bisects (0, bound] with Sturm counts.  A midpoint that is a root is
+    deflated out exactly and the isolation restarts on the quotient.
     """
     h = _primitive(h)
     exact: list[Fraction] = []
     while True:
-        if degree(h) < 1:
-            return h, exact, []
-        seq = sturm_sequence(h)
+        if len(h) < 2:
+            return _Isolation(h, exact, 1, 1, h, [])
         bound = cauchy_bound(h)
-        total = count_roots_halfopen(seq, Fraction(0), bound)
-        intervals: list[tuple[Fraction, Fraction]] = []
-        stack = [(Fraction(0), bound, total)]
-        restart = False
+        bn, bd = bound.numerator, bound.denominator
+        # h is primitive with a positive lead, so the sequence starts with h
+        seq = [_rescaled(s, bn, bd) for s in sturm_sequence(h)]
+        scaled = seq[0]
+
+        def variations(j: int, k: int) -> int:
+            return _sign_changes(_dyadic_value(s, j, k) for s in seq)
+
+        intervals: list[tuple[int, int, int]] = []
+        # (lo, hi, k, sign variations at lo, at hi)
+        stack = [(0, 1, 0, variations(0, 0), variations(1, 0))]
         while stack:
-            lo, hi, cnt = stack.pop()
-            if cnt == 0:
+            lo, hi, k, vlo, vhi = stack.pop()
+            if vlo - vhi == 0:
                 continue
-            if cnt == 1:
-                intervals.append((lo, hi))
+            if vlo - vhi == 1:
+                intervals.append((lo, hi, k))
                 continue
-            mid = (lo + hi) / 2
-            if evaluate(h, mid) == 0:
-                exact.append(mid)
-                h, _ = divmod_exact(h, [-mid, Fraction(1)])
-                h = _primitive(h)
-                restart = True
+            lo, mid, hi, k = 2 * lo, lo + hi, 2 * hi, k + 1
+            if _dyadic_value(scaled, mid, k) == 0:
+                root = Fraction(bn * mid, bd << k)
+                exact.append(root)
+                h = _primitive(_deflate(h, root.numerator, root.denominator))
                 break
-            left = count_roots_halfopen(seq, lo, mid)
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, cnt - left))
-        if not restart:
-            return h, exact, intervals
+            vmid = variations(mid, k)
+            stack.append((lo, mid, k, vlo, vmid))
+            stack.append((mid, hi, k, vmid, vhi))
+        else:
+            return _Isolation(h, exact, bn, bd, scaled, intervals)
 
 
-def _refine(h: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval by sign bisection to the given width.
+def _refine(iso: _Isolation, lo: int, hi: int, k: int, width: Fraction) -> tuple[int, int, int]:
+    """Shrink an isolating interval by sign bisection until bound * (hi -
+    lo) / 2^k <= width, an integer comparison.
 
-    h(lo) and h(hi) have opposite signs on entry (single root, no endpoint
-    roots); an exact midpoint hit collapses the interval.
+    The residual has opposite signs at the two ends on entry (single root,
+    no endpoint roots); an exact midpoint hit collapses the interval.
     """
-    flo = evaluate(h, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fmid = evaluate(h, mid)
-        if fmid == 0:
-            return mid, mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+    wn, wd = width.numerator, width.denominator
+    lo_positive = _dyadic_value(iso.scaled, lo, k) > 0
+    while iso.bn * (hi - lo) * wd > (iso.bd << k) * wn:
+        lo, mid, hi, k = 2 * lo, lo + hi, 2 * hi, k + 1
+        v = _dyadic_value(iso.scaled, mid, k)
+        if v == 0:
+            return mid, mid, k
+        if (v > 0) == lo_positive:
+            lo = mid
         else:
             hi = mid
-    return lo, hi
+    return lo, hi, k
 
 
-def _probe_simplest(lo: Fraction, hi: Fraction) -> Fraction | None:
-    """Simplest rational in (lo, hi], tolerating lo == 0."""
+def _probe_simplest(iso: _Isolation, lo: int, hi: int, k: int) -> tuple[int, int]:
+    """Simplest rational p/q in the interval, tolerating lo == 0 (then
+    1/ceil(1/x_hi))."""
+    den = iso.bd << k
     if lo > 0:
-        return simplest_between(lo, hi)
-    if hi > 0:
-        q = -((-hi.denominator) // hi.numerator)  # ceil(1/hi)
-        return Fraction(1, q)
-    return None
+        return _simplest(iso.bn * lo, den, iso.bn * hi, den)
+    return 1, -(-den // (iso.bn * hi))
+
+
+def _root_record(iso: _Isolation, lo: int, hi: int, k: int, mult: int) -> RootRecord:
+    """Refine one isolating interval to 1e-12 and then 1e-30, probing for a
+    rational root after each; an irrational root keeps the last interval."""
+    for width in (_REPORT_WIDTH, _PROBE_WIDTH):
+        lo, hi, k = _refine(iso, lo, hi, k, width)
+        if lo == hi:
+            x = iso.at(lo, k)
+            return RootRecord(x, x, x, mult)
+        p, q = _probe_simplest(iso, lo, hi, k)
+        if _homogeneous_value(iso.residual, p, q) == 0:
+            x = Fraction(p, q)
+            return RootRecord(x, x, x, mult)
+    return RootRecord(None, iso.at(lo, k), iso.at(hi, k), mult)
 
 
 def positive_roots(p) -> list[RootRecord]:
@@ -292,26 +404,8 @@ def positive_roots(p) -> list[RootRecord]:
         p = p[1:]
     records: list[RootRecord] = []
     for factor, mult in square_free_decomposition(p):
-        residual, exact, intervals = _isolate_positive(factor)
-        for r in exact:
-            records.append(RootRecord(r, r, r, mult))
-        for lo, hi in intervals:
-            lo, hi = _refine(residual, lo, hi, _REPORT_WIDTH)
-            if lo == hi:
-                records.append(RootRecord(lo, lo, lo, mult))
-                continue
-            probe = _probe_simplest(lo, hi)
-            if probe is not None and evaluate(residual, probe) == 0:
-                records.append(RootRecord(probe, probe, probe, mult))
-                continue
-            lo2, hi2 = _refine(residual, lo, hi, _PROBE_WIDTH)
-            if lo2 == hi2:
-                records.append(RootRecord(lo2, lo2, lo2, mult))
-                continue
-            probe = _probe_simplest(lo2, hi2)
-            if probe is not None and evaluate(residual, probe) == 0:
-                records.append(RootRecord(probe, probe, probe, mult))
-            else:
-                records.append(RootRecord(None, lo2, hi2, mult))
+        iso = _isolate_positive(factor)
+        records += [RootRecord(r, r, r, mult) for r in iso.roots]
+        records += [_root_record(iso, lo, hi, k, mult) for lo, hi, k in iso.intervals]
     records.sort(key=lambda r: r.value if r.value is not None else (r.lo + r.hi) / 2)
     return records

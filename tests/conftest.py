@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from signedlap import SignedWeightedGraph, minor, tree_sum
+from signedlap import polyroots as pr
+from signedlap.errors import InputError
 from signedlap.graph import red_subset_is_forest
 
 
@@ -66,6 +68,122 @@ def minor_path_coefficients(g: SignedWeightedGraph) -> tuple[Fraction, ...]:
         else:
             coeffs.append(Fraction(0))
     return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Root isolation in Fraction arithmetic: an oracle for the integer pipeline
+# of ``polyroots.positive_roots``.  Every point is a Fraction, every sign a
+# Fraction Horner evaluation; the shared pieces are the square-free
+# decomposition, the Sturm sequence and the Cauchy bound.
+
+
+def _reference_variations(seq, x: Fraction) -> int:
+    signs = []
+    for s in seq:
+        v = pr.evaluate(s, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _reference_count(seq, lo: Fraction, hi: Fraction) -> int:
+    return _reference_variations(seq, lo) - _reference_variations(seq, hi)
+
+
+def reference_simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """Smallest-denominator rational in [lo, hi], 0 < lo <= hi, by the
+    recursive continued-fraction walk."""
+    if not (0 < lo <= hi):
+        raise InputError("simplest_between requires 0 < lo <= hi")
+    whole = lo.numerator // lo.denominator
+    frac_lo = lo - whole
+    if frac_lo == 0:
+        return lo
+    if whole + 1 <= hi:
+        return Fraction(whole + 1)
+    return whole + 1 / reference_simplest_between(1 / (hi - whole), 1 / frac_lo)
+
+
+def reference_isolate_positive(h):
+    """(h_residual, exact roots found as bisection midpoints, isolating
+    intervals (lo, hi] of h_residual) for a square-free h."""
+    h = pr._primitive(h)
+    exact: list[Fraction] = []
+    while True:
+        if pr.degree(h) < 1:
+            return h, exact, []
+        seq = pr.sturm_sequence(h)
+        bound = pr.cauchy_bound(h)
+        total = _reference_count(seq, Fraction(0), bound)
+        intervals: list[tuple[Fraction, Fraction]] = []
+        stack = [(Fraction(0), bound, total)]
+        restart = False
+        while stack:
+            lo, hi, cnt = stack.pop()
+            if cnt == 0:
+                continue
+            if cnt == 1:
+                intervals.append((lo, hi))
+                continue
+            mid = (lo + hi) / 2
+            if pr.evaluate(h, mid) == 0:
+                exact.append(mid)
+                h, _ = pr.divmod_exact(h, [-mid, Fraction(1)])
+                h = pr._primitive(h)
+                restart = True
+                break
+            left = _reference_count(seq, lo, mid)
+            stack.append((lo, mid, left))
+            stack.append((mid, hi, cnt - left))
+        if not restart:
+            return h, exact, intervals
+
+
+def reference_refine(h, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Sign bisection of an isolating interval down to ``width``; an exact
+    midpoint hit collapses it."""
+    flo = pr.evaluate(h, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fmid = pr.evaluate(h, mid)
+        if fmid == 0:
+            return mid, mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _reference_probe(lo: Fraction, hi: Fraction) -> Fraction:
+    if lo > 0:
+        return reference_simplest_between(lo, hi)
+    return Fraction(1, -((-hi.denominator) // hi.numerator))
+
+
+def reference_positive_roots(p) -> list[pr.RootRecord]:
+    """``positive_roots`` with the Fraction isolation, refinement and probe."""
+    p = pr.strip(p)
+    while p and p[0] == 0:
+        p = p[1:]
+    records = []
+    for factor, mult in pr.square_free_decomposition(p):
+        residual, exact, intervals = reference_isolate_positive(factor)
+        records += [pr.RootRecord(r, r, r, mult) for r in exact]
+        for lo, hi in intervals:
+            for width in (pr._REPORT_WIDTH, pr._PROBE_WIDTH):
+                lo, hi = reference_refine(residual, lo, hi, width)
+                if lo == hi:
+                    records.append(pr.RootRecord(lo, lo, lo, mult))
+                    break
+                probe = _reference_probe(lo, hi)
+                if pr.evaluate(residual, probe) == 0:
+                    records.append(pr.RootRecord(probe, probe, probe, mult))
+                    break
+            else:
+                records.append(pr.RootRecord(None, lo, hi, mult))
+    records.sort(key=lambda r: r.value if r.value is not None else (r.lo + r.hi) / 2)
+    return records
 
 
 def random_fraction(rng: random.Random, num_max=9999, den_max=20) -> Fraction:

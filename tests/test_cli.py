@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from signedlap import cli, graph, spectral
+from signedlap import cli, crossing, graph, spectral
 
 from conftest import kn_with_reds
 
@@ -177,8 +177,59 @@ def test_crossings(capsys, k4_file):
     assert [(r["value"], r["multiplicity"]) for r in out["roots"]] == [("1/3", 1), ("3", 1)]
 
 
+def test_crossings_builds_the_ray_polynomial_once(monkeypatch, capsys, k4_file):
+    calls = []
+    real = crossing.ray_polynomial
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crossing, "ray_polynomial", counted)
+    code, out = _run(capsys, ["crossings", "--input", k4_file, "--ray", "1,2"])
+    assert code == 0 and len(calls) == 1
+    assert out["ray_polynomial"] == ["3", "-15", "6"]
+
+
+def test_crossings_zero_ray_polynomial_is_internal_fault(monkeypatch, capsys, k4_file):
+    monkeypatch.setattr(crossing, "ray_polynomial", lambda p, alpha: [])
+    assert cli.main(["crossings", "--input", k4_file, "--ray", "1,1"]) == 2
+    assert "ray polynomial is identically zero" in capsys.readouterr().err
+
+
 def test_crossings_requires_ray(capsys, k4_file):
     assert cli.main(["crossings", "--input", k4_file]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crossings", "--ray", "1,,1"],
+        ["crossings", "--ray", "1,1,"],
+        ["crossings", "--ray", ",1,1"],
+        ["analyze", "--t", " , 1/2, 3"],
+        ["stability", "--t", "1/2, ,1/2"],
+    ],
+)
+def test_empty_vector_component_is_input_error(capsys, k4_file, argv):
+    # these once parsed as 2-vectors on the two-red K4, the blanks dropped
+    assert cli.main([*argv, "--input", k4_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty component" in captured.err
+
+
+def test_empty_string_is_the_empty_vector(capsys, tmp_path):
+    doc = {"n": 3, "edges": [{"u": 0, "v": 1, "w": "1"}, {"u": 1, "v": 2, "w": "2"}]}
+    black = _graph_file(tmp_path, "black", doc)
+    code, out = _run(capsys, ["crossings", "--input", black, "--ray", ""])
+    assert code == 0
+    assert out["ray"] == [] and out["ray_polynomial"] == ["2"] and out["roots"] == []
+    code, out = _run(capsys, ["analyze", "--input", black, "--t", " "])
+    assert code == 0
+    assert out["t"] == [] and out["index"] == [2, 1, 0]
+    code, out = _run(capsys, ["stability", "--input", black, "--t", ""])
+    assert code == 0
+    assert out["thresholds"] == [] and out["verified_index"] == [2, 1, 0]
 
 
 def test_stability(capsys, k4_file):

@@ -14,7 +14,7 @@ from signedlap import (
     spanning_trees,
     two_forests,
 )
-from signedlap.graph import minor_with_info
+from signedlap.graph import _component_count, minor_with_info, red_subset_is_forest
 
 from conftest import k4_shared, kn_with_reds, random_connected_graph, swg, triangle_one_red
 
@@ -78,6 +78,20 @@ def test_component_counts():
     assert component_counts(g) == (1, 1, 2)
     g = swg(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])  # all black
     assert component_counts(g) == (1, 1, 4)
+
+
+def test_red_subset_is_forest_counts_components():
+    # a subset of red edges is a forest iff each edge lowers the component
+    # count of the vertex set by one
+    g = kn_with_reds(5, [(0, 1), (1, 2), (0, 2), (3, 4), (2, 3)])
+    reds = [(u, v) for u, v, _ in g.red_edges]
+    for mask in range(1 << len(reds)):
+        subset = [i for i in range(len(reds)) if mask >> i & 1]
+        forest = _component_count(g.n, [reds[i] for i in subset]) == g.n - len(subset)
+        assert red_subset_is_forest(g, subset) == forest
+        assert red_subset_is_forest(g, iter(subset)) == forest
+    assert not red_subset_is_forest(g, [0, 1, 2])
+    assert red_subset_is_forest(g, [])
 
 
 def test_minor_contract_merges_parallel_weights():

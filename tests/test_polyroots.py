@@ -5,8 +5,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from signedlap.crossing import crossing_polynomial, ray_polynomial
 from signedlap.errors import InputError
 from signedlap import polyroots as pr
+
+from conftest import (
+    random_connected_graph,
+    reference_isolate_positive,
+    reference_positive_roots,
+    reference_refine,
+    reference_simplest_between,
+)
 
 
 def _poly_from_roots(roots_with_mult, lead=F(1)):
@@ -78,7 +87,9 @@ def test_positive_roots_irrational_interval():
     p = [F(-2), F(0), F(1)]  # t^2 - 2
     (r,) = pr.positive_roots(p)
     assert r.value is None
-    assert r.hi - r.lo <= F(1, 10**12)
+    # refined past the 1e-12 report width to the 1e-30 probe width, and no
+    # further: the last bisection step halved an interval wider than that
+    assert F(1, 2 * 10**30) < r.hi - r.lo <= F(1, 10**30)
     assert r.lo ** 2 < 2 < r.hi ** 2  # the interval brackets sqrt(2)
     assert abs(r.midpoint - 2 ** 0.5) < 1e-11
 
@@ -121,3 +132,180 @@ def test_cauchy_bound_contains_roots():
     p = _poly_from_roots([(F(99), 1), (F(1, 99), 1)])
     b = pr.cauchy_bound(p)
     assert b > 99
+
+
+# ---------------------------------------------------------------------------
+# The integer isolation and refinement against the Fraction reference
+
+
+def _same_as_reference(p):
+    got = pr.positive_roots(p)
+    assert got == reference_positive_roots(p), p
+    return got
+
+
+def _random_coefficient(rng, rational):
+    num = rng.randint(-10**rng.randint(1, 12), 10**rng.randint(1, 12))
+    return F(num, rng.randint(1, 10**6)) if rational else F(num)
+
+
+def _same_isolation(factor):
+    """The integer isolation of a square-free factor, as Fractions, equals the
+    reference's: residual, midpoint roots in the order found, intervals."""
+    iso = pr._isolate_positive(factor)
+    intervals = [(iso.at(lo, k), iso.at(hi, k)) for lo, hi, k in iso.intervals]
+    got = (iso.residual, iso.roots, intervals)
+    assert got == reference_isolate_positive(factor), factor
+    return got
+
+
+def test_integer_pipeline_matches_reference_on_random_polynomials():
+    rng = random.Random(404)
+    found = 0
+    for case in range(120):
+        deg = rng.randint(1, 12)
+        p = [_random_coefficient(rng, case % 2 == 1) for _ in range(deg)]
+        p.append(_random_coefficient(rng, case % 2 == 1) or F(1))
+        found += len(_same_as_reference(p))
+    assert found > 60
+
+
+def test_integer_pipeline_matches_reference_on_repeated_roots():
+    rng = random.Random(405)
+    repeated = 0
+    for _ in range(40):
+        p = [F(rng.choice([-5, -2, 1, 3]))]
+        for _ in range(rng.randint(1, 3)):
+            root = [-F(rng.randint(1, 40), rng.randint(1, 15)), F(1)]
+            for _ in range(rng.randint(1, 3)):
+                p = pr.multiply(p, root)
+        # x^2 - c, with irrational roots for most c, also repeated
+        quad = [-F(rng.randint(2, 50), rng.randint(1, 7)), F(0), F(1)]
+        for _ in range(rng.randint(0, 2)):
+            p = pr.multiply(p, quad)
+        roots = _same_as_reference(p)
+        assert sum(r.multiplicity for r in roots) <= pr.degree(p)
+        repeated += any(r.multiplicity > 1 for r in roots)
+    assert repeated >= 20
+
+
+def test_integer_pipeline_matches_reference_on_bisection_midpoints():
+    # When the absolute values of the roots sum to at most 1, every monic
+    # coefficient is at most 1 in absolute value, so the Cauchy bound is
+    # exactly 2 and the bisection grid is the dyadic points 2 j / 2^k: a
+    # dyadic root is hit as a midpoint, during the isolation when another
+    # root shares its interval, during the refinement otherwise.
+    rng = random.Random(406)
+    isolation_hits = refinement_hits = 0
+    for _ in range(150):
+        p = [F(rng.randint(1, 9))]
+        budget = F(1)
+        for _ in range(rng.randint(1, 5)):
+            k = rng.randint(1, 30)
+            kind = rng.random()
+            if kind < 0.6:  # a positive dyadic root j / 2^k
+                r = F(rng.randint(1, 2**k - 1), 2**k)
+                factor = [-r, F(1)]
+            elif kind < 0.8:  # a rational root of either sign
+                r = F(rng.randint(-9, 9), rng.randint(10, 99))
+                factor = [-r, F(1)]
+            else:  # x^2 - c, irrational for most c
+                r = F(rng.randint(1, 99), rng.randint(100, 999))
+                factor = [-r * r - F(1, 10**6), F(0), F(1)]
+                r *= 2
+            if abs(r) + F(1, 10**5) > budget:
+                continue
+            budget -= abs(r) + F(1, 10**5)
+            p = pr.multiply(p, factor)
+            if rng.random() < 0.2:
+                p = pr.multiply(p, factor)
+        if pr.degree(p) < 1:
+            continue
+        for factor, _ in pr.square_free_decomposition(p):
+            assert pr.cauchy_bound(factor) == 2
+            residual, exact, intervals = _same_isolation(factor)
+            isolation_hits += len(exact)
+            for lo, hi in intervals:
+                lo, hi = reference_refine(residual, lo, hi, pr._PROBE_WIDTH)
+                refinement_hits += lo == hi
+        _same_as_reference(p)
+    assert isolation_hits >= 5 and refinement_hits >= 5
+
+
+def test_isolation_finds_midpoint_roots_in_the_reference_order():
+    # roots 3/8, 1/2, 1 and 9/8 under the Cauchy bound 3: bisecting the
+    # upper half first finds 9/8, 1 and 1/2; the lower half first would
+    # find 3/8 and leave a residual with another bound and other intervals
+    p = [F(27), F(-150), F(229), F(22), F(-256), F(128)]
+    residual, exact, intervals = _same_isolation(p)
+    assert exact == [F(9, 8), F(1), F(1, 2)] and len(intervals) == 1
+
+
+def test_integer_pipeline_matches_reference_on_close_roots():
+    for gap in (F(1, 10**13), F(1, 10**22), F(1, 10**31), F(1, 10**45)):
+        for a in (F(1, 3), F(7, 5), F(1000, 7)):
+            # two rational roots gap apart, and two irrational ones about
+            # gap / (2 sqrt a) apart; roots with denominators past the
+            # probe's reach come as intervals
+            p = pr.multiply([-a, F(1)], [-a - gap, F(1)])
+            q = pr.multiply([-a, F(0), F(1)], [-a - gap, F(0), F(1)])
+            for poly, (x, y) in ((p, (a, a + gap)), (q, (a, a + gap))):
+                r, s = _same_as_reference(poly)
+                assert r.hi <= s.lo
+                if poly is p:
+                    assert r.lo <= x <= r.hi and s.lo <= y <= s.hi
+                else:
+                    assert r.lo**2 < x < r.hi**2 and s.lo**2 < y < s.hi**2
+
+
+def test_refinement_stops_at_exactly_the_probe_width():
+    # Cauchy bound 1 + m / 10^30 = 2^101 / 10^30, so the bisection reaches
+    # width exactly 1e-30 after 101 halvings, and stops there
+    m = 2**101 - 10**30
+    p = [F(-1), F(-m), F(10**30)]
+    assert pr.cauchy_bound(p) == F(2**101, 10**30)
+    (r,) = _same_as_reference(p)
+    assert r.value is None and r.hi - r.lo == F(1, 10**30)
+
+
+def test_integer_pipeline_matches_reference_on_tiny_roots():
+    # roots below the refinement widths keep 0 as the lower end, where the
+    # probe takes 1 / ceil(1 / hi)
+    for root in (F(1, 10**13), F(1, 3 * 10**29), F(1, 10**31), F(2, 10**40 + 1)):
+        for other in ([F(-2), F(0), F(1)], [F(1), F(1)], [F(-5, 3), F(1)]):
+            p = pr.multiply([-root, F(1)], other)
+            roots = _same_as_reference(p)
+            assert roots[0].lo <= root <= roots[0].hi
+    # x = 1e-35 is past the probe: it stays an interval at 0
+    (r,) = _same_as_reference([F(-1), F(0), F(10**70)])
+    assert r.value is None and r.lo == 0 and r.hi <= F(1, 10**30)
+    # with Cauchy bound 2 the last interval is (0, 2^-100], and the probe
+    # 1 / ceil(2^100) is its upper end, not the root 1 / (2^100 + 1) below it
+    p = pr.multiply([F(-1), F(2**100 + 1)], [F(-1), F(2)])
+    assert pr.cauchy_bound(p) == 2
+    r = _same_as_reference(p)[0]
+    assert (r.value, r.lo, r.hi) == (None, 0, F(1, 2**100))
+
+
+def test_integer_pipeline_matches_reference_on_ray_polynomials():
+    rng = random.Random(407)
+    found = 0
+    for _ in range(24):
+        g = random_connected_graph(
+            rng, n_min=5, n_max=11, extra_max=10, red_choices=range(1, 11), num_max=99, den_max=9
+        )
+        p = crossing_polynomial(g)
+        alpha = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(g.red_count)]
+        found += len(_same_as_reference(ray_polynomial(p, alpha)))
+    assert found >= 24
+
+
+def test_simplest_between_matches_recursive_reference():
+    rng = random.Random(408)
+    for _ in range(10**4):
+        den = rng.randint(1, 10 ** rng.randint(1, 30))
+        lo = F(rng.randint(1, 10 ** rng.randint(1, 32)), den)
+        hi = lo + F(rng.randint(0, 10 ** rng.randint(0, 20)), rng.randint(1, 10**30))
+        got = pr.simplest_between(lo, hi)
+        assert got == reference_simplest_between(lo, hi), (lo, hi)
+        assert lo <= got <= hi
