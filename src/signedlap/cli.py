@@ -1,14 +1,19 @@
 """Batch command-line frontend.
 
 Subcommands: analyze, coeffs, disc, factorize, stability, crossings,
-ensemble.  Exit codes: 0 success, 1 input error, 2 internal-consistency
-fault.  Rationals are serialized as "p/q" strings; floats appear only for
-intrinsically approximate quantities (eigenvalues, gap).
+ensemble.  Each takes only the options it reads: every subcommand requires
+--input; the graph subcommands write JSON to --output or stdout; analyze and
+stability take --t, crossings requires --ray, and ensemble requires --output
+and takes --seed and --threads.  Exit codes: 0 success, 1 input error
+(usage errors included), 2 internal-consistency fault.  Rationals are
+serialized as "p/q" strings; floats appear only for intrinsically
+approximate quantities (eigenvalues, gap).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,8 +40,6 @@ def _read_json(path: str):
 
 
 def _load_graph(path: str):
-    if path is None:
-        raise InputError("--input is required")
     return parse_graph(_read_json(path))
 
 
@@ -99,6 +102,7 @@ def _cmd_coeffs(args) -> dict:
 
 def _cmd_disc(args) -> dict:
     g = _load_graph(args.input)
+    discriminants._require_r2(g)  # before the 2^R coefficients are built
     p = crossing.crossing_polynomial(g)
     delta = discriminants.discriminant(p)
     point = discriminants.degenerate_point(p)
@@ -126,24 +130,25 @@ def _cmd_factorize(args) -> dict:
 
 def _cmd_stability(args) -> dict:
     g = _load_graph(args.input)
-    out = {"thresholds": [_frac(w) for w in stability.axis_thresholds(g)]}
-    if args.t is not None:
-        report = stability.certify(g, _parse_fractions(args.t))
-        out.update(
-            {
-                "certified": report.certified,
-                "boundary": report.boundary,
-                "margin": _frac(report.certificate_margin),
-                "verified_index": list(report.verified_index),
-            }
-        )
-    return out
+    if args.t is None:
+        return {"thresholds": [_frac(w) for w in stability.axis_thresholds(g)]}
+    try:
+        t = _parse_fractions(args.t)
+    except InputError:
+        stability.axis_thresholds(g)  # a disconnected black subgraph is reported first
+        raise
+    report = stability.certify(g, t)
+    return {
+        "thresholds": [_frac(w) for w in report.thresholds],
+        "certified": report.certified,
+        "boundary": report.boundary,
+        "margin": _frac(report.certificate_margin),
+        "verified_index": list(report.verified_index),
+    }
 
 
 def _cmd_crossings(args) -> dict:
     g = _load_graph(args.input)
-    if args.ray is None:
-        raise InputError("--ray a1,a2,... is required")
     if not is_connected(g):
         raise InputError("ray crossings require a connected graph")
     alpha = _parse_fractions(args.ray)
@@ -168,8 +173,6 @@ def _cmd_ensemble(args) -> dict:
     if args.seed is not None:
         raw["seed"] = args.seed
     cfg = ensemble.config_from_dict(raw)
-    if args.output is None:
-        raise InputError("--output CSV path is required for ensemble runs")
     records = ensemble.generate_records(cfg, threads=args.threads)
     ensemble.write_csv(records, args.output)
     base = args.output[:-4] if args.output.endswith(".csv") else args.output
@@ -189,33 +192,28 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared, unmodified, by every later call."""
     parser = _Parser(prog="signedlap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _Parser(add_help=False)
-    common.add_argument("--input", help="input graph/config JSON path")
-    common.add_argument("--output", help="output path (default: stdout JSON)")
-    common.add_argument("--seed", type=int, help="override the config master seed (ensemble)")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored: ensemble samples run serially, "
-        "and the output is fixed by the seed",
-    )
     for name in _COMMANDS:
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name)
+        p.add_argument("--input", required=True, help="graph JSON path (ensemble: config JSON)")
+        p.add_argument("--output", required=name == "ensemble", help="JSON path, else stdout (ensemble: CSV)")
         if name in ("analyze", "stability"):
             p.add_argument("--t", help="red magnitudes, comma-separated rationals")
         if name == "crossings":
-            p.add_argument("--ray", help="ray direction, comma-separated positive rationals")
+            p.add_argument("--ray", required=True, help="ray direction, positive rationals")
+        if name == "ensemble":
+            p.add_argument("--seed", type=int, help="override the config master seed")
+            p.add_argument("--threads", type=int, default=1, help="ignored: samples run serially")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse usage errors / --help
         return exc.code if isinstance(exc.code, int) else 1
     handler = _COMMANDS[args.command]

@@ -11,7 +11,8 @@ conventions are not internally consistent).
 For R > 2 a wildcard (a 0/1 pattern with two free positions) selects a
 4-coefficient sub-polynomial whose 2x2 discriminant must vanish for the zero
 set to split into hyperplanes; a specific basis of 2^R - R - 1 wildcards is
-sufficient.
+sufficient.  `factorize` itself decides by exact re-expansion, which every
+factorizable polynomial passes and no other does.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .graph import SignedWeightedGraph, minor_with_info, red_subset_is_forest, t
 from .spectral import _as_rows, _graph_minors, det_rational
 
 
-def _require_r2(p: CrossingPolynomial):
+def _require_r2(p: CrossingPolynomial | SignedWeightedGraph):
     if p.red_count != 2:
         raise InputError(f"operation requires exactly 2 red edges, got {p.red_count}")
 
@@ -316,19 +317,16 @@ class Factorization:
 def factorize(p: CrossingPolynomial) -> Factorization | None:
     """Full hyperplane factorization of the crossing polynomial, or None.
 
-    Tests every basis wildcard discriminant, extracts alpha = A_empty and
-    C_i = A_{e_i}/A_empty, then verifies by re-expansion that every
-    coefficient is reproduced exactly; the verification keeps the operation
-    sound independent of the sufficiency argument.
+    Extracts alpha = A_empty and C_i = A_{e_i}/A_empty and accepts exactly
+    when re-expansion reproduces every coefficient.  The wildcard basis is
+    the paper's certificate, not a pre-check: a product
+    alpha * prod_i (1 - C_i t_i) makes every wildcard discriminant vanish, so
+    a nonzero one already fails the re-expansion.
     """
     a0 = p.coeffs[0]
     if a0 == 0:
         raise InputError("factorization requires a connected black subgraph (A_empty > 0)")
     r = p.red_count
-    if r >= 2:
-        for w in wildcard_basis(r):
-            if wildcard_discriminant(p, w) != 0:
-                return None
     c = tuple(p.coeffs[1 << i] / a0 for i in range(r))
     for mask in range(1 << r):
         expect = a0

@@ -1,12 +1,13 @@
 """CLI behavior: outputs, formats, exit codes."""
 
+import argparse
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
-from signedlap import cli, crossing, graph, spectral
+from signedlap import cli, crossing, graph, spectral, stability
 
 from conftest import kn_with_reds
 
@@ -201,6 +202,63 @@ def test_crossings_requires_ray(capsys, k4_file):
     assert cli.main(["crossings", "--input", k4_file]) == 1
 
 
+_GRAPH_COMMANDS = [name for name in cli._COMMANDS if name != "ensemble"]
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [([name], "--input") for name in _GRAPH_COMMANDS if name != "crossings"]
+    + [
+        (["crossings", "--ray", "1,1"], "--input"),
+        (["crossings", "--input", "g.json"], "--ray"),
+        (["ensemble", "--output", "x.csv"], "--input"),
+        (["ensemble", "--input", "cfg.json"], "--output"),
+    ],
+)
+def test_missing_required_option_is_usage_error(capsys, argv, missing):
+    # argparse rejects the request before any file is opened
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and f"required: {missing}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", _GRAPH_COMMANDS)
+@pytest.mark.parametrize("option", ["--seed", "--threads"])
+def test_graph_commands_reject_ensemble_options(capsys, k4_file, name, option):
+    extra = ["--ray", "1,1"] if name == "crossings" else []
+    assert cli.main([name, "--input", k4_file, *extra, option, "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {option} 2" in captured.err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage: signedlap" in capsys.readouterr().out
+    assert cli.main(["ensemble", "--help"]) == 0
+    assert "--threads" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys, k4_file):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert cli.main(["coeffs", "--input", k4_file]) == 0
+    first = len(built)
+    assert first > 0
+    assert cli.main(["disc", "--input", k4_file]) == 0
+    assert cli.main(["crossings"]) == 1
+    assert len(built) == first
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -230,6 +288,33 @@ def test_empty_string_is_the_empty_vector(capsys, tmp_path):
     code, out = _run(capsys, ["stability", "--input", black, "--t", ""])
     assert code == 0
     assert out["thresholds"] == [] and out["verified_index"] == [2, 1, 0]
+
+
+@pytest.mark.parametrize("t", [None, "3/10,3/10"])
+def test_stability_computes_the_thresholds_once(monkeypatch, capsys, k4_file, t):
+    calls = []
+    real = stability.axis_thresholds
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(stability, "axis_thresholds", counted)
+    argv = ["stability", "--input", k4_file] + ([] if t is None else ["--t", t])
+    code, out = _run(capsys, argv)
+    assert code == 0 and len(calls) == 1
+    assert out["thresholds"] == ["3/5", "3/5"]
+
+
+@pytest.mark.parametrize("t", ["1,,1", "x", "1/2"])
+def test_stability_reports_a_disconnected_black_subgraph_first(capsys, tmp_path, t):
+    # two black components joined by one red edge: the threshold error comes
+    # before any complaint about --t
+    edges = [(0, 1, "1"), (2, 3, "1"), (1, 2, "-1")]
+    doc = {"n": 4, "edges": [{"u": u, "v": v, "w": w} for u, v, w in edges]}
+    assert cli.main(["stability", "--input", _graph_file(tmp_path, "split", doc), "--t", t]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "thresholds require a connected black subgraph" in captured.err
 
 
 def test_stability(capsys, k4_file):
@@ -325,3 +410,15 @@ def test_disc_requires_two_reds(capsys, chain_file, tmp_path):
     path = tmp_path / "r1.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["disc", "--input", str(path)]) == 1
+
+
+def test_disc_rejects_other_red_counts_first(monkeypatch, capsys, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("disc built the 2^R crossing polynomial")
+
+    monkeypatch.setattr(crossing, "crossing_polynomial", forbidden)
+    k4 = kn_with_reds(4, [(0, 1), (0, 2), (1, 3)])
+    doc = {"n": 4, "edges": [{"u": u, "v": v, "w": str(w)} for u, v, w in k4.edges]}
+    assert cli.main(["disc", "--input", _graph_file(tmp_path, "r3", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "operation requires exactly 2 red edges, got 3" in captured.err
