@@ -170,7 +170,7 @@ def _cmd_crossings(args) -> dict:
 
 def _cmd_ensemble(args) -> dict:
     raw = _read_json(args.input)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):  # config_from_dict rejects the rest
         raw["seed"] = args.seed
     cfg = ensemble.config_from_dict(raw)
     records = ensemble.generate_records(cfg, threads=args.threads)

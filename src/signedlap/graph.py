@@ -25,10 +25,16 @@ _ORACLE_MAX_SUBSETS = 4_000_000
 Edge = tuple[int, int, Fraction]
 
 
+def _is_int(x) -> bool:
+    """An int and not a bool: JSON true and false decode to bools, which
+    Python counts as ints, and are rejected rather than read as 1 and 0."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_weight(w) -> Fraction:
     if isinstance(w, Fraction):
         return w
-    if isinstance(w, int):
+    if _is_int(w):
         return Fraction(w)
     if isinstance(w, str):
         try:
@@ -46,12 +52,12 @@ class SignedWeightedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise InputError(f"vertex count must be a positive integer, got {self.n!r}")
         seen: set[tuple[int, int]] = set()
         norm: list[Edge] = []
         for pos, (u, v, w) in enumerate(self.edges):
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (_is_int(u) and _is_int(v)):
                 raise InputError(f"edge {pos}: endpoints must be integers")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InputError(f"edge {pos} ({u},{v}): vertex id out of range 0..{self.n - 1}")
@@ -113,7 +119,7 @@ def parse_graph(document) -> SignedWeightedGraph:
     if "n" not in document or "edges" not in document:
         raise InputError('graph document needs keys "n" and "edges"')
     n = document["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise InputError('"n" must be an integer')
     raw = document["edges"]
     if not isinstance(raw, list):

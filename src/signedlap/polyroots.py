@@ -5,16 +5,18 @@ the division-based helpers, Python ints once made primitive (``_primitive``,
 Sturm sequences, square-free factors).  The driver ``positive_roots``
 returns every positive real root with its multiplicity: multiplicities via
 Yun's square-free decomposition, isolation via Sturm sequences, refinement
-by exact bisection, and rational roots recognized by probing the simplest
-rational (smallest denominator) inside the isolating interval and verifying
-exactly.  The probe is sound always and complete for root denominators up to
-~1e14.
+by exact bisection.  Rational roots are always reported exactly: by Gauss's
+lemma a rational root of an integer polynomial is m / lead for an integer m,
+so an isolating interval at most 1 / lead wide has a single rational
+candidate, which is verified exactly.  Irrational roots come as intervals of
+width at most 1e-30.
 
 Isolation and refinement run on integers only.  A square-free factor h and
 its Sturm sequence are rescaled to s = x / B, B the Cauchy bound, so that
 every bisection point is a dyadic j / 2^k in [0, 1] and the sign of h there
 is the sign of the homogenised Horner value sum_i c_i j^i 2^(k (deg - i)).
-Rational probes p/q are tested the same way, by sum_i c_i p^i q^(deg - i).
+The rational candidate m / lead is tested the same way, by
+sum_i c_i m^i lead^(deg - i).
 Fractions are built only for the reported roots and interval ends.
 """
 
@@ -29,8 +31,7 @@ from .errors import InputError
 Poly = list[Fraction]
 IntPoly = list[int]
 
-_REPORT_WIDTH = Fraction(1, 10**12)
-_PROBE_WIDTH = Fraction(1, 10**30)
+_WIDTH = Fraction(1, 10**30)
 
 
 def strip(p) -> Poly:
@@ -218,41 +219,13 @@ def cauchy_bound(p: Poly) -> Fraction:
     return 1 + max(abs(c) for c in p) / lead
 
 
-def _simplest(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
-    """Smallest-denominator p/q in [ln/ld, hn/hd], for 0 < ln/ld <= hn/hd
-    with positive denominators.
-
-    Continued-fraction walk: if an integer lies in the interval take the
-    smallest one, otherwise take the integer part of the lower end and go on
-    with the reciprocal fractional parts (upper end first).  The terms build
-    the convergents p/q as they come, so the result is in lowest terms.
-    """
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        whole, rest = divmod(ln, ld)
-        last = rest == 0 or (whole + 1) * hd <= hn
-        if rest and last:
-            whole += 1
-        p0, q0, p1, q1 = p1, q1, whole * p1 + p0, whole * q1 + q0
-        if last:
-            return p1, q1
-        ln, ld, hn, hd = hd, hn - whole * hd, ld, rest
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational in [lo, hi], 0 < lo <= hi."""
-    if not (0 < lo <= hi):
-        raise InputError("simplest_between requires 0 < lo <= hi")
-    p, q = _simplest(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    return Fraction(p, q)
-
-
 @dataclass(frozen=True)
 class RootRecord:
     """One positive real root.
 
-    value is the exact Fraction when the root is rational, else None with
-    (lo, hi) an isolating interval of width <= 1e-30 (``_PROBE_WIDTH``).
+    value is the exact Fraction when the root is rational (always found,
+    whatever its denominator), else None with (lo, hi) an isolating interval
+    of width <= 1e-30 (``_WIDTH``).
     midpoint is a float convenience view.
     """
 
@@ -371,28 +344,30 @@ def _refine(iso: _Isolation, lo: int, hi: int, k: int, width: Fraction) -> tuple
     return lo, hi, k
 
 
-def _probe_simplest(iso: _Isolation, lo: int, hi: int, k: int) -> tuple[int, int]:
-    """Simplest rational p/q in the interval, tolerating lo == 0 (then
-    1/ceil(1/x_hi))."""
-    den = iso.bd << k
-    if lo > 0:
-        return _simplest(iso.bn * lo, den, iso.bn * hi, den)
-    return 1, -(-den // (iso.bn * hi))
-
-
 def _root_record(iso: _Isolation, lo: int, hi: int, k: int, mult: int) -> RootRecord:
-    """Refine one isolating interval to 1e-12 and then 1e-30, probing for a
-    rational root after each; an irrational root keeps the last interval."""
-    for width in (_REPORT_WIDTH, _PROBE_WIDTH):
-        lo, hi, k = _refine(iso, lo, hi, k, width)
-        if lo == hi:
-            x = iso.at(lo, k)
-            return RootRecord(x, x, x, mult)
-        p, q = _probe_simplest(iso, lo, hi, k)
-        if _homogeneous_value(iso.residual, p, q) == 0:
-            x = Fraction(p, q)
-            return RootRecord(x, x, x, mult)
-    return RootRecord(None, iso.at(lo, k), iso.at(hi, k), mult)
+    """Refine one isolating interval to the 1e-30 report width, then test
+    its one rational candidate exactly; an irrational root keeps the
+    reported interval.
+
+    A rational root of the integer residual has a denominator dividing the
+    leading coefficient (Gauss's lemma), so it is m / lead for an integer m.
+    Once the interval (lo, hi] is at most 1 / lead wide it holds at most one
+    such point, and only m = floor(lead * hi) can be it; the check m / lead >
+    lo keeps a rational root outside the interval from being reported.
+    """
+    lo, hi, k = _refine(iso, lo, hi, k, _WIDTH)
+    report = iso.at(lo, k), iso.at(hi, k)
+    lead = iso.residual[-1]
+    lo, hi, k = _refine(iso, lo, hi, k, Fraction(1, lead))
+    if lo == hi:
+        x = iso.at(lo, k)
+        return RootRecord(x, x, x, mult)
+    den = iso.bd << k
+    m = lead * iso.bn * hi // den
+    if m * den > lead * iso.bn * lo and _homogeneous_value(iso.residual, m, lead) == 0:
+        x = Fraction(m, lead)
+        return RootRecord(x, x, x, mult)
+    return RootRecord(None, *report, mult)
 
 
 def positive_roots(p) -> list[RootRecord]:

@@ -107,14 +107,8 @@ def inertia(m) -> SpectralIndex:
     contributes one positive and one negative eigenvalue and is removed by a
     Schur complement.  No floating point anywhere.
     """
-    rows = _as_rows(m)
+    rows = m.rows if isinstance(m, LaplacianMatrix) else LaplacianMatrix(m).rows
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise InputError("matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise InputError(f"matrix not symmetric at ({i},{j})")
     a = [list(row) for row in rows]
     active = list(range(n))
     n_plus = n_minus = n_zero = 0

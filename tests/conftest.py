@@ -4,6 +4,7 @@ exhaustive corpora."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ import pytest
 
 from signedlap import SignedWeightedGraph, minor, tree_sum
 from signedlap import polyroots as pr
-from signedlap.errors import InputError
 from signedlap.graph import red_subset_is_forest
 
 
@@ -90,20 +90,6 @@ def _reference_count(seq, lo: Fraction, hi: Fraction) -> int:
     return _reference_variations(seq, lo) - _reference_variations(seq, hi)
 
 
-def reference_simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational in [lo, hi], 0 < lo <= hi, by the
-    recursive continued-fraction walk."""
-    if not (0 < lo <= hi):
-        raise InputError("simplest_between requires 0 < lo <= hi")
-    whole = lo.numerator // lo.denominator
-    frac_lo = lo - whole
-    if frac_lo == 0:
-        return lo
-    if whole + 1 <= hi:
-        return Fraction(whole + 1)
-    return whole + 1 / reference_simplest_between(1 / (hi - whole), 1 / frac_lo)
-
-
 def reference_isolate_positive(h):
     """(h_residual, exact roots found as bisection midpoints, isolating
     intervals (lo, hi] of h_residual) for a square-free h."""
@@ -155,14 +141,9 @@ def reference_refine(h, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fr
     return lo, hi
 
 
-def _reference_probe(lo: Fraction, hi: Fraction) -> Fraction:
-    if lo > 0:
-        return reference_simplest_between(lo, hi)
-    return Fraction(1, -((-hi.denominator) // hi.numerator))
-
-
 def reference_positive_roots(p) -> list[pr.RootRecord]:
-    """``positive_roots`` with the Fraction isolation, refinement and probe."""
+    """``positive_roots`` with the Fraction isolation, refinement and
+    rational candidate."""
     p = pr.strip(p)
     while p and p[0] == 0:
         p = p[1:]
@@ -170,18 +151,20 @@ def reference_positive_roots(p) -> list[pr.RootRecord]:
     for factor, mult in pr.square_free_decomposition(p):
         residual, exact, intervals = reference_isolate_positive(factor)
         records += [pr.RootRecord(r, r, r, mult) for r in exact]
+        lead = residual[-1]
         for lo, hi in intervals:
-            for width in (pr._REPORT_WIDTH, pr._PROBE_WIDTH):
-                lo, hi = reference_refine(residual, lo, hi, width)
-                if lo == hi:
-                    records.append(pr.RootRecord(lo, lo, lo, mult))
-                    break
-                probe = _reference_probe(lo, hi)
-                if pr.evaluate(residual, probe) == 0:
-                    records.append(pr.RootRecord(probe, probe, probe, mult))
-                    break
+            lo, hi = reference_refine(residual, lo, hi, pr._WIDTH)
+            report = lo, hi
+            lo, hi = reference_refine(residual, lo, hi, Fraction(1, lead))
+            # Gauss's lemma: a rational root is m / lead, and (lo, hi] holds
+            # at most one such point, m = floor(lead * hi)
+            x = Fraction(math.floor(lead * hi), lead)
+            if lo == hi:
+                records.append(pr.RootRecord(lo, lo, lo, mult))
+            elif lo < x and pr.evaluate(residual, x) == 0:
+                records.append(pr.RootRecord(x, x, x, mult))
             else:
-                records.append(pr.RootRecord(None, lo, hi, mult))
+                records.append(pr.RootRecord(None, *report, mult))
     records.sort(key=lambda r: r.value if r.value is not None else (r.lo + r.hi) / 2)
     return records
 

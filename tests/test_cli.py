@@ -390,6 +390,16 @@ def test_ensemble_seed_override(tmp_path, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_ensemble_non_object_config_with_seed(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([{"N": 8, "M": [10], "samples": 15, "seed": 1}]))
+    out = tmp_path / "x.csv"
+    assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(out), "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ensemble config must be a JSON object" in captured.err
+    assert not out.exists()
+
+
 def test_internal_fault_exit_code(monkeypatch, capsys, k4_file):
     from signedlap.errors import InternalConsistencyError
 
@@ -403,6 +413,30 @@ def test_internal_fault_exit_code(monkeypatch, capsys, k4_file):
 
 def test_unknown_subcommand_is_input_error(capsys):
     assert cli.main(["frobnicate"]) == 1
+
+
+def test_boolean_weight_is_input_error(capsys, tmp_path):
+    doc = {"n": 2, "edges": [{"u": 0, "v": 1, "w": True}]}
+    assert cli.main(["analyze", "--input", _graph_file(tmp_path, "bool", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "weight must be a rational string or integer, got bool" in captured.err
+
+
+def test_crossings_reports_the_stability_threshold_exactly(capsys, tmp_path):
+    # one red edge: the ray polynomial A_0 - A_1 t is linear, and its root is
+    # the threshold omega_1 = A_0 / A_1, here with a 21-digit denominator
+    a, b = 10**20 + 1, 10**20 + 3
+    edges = [(0, 1, str(a)), (1, 2, str(b)), (0, 2, "-1")]
+    doc = {"n": 3, "edges": [{"u": u, "v": v, "w": w} for u, v, w in edges]}
+    path = _graph_file(tmp_path, "triangle", doc)
+    code, out = _run(capsys, ["stability", "--input", path])
+    assert code == 0
+    (threshold,) = out["thresholds"]
+    assert Fraction(threshold) == Fraction(a * b, a + b)
+    code, out = _run(capsys, ["crossings", "--input", path, "--ray", "1"])
+    assert code == 0
+    (root,) = out["roots"]
+    assert root["value"] == threshold and root["interval"] == [threshold, threshold]
 
 
 def test_disc_requires_two_reds(capsys, chain_file, tmp_path):

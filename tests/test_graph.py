@@ -51,6 +51,31 @@ def test_parse_rejections(doc, msg):
         parse_graph(doc)
 
 
+@pytest.mark.parametrize(
+    "doc,msg",
+    [
+        ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": true}]}', "got bool"),
+        ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": false}]}', "got bool"),
+        ('{"n": true, "edges": []}', '"n" must be an integer'),
+        ('{"n": 2, "edges": [{"u": false, "v": true, "w": "1"}]}', "endpoints must be integers"),
+        ('{"n": 2, "edges": [{"u": 0, "v": true, "w": "1"}]}', "endpoints must be integers"),
+    ],
+)
+def test_parse_rejects_booleans(doc, msg):
+    # JSON true / false are Python bools, which isinstance(_, int) accepts
+    with pytest.raises(InputError, match=msg):
+        parse_graph(doc)
+
+
+def test_graph_rejects_boolean_fields():
+    with pytest.raises(InputError, match="vertex count"):
+        SignedWeightedGraph(True, ())
+    with pytest.raises(InputError, match="endpoints"):
+        SignedWeightedGraph(2, ((False, True, Fraction(1)),))
+    with pytest.raises(InputError, match="got bool"):
+        SignedWeightedGraph(2, ((0, 1, True),))
+
+
 def test_parse_rejects_float_weights():
     with pytest.raises(InputError, match="float"):
         parse_graph({"n": 2, "edges": [{"u": 0, "v": 1, "w": 0.5}]})

@@ -14,7 +14,6 @@ from conftest import (
     reference_isolate_positive,
     reference_positive_roots,
     reference_refine,
-    reference_simplest_between,
 )
 
 
@@ -66,16 +65,6 @@ def test_sturm_counts():
     assert pr.count_roots_halfopen(seq, F(4), F(10)) == 0
 
 
-def test_simplest_between():
-    assert pr.simplest_between(F(1, 3), F(1, 3)) == F(1, 3)
-    assert pr.simplest_between(F(333, 1000), F(334, 1000)) == F(1, 3)
-    assert pr.simplest_between(F(5, 2), F(7, 2)) == 3
-    assert pr.simplest_between(F(29, 10), F(31, 10)) == 3
-    assert pr.simplest_between(F(141, 100), F(142, 100)) == F(17, 12)
-    with pytest.raises(InputError):
-        pr.simplest_between(F(0), F(1))
-
-
 def test_positive_roots_rational_detection():
     p = _poly_from_roots([(F(22, 7), 1), (F(355, 113), 2), (F(-1), 1)])
     roots = pr.positive_roots(p)
@@ -87,8 +76,8 @@ def test_positive_roots_irrational_interval():
     p = [F(-2), F(0), F(1)]  # t^2 - 2
     (r,) = pr.positive_roots(p)
     assert r.value is None
-    # refined past the 1e-12 report width to the 1e-30 probe width, and no
-    # further: the last bisection step halved an interval wider than that
+    # refined to the 1e-30 report width, and no further: the last bisection
+    # step halved an interval wider than that
     assert F(1, 2 * 10**30) < r.hi - r.lo <= F(1, 10**30)
     assert r.lo ** 2 < 2 < r.hi ** 2  # the interval brackets sqrt(2)
     assert abs(r.midpoint - 2 ** 0.5) < 1e-11
@@ -226,7 +215,7 @@ def test_integer_pipeline_matches_reference_on_bisection_midpoints():
             residual, exact, intervals = _same_isolation(factor)
             isolation_hits += len(exact)
             for lo, hi in intervals:
-                lo, hi = reference_refine(residual, lo, hi, pr._PROBE_WIDTH)
+                lo, hi = reference_refine(residual, lo, hi, pr._WIDTH)
                 refinement_hits += lo == hi
         _same_as_reference(p)
     assert isolation_hits >= 5 and refinement_hits >= 5
@@ -244,16 +233,15 @@ def test_isolation_finds_midpoint_roots_in_the_reference_order():
 def test_integer_pipeline_matches_reference_on_close_roots():
     for gap in (F(1, 10**13), F(1, 10**22), F(1, 10**31), F(1, 10**45)):
         for a in (F(1, 3), F(7, 5), F(1000, 7)):
-            # two rational roots gap apart, and two irrational ones about
-            # gap / (2 sqrt a) apart; roots with denominators past the
-            # probe's reach come as intervals
+            # two rational roots gap apart, both exact, and two irrational
+            # ones about gap / (2 sqrt a) apart
             p = pr.multiply([-a, F(1)], [-a - gap, F(1)])
             q = pr.multiply([-a, F(0), F(1)], [-a - gap, F(0), F(1)])
             for poly, (x, y) in ((p, (a, a + gap)), (q, (a, a + gap))):
                 r, s = _same_as_reference(poly)
                 assert r.hi <= s.lo
                 if poly is p:
-                    assert r.lo <= x <= r.hi and s.lo <= y <= s.hi
+                    assert (r.value, s.value) == (x, y)
                 else:
                     assert r.lo**2 < x < r.hi**2 and s.lo**2 < y < s.hi**2
 
@@ -269,22 +257,46 @@ def test_refinement_stops_at_exactly_the_probe_width():
 
 
 def test_integer_pipeline_matches_reference_on_tiny_roots():
-    # roots below the refinement widths keep 0 as the lower end, where the
-    # probe takes 1 / ceil(1 / hi)
+    # roots below the 1e-30 report width, whose 1e-30 interval starts at 0,
+    # still come back exact
     for root in (F(1, 10**13), F(1, 3 * 10**29), F(1, 10**31), F(2, 10**40 + 1)):
         for other in ([F(-2), F(0), F(1)], [F(1), F(1)], [F(-5, 3), F(1)]):
             p = pr.multiply([-root, F(1)], other)
             roots = _same_as_reference(p)
-            assert roots[0].lo <= root <= roots[0].hi
-    # x = 1e-35 is past the probe: it stays an interval at 0
+            assert roots[0].value == root
     (r,) = _same_as_reference([F(-1), F(0), F(10**70)])
-    assert r.value is None and r.lo == 0 and r.hi <= F(1, 10**30)
-    # with Cauchy bound 2 the last interval is (0, 2^-100], and the probe
-    # 1 / ceil(2^100) is its upper end, not the root 1 / (2^100 + 1) below it
+    assert r.value == F(1, 10**35)
+    # with Cauchy bound 2 the 1e-30 interval is (0, 2^-100], and the root
+    # 1 / (2^100 + 1) lies below its upper end
     p = pr.multiply([F(-1), F(2**100 + 1)], [F(-1), F(2)])
     assert pr.cauchy_bound(p) == 2
-    r = _same_as_reference(p)[0]
-    assert (r.value, r.lo, r.hi) == (None, 0, F(1, 2**100))
+    assert [r.value for r in _same_as_reference(p)] == [F(1, 2**100 + 1), F(1, 2)]
+
+
+def test_rational_roots_with_large_denominators_are_exact():
+    # a root p/q with terms of up to 40 digits, times an integer polynomial
+    # with irrational or rational positive roots of its own
+    rng = random.Random(409)
+    for _ in range(60):
+        root = F(rng.randint(1, 10 ** rng.randint(1, 40)), rng.randint(1, 10 ** rng.randint(1, 40)))
+        cofactor = [F(rng.randint(-10**6, 10**6)) for _ in range(rng.randint(1, 4))]
+        cofactor.append(F(rng.randint(1, 10**6)))
+        p = pr.multiply([-root.numerator, root.denominator], cofactor)
+        got = _same_as_reference(p)
+        assert root in {r.value for r in got}, root
+        assert all(r.value is not None or F(1, 2 * 10**30) < r.hi - r.lo <= F(1, 10**30) for r in got)
+
+
+def test_gauss_candidate_outside_the_interval_is_not_reported():
+    # (3x - 1)(7x^2 - 1) has lead 21 and roots 1/3 = 7/21 < 1/sqrt(7) < 8/21:
+    # the interval of 1/sqrt(7) holds no m / 21, and floor(21 hi) / 21 is
+    # the root 1/3 just below it
+    p = pr.multiply([F(-1), F(3)], [F(-1), F(0), F(7)])
+    (factor, _), = pr.square_free_decomposition(p)
+    assert pr._isolate_positive(factor).roots == []
+    r, s = _same_as_reference(p)
+    assert r.value == F(1, 3)
+    assert s.value is None and s.lo**2 < F(1, 7) < s.hi**2
 
 
 def test_integer_pipeline_matches_reference_on_ray_polynomials():
@@ -299,13 +311,3 @@ def test_integer_pipeline_matches_reference_on_ray_polynomials():
         found += len(_same_as_reference(ray_polynomial(p, alpha)))
     assert found >= 24
 
-
-def test_simplest_between_matches_recursive_reference():
-    rng = random.Random(408)
-    for _ in range(10**4):
-        den = rng.randint(1, 10 ** rng.randint(1, 30))
-        lo = F(rng.randint(1, 10 ** rng.randint(1, 32)), den)
-        hi = lo + F(rng.randint(0, 10 ** rng.randint(0, 20)), rng.randint(1, 10**30))
-        got = pr.simplest_between(lo, hi)
-        assert got == reference_simplest_between(lo, hi), (lo, hi)
-        assert lo <= got <= hi
