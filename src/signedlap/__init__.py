@@ -35,6 +35,8 @@ from .crossing import (
     RayCrossings,
     crossing_polynomial,
     degree_support,
+    graph_ray_crossings,
+    graph_ray_polynomial,
     ray_crossings,
     ray_polynomial,
 )
@@ -48,6 +50,7 @@ from .discriminants import (
     factorize,
     forest_sum,
     gap,
+    graph_factorization,
     laplacian_minor,
     wildcard_basis,
     wildcard_discriminant,
@@ -83,6 +86,8 @@ __all__ = [
     "RayCrossings",
     "crossing_polynomial",
     "degree_support",
+    "graph_ray_crossings",
+    "graph_ray_polynomial",
     "ray_crossings",
     "ray_polynomial",
     "Factorization",
@@ -94,6 +99,7 @@ __all__ = [
     "factorize",
     "forest_sum",
     "gap",
+    "graph_factorization",
     "laplacian_minor",
     "wildcard_basis",
     "wildcard_discriminant",

@@ -4,10 +4,13 @@ Subcommands: analyze, coeffs, disc, factorize, stability, crossings,
 ensemble.  Each takes only the options it reads: every subcommand requires
 --input; the graph subcommands write JSON to --output or stdout; analyze and
 stability take --t, crossings requires --ray, and ensemble requires --output
-and takes --seed and --threads.  Exit codes: 0 success, 1 input error
-(usage errors included), 2 internal-consistency fault.  Rationals are
-serialized as "p/q" strings; floats appear only for intrinsically
-approximate quantities (eigenvalues, gap).
+and takes --seed and --threads.  Only coeffs and disc build the 2^R
+crossing coefficients (coeffs rejects R > 20, disc any R other than 2);
+crossings interpolates the ray polynomial from N - c(G-) + 1 determinants
+and factorize reads the transfer-current matrix, at any R.  Exit codes: 0
+success, 1 input error (usage errors included), 2 internal-consistency
+fault.  Rationals are serialized as "p/q" strings; floats appear only for
+intrinsically approximate quantities (eigenvalues, gap).
 """
 
 from __future__ import annotations
@@ -121,8 +124,7 @@ def _cmd_disc(args) -> dict:
 
 def _cmd_factorize(args) -> dict:
     g = _load_graph(args.input)
-    p = crossing.crossing_polynomial(g)
-    fac = discriminants.factorize(p)
+    fac = discriminants.graph_factorization(g)
     if fac is None:
         return {"factorizable": False}
     return {"alpha": str(fac.alpha), "C": [str(c) for c in fac.c]}
@@ -152,7 +154,7 @@ def _cmd_crossings(args) -> dict:
     if not is_connected(g):
         raise InputError("ray crossings require a connected graph")
     alpha = _parse_fractions(args.ray)
-    result = crossing.ray_crossings(crossing.crossing_polynomial(g), alpha)
+    result = crossing.graph_ray_crossings(g, alpha)
     return {
         "ray": [str(a) for a in alpha],
         "ray_polynomial": [str(c) for c in result.polynomial],

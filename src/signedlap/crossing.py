@@ -13,6 +13,14 @@ All A_I are principal minors of one bordered matrix H = [[Q, B], [B^T, 0]]
 (Q the grounded black Laplacian, B the red incidence columns), read off one
 fraction-free elimination (``spectral._bordered_minors``).
 
+Along a ray t*alpha no coefficient is needed: by the matrix-tree theorem
+M(t*alpha) is the determinant of the grounded signed Laplacian, a
+polynomial in t of degree exactly N - c(G-).  ``graph_ray_polynomial``
+evaluates that determinant at t = 0..N - c(G-) in integers and interpolates
+exactly, so ``graph_ray_crossings`` costs N - c(G-) + 1 eliminations instead
+of 2^R minors.  ``crossing_polynomial`` with ``ray_polynomial`` is the
+2^R route, kept for ``coeffs`` and as the test oracle.
+
 Bitmask convention: bit k of a coefficient index corresponds to red edge k
 (0-based); serialized binary strings put red edge 0 leftmost.
 """
@@ -21,9 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Sequence
 
-from . import polyroots
+from . import _kernels, polyroots
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, component_counts, is_connected, pairs_form_forest
 from .polyroots import RootRecord
@@ -114,11 +123,16 @@ def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) 
     values = dict(zip(forests, _graph_minors(g, reds, [(s, s) for s in forests])))
     coeffs = tuple(values.get(s, Fraction(0)) for s in subsets)
     for mask, a in enumerate(coeffs):
-        if a < 0:
-            raise InternalConsistencyError(
-                f"negative tree-sum coefficient {a} at mask {mask} (positive black weights)"
-            )
+        require_nonnegative(a, mask)
     return CrossingPolynomial(r, coeffs)
+
+
+def require_nonnegative(a: Fraction, mask: int):
+    """Every A_I is a sum of positive tree weights; a negative one is a fault."""
+    if a < 0:
+        raise InternalConsistencyError(
+            f"negative tree-sum coefficient {a} at mask {mask} (positive black weights)"
+        )
 
 
 def evaluate(p: CrossingPolynomial, t: Sequence[Fraction]) -> Fraction:
@@ -144,14 +158,20 @@ def degree_support(p: CrossingPolynomial, g: SignedWeightedGraph) -> tuple[int, 
     return expect_lo, expect_hi
 
 
-def ray_polynomial(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> list[Fraction]:
-    """Restriction of M to the ray t*alpha, as a univariate polynomial in t
-    (dense rational coefficients, lowest degree first)."""
-    if len(alpha) != p.red_count:
-        raise InputError(f"expected {p.red_count} ray components, got {len(alpha)}")
+def _ray_direction(r: int, alpha: Sequence[Fraction]) -> list[Fraction]:
+    if len(alpha) != r:
+        raise InputError(f"expected {r} ray components, got {len(alpha)}")
     alpha = [Fraction(a) for a in alpha]
     if any(a <= 0 for a in alpha):
         raise InputError("ray direction must be strictly positive componentwise")
+    return alpha
+
+
+def ray_polynomial(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> list[Fraction]:
+    """Restriction of M to the ray t*alpha, as a univariate polynomial in t
+    (dense rational coefficients, lowest degree first), from all 2^R
+    coefficients."""
+    alpha = _ray_direction(p.red_count, alpha)
     out = [Fraction(0)] * (p.red_count + 1)
     for mask, a in enumerate(p.coeffs):
         if a == 0:
@@ -180,6 +200,73 @@ class RayCrossings:
     polynomial: tuple[Fraction, ...]
 
 
+def _grounded_laplacian(n: int, edges) -> list[list[int]]:
+    """Laplacian of integer-weighted ``edges`` (diagonal = weighted degree)
+    on n vertices, with vertex 0's row and column removed."""
+    m = [[0] * (n - 1) for _ in range(n - 1)]
+    for u, v, w in edges:
+        for a, b in ((u, v), (v, u)):
+            if a:
+                m[a - 1][a - 1] += w
+                if b:
+                    m[a - 1][b - 1] -= w
+    return m
+
+
+def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> list[Fraction]:
+    """M(t*alpha) straight from the graph, equal to
+    ``ray_polynomial(crossing_polynomial(g), alpha)`` at any R.
+
+    With L the lcm of the black-weight and alpha denominators, the grounded
+    signed Laplacian with black weights L*w and red weights -s*L*alpha_i is
+    an integer matrix whose determinant is P(s) = L^(N-1) * M(s*alpha).
+    P has degree d = N - c(G-) <= R.  It is evaluated at s = 0..d; its
+    forward differences at 0 are its integer coefficients in the binomial
+    basis C(s, k), which Horner's rule over s - k turns into d! * P in the
+    monomial basis.  Dividing by d! * L^(N-1) gives M.
+
+    Every A_I is >= 0 and alpha > 0, so the coefficient c_k of t^k satisfies
+    (-1)^k c_k > 0 exactly for c(G+) - 1 <= k <= d (``degree_support`` on
+    the ray); a violation raises InternalConsistencyError.
+    """
+    c_all, c_plus, c_minus = component_counts(g)
+    if c_all != 1:
+        raise InputError("the ray polynomial requires a connected graph")
+    alpha = _ray_direction(g.red_count, alpha)
+    scale = lcm(*(w.denominator for _, _, w in g.black_edges), *(a.denominator for a in alpha))
+    black = _grounded_laplacian(g.n, [(u, v, int(w * scale)) for u, v, w in g.black_edges])
+    red = _grounded_laplacian(g.n, [(u, v, -int(a * scale)) for (u, v, _), a in zip(g.red_edges, alpha)])
+    d = g.n - c_minus
+    values = [
+        _kernels.det_int([[x + s * y for x, y in zip(rb, rr)] for rb, rr in zip(black, red)])
+        for s in range(d + 1)
+    ]
+    diffs = []
+    for _ in range(d + 1):
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    poly = [diffs[d]]
+    for k in range(d - 1, -1, -1):  # poly <- poly * (s - k) + diffs[k] * d! / k!
+        poly = [-k * poly[0]] + [a - k * b for a, b in zip(poly, poly[1:])] + [poly[-1]]
+        poly[0] += diffs[k] * (factorial(d) // factorial(k))
+    den = factorial(d) * scale ** (g.n - 1)
+    q = [Fraction(c, den) for c in poly]
+    for k, c in enumerate(q):
+        if (c * (-1) ** k > 0) != (c_plus - 1 <= k):
+            raise InternalConsistencyError(
+                f"ray polynomial coefficient {c} of t^{k} breaks the sign and degree contract: "
+                f"expected (-1)^k c_k > 0 exactly for {c_plus - 1} <= k <= {d}"
+            )
+    return q
+
+
+def _crossings(q: list[Fraction], alpha: Sequence[Fraction]) -> RayCrossings:
+    if not q:
+        raise InternalConsistencyError("ray polynomial is identically zero")
+    roots = polyroots.positive_roots(q)
+    return RayCrossings(tuple(Fraction(a) for a in alpha), tuple(roots), tuple(q))
+
+
 def ray_crossings(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> RayCrossings:
     """Eigenvalue-crossing locations along the ray t*alpha.
 
@@ -188,8 +275,10 @@ def ray_crossings(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> RayCrossi
     reported exactly, irrational ones as isolating intervals of width at most
     1e-30.
     """
-    q = ray_polynomial(p, alpha)
-    if not q:
-        raise InternalConsistencyError("ray polynomial is identically zero")
-    roots = polyroots.positive_roots(q)
-    return RayCrossings(tuple(Fraction(a) for a in alpha), tuple(roots), tuple(q))
+    return _crossings(ray_polynomial(p, alpha), alpha)
+
+
+def graph_ray_crossings(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> RayCrossings:
+    """``ray_crossings`` of ``g``'s crossing polynomial, from
+    ``graph_ray_polynomial``: no 2^R coefficients, no bound on R."""
+    return _crossings(graph_ray_polynomial(g, alpha), alpha)

@@ -11,8 +11,10 @@ conventions are not internally consistent).
 For R > 2 a wildcard (a 0/1 pattern with two free positions) selects a
 4-coefficient sub-polynomial whose 2x2 discriminant must vanish for the zero
 set to split into hyperplanes; a specific basis of 2^R - R - 1 wildcards is
-sufficient.  `factorize` itself decides by exact re-expansion, which every
-factorizable polynomial passes and no other does.
+sufficient.  `factorize` decides on the 2^R coefficients by exact
+re-expansion, which every factorizable polynomial passes and no other does;
+`graph_factorization` decides on the graph from the off-diagonal of the
+transfer-current matrix K, with no 2^R coefficients.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .crossing import CrossingPolynomial
+from .crossing import CrossingPolynomial, require_nonnegative
 from .errors import InputError
-from .graph import SignedWeightedGraph, minor_with_info, red_subset_is_forest, two_forests
+from .graph import SignedWeightedGraph, component_counts, minor_with_info, red_subset_is_forest, two_forests
 from .spectral import _as_rows, _graph_minors, det_rational
 
 
@@ -314,6 +316,9 @@ class Factorization:
     c: tuple[Fraction, ...]
 
 
+_NEEDS_A_EMPTY = "factorization requires a connected black subgraph (A_empty > 0)"
+
+
 def factorize(p: CrossingPolynomial) -> Factorization | None:
     """Full hyperplane factorization of the crossing polynomial, or None.
 
@@ -321,11 +326,13 @@ def factorize(p: CrossingPolynomial) -> Factorization | None:
     when re-expansion reproduces every coefficient.  The wildcard basis is
     the paper's certificate, not a pre-check: a product
     alpha * prod_i (1 - C_i t_i) makes every wildcard discriminant vanish, so
-    a nonzero one already fails the re-expansion.
+    a nonzero one already fails the re-expansion.  Needs all 2^R
+    coefficients; ``graph_factorization`` gives the same answer from the
+    graph without them.
     """
     a0 = p.coeffs[0]
     if a0 == 0:
-        raise InputError("factorization requires a connected black subgraph (A_empty > 0)")
+        raise InputError(_NEEDS_A_EMPTY)
     r = p.red_count
     c = tuple(p.coeffs[1 << i] / a0 for i in range(r))
     for mask in range(1 << r):
@@ -336,6 +343,33 @@ def factorize(p: CrossingPolynomial) -> Factorization | None:
         if p.coeffs[mask] != expect:
             return None
     return Factorization(a0, c)
+
+
+def graph_factorization(g: SignedWeightedGraph) -> Factorization | None:
+    """``factorize(crossing_polynomial(g))`` from the transfer-current matrix
+    K = B^T adj(Q) B, at any R.
+
+    A_I = det K[I, I] / A_empty^(|I| - 1), so
+    M(t) = A_empty * det(I - diag(t) K / A_empty).  K is symmetric, so M is
+    a product of linear factors exactly when every 2x2 principal minor is
+    K_ii K_jj, that is, when every off-diagonal K_ij is 0; then
+    alpha = A_empty and C_i = K_ii / A_empty.  A_empty, the K_ii and the K_ij
+    are all 1x1 read-offs of one bordered elimination.
+    """
+    if component_counts(g)[1] != 1:
+        raise InputError(_NEEDS_A_EMPTY)
+    r = g.red_count
+    pairs = [((i,), (j,)) for i in range(r) for j in range(i + 1, r)]
+    axes = [((i,), (i,)) for i in range(r)]
+    reds = [(u, v) for u, v, _ in g.red_edges]
+    a0, *values = _graph_minors(g, reds, [((), ())] + axes + pairs)
+    diagonal, off_diagonal = values[:r], values[r:]
+    require_nonnegative(a0, 0)
+    for i, k in enumerate(diagonal):
+        require_nonnegative(k, 1 << i)
+    if any(off_diagonal):
+        return None
+    return Factorization(a0, tuple(k / a0 for k in diagonal))
 
 
 def wildcard_forest_sum(g: SignedWeightedGraph, w: Wildcard) -> Fraction | None:

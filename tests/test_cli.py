@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from signedlap import cli, crossing, graph, spectral, stability
+from signedlap import _kernels, cli, crossing, discriminants, graph, spectral, stability
 
-from conftest import kn_with_reds
+from conftest import kn_with_reds, triangle_chain
 
 K4_SHARED = {
     "n": 4,
@@ -43,6 +43,10 @@ def _n13_doc():
     edges = [{"u": u, "v": v, "w": "1"} for u, v in black]
     edges += [{"u": 3, "v": 9, "w": "-1"}, {"u": 5, "v": 9, "w": "-1"}]
     return {"n": 13, "edges": edges}
+
+
+def _graph_doc(g):
+    return {"n": g.n, "edges": [{"u": u, "v": v, "w": str(w)} for u, v, w in g.edges]}
 
 
 def _graph_file(tmp_path, name, doc):
@@ -123,13 +127,21 @@ def test_disc_forest_sum_beyond_the_enumeration_caps(capsys, tmp_path):
     # 2-forest candidates, over the 4M-subset cap; sigma comes from the
     # bordered elimination at any size
     k12 = kn_with_reds(12, [(0, 1), (0, 2)])
-    k12_doc = {"n": 12, "edges": [{"u": u, "v": v, "w": str(w)} for u, v, w in k12.edges]}
-    for name, doc in (("n13", _n13_doc()), ("k12", k12_doc)):
+    for name, doc in (("n13", _n13_doc()), ("k12", _graph_doc(k12))):
         code, out = _run(capsys, ["disc", "--input", _graph_file(tmp_path, name, doc)])
         assert code == 0
         assert out["forest_sum"] is not None and Fraction(out["forest_sum"]) != 0
         assert Fraction(out["forest_sum"]) ** 2 == abs(Fraction(out["delta"]))
         assert Fraction(out["cycle_minor"]) ** 2 == abs(Fraction(out["delta"]))
+
+
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Replace ``fn`` in every signedlap module namespace that holds it."""
+    for key, mod in list(sys.modules.items()):
+        if key == "signedlap" or key.startswith("signedlap."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
 
 
 def test_user_facing_commands_take_no_exponential_or_per_mask_route(monkeypatch, capsys, tmp_path):
@@ -138,12 +150,8 @@ def test_user_facing_commands_take_no_exponential_or_per_mask_route(monkeypatch,
     def forbidden(*args, **kwargs):
         raise AssertionError("a user-facing command reached an oracle route")
 
-    modules = [m for key, m in sys.modules.items() if key == "signedlap" or key.startswith("signedlap.")]
     for fn in (graph.minor, spectral.tree_sum, graph.two_forests, graph.spanning_trees):
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, forbidden)
+        _patch_everywhere(monkeypatch, fn, forbidden)
     for name, doc in (("k4", K4_SHARED), ("chain", CHAIN2), ("n13", _n13_doc())):
         path = _graph_file(tmp_path, name, doc)
         for argv in (
@@ -157,6 +165,74 @@ def test_user_facing_commands_take_no_exponential_or_per_mask_route(monkeypatch,
             assert cli.main([*argv, "--input", path]) == 0, (name, argv, capsys.readouterr().err)
     cfg = _graph_file(tmp_path, "cfg", {"N": 7, "M": [6, 12], "samples": 10, "seed": 3})
     assert cli.main(["ensemble", "--input", cfg, "--output", str(tmp_path / "runs.csv")]) == 0
+
+
+def test_crossings_factorize_stability_take_no_2r_route(monkeypatch, capsys, tmp_path):
+    # the 2^R coefficients, their ray expansion and their re-expansion are
+    # oracles for these three commands: outputs are unchanged without them
+    runs = []
+    for name, doc in (("k4", K4_SHARED), ("chain", CHAIN2), ("n13", _n13_doc()), ("chain5", _graph_doc(triangle_chain(5)))):
+        path = _graph_file(tmp_path, name, doc)
+        r = sum(1 for e in doc["edges"] if e["w"].startswith("-"))
+        ray = ",".join(str(k + 1) for k in range(r))
+        t = ",".join(["1/10"] * r)
+        for argv in (["crossings", "--ray", ray], ["factorize"], ["stability", "--t", t], ["stability"]):
+            runs.append([*argv, "--input", path])
+    expected = []
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+        expected.append(capsys.readouterr().out)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the command reached a 2^R route")
+
+    for fn in (crossing.crossing_polynomial, crossing.ray_polynomial, discriminants.factorize):
+        _patch_everywhere(monkeypatch, fn, forbidden)
+    for argv, out in zip(runs, expected):
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+        assert capsys.readouterr().out == out, argv
+
+
+def test_factorize_and_crossings_past_the_2r_guard(capsys, tmp_path):
+    # N = 43, R = 21: over the 2^R guard that coeffs keeps
+    path = _graph_file(tmp_path, "chain21", _graph_doc(triangle_chain(21)))
+    code, out = _run(capsys, ["factorize", "--input", path])
+    assert code == 0 and out == {"alpha": "1", "C": ["2"] * 21}
+    code, out = _run(capsys, ["crossings", "--input", path, "--ray", ",".join(["1"] * 21)])
+    assert code == 0
+    assert [(r["value"], r["multiplicity"]) for r in out["roots"]] == [("1/2", 21)]
+    assert cli.main(["coeffs", "--input", path]) == 1
+    assert "exceeds the 2^R guard" in capsys.readouterr().err
+
+
+def test_crossings_interpolation_fault_is_internal_fault(monkeypatch, capsys, k4_file):
+    # one corrupted determinant (P(1) read as 0) breaks the ray polynomial's
+    # sign and degree contract
+    real = _kernels.det_int
+    calls = []
+
+    def corrupt(rows):
+        calls.append(rows)
+        return 0 if len(calls) == 2 else real(rows)
+
+    monkeypatch.setattr(_kernels, "det_int", corrupt)
+    assert cli.main(["crossings", "--input", k4_file, "--ray", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "sign and degree contract" in captured.err
+
+
+def test_factorize_negative_diagonal_is_internal_fault(monkeypatch, capsys, chain_file):
+    real = discriminants._graph_minors
+
+    def negated_axis(g, reds, index_pairs):
+        values = real(g, reds, index_pairs)
+        values[2] = -values[2]  # A_empty, K_00, K_11, K_01: negate K_11
+        return values
+
+    monkeypatch.setattr(discriminants, "_graph_minors", negated_axis)
+    assert cli.main(["factorize", "--input", chain_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "negative tree-sum coefficient -2 at mask 2" in captured.err
 
 
 def test_factorize_chain(capsys, chain_file):
@@ -180,20 +256,20 @@ def test_crossings(capsys, k4_file):
 
 def test_crossings_builds_the_ray_polynomial_once(monkeypatch, capsys, k4_file):
     calls = []
-    real = crossing.ray_polynomial
+    real = crossing.graph_ray_polynomial
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(crossing, "ray_polynomial", counted)
+    monkeypatch.setattr(crossing, "graph_ray_polynomial", counted)
     code, out = _run(capsys, ["crossings", "--input", k4_file, "--ray", "1,2"])
     assert code == 0 and len(calls) == 1
     assert out["ray_polynomial"] == ["3", "-15", "6"]
 
 
 def test_crossings_zero_ray_polynomial_is_internal_fault(monkeypatch, capsys, k4_file):
-    monkeypatch.setattr(crossing, "ray_polynomial", lambda p, alpha: [])
+    monkeypatch.setattr(crossing, "graph_ray_polynomial", lambda g, alpha: [])
     assert cli.main(["crossings", "--input", k4_file, "--ray", "1,1"]) == 2
     assert "ray polynomial is identically zero" in capsys.readouterr().err
 
@@ -452,7 +528,6 @@ def test_disc_rejects_other_red_counts_first(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(crossing, "crossing_polynomial", forbidden)
     k4 = kn_with_reds(4, [(0, 1), (0, 2), (1, 3)])
-    doc = {"n": 4, "edges": [{"u": u, "v": v, "w": str(w)} for u, v, w in k4.edges]}
-    assert cli.main(["disc", "--input", _graph_file(tmp_path, "r3", doc)]) == 1
+    assert cli.main(["disc", "--input", _graph_file(tmp_path, "r3", _graph_doc(k4))]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "operation requires exactly 2 red edges, got 3" in captured.err

@@ -11,6 +11,8 @@ from signedlap import (
     InternalConsistencyError,
     crossing_polynomial,
     degree_support,
+    graph_ray_crossings,
+    graph_ray_polynomial,
     inertia,
     laplacian,
     ray_crossings,
@@ -21,7 +23,14 @@ from signedlap import (
 from signedlap.crossing import bits_to_mask, mask_to_bits
 from signedlap.graph import red_subset_is_forest
 
-from conftest import k4_disjoint, k4_shared, minor_path_coefficients, random_connected_graph, swg
+from conftest import (
+    k4_disjoint,
+    k4_shared,
+    minor_path_coefficients,
+    random_connected_graph,
+    swg,
+    triangle_chain,
+)
 
 
 def test_k4_shared_coefficients():
@@ -227,3 +236,42 @@ def test_red_count_guard():
     g = swg(3, [(0, 1, -1), (1, 2, -1), (0, 2, -1)])
     with pytest.raises(InputError):
         crossing_polynomial(g, max_red=2)
+
+
+def test_interpolated_ray_polynomial_matches_the_2r_expansion():
+    # seeded rational-weight graphs, with A_empty = 0, R > N - 1, R = 0 and
+    # N <= 2 all present; the 2^R expansion of crossing_polynomial is the oracle
+    rng = random.Random(71)
+    seen = {"a_empty_zero": 0, "r_above_n_minus_1": 0, "r_zero": 0, "n_at_most_2": 0}
+    for _ in range(160):
+        g = random_connected_graph(
+            rng, n_min=1, n_max=8, extra_max=8, red_choices=(0, 1, 2, 3, 5, 7, 9), den_max=12
+        )
+        alpha = [F(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(g.red_count)]
+        p = crossing_polynomial(g)
+        q = graph_ray_polynomial(g, alpha)
+        assert q == ray_polynomial(p, alpha), (g, alpha)
+        assert graph_ray_crossings(g, alpha) == ray_crossings(p, alpha)
+        seen["a_empty_zero"] += p.coeffs[0] == 0
+        seen["r_above_n_minus_1"] += g.red_count > g.n - 1
+        seen["r_zero"] += g.red_count == 0
+        seen["n_at_most_2"] += g.n <= 2
+    assert min(seen.values()) >= 5, seen
+
+
+def test_interpolated_ray_polynomial_on_named_graphs():
+    assert graph_ray_polynomial(k4_shared(), [1, 1]) == [F(3), F(-10), F(3)]
+    assert graph_ray_polynomial(k4_disjoint(), [1, 1]) == [F(4), F(-8), F(4)]
+    g = triangle_chain(5)
+    assert graph_ray_polynomial(g, [F(1, 2)] * 5) == ray_polynomial(crossing_polynomial(g), [F(1, 2)] * 5)
+    assert graph_ray_polynomial(swg(1, []), []) == [F(1)]
+
+
+def test_interpolated_ray_polynomial_guards():
+    with pytest.raises(InputError, match="expected 2 ray components"):
+        graph_ray_polynomial(k4_shared(), [1])
+    with pytest.raises(InputError, match="strictly positive"):
+        graph_ray_polynomial(k4_shared(), [1, 0])
+    with pytest.raises(InputError, match="connected graph"):
+        graph_ray_polynomial(swg(3, [(0, 1, 1)]), [])
+

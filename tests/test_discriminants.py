@@ -18,6 +18,7 @@ from signedlap import (
     factorize,
     forest_sum,
     gap,
+    graph_factorization,
     laplacian,
     laplacian_minor,
     ray_crossings,
@@ -381,3 +382,54 @@ def test_wildcard_forest_sum_squared_matches_discriminant_random():
                 continue
             assert s * s == abs(wildcard_discriminant(p, w))
         done += 1
+
+
+def _factorizations_agree(g):
+    p = crossing_polynomial(g)
+    if p.coeffs[0] == 0:
+        for route in (lambda: factorize(p), lambda: graph_factorization(g)):
+            with pytest.raises(InputError, match="connected black subgraph"):
+                route()
+        return None
+    fac = graph_factorization(g)
+    assert fac == factorize(p), g
+    return fac
+
+
+def test_transfer_current_factorization_matches_reexpansion_random():
+    # seeded rational-weight graphs, A_empty = 0, R > N - 1, R = 0 and N <= 2
+    # included; factorize on the 2^R coefficients is the oracle
+    rng = random.Random(29)
+    outcomes = {"none": 0, "factor": 0, "a_empty_zero": 0, "r_above_n_minus_1": 0, "r_zero": 0, "n_at_most_2": 0}
+    for _ in range(200):
+        g = random_connected_graph(
+            rng, n_min=1, n_max=8, extra_max=6, red_choices=(0, 1, 2, 3, 6, 9), den_max=12
+        )
+        fac = _factorizations_agree(g)
+        if crossing_polynomial(g).coeffs[0] == 0:
+            outcomes["a_empty_zero"] += 1
+        else:
+            outcomes["none" if fac is None else "factor"] += 1
+        outcomes["r_above_n_minus_1"] += g.red_count > g.n - 1
+        outcomes["r_zero"] += g.red_count == 0
+        outcomes["n_at_most_2"] += g.n <= 2
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_transfer_current_factorization_families_and_near_misses():
+    for r in (1, 2, 3, 5):
+        fac = _factorizations_agree(triangle_chain(r))
+        assert fac.alpha == 1 and fac.c == tuple([F(2)] * r)
+    assert _factorizations_agree(k4_disjoint()) == factorize(crossing_polynomial(k4_disjoint()))
+    assert _factorizations_agree(k4_shared()) is None
+    # near misses: one black edge joining two triangles of the chain, or a
+    # red edge across two of them, couples their red edges (K_ij != 0)
+    chain = triangle_chain(3)
+    for extra in ((0, 3, F(1, 3)), (1, 4, F(7)), (0, 6, F(1, 100)), (1, 3, F(-2))):
+        g = swg(chain.n, list(chain.edges) + [extra])
+        assert _factorizations_agree(g) is None, extra
+    # weights that keep the chain's triangles separate stay factorizable
+    weighted = swg(7, [(0, 1, F(3, 2)), (1, 2, 5), (0, 2, -7), (2, 3, F(2, 9)), (3, 4, 1), (2, 4, F(-1, 3)),
+                       (4, 5, 4), (5, 6, F(1, 8)), (4, 6, -1)])
+    assert _factorizations_agree(weighted) is not None
+
