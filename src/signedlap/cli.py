@@ -10,7 +10,8 @@ crossings interpolates the ray polynomial from N - c(G-) + 1 determinants
 and factorize reads the transfer-current matrix, at any R.  Exit codes: 0
 success, 1 input error (usage errors included), 2 internal-consistency
 fault.  Rationals are serialized as "p/q" strings; floats appear only for
-intrinsically approximate quantities (eigenvalues, gap).
+intrinsically approximate quantities (eigenvalues, gap), and one outside
+the float range is an input error.
 """
 
 from __future__ import annotations

@@ -42,11 +42,41 @@ def discriminant(p: CrossingPolynomial) -> Fraction:
     return p.coeffs[3] * p.coeffs[0] - p.coeffs[1] * p.coeffs[2]
 
 
+def _log10_int(x: int) -> float:
+    if x.bit_length() <= 900:
+        return math.log10(x)
+    shift = x.bit_length() - 64
+    return math.log10(x >> shift) + shift * math.log10(2.0)
+
+
+def _gap_and_log(delta: Fraction | int, a11: Fraction | int) -> tuple[float, float]:
+    """sqrt(2|delta|)/|a11| and its log10, for delta and a11 nonzero.
+
+    The ratio 2|delta|/a11^2 is formed exactly; when it leaves float range
+    the logarithm comes from bit lengths, and the gap from the logarithm
+    (0.0 or inf only when the gap itself leaves float range).
+    """
+    ratio = Fraction(2 * abs(delta), a11 * a11)
+    try:
+        g = math.sqrt(float(ratio))
+        if g:
+            return g, math.log10(g)
+    except OverflowError:
+        pass
+    log10 = 0.5 * (_log10_int(ratio.numerator) - _log10_int(ratio.denominator))
+    try:
+        return 10.0 ** log10, log10
+    except OverflowError:
+        return math.inf, log10
+
+
 def gap(p: CrossingPolynomial) -> float | None:
     """Minimum branch distance surrogate sqrt(2|Delta|)/A11.
 
-    0 when Delta = 0; None (undefined) when A11 = 0.  Computed through an
-    exact ratio so huge coefficients cannot overflow the intermediate.
+    0 when Delta = 0; None (undefined) when A11 = 0.  The ratio 2|Delta|/A11^2
+    is exact, so it may lie outside float range as long as the gap does not;
+    a nonzero Delta whose gap lies outside float range (about 4.9e-324 to
+    1.8e308) is an InputError, never 0.0 or inf.
     """
     _require_r2(p)
     a11 = p.coeffs[3]
@@ -55,7 +85,10 @@ def gap(p: CrossingPolynomial) -> float | None:
     d = discriminant(p)
     if d == 0:
         return 0.0
-    return math.sqrt(float(2 * abs(d) / (a11 * a11)))
+    g, log10 = _gap_and_log(d, a11)
+    if g == 0.0 or math.isinf(g):
+        raise InputError(f"gap 10^{log10:.1f} lies outside the float range")
+    return g
 
 
 def degenerate_point(p: CrossingPolynomial) -> tuple[Fraction, Fraction] | None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
+from .discriminants import _gap_and_log
 from .errors import InputError
 from .graph import SignedWeightedGraph
 from .spectral import _bordered_minors
@@ -139,29 +140,6 @@ def sample_graph(n: int, m: int, seed: int) -> SignedWeightedGraph:
     w[r1] = Fraction(-1)
     w[r2] = Fraction(-1)
     return SignedWeightedGraph(n, tuple((u, v, wi) for (u, v), wi in zip(edges, w)))
-
-
-def _log10_int(x: int) -> float:
-    if x.bit_length() <= 900:
-        return math.log10(x)
-    shift = x.bit_length() - 64
-    return math.log10(x >> shift) + shift * math.log10(2.0)
-
-
-def _gap_and_log(delta: int, axy: int) -> tuple[float, float]:
-    """gap = sqrt(2|delta|)/axy and log10(gap); exact ratio first, bit-length
-    logarithms when the ratio leaves float range."""
-    num = 2 * abs(delta)
-    den = axy * axy
-    try:
-        ratio = float(Fraction(num, den))
-    except OverflowError:
-        ratio = math.inf
-    if ratio != 0.0 and math.isfinite(ratio):
-        g = math.sqrt(ratio)
-        return g, math.log10(g)
-    log10 = 0.5 * (_log10_int(num) - _log10_int(den))
-    return 10.0 ** log10, log10
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ the bordered elimination that every crossing coefficient comes from.
 The Laplacian convention is off-diagonal entry = edge weight, diagonal =
 minus the row sum, so an all-positive graph gives a negative-semidefinite
 matrix whose kernel contains the all-ones vector.  The spectral index is the
-triple (n_minus, n_zero, n_plus).
+triple (n_minus, n_zero, n_plus).  Inertia, determinants and the bordered
+elimination are fraction-free (Bareiss) on Python ints; only
+``eigenvalues`` uses floats.
 """
 
 from __future__ import annotations
@@ -91,69 +93,64 @@ def laplacian(g: SignedWeightedGraph, t: Sequence[Fraction] | None = None) -> La
 
 
 def eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix (float path)."""
-    if isinstance(m, LaplacianMatrix):
-        arr = m.to_float()
-    else:
-        arr = np.asarray(m, dtype=np.float64)
-    return np.linalg.eigvalsh(arr)
+    """Ascending eigenvalues of a symmetric matrix (float path).
+
+    An entry or an eigenvalue outside the float range (magnitude above about
+    1.8e308) is an InputError; the exact ``inertia`` has no such limit.
+    """
+    message = "eigenvalues need every entry and eigenvalue within the float range (|x| < 1.8e308)"
+    try:
+        arr = m.to_float() if isinstance(m, LaplacianMatrix) else np.asarray(m, dtype=np.float64)
+    except OverflowError:
+        raise InputError(message) from None
+    ev = np.linalg.eigvalsh(arr)
+    if not np.isfinite(ev).all():
+        raise InputError(message)
+    return ev
 
 
 def inertia(m) -> SpectralIndex:
-    """Exact inertia by symmetric congruence elimination (Sylvester).
+    """Exact inertia by one fraction-free symmetric elimination (Sylvester).
 
-    Diagonal pivots are eliminated first; when every remaining diagonal entry
-    is zero but some off-diagonal b is not, the 2x2 block [[0,b],[b,0]]
-    contributes one positive and one negative eigenvalue and is removed by a
-    Schur complement.  No floating point anywhere.
+    The entries are scaled by the lcm of their denominators, a positive
+    scale.  Bareiss elimination then pivots on the first nonzero remaining
+    diagonal entry; its pivots p_k are leading principal minors, so each
+    contributes the eigenvalue sign of p_k * p_(k-1) (Jacobi).  When every
+    remaining diagonal entry is zero but some a_pq is not, row and column q
+    are added to row and column p, which makes a_pp = 2 a_pq: a unimodular
+    congruence, so the inertia is unchanged and every division stays exact.
+    What is left when nothing nonzero remains is the kernel.  No fractions
+    and no floating point anywhere.
     """
     rows = m.rows if isinstance(m, LaplacianMatrix) else LaplacianMatrix(m).rows
-    n = len(rows)
-    a = [list(row) for row in rows]
-    active = list(range(n))
-    n_plus = n_minus = n_zero = 0
-    while active:
-        pivot = next((k for k in active if a[k][k] != 0), None)
-        if pivot is not None:
-            d = a[pivot][pivot]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            active.remove(pivot)
-            col = {i: a[i][pivot] for i in active}
-            for i in active:
-                if col[i] == 0:
-                    continue
-                f = col[i] / d
-                ai, ap = a[i], a[pivot]
-                for j in active:
-                    ai[j] -= f * ap[j]
-            continue
-        pair = None
-        for p in active:
-            for q in active:
-                if q > p and a[p][q] != 0:
-                    pair = (p, q)
-                    break
-            if pair:
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    n_minus = n_plus = 0
+    prev = 1
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            pair = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), None)
+            if pair is None:
                 break
-        if pair is None:
-            n_zero += len(active)
-            break
-        p, q = pair
-        b = a[p][q]
-        n_plus += 1
-        n_minus += 1
-        active.remove(p)
-        active.remove(q)
-        colp = {i: a[i][p] for i in active}
-        colq = {i: a[i][q] for i in active}
-        for i in active:
-            ai = a[i]
-            for j in active:
-                ai[j] -= (colp[i] * a[q][j] + colq[i] * a[p][j]) / b
-    return SpectralIndex(n_minus, n_zero, n_plus)
+            k, q = pair
+            a[k] = [x + y for x, y in zip(a[k], a[q])]
+            for row in a:
+                row[k] += row[q]
+        pivot_row = a.pop(k)
+        pk = pivot_row.pop(k)
+        if (pk > 0) == (prev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        for row in a:
+            f = row.pop(k)
+            if f:
+                row[:] = [(x * pk - f * y) // prev for x, y in zip(row, pivot_row)]
+            elif pk != prev:
+                row[:] = [x * pk // prev for x in row]
+        prev = pk
+    return SpectralIndex(n_minus, len(a), n_plus)
 
 
 def det_rational(rows) -> Fraction:

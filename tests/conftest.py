@@ -11,9 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from signedlap import SignedWeightedGraph, minor, tree_sum
+from signedlap import SignedWeightedGraph, SpectralIndex, minor, tree_sum
 from signedlap import polyroots as pr
 from signedlap.graph import red_subset_is_forest
+from signedlap.spectral import LaplacianMatrix
 
 
 def swg(n, edges) -> SignedWeightedGraph:
@@ -167,6 +168,60 @@ def reference_positive_roots(p) -> list[pr.RootRecord]:
                 records.append(pr.RootRecord(None, *report, mult))
     records.sort(key=lambda r: r.value if r.value is not None else (r.lo + r.hi) / 2)
     return records
+
+
+# ---------------------------------------------------------------------------
+# Inertia in Fraction arithmetic: an oracle for the fraction-free elimination
+# of ``spectral.inertia``, with its own pivot rule for a zero diagonal.
+
+
+def reference_inertia(m) -> SpectralIndex:
+    """Symmetric congruence elimination over Fractions (Sylvester).
+
+    Diagonal pivots are eliminated first; when every remaining diagonal entry
+    is zero but some off-diagonal b is not, the 2x2 block [[0,b],[b,0]]
+    contributes one positive and one negative eigenvalue and is removed by a
+    Schur complement.
+    """
+    rows = m.rows if isinstance(m, LaplacianMatrix) else LaplacianMatrix(m).rows
+    a = [list(row) for row in rows]
+    active = list(range(len(a)))
+    n_plus = n_minus = n_zero = 0
+    while active:
+        pivot = next((k for k in active if a[k][k] != 0), None)
+        if pivot is not None:
+            d = a[pivot][pivot]
+            if d > 0:
+                n_plus += 1
+            else:
+                n_minus += 1
+            active.remove(pivot)
+            col = {i: a[i][pivot] for i in active}
+            for i in active:
+                if col[i] == 0:
+                    continue
+                f = col[i] / d
+                ai, ap = a[i], a[pivot]
+                for j in active:
+                    ai[j] -= f * ap[j]
+            continue
+        pair = next(((p, q) for p in active for q in active if q > p and a[p][q] != 0), None)
+        if pair is None:
+            n_zero += len(active)
+            break
+        p, q = pair
+        b = a[p][q]
+        n_plus += 1
+        n_minus += 1
+        active.remove(p)
+        active.remove(q)
+        colp = {i: a[i][p] for i in active}
+        colq = {i: a[i][q] for i in active}
+        for i in active:
+            ai = a[i]
+            for j in active:
+                ai[j] -= (colp[i] * a[q][j] + colq[i] * a[p][j]) / b
+    return SpectralIndex(n_minus, n_zero, n_plus)
 
 
 def random_fraction(rng: random.Random, num_max=9999, den_max=20) -> Fraction:

@@ -90,6 +90,60 @@ def test_analyze_with_t(capsys, k4_file):
     assert len(out["eigenvalues"]) == 4
 
 
+def test_analyze_with_t_on_a_zero_diagonal(capsys, tmp_path):
+    # the alternating 4-cycle at t = (1, 1) has an all-zero diagonal, so the
+    # first pivot of the exact inertia needs the congruence step
+    doc = {
+        "n": 4,
+        "edges": [
+            {"u": 0, "v": 1, "w": "1"},
+            {"u": 2, "v": 3, "w": "1"},
+            {"u": 1, "v": 2, "w": "-1"},
+            {"u": 0, "v": 3, "w": "-1"},
+        ],
+    }
+    path = _graph_file(tmp_path, "c4", doc)
+    code, out = _run(capsys, ["analyze", "--input", path, "--t", "1,1"])
+    assert code == 0
+    assert out["index"] == [1, 2, 1]
+
+
+def test_analyze_with_t_outside_float_range_is_input_error(capsys, tmp_path):
+    edges = [(0, 1, "1" + "0" * 400), (1, 2, "1"), (0, 2, "-1")]
+    doc = {"n": 3, "edges": [{"u": u, "v": v, "w": w} for u, v, w in edges]}
+    path = _graph_file(tmp_path, "huge", doc)
+    assert cli.main(["analyze", "--input", path, "--t", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "float range" in captured.err
+    code, out = _run(capsys, ["analyze", "--input", path])  # no eigenvalues without --t
+    assert code == 0 and out["tau"] == 1
+
+
+def _k4_with_black_weight(w: str) -> dict:
+    return {**K4_SHARED, "edges": [{**e, "w": w} if e["w"] == "1" else e for e in K4_SHARED["edges"]]}
+
+
+@pytest.mark.parametrize("exponent", [200, -200])
+def test_disc_gap_past_float_range_ratio(capsys, tmp_path, exponent):
+    # Delta scales as w^4 and A11 as w, so the gap is w times the unit K4's
+    # sqrt(32)/3 while the ratio 2|Delta|/A11^2 ~ w^2 leaves float range
+    w = Fraction(10) ** exponent
+    path = _graph_file(tmp_path, "k4w", _k4_with_black_weight(str(w)))
+    code, out = _run(capsys, ["disc", "--input", path])
+    assert code == 0
+    assert out["delta"] == str(-16 * w**4)
+    assert 0 < out["gap"] < float("inf")
+    assert abs(out["gap"] / float(w) - 1.8856180831641267) < 1e-12
+
+
+@pytest.mark.parametrize("exponent", [400, -400])
+def test_disc_gap_outside_float_range_is_input_error(capsys, tmp_path, exponent):
+    path = _graph_file(tmp_path, "k4w", _k4_with_black_weight(str(Fraction(10) ** exponent)))
+    assert cli.main(["disc", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "float range" in captured.err
+
+
 def test_analyze_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 4')

@@ -8,6 +8,8 @@ import pytest
 
 from signedlap import (
     InputError,
+    axis_thresholds,
+    component_counts,
     SpectralIndex,
     crossing_count,
     crossing_polynomial,
@@ -26,6 +28,7 @@ from conftest import (
     k4_shared,
     kn_with_reds,
     random_connected_graph,
+    reference_inertia,
     swg,
     triangle_one_red,
 )
@@ -77,6 +80,9 @@ def test_inertia_zero_diagonal_block():
     # [[0,b],[b,0]] has eigenvalues +-b
     assert inertia([[0, 3], [3, 0]]) == SpectralIndex(1, 0, 1)
     assert inertia([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) == SpectralIndex(1, 1, 1)
+    # one diagonal pivot leaves [[0, 1], [1, 0]]: the congruence is taken in
+    # the middle of the elimination
+    assert inertia([[1, 1, 0], [1, 1, 1], [0, 1, 0]]) == SpectralIndex(1, 0, 2)
 
 
 def test_inertia_k4_shared_large_t():
@@ -132,6 +138,65 @@ def test_inertia_fuzz_general_symmetric():
         n_zero = n - n_minus - n_plus
         if np.all((np.abs(ev) > 1e-6 * scale) | (np.abs(ev) <= tol)):
             assert (n_minus, n_zero, n_plus) == tuple(exact)
+
+
+def _random_symmetric(rng: random.Random, n: int) -> list[list[Fraction]]:
+    """Dense, all-zero-diagonal or low-rank symmetric rational matrix."""
+    kind = rng.choice(("dense", "zero_diagonal", "low_rank"))
+    if kind == "low_rank":
+        vecs = [
+            (rng.choice((-1, 1)), [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+            for _ in range(rng.randint(0, n))
+        ]
+        return [[sum(s * v[i] * v[j] for s, v in vecs) for j in range(n)] for i in range(n)]
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i != j or kind == "dense") and rng.random() < 0.6:
+                a[i][j] = a[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return a
+
+
+def test_inertia_matches_reference_on_random_symmetric_matrices():
+    rng = random.Random(41)
+    for _ in range(1500):
+        a = _random_symmetric(rng, rng.randint(0, 8))
+        assert inertia(a) == reference_inertia(a), a
+
+
+def test_inertia_matches_reference_at_certificate_boundaries():
+    # the axis thresholds t = omega_i e_i and points with ||t||_1 = min omega
+    # are singular Laplacians (n_zero = 2 on an axis), next to random t
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(120):
+        g = random_connected_graph(rng, n_min=2, n_max=9, extra_max=5, red_choices=(1, 2, 3))
+        if g.red_count == 0:
+            continue
+        points = [[Fraction(rng.randint(0, 40), rng.randint(1, 8)) for _ in range(g.red_count)]]
+        if component_counts(g)[1] == 1:
+            omegas = axis_thresholds(g)
+            for i, w in enumerate(omegas):
+                if w is not None:
+                    points.append([w if j == i else Fraction(0) for j in range(g.red_count)])
+            finite = [w for w in omegas if w is not None]
+            if finite:
+                cuts = sorted(Fraction(rng.randint(0, 10), 10) for _ in range(g.red_count - 1))
+                shares = [b - a for a, b in zip([Fraction(0)] + cuts, cuts + [Fraction(1)])]
+                points.append([min(finite) * s for s in shares])
+        for t in points:
+            lap = laplacian(g, t)
+            assert inertia(lap) == reference_inertia(lap), (g, t)
+            checked += 1
+    assert checked >= 250
+
+
+def test_eigenvalues_outside_float_range_are_input_errors():
+    with pytest.raises(InputError, match="float range"):
+        eigenvalues(laplacian(swg(2, [(0, 1, 10**400)])))
+    with pytest.raises(InputError, match="float range"):
+        eigenvalues([[10**308, 10**308], [10**308, 10**308]])  # entries fit, 2e308 does not
+    assert inertia(laplacian(swg(2, [(0, 1, 10**400)]))) == SpectralIndex(1, 1, 0)
 
 
 def test_eigenvalues_examples():
