@@ -16,18 +16,20 @@ def backend() -> str:
     return "python"
 
 
-def det_int(rows) -> int:
+def det_int(rows, prev: int = 1) -> int:
     """Exact determinant of a square integer matrix (sequence of rows).
 
     Fraction-free (Bareiss) elimination with row swaps on zero pivots; every
-    division by the previous pivot is exact.
+    division by the previous pivot is exact.  ``prev`` resumes an elimination
+    already begun: when ``rows`` is what is left of a larger matrix after
+    Bareiss steps whose last pivot was ``prev``, the result is the
+    determinant of that larger matrix.
     """
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:
-        return 1
+        return prev
     sign = 1
-    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for r in range(k + 1, n):

@@ -7,11 +7,11 @@ stability take --t, crossings requires --ray, and ensemble requires --output
 and takes --seed and --threads.  Only coeffs and disc build the 2^R
 crossing coefficients (coeffs rejects R > 20, disc any R other than 2);
 crossings interpolates the ray polynomial from N - c(G-) + 1 determinants
-and factorize reads the transfer-current matrix, at any R.  Exit codes: 0
-success, 1 input error (usage errors included), 2 internal-consistency
-fault.  Rationals are serialized as "p/q" strings; floats appear only for
-intrinsically approximate quantities (eigenvalues, gap), and one outside
-the float range is an input error.
+of at most min(N - 1, 2R) rows and factorize reads the transfer-current
+matrix, at any R.  Exit codes: 0 success, 1 input error (usage errors
+included), 2 internal-consistency fault.  Rationals are serialized as "p/q"
+strings; floats appear only for intrinsically approximate quantities
+(eigenvalues, gap), and one outside the float range is an input error.
 """
 
 from __future__ import annotations
@@ -106,15 +106,14 @@ def _cmd_coeffs(args) -> dict:
 
 def _cmd_disc(args) -> dict:
     g = _load_graph(args.input)
-    discriminants._require_r2(g)  # before the 2^R coefficients are built
-    p = crossing.crossing_polynomial(g)
+    p, sigma = discriminants._disc_minors(g)
     delta = discriminants.discriminant(p)
     point = discriminants.degenerate_point(p)
     out = {
         "delta": str(delta),
         "gap": discriminants.gap(p),
         "degenerate_point": None if point is None else [str(point[0]), str(point[1])],
-        "forest_sum": str(discriminants._forest_dual(g)),
+        "forest_sum": str(sigma),
         "cycle_minor": None,
     }
     if all(w == 1 for _, _, w in g.black_edges):

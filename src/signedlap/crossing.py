@@ -11,15 +11,19 @@ eigenvalue, so positive roots along rays are eigenvalue crossings.
 
 All A_I are principal minors of one bordered matrix H = [[Q, B], [B^T, 0]]
 (Q the grounded black Laplacian, B the red incidence columns), read off one
-fraction-free elimination (``spectral._bordered_minors``).
+fraction-free elimination (``spectral._eliminate``, read off by
+``spectral._bordered_minors``).
 
 Along a ray t*alpha no coefficient is needed: by the matrix-tree theorem
 M(t*alpha) is the determinant of the grounded signed Laplacian, a
 polynomial in t of degree exactly N - c(G-).  ``graph_ray_polynomial``
-evaluates that determinant at t = 0..N - c(G-) in integers and interpolates
-exactly, so ``graph_ray_crossings`` costs N - c(G-) + 1 eliminations instead
-of 2^R minors.  ``crossing_polynomial`` with ``ray_polynomial`` is the
-2^R route, kept for ``coeffs`` and as the test oracle.
+runs the same elimination over the vertices off the red edges, then
+evaluates the determinant at t = 0..N - c(G-) in integers from the rows
+left, at most min(N - 1, 2R) of them, and interpolates exactly.  So
+``graph_ray_crossings`` costs one elimination plus N - c(G-) + 1 small
+determinants instead of 2^R minors.  ``crossing_polynomial`` with
+``ray_polynomial`` is the 2^R route, kept for ``coeffs`` and as the test
+oracle.
 
 Bitmask convention: bit k of a coefficient index corresponds to red edge k
 (0-based); serialized binary strings put red edge 0 leftmost.
@@ -36,7 +40,7 @@ from . import _kernels, polyroots
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, component_counts, is_connected, pairs_form_forest
 from .polyroots import RootRecord
-from .spectral import _graph_minors
+from .spectral import _eliminate, _graph_minors
 
 MAX_RED_DEFAULT = 20
 
@@ -200,19 +204,6 @@ class RayCrossings:
     polynomial: tuple[Fraction, ...]
 
 
-def _grounded_laplacian(n: int, edges) -> list[list[int]]:
-    """Laplacian of integer-weighted ``edges`` (diagonal = weighted degree)
-    on n vertices, with vertex 0's row and column removed."""
-    m = [[0] * (n - 1) for _ in range(n - 1)]
-    for u, v, w in edges:
-        for a, b in ((u, v), (v, u)):
-            if a:
-                m[a - 1][a - 1] += w
-                if b:
-                    m[a - 1][b - 1] -= w
-    return m
-
-
 def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> list[Fraction]:
     """M(t*alpha) straight from the graph, equal to
     ``ray_polynomial(crossing_polynomial(g), alpha)`` at any R.
@@ -220,6 +211,14 @@ def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> l
     With L the lcm of the black-weight and alpha denominators, the grounded
     signed Laplacian with black weights L*w and red weights -s*L*alpha_i is
     an integer matrix whose determinant is P(s) = L^(N-1) * M(s*alpha).
+    Only its rows over T, the vertices other than 0 that a red edge
+    touches, depend on s.  ``_eliminate`` pivots once over the other
+    vertices, ordered first: every edge at them is black and the graph is
+    connected, so no pivot is zero.  Bareiss leaves S - s*prev*Lr over T,
+    with S the black rows left, prev the last pivot and Lr the red
+    Laplacian with weights L*alpha_i, and ``det_int`` resumed from prev
+    gives P(s) from at most |T| <= min(N - 1, 2R) rows.
+
     P has degree d = N - c(G-) <= R.  It is evaluated at s = 0..d; its
     forward differences at 0 are its integer coefficients in the binomial
     basis C(s, k), which Horner's rule over s - k turns into d! * P in the
@@ -232,13 +231,24 @@ def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> l
     c_all, c_plus, c_minus = component_counts(g)
     if c_all != 1:
         raise InputError("the ray polynomial requires a connected graph")
-    alpha = _ray_direction(g.red_count, alpha)
-    scale = lcm(*(w.denominator for _, _, w in g.black_edges), *(a.denominator for a in alpha))
-    black = _grounded_laplacian(g.n, [(u, v, int(w * scale)) for u, v, w in g.black_edges])
-    red = _grounded_laplacian(g.n, [(u, v, -int(a * scale)) for (u, v, _), a in zip(g.red_edges, alpha)])
+    reds, blacks = g.red_edges, g.black_edges
+    alpha = _ray_direction(len(reds), alpha)
+    scale = lcm(*(w.denominator for _, _, w in blacks), *(a.denominator for a in alpha))
+    touched = {x for u, v, _ in reds for x in (u, v)} - {0}
+    at = {v: i for i, v in enumerate([v for v in range(g.n) if v not in touched] + sorted(touched))}
+    black = [(*sorted((at[u], at[v])), w.numerator * (scale // w.denominator)) for u, v, w in blacks]
+    rows, _, prev = _eliminate(g.n, black, (), g.n - 1 - len(touched))
+    base = g.n - len(touched)
+    red = [[0] * len(rows) for _ in rows]
+    for (u, v, _), a in zip(reds, alpha):
+        w = a.numerator * (scale // a.denominator) * prev
+        incidence = [(at[x] - base, sign) for x, sign in ((u, 1), (v, -1)) if x]  # over T
+        for i, x in incidence:
+            for j, y in incidence:
+                red[i][j] += x * y * w
     d = g.n - c_minus
     values = [
-        _kernels.det_int([[x + s * y for x, y in zip(rb, rr)] for rb, rr in zip(black, red)])
+        _kernels.det_int([[x - s * y for x, y in zip(rb, rr)] for rb, rr in zip(rows, red)], prev)
         for s in range(d + 1)
     ]
     diffs = []

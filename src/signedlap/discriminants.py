@@ -42,32 +42,26 @@ def discriminant(p: CrossingPolynomial) -> Fraction:
     return p.coeffs[3] * p.coeffs[0] - p.coeffs[1] * p.coeffs[2]
 
 
-def _log10_int(x: int) -> float:
-    if x.bit_length() <= 900:
-        return math.log10(x)
-    shift = x.bit_length() - 64
-    return math.log10(x >> shift) + shift * math.log10(2.0)
-
-
 def _gap_and_log(delta: Fraction | int, a11: Fraction | int) -> tuple[float, float]:
     """sqrt(2|delta|)/|a11| and its log10, for delta and a11 nonzero.
 
-    The ratio 2|delta|/a11^2 is formed exactly; when it leaves float range
-    the logarithm comes from bit lengths, and the gap from the logarithm
-    (0.0 or inf only when the gap itself leaves float range).
+    The ratio 2|delta|/a11^2 is formed exactly and scaled by 4^-e into
+    (1/2, 4), where its float is correctly rounded; ldexp(sqrt(.), e) is then
+    within one ulp of the gap even when the ratio leaves float range.  The
+    gap is 0.0 or inf only when it leaves float range itself, and the
+    logarithm then comes from the scaled root and e.
     """
     ratio = Fraction(2 * abs(delta), a11 * a11)
+    num, den = ratio.numerator, ratio.denominator
+    e = (num.bit_length() - den.bit_length()) // 2
+    root = math.sqrt((num << max(-2 * e, 0)) / (den << max(2 * e, 0)))
     try:
-        g = math.sqrt(float(ratio))
-        if g:
-            return g, math.log10(g)
+        g = math.ldexp(root, e)
     except OverflowError:
-        pass
-    log10 = 0.5 * (_log10_int(ratio.numerator) - _log10_int(ratio.denominator))
-    try:
-        return 10.0 ** log10, log10
-    except OverflowError:
-        return math.inf, log10
+        g = math.inf
+    if 0.0 < g < math.inf:
+        return g, math.log10(g)
+    return g, math.log10(root) + e * math.log10(2.0)
 
 
 def gap(p: CrossingPolynomial) -> float | None:
@@ -135,14 +129,28 @@ def forest_sum(g: SignedWeightedGraph) -> Fraction:
     return total
 
 
+# (A_empty, A_x, A_y, A_xy) as bordered minors over the two red columns
+_R2_MINORS = (((), ()), ((0,), (0,)), ((1,), (1,)), ((0, 1), (0, 1)))
+
+
+def _disc_minors(g: SignedWeightedGraph) -> tuple[CrossingPolynomial, Fraction]:
+    """The crossing polynomial and sigma = forest_sum(g) of a graph with two
+    red edges, from one bordered elimination of the grounded black Laplacian.
+
+    The red columns are oriented by ``_forest_pairs``, which fixes the sign
+    of sigma = -det H[Q+U, Q+W] (transfer-current theorem) at any size;
+    principal minors, the A_I, do not depend on the orientation.
+    """
+    _require_r2(g)
+    *coeffs, sigma = _graph_minors(g, _forest_pairs(g), [*_R2_MINORS, ((0,), (1,))])
+    for mask, a in enumerate(coeffs):
+        require_nonnegative(a, mask)
+    return CrossingPolynomial(2, tuple(coeffs)), sigma
+
+
 def _forest_dual(g: SignedWeightedGraph) -> Fraction:
-    """sigma = forest_sum(g), value and sign, at any size: -det H[Q+U, Q+W]
-    from the bordered elimination of the grounded black Laplacian, with the
-    red columns oriented by ``_forest_pairs`` (transfer-current theorem)."""
-    if g.red_count != 2:
-        raise InputError(f"forest sum requires exactly 2 red edges, got {g.red_count}")
-    (sigma,) = _graph_minors(g, _forest_pairs(g), [((0,), (1,))])
-    return sigma
+    """sigma = forest_sum(g), value and sign, from ``_disc_minors``."""
+    return _disc_minors(g)[1]
 
 
 def laplacian_minor(m, rows_removed: Sequence[int], cols_removed: Sequence[int]) -> Fraction:

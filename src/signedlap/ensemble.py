@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .discriminants import _gap_and_log
+from .discriminants import _R2_MINORS, _gap_and_log
 from .errors import InputError
 from .graph import SignedWeightedGraph
 from .spectral import _bordered_minors
@@ -31,8 +31,6 @@ _HIST_HI = 10.0
 _HIST_BINS = 200  # 0.1-wide bins in log10(gap)
 # G(N,p) draws with fewer than two edges are redrawn at most this many times
 _GNP_MAX_DRAWS = 1000
-# (A_empty, A_x, A_y, A_xy) as bordered minors over the two red columns
-_R2_MINORS = (((), ()), ((0,), (0,)), ((1,), (1,)), ((0, 1), (0, 1)))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ class SpectralIndex(NamedTuple):
 
 
 class LaplacianMatrix:
-    """Symmetric matrix of exact rationals with a float shadow for eigensolves."""
+    """Symmetric matrix of exact rationals."""
 
     __slots__ = ("rows",)
 
@@ -49,9 +49,6 @@ class LaplacianMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=np.float64)
 
     def __eq__(self, other):
         return isinstance(other, LaplacianMatrix) and self.rows == other.rows
@@ -89,22 +86,27 @@ def laplacian(g: SignedWeightedGraph, t: Sequence[Fraction] | None = None) -> La
         a[v][u] += w
         a[u][u] -= w
         a[v][v] -= w
-    return LaplacianMatrix(a)
+    lap = object.__new__(LaplacianMatrix)  # symmetric Fractions already: no checks
+    lap.rows = tuple(map(tuple, a))
+    return lap
 
 
 def eigenvalues(m) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix (float path).
 
-    An entry or an eigenvalue outside the float range (magnitude above about
-    1.8e308) is an InputError; the exact ``inertia`` has no such limit.
+    An entry above the float range (magnitude above about 1.8e308), a
+    nonzero entry that rounds to 0.0 (magnitude below about 2.5e-324) or an
+    eigenvalue that is not finite is an InputError; the exact ``inertia``
+    has no such limit.
     """
-    message = "eigenvalues need every entry and eigenvalue within the float range (|x| < 1.8e308)"
+    message = "eigenvalues need every nonzero entry and eigenvalue within the float range (2.5e-324 < |x| < 1.8e308)"
+    rows = m.rows if isinstance(m, LaplacianMatrix) else m
     try:
-        arr = m.to_float() if isinstance(m, LaplacianMatrix) else np.asarray(m, dtype=np.float64)
+        arr = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
     except OverflowError:
         raise InputError(message) from None
-    ev = np.linalg.eigvalsh(arr)
-    if not np.isfinite(ev).all():
+    underflow = any(x and not y for row, frow in zip(rows, arr) for x, y in zip(row, frow))
+    if underflow or not np.isfinite(ev := np.linalg.eigvalsh(arr)).all():
         raise InputError(message)
     return ev
 
@@ -189,24 +191,21 @@ def tree_sum(g: SignedWeightedGraph, t: Sequence[Fraction] | None = None) -> Fra
     return -d if (n - 1) % 2 else d
 
 
-def _bordered_minors(n: int, black, reds, index_pairs) -> list[int]:
-    """(-1)^|I| det H[Q+I, Q+J] for each pair (I, J) of equally long tuples
-    of red-column indices, with H = [[Q, B], [B^T, 0]].
+def _eliminate(n: int, black, reds, steps: int):
+    """Fraction-free elimination of the first ``steps`` rows of the bordered
+    matrix H = [[Q, B], [B^T, 0]].
 
     Q is the Laplacian of the ``black`` edges (u, v, w), u < v, w a positive
-    integer, grounded at vertex 0; column i of B is e_u - e_v for
-    ``reds[i]`` = (u, v) without its vertex-0 entry.  I = J gives the
-    crossing coefficient A_I; I = (0,), J = (1,) the signed 2-forest sum.
+    integer, grounded at vertex 0 (row v - 1 is vertex v); column i of B is
+    e_u - e_v for ``reds[i]`` = (u, v) without its vertex-0 entry.  Bareiss
+    steps keep only upper triangles (every intermediate is symmetric).  Q is
+    positive semidefinite, so a zero pivot has a zero row within Q: it is
+    skipped, and its row only rescales.
 
-    One Bareiss pass runs over the n - 1 rows of Q, keeping only upper
-    triangles (every intermediate is symmetric).  Q is positive
-    semidefinite, so a zero pivot has a zero row within Q: it is skipped,
-    and its row only rescales.  With P the pivots taken, d = det Q[P, P]
-    (the last pivot) and Z the skipped rows (one per black component past
-    the first), Sylvester's identity turns each value into the exact
-    division det M[I+Z, J+Z] / d^(|I| + |Z| - 1) of a small minor of the
-    trailing block M over the red columns and Z.  When the black subgraph
-    is connected, Z is empty, d = A_empty and M = -K with K = B^T adj(Q) B.
+    Returns (rows, skipped, prev): the rows left, dense, which are the last
+    pivot taken times the Schur complement of the pivots; the skipped rows,
+    over the columns still to come; and the last pivot prev, the
+    determinant of Q over the pivots taken (1 if none).
     """
     size = n - 1 + len(reds)
     upper = [[0] * (size - i) for i in range(size)]
@@ -221,9 +220,9 @@ def _bordered_minors(n: int, black, reds, index_pairs) -> list[int]:
         if v:
             upper[v - 1][col - v + 1] = -1
     rows = upper
-    skipped = []  # rows of the zero pivots, over the columns still to come
+    skipped = []
     prev = 1
-    for _ in range(n - 1):
+    for _ in range(steps):
         pivot_row = rows[0]
         pk = pivot_row[0]
         if pk == 0:
@@ -244,11 +243,28 @@ def _bordered_minors(n: int, black, reds, index_pairs) -> list[int]:
             skipped = [[x * pk // prev for x in row[1:]] for row in skipped]
         rows = nxt
         prev = pk
-    # the trailing block, dense: the red columns first, then the skipped rows
-    r = len(reds)
-    m = [[rows[min(i, j)][abs(i - j)] for j in range(r)] + [row[i] for row in skipped] for i in range(r)]
+    return [[rows[min(i, j)][abs(i - j)] for j in range(len(rows))] for i in range(len(rows))], skipped, prev
+
+
+def _bordered_minors(n: int, black, reds, index_pairs) -> list[int]:
+    """(-1)^|I| det H[Q+I, Q+J] for each pair (I, J) of equally long tuples
+    of red-column indices, with H, Q, B, ``black`` and ``reds`` as in
+    ``_eliminate``.  I = J gives the crossing coefficient A_I; I = (0,),
+    J = (1,) the signed 2-forest sum.
+
+    ``_eliminate`` runs over the n - 1 rows of Q.  With P the pivots taken,
+    d = det Q[P, P] (the last pivot) and Z the skipped rows (one per black
+    component past the first), Sylvester's identity turns each value into
+    the exact division det M[I+Z, J+Z] / d^(|I| + |Z| - 1) of a small minor
+    of the trailing block M over the red columns and Z.  When the black
+    subgraph is connected, Z is empty, d = A_empty and M = -K with
+    K = B^T adj(Q) B.
+    """
+    rows, skipped, prev = _eliminate(n, black, reds, n - 1)
+    # the trailing block: the red columns first, then the skipped rows
+    m = [row + [z[i] for z in skipped] for i, row in enumerate(rows)]
     m += [row + [0] * len(skipped) for row in skipped]
-    border = tuple(range(r, len(m)))
+    border = tuple(range(len(rows), len(m)))
     out = []
     for rows_i, cols_j in index_pairs:
         keep_r, keep_c = rows_i + border, cols_j + border

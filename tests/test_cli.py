@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -119,6 +120,14 @@ def test_analyze_with_t_outside_float_range_is_input_error(capsys, tmp_path):
     assert code == 0 and out["tau"] == 1
 
 
+def test_analyze_with_t_below_float_range_is_input_error(capsys, tmp_path):
+    # black weights 10^-400 would enter the eigensolver as 0.0
+    path = _graph_file(tmp_path, "tiny", _k4_with_black_weight(str(Fraction(1, 10**400))))
+    assert cli.main(["analyze", "--input", path, "--t", "1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "float range" in captured.err and "Traceback" not in captured.err
+
+
 def _k4_with_black_weight(w: str) -> dict:
     return {**K4_SHARED, "edges": [{**e, "w": w} if e["w"] == "1" else e for e in K4_SHARED["edges"]]}
 
@@ -134,6 +143,9 @@ def test_disc_gap_past_float_range_ratio(capsys, tmp_path, exponent):
     assert out["delta"] == str(-16 * w**4)
     assert 0 < out["gap"] < float("inf")
     assert abs(out["gap"] / float(w) - 1.8856180831641267) < 1e-12
+    # within one ulp of the exact gap w*sqrt(32)/3, compared squared
+    g, ulp = Fraction(out["gap"]), Fraction(math.ulp(out["gap"]))
+    assert (g - ulp) ** 2 <= Fraction(32, 9) * w**2 <= (g + ulp) ** 2
 
 
 @pytest.mark.parametrize("exponent", [400, -400])
@@ -265,9 +277,9 @@ def test_crossings_interpolation_fault_is_internal_fault(monkeypatch, capsys, k4
     real = _kernels.det_int
     calls = []
 
-    def corrupt(rows):
+    def corrupt(rows, prev=1):
         calls.append(rows)
-        return 0 if len(calls) == 2 else real(rows)
+        return 0 if len(calls) == 2 else real(rows, prev)
 
     monkeypatch.setattr(_kernels, "det_int", corrupt)
     assert cli.main(["crossings", "--input", k4_file, "--ray", "1,1"]) == 2

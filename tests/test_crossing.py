@@ -20,6 +20,7 @@ from signedlap import (
     spanning_trees,
     tree_sum,
 )
+from signedlap import _kernels
 from signedlap.crossing import bits_to_mask, mask_to_bits
 from signedlap.graph import red_subset_is_forest
 
@@ -239,24 +240,52 @@ def test_red_count_guard():
 
 
 def test_interpolated_ray_polynomial_matches_the_2r_expansion():
-    # seeded rational-weight graphs, with A_empty = 0, R > N - 1, R = 0 and
-    # N <= 2 all present; the 2^R expansion of crossing_polynomial is the oracle
+    # seeded rational-weight graphs, with A_empty = 0, R > N - 1, R = 0,
+    # N <= 2, vertex 0 on a red edge, no red-free vertex but 0 and dense red
+    # (R > 2(N - 1), so |T| = N - 1 < 2R) all present; the 2^R expansion of
+    # crossing_polynomial is the oracle
     rng = random.Random(71)
-    seen = {"a_empty_zero": 0, "r_above_n_minus_1": 0, "r_zero": 0, "n_at_most_2": 0}
-    for _ in range(160):
-        g = random_connected_graph(
-            rng, n_min=1, n_max=8, extra_max=8, red_choices=(0, 1, 2, 3, 5, 7, 9), den_max=12
-        )
+    sparse = dict(n_min=1, n_max=8, extra_max=8, red_choices=(0, 1, 2, 3, 5, 7, 9))
+    dense = dict(n_min=5, n_max=6, extra_max=30, red_choices=(9, 10, 11))
+    seen = dict.fromkeys(
+        ("a_empty_zero", "r_above_n_minus_1", "r_zero", "n_at_most_2", "vertex_0_red", "no_red_free", "dense"), 0
+    )
+    for params in [sparse] * 160 + [dense] * 20:
+        g = random_connected_graph(rng, den_max=12, **params)
         alpha = [F(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(g.red_count)]
         p = crossing_polynomial(g)
         q = graph_ray_polynomial(g, alpha)
         assert q == ray_polynomial(p, alpha), (g, alpha)
         assert graph_ray_crossings(g, alpha) == ray_crossings(p, alpha)
+        touched = {x for u, v, _ in g.red_edges for x in (u, v)}
         seen["a_empty_zero"] += p.coeffs[0] == 0
         seen["r_above_n_minus_1"] += g.red_count > g.n - 1
         seen["r_zero"] += g.red_count == 0
         seen["n_at_most_2"] += g.n <= 2
+        seen["vertex_0_red"] += 0 in touched
+        seen["no_red_free"] += g.n > 1 and len(touched - {0}) == g.n - 1
+        seen["dense"] += g.red_count > 2 * (g.n - 1)
     assert min(seen.values()) >= 5, seen
+
+
+def test_interpolated_ray_polynomial_determinants_cover_only_red_touched_vertices(monkeypatch):
+    # N = 12, R = 2: the vertices off the red edges are eliminated once, so
+    # every determinant has at most |T| = 3 rows (red edges (0,5) and (5,9)),
+    # not N - 1 = 11
+    edges = [(i, (i + 1) % 12, F(i + 1, 2)) for i in range(12)] + [(0, 6, F(3)), (2, 8, F(5, 3)), (4, 10, F(7))]
+    edges += [(0, 5, F(-1)), (5, 9, F(-2))]
+    g = swg(12, edges)
+    real, dims = _kernels.det_int, []
+
+    def counted(rows, *prev):
+        dims.append(len(rows))
+        return real(rows, *prev)
+
+    monkeypatch.setattr(_kernels, "det_int", counted)
+    q = graph_ray_polynomial(g, [F(1), F(2, 3)])
+    assert len(dims) == len(q) == 3 and max(dims) <= 3, dims
+    monkeypatch.undo()
+    assert q == ray_polynomial(crossing_polynomial(g), [F(1), F(2, 3)])
 
 
 def test_interpolated_ray_polynomial_on_named_graphs():

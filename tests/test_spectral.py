@@ -199,6 +199,18 @@ def test_eigenvalues_outside_float_range_are_input_errors():
     assert inertia(laplacian(swg(2, [(0, 1, 10**400)]))) == SpectralIndex(1, 1, 0)
 
 
+def test_eigenvalues_of_entries_below_float_range_are_input_errors():
+    # 10^-400 would become 0.0: an input error, not the eigenvalues of the
+    # zero matrix; inertia stays exact
+    tiny = laplacian(swg(2, [(0, 1, Fraction(1, 10**400))]))
+    with pytest.raises(InputError, match="float range"):
+        eigenvalues(tiny)
+    with pytest.raises(InputError, match="float range"):
+        eigenvalues([[Fraction(1, 10**400), 0], [0, 1]])
+    assert inertia(tiny) == SpectralIndex(1, 1, 0)
+    assert list(eigenvalues([[5e-324, 0], [0, 1]])) == [5e-324, 1.0]  # subnormal, not zero
+
+
 def test_eigenvalues_examples():
     assert np.allclose(eigenvalues([[-2, 2], [2, -2]]), [-4.0, 0.0])
     g = swg(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
