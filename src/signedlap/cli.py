@@ -83,7 +83,7 @@ def _cmd_analyze(args) -> dict:
         "red_count": g.red_count,
         "components": {"full": c_all, "black": c_plus, "red": c_minus},
     }
-    if is_connected(g):
+    if c_all == 1:
         small, large = spectral.index_limits(g)
         out["tau"] = spectral.crossing_count(g)
         out["index_limits"] = {"small_t": list(small), "large_t": list(large)}

@@ -11,8 +11,14 @@ eigenvalue, so positive roots along rays are eigenvalue crossings.
 
 All A_I are principal minors of one bordered matrix H = [[Q, B], [B^T, 0]]
 (Q the grounded black Laplacian, B the red incidence columns), read off one
-fraction-free elimination (``spectral._eliminate``, read off by
-``spectral._bordered_minors``).
+fraction-free elimination (``spectral._eliminate``).  When the black
+subgraph is connected (A_empty > 0) the elimination leaves the
+transfer-current matrix K = B^T adj(Q) B, and ``crossing_polynomial``
+takes every A_I from one depth-first subset recursion over K
+(``spectral._principal_minors``): one fraction-free Schur update per
+forest subset, no determinant, and no visit to a superset of a cyclic red
+set.  When A_empty = 0 each forest subset is read off as its own minor
+(``spectral._bordered_minors``).
 
 Along a ray t*alpha no coefficient is needed: by the matrix-tree theorem
 M(t*alpha) is the determinant of the grounded signed Laplacian, a
@@ -38,9 +44,9 @@ from typing import Sequence
 
 from . import _kernels, polyroots
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, component_counts, is_connected, pairs_form_forest
+from .graph import SignedWeightedGraph, component_counts, is_connected
 from .polyroots import RootRecord
-from .spectral import _eliminate, _graph_minors
+from .spectral import _bordered_minors, _eliminate, _principal_minors
 
 MAX_RED_DEFAULT = 20
 
@@ -84,7 +90,11 @@ class CrossingPolynomial:
         return total
 
     def to_json_dict(self) -> dict[str, str]:
-        return {mask_to_bits(mask, self.red_count): str(a) for mask, a in enumerate(self.coeffs)}
+        """{``mask_to_bits(mask, R)``: str(A_mask)} in mask order."""
+        keys = [""]
+        for _ in range(self.red_count):  # masks with bit k set follow those without
+            keys = [k + "0" for k in keys] + [k + "1" for k in keys]
+        return dict(zip(keys, map(str, self.coeffs)))
 
     @classmethod
     def from_json_dict(cls, d: dict[str, str]) -> "CrossingPolynomial":
@@ -115,20 +125,63 @@ def bits_to_mask(bits: str) -> int:
 
 
 def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) -> CrossingPolynomial:
-    """All 2^R coefficients from one bordered elimination; cyclic red subsets
-    are skipped (their A_I is 0).  Rejects R > max_red (2^R blow-up guard).
+    """All 2^R coefficients from one bordered elimination.  Rejects
+    R > max_red (2^R blow-up guard).
+
+    The black weights are scaled to integers by the lcm L of their
+    denominators and ``_eliminate`` runs over the N - 1 rows of Q.  When it
+    skips none (A_empty > 0), the rows left are -K, K the transfer-current
+    matrix, and ``_principal_minors`` gives every A_I * L^(N-1-|I|) from
+    one subset recursion of fraction-free Schur updates, never visiting a
+    superset of a cyclic red set.  When it skips rows (A_empty = 0), they
+    border every minor and have a zero diagonal, so no pivot order starts
+    the recursion: each forest subset I with at least as many red edges as
+    skipped rows is read off as its own minor by ``_bordered_minors``, the
+    forests from a depth-first walk that never extends a cyclic set.  A
+    negative A_I is a fault (``require_nonnegative``, lowest mask first).
     """
     reds = [(u, v) for u, v, _ in g.red_edges]
     r = len(reds)
     if r > max_red:
         raise InputError(f"{r} red edges exceeds the 2^R guard (max_red={max_red})")
-    subsets = [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1 << r)]
-    forests = [s for s in subsets if pairs_form_forest(g.n, (reds[i] for i in s))]
-    values = dict(zip(forests, _graph_minors(g, reds, [(s, s) for s in forests])))
-    coeffs = tuple(values.get(s, Fraction(0)) for s in subsets)
-    for mask, a in enumerate(coeffs):
-        require_nonnegative(a, mask)
-    return CrossingPolynomial(r, coeffs)
+    blacks = g.black_edges
+    scale = lcm(*(w.denominator for _, _, w in blacks))
+    black = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in blacks]
+    rows, skipped, d = _eliminate(g.n, black, reds, g.n - 1)
+    if skipped:
+        forests = [s for s in _red_forests(g.n, reds) if len(s) >= len(skipped)]
+        values = [0] * (1 << r)
+        for s, x in zip(forests, _bordered_minors(g.n, black, reds, [(s, s) for s in forests])):
+            values[sum(1 << i for i in s)] = x
+    else:
+        values = _principal_minors([[-x for x in row] for row in rows], d)
+    powers = [scale ** (g.n - 1 - k) for k in range(g.n)]
+    zero = Fraction(0)
+    coeffs = []
+    for mask, x in enumerate(values):
+        if not x:
+            coeffs.append(zero)
+            continue
+        a = Fraction(x, powers[mask.bit_count()])
+        if x < 0:
+            require_nonnegative(a, mask)
+        coeffs.append(a)
+    return CrossingPolynomial(r, tuple(coeffs))
+
+
+def _red_forests(n: int, reds) -> list[tuple[int, ...]]:
+    """Index tuples of the red subsets that form forests, depth-first in
+    index order; a set is extended only while it stays acyclic."""
+    out = []
+    stack = [((), list(range(n)))]  # (subset, component label of each vertex)
+    while stack:
+        subset, comp = stack.pop()
+        out.append(subset)
+        for j in range(subset[-1] + 1 if subset else 0, len(reds)):
+            a, b = (comp[x] for x in reds[j])
+            if a != b:
+                stack.append((subset + (j,), [a if c == b else c for c in comp]))
+    return out
 
 
 def require_nonnegative(a: Fraction, mask: int):

@@ -13,6 +13,7 @@ also uses), never by float thresholding.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -105,8 +106,10 @@ def sample_seed(master_seed: int, m: int, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+@functools.cache
+def _all_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs i < j in lexicographic order, built once per n."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 def _sample_pairs(cfg: EnsembleConfig, m: int, seed: int):

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -46,16 +47,27 @@ def _as_weight(w) -> Fraction:
 
 @dataclass(frozen=True)
 class SignedWeightedGraph:
-    """Immutable simple graph on vertices 0..n-1 with signed rational weights."""
+    """Immutable simple graph on vertices 0..n-1 with signed rational weights.
+
+    The edges are classified by sign once, on construction; the component
+    counts are computed once, on first use.
+    """
 
     n: int
     edges: tuple[Edge, ...]
+    # edge-sequence positions of the red (negative-weight) edges
+    red_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    red_edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
+    black_edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 1:
             raise InputError(f"vertex count must be a positive integer, got {self.n!r}")
         seen: set[tuple[int, int]] = set()
         norm: list[Edge] = []
+        red_indices: list[int] = []
+        red: list[Edge] = []
+        black: list[Edge] = []
         for pos, (u, v, w) in enumerate(self.edges):
             if not (_is_int(u) and _is_int(v)):
                 raise InputError(f"edge {pos}: endpoints must be integers")
@@ -71,21 +83,31 @@ class SignedWeightedGraph:
             if (u, v) in seen:
                 raise InputError(f"edge {pos} ({u},{v}): duplicate edge")
             seen.add((u, v))
-            norm.append((u, v, w))
-        object.__setattr__(self, "edges", tuple(norm))
+            edge = (u, v, w)
+            norm.append(edge)
+            if w.numerator < 0:
+                red_indices.append(pos)
+                red.append(edge)
+            else:
+                black.append(edge)
+        for name, value in (
+            ("edges", tuple(norm)),
+            ("red_indices", tuple(red_indices)),
+            ("red_edges", tuple(red)),
+            ("black_edges", tuple(black)),
+        ):
+            object.__setattr__(self, name, value)
 
-    @property
-    def red_indices(self) -> tuple[int, ...]:
-        """Edge-sequence positions of the red (negative-weight) edges."""
-        return tuple(i for i, (_, _, w) in enumerate(self.edges) if w < 0)
-
-    @property
-    def red_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e[2] < 0)
-
-    @property
-    def black_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e[2] > 0)
+    @cached_property
+    def _counts(self) -> tuple[int, int, int]:
+        full, plus, minus = _UnionFind(self.n), _UnionFind(self.n), _UnionFind(self.n)
+        for u, v, _ in self.black_edges:
+            full.union(u, v)
+            plus.union(u, v)
+        for u, v, _ in self.red_edges:
+            full.union(u, v)
+            minus.union(u, v)
+        return full.count, plus.count, minus.count
 
     @property
     def red_count(self) -> int:
@@ -170,25 +192,15 @@ class _UnionFind:
         return True
 
 
-def _component_count(n: int, pairs: Iterable[tuple[int, int]]) -> int:
-    uf = _UnionFind(n)
-    for u, v in pairs:
-        uf.union(u, v)
-    return uf.count
-
-
 def component_counts(g: SignedWeightedGraph) -> tuple[int, int, int]:
     """(c(G), c(G_+), c(G_-)): component counts of the full graph, the
     black-only subgraph and the red-only subgraph, all over the full vertex
     set (isolated vertices count)."""
-    c_all = _component_count(g.n, ((u, v) for u, v, _ in g.edges))
-    c_plus = _component_count(g.n, ((u, v) for u, v, w in g.edges if w > 0))
-    c_minus = _component_count(g.n, ((u, v) for u, v, w in g.edges if w < 0))
-    return c_all, c_plus, c_minus
+    return g._counts
 
 
 def is_connected(g: SignedWeightedGraph) -> bool:
-    return _component_count(g.n, ((u, v) for u, v, _ in g.edges)) == 1
+    return g._counts[0] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,38 @@ def _bordered_minors(n: int, black, reds, index_pairs) -> list[int]:
     return out
 
 
+def _principal_minors(k, d: int) -> list[int]:
+    """det K[I, I] / d^(|I| - 1) for every subset I of the rows of K, by
+    bitmask (d for I empty), with K the R x R transfer-current matrix
+    B^T adj(Q) B (the negated rows ``_eliminate`` leaves when it skips
+    none) and d = det Q.
+
+    One depth-first recursion over the subsets in index order, the
+    principal-minor algorithm of Griffin and Tsatsomeros in Bareiss form:
+    a node I holds its pivot p_I = det K[I, I] / d^(|I| - 1) and the block T
+    over the indices after max(I).  The child I + {j} reads its pivot
+    p_j = T_jj, and its block is (p_j T_ab - T_aj T_jb) / p_I, an exact
+    division (Sylvester's identity).  K / d is positive semidefinite, so a
+    zero pivot zeroes every superset: that subtree is never visited.
+    """
+    out = [0] * (1 << len(k))
+    out[0] = d
+    stack = [(0, 0, d, [row[a:] for a, row in enumerate(k)])]  # upper triangles
+    while stack:
+        mask, first, p, upper = stack.pop()
+        for jpos, pivot_row in enumerate(upper):
+            pj = pivot_row[0]
+            child = mask | 1 << (first + jpos)
+            out[child] = pj
+            if pj and jpos + 1 < len(upper):
+                block = [
+                    [(pj * x - f * y) // p for x, y in zip(upper[a], pivot_row[a - jpos :])]
+                    for a, f in enumerate(pivot_row[1:], jpos + 1)
+                ]
+                stack.append((child, first + jpos + 1, pj, block))
+    return out
+
+
 def _graph_minors(g: SignedWeightedGraph, reds, index_pairs) -> list[Fraction]:
     """``_bordered_minors`` of ``g``, its black weights scaled by the lcm L of
     their denominators; a value with |I| red columns has degree N - 1 - |I|

@@ -13,8 +13,8 @@ import pytest
 
 from signedlap import SignedWeightedGraph, SpectralIndex, minor, tree_sum
 from signedlap import polyroots as pr
-from signedlap.graph import red_subset_is_forest
-from signedlap.spectral import LaplacianMatrix
+from signedlap.graph import pairs_form_forest, red_subset_is_forest
+from signedlap.spectral import LaplacianMatrix, _graph_minors
 
 
 def swg(n, edges) -> SignedWeightedGraph:
@@ -69,6 +69,40 @@ def minor_path_coefficients(g: SignedWeightedGraph) -> tuple[Fraction, ...]:
         else:
             coeffs.append(Fraction(0))
     return tuple(coeffs)
+
+
+def reference_component_count(n, pairs) -> int:
+    """Components of the graph on vertices 0..n-1 with edges ``pairs``, by
+    union-find: a reference for ``_kernels.component_count`` and
+    ``component_counts``."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = n
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            count -= 1
+    return count
+
+
+def reference_bordered_coefficients(g: SignedWeightedGraph) -> tuple[Fraction, ...]:
+    """The 2^R crossing coefficients read off the bordered elimination one
+    minor per mask: an oracle for the subset recursion of
+    ``crossing_polynomial``.  Every forest mask gets its own
+    ``_bordered_minors`` read-off; a cyclic mask gives 0."""
+    reds = [(u, v) for u, v, _ in g.red_edges]
+    r = len(reds)
+    subsets = [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1 << r)]
+    forests = [s for s in subsets if pairs_form_forest(g.n, (reds[i] for i in s))]
+    values = dict(zip(forests, _graph_minors(g, reds, [(s, s) for s in forests])))
+    return tuple(values.get(s, Fraction(0)) for s in subsets)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,33 @@ def test_factorize_negative_diagonal_is_internal_fault(monkeypatch, capsys, chai
     assert captured.out == "" and "negative tree-sum coefficient -2 at mask 2" in captured.err
 
 
+def test_coeffs_negative_pivot_is_internal_fault(monkeypatch, capsys, k4_file):
+    real = crossing._eliminate
+
+    def flipped(*args):
+        rows, skipped, prev = real(*args)
+        rows[0][0] = -rows[0][0]  # K_00 < 0: the pivot of mask 1 is negative
+        return rows, skipped, prev
+
+    monkeypatch.setattr(crossing, "_eliminate", flipped)
+    assert cli.main(["coeffs", "--input", k4_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "negative tree-sum coefficient -5 at mask 1" in captured.err
+
+
+def test_coeffs_with_a_connected_black_subgraph_takes_no_determinant(monkeypatch, capsys, tmp_path, k4_file):
+    chain = _graph_file(tmp_path, "chain8", _graph_doc(triangle_chain(8)))
+    expected = [_run(capsys, ["coeffs", "--input", path]) for path in (k4_file, chain)]
+
+    def forbidden(*args):
+        raise AssertionError("det_int called")
+
+    monkeypatch.setattr(_kernels, "det_int", forbidden)
+    assert [_run(capsys, ["coeffs", "--input", path]) for path in (k4_file, chain)] == expected
+    assert expected[0] == (0, {"00": "3", "10": "5", "01": "5", "11": "3"})
+    assert sorted(set(expected[1][1].values()), key=int) == [str(2 ** k) for k in range(9)]
+
+
 def test_factorize_chain(capsys, chain_file):
     code, out = _run(capsys, ["factorize", "--input", chain_file])
     assert code == 0

@@ -29,6 +29,7 @@ from conftest import (
     k4_shared,
     minor_path_coefficients,
     random_connected_graph,
+    reference_bordered_coefficients,
     swg,
     triangle_chain,
 )
@@ -122,6 +123,53 @@ def test_bordered_core_matches_minor_path_on_weighted_graphs():
             {("a_empty_zero", p.coeffs[0] == 0), ("cyclic", cyclic), ("r_above_n_minus_1", r > g.n - 1)}
         )
     assert seen == {(name, flag) for name in ("a_empty_zero", "cyclic", "r_above_n_minus_1") for flag in (True, False)}
+
+
+def test_subset_recursion_matches_the_per_mask_minors():
+    # seeded rational-weight graphs up to R = 12; the per-mask read-off of
+    # the bordered elimination is the oracle.  Disconnected black subgraphs
+    # (A_empty = 0, the per-mask route), cyclic red subsets under a positive
+    # A_empty (pruned subtrees) and R > N - 1 are each counted
+    rng = random.Random(83)
+    seen = dict.fromkeys(("a_empty_zero", "cyclic", "r_above_n_minus_1", "r_at_least_10"), 0)
+    wide = dict(n_min=2, n_max=9, extra_max=14, red_choices=(0, 1, 2, 4, 6, 8, 10, 12))
+    dense = dict(n_min=5, n_max=8, extra_max=20, red_choices=(3, 4, 5, 6))
+    for params in [wide] * 100 + [dense] * 40:
+        g = random_connected_graph(rng, den_max=15, **params)
+        p = crossing_polynomial(g)
+        assert p.coeffs == reference_bordered_coefficients(g), g
+        r = g.red_count
+        seen["a_empty_zero"] += p.coeffs[0] == 0
+        seen["cyclic"] += p.coeffs[0] != 0 and not all(
+            red_subset_is_forest(g, [i for i in range(r) if mask >> i & 1]) for mask in range(1 << r)
+        )
+        seen["r_above_n_minus_1"] += r > g.n - 1
+        seen["r_at_least_10"] += r >= 10
+    assert min(seen.values()) >= 5, seen
+
+
+def test_coefficients_with_a_connected_black_subgraph_take_no_determinant(monkeypatch):
+    # A_empty > 0: every A_I comes from the subset recursion, with no
+    # per-mask determinant
+    rng = random.Random(89)
+    graphs = [k4_shared(), k4_disjoint(), triangle_chain(6), swg(1, [])]
+    while len(graphs) < 30:
+        g = random_connected_graph(rng, n_min=3, n_max=9, extra_max=10, red_choices=(1, 3, 5, 7, 9))
+        if crossing_polynomial(g).coeffs[0] > 0:
+            graphs.append(g)
+    expected = [reference_bordered_coefficients(g) for g in graphs]
+
+    def forbidden(*args):
+        raise AssertionError("det_int called")
+
+    monkeypatch.setattr(_kernels, "det_int", forbidden)
+    assert [crossing_polynomial(g).coeffs for g in graphs] == expected
+
+
+def test_triangle_chain_14_coefficients():
+    # M = prod (1 - 2 t_i): A_I = 2^|I| over all 16384 subsets
+    p = crossing_polynomial(triangle_chain(14))
+    assert p.coeffs == tuple(F(2 ** mask.bit_count()) for mask in range(1 << 14))
 
 
 def test_degree_support_examples():
@@ -231,6 +279,9 @@ def test_mask_bit_convention():
     assert mask_to_bits(0b10, 2) == "01"
     assert bits_to_mask("10") == 1
     assert bits_to_mask("001") == 4
+    for r in range(6):
+        p = CrossingPolynomial(r, tuple(F(mask, 3) for mask in range(1 << r)))
+        assert list(p.to_json_dict().items()) == [(mask_to_bits(m, r), str(F(m, 3))) for m in range(1 << r)]
 
 
 def test_red_count_guard():

@@ -1,5 +1,6 @@
 """Random-ensemble sampling, classification, records, summaries."""
 
+import itertools
 import math
 
 import pytest
@@ -31,6 +32,13 @@ def test_sample_graph_counts_and_determinism():
         assert g1 == g2
         assert len(g1.edges) == 13 and g1.red_count == 2
     assert sample_graph(8, 13, 0) != sample_graph(8, 13, 1)
+
+
+def test_all_pairs_built_once_and_immutable():
+    pairs = ens._all_pairs(7)
+    assert pairs is ens._all_pairs(7) and isinstance(pairs, tuple)
+    assert pairs == tuple(itertools.combinations(range(7), 2))
+    assert [e[:2] for e in sample_graph(7, 21, 5).edges] == list(pairs)  # M = 21 draws every pair
 
 
 def test_config_validation():

@@ -9,14 +9,22 @@ from signedlap import (
     InputError,
     SignedWeightedGraph,
     component_counts,
+    is_connected,
     minor,
     parse_graph,
     spanning_trees,
     two_forests,
 )
-from signedlap.graph import _component_count, minor_with_info, red_subset_is_forest
+from signedlap.graph import minor_with_info, red_subset_is_forest
 
-from conftest import k4_shared, kn_with_reds, random_connected_graph, swg, triangle_one_red
+from conftest import (
+    k4_shared,
+    kn_with_reds,
+    random_connected_graph,
+    reference_component_count,
+    swg,
+    triangle_one_red,
+)
 
 
 def test_parse_basic():
@@ -105,6 +113,29 @@ def test_component_counts():
     assert component_counts(g) == (1, 1, 4)
 
 
+def test_edge_classes_and_component_counts_match_per_edge_references():
+    # connected graphs and random edge subsets of them (often disconnected);
+    # the classes are per-edge sign tests, the counts three union-find passes
+    rng = random.Random(113)
+    for _ in range(60):
+        g = random_connected_graph(rng, n_min=1, n_max=9, extra_max=8, red_choices=(0, 1, 2, 3, 5))
+        h = SignedWeightedGraph(g.n, tuple(e for e in g.edges if rng.random() < 0.6))
+        for x in (g, h):
+            assert x.red_indices == tuple(i for i, (_, _, w) in enumerate(x.edges) if w < 0)
+            assert x.red_edges == tuple(e for e in x.edges if e[2] < 0)
+            assert x.black_edges == tuple(e for e in x.edges if e[2] > 0)
+            assert (x.red_count, x.black_count) == (len(x.red_edges), len(x.black_edges))
+            expect = tuple(
+                reference_component_count(x.n, [(u, v) for u, v, w in x.edges if keep(w)])
+                for keep in (lambda w: True, lambda w: w > 0, lambda w: w < 0)
+            )
+            assert component_counts(x) == expect
+            assert is_connected(x) == (expect[0] == 1)
+            assert component_counts(x) is component_counts(x)  # computed once per graph
+    assert repr(swg(2, [(0, 1, -1)])) == "SignedWeightedGraph(n=2, edges=((0, 1, Fraction(-1, 1)),))"
+    assert swg(2, [(0, 1, -1)]) == swg(2, [(1, 0, -1)])
+
+
 def test_red_subset_is_forest_counts_components():
     # a subset of red edges is a forest iff each edge lowers the component
     # count of the vertex set by one
@@ -112,7 +143,7 @@ def test_red_subset_is_forest_counts_components():
     reds = [(u, v) for u, v, _ in g.red_edges]
     for mask in range(1 << len(reds)):
         subset = [i for i in range(len(reds)) if mask >> i & 1]
-        forest = _component_count(g.n, [reds[i] for i in subset]) == g.n - len(subset)
+        forest = reference_component_count(g.n, [reds[i] for i in subset]) == g.n - len(subset)
         assert red_subset_is_forest(g, subset) == forest
         assert red_subset_is_forest(g, iter(subset)) == forest
     assert not red_subset_is_forest(g, [0, 1, 2])

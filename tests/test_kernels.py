@@ -4,7 +4,8 @@ determinants, edge relaxation for BFS distances, union-find for components."""
 import random
 
 from signedlap import _kernels as ker
-from signedlap.graph import _component_count
+
+from conftest import reference_component_count
 
 
 def _reference_det(rows):
@@ -143,4 +144,4 @@ def test_component_paths_agree():
     for _ in range(40):
         n = rng.randint(0, 12)
         pairs, adj = _random_graph(rng, n, 0.2)
-        assert ker.component_count(adj) == _component_count(n, pairs)
+        assert ker.component_count(adj) == reference_component_count(n, pairs)
