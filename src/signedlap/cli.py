@@ -175,12 +175,13 @@ def _cmd_ensemble(args) -> dict:
     if args.seed is not None and isinstance(raw, dict):  # config_from_dict rejects the rest
         raw["seed"] = args.seed
     cfg = ensemble.config_from_dict(raw)
-    records = ensemble.generate_records(cfg, threads=args.threads)
-    ensemble.write_csv(records, args.output)
+    # records stream from the sampler through the summary fold into the CSV
+    fold = ensemble.SummaryFold()
+    ensemble.write_csv(map(fold.add, ensemble.iter_records(cfg)), args.output)
     base = args.output[:-4] if args.output.endswith(".csv") else args.output
     summary_path = base + ".summary.json"
-    ensemble.write_summary(ensemble.summarize(records), summary_path)
-    return {"csv": args.output, "summary": summary_path, "records": len(records)}
+    ensemble.write_summary(fold.summary(), summary_path)
+    return {"csv": args.output, "summary": summary_path, "records": fold.count}
 
 
 _COMMANDS = {

@@ -333,10 +333,11 @@ def _crossings(q: list[Fraction], alpha: Sequence[Fraction]) -> RayCrossings:
 def ray_crossings(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> RayCrossings:
     """Eigenvalue-crossing locations along the ray t*alpha.
 
-    Exact pipeline: square-free decomposition for multiplicities, Sturm
-    isolation and bisection in integer arithmetic; rational roots are
-    reported exactly, irrational ones as isolating intervals of width at most
-    1e-30.
+    Exact pipeline in integer arithmetic (``polyroots.positive_roots``): one
+    primitive remainder sequence gives the Sturm sequence and, from its last
+    term, the multiplicities; Sturm isolation and quadratic interval
+    refinement find the roots.  Rational roots are reported exactly,
+    irrational ones as isolating intervals of width at most 1e-30.
     """
     return _crossings(ray_polynomial(p, alpha), alpha)
 

@@ -1,23 +1,39 @@
 """Exact univariate polynomial arithmetic and positive real root isolation.
 
-Polynomials are dense coefficient lists, lowest degree first: Fractions in
-the division-based helpers, Python ints once made primitive (``_primitive``,
-Sturm sequences, square-free factors).  The driver ``positive_roots``
-returns every positive real root with its multiplicity: multiplicities via
-Yun's square-free decomposition, isolation via Sturm sequences, refinement
-by exact bisection.  Rational roots are always reported exactly: by Gauss's
-lemma a rational root of an integer polynomial is m / lead for an integer m,
-so an isolating interval at most 1 / lead wide has a single rational
-candidate, which is verified exactly.  Irrational roots come as intervals of
-width at most 1e-30.
+Polynomials are dense coefficient lists, lowest degree first: Fractions on
+input, Python ints once made primitive (``_primitive``, Sturm sequences,
+square-free factors).  The driver ``positive_roots`` returns every positive
+real root with its multiplicity, and after the first scaling to integers it
+runs on Python ints only.
 
-Isolation and refinement run on integers only.  A square-free factor h and
-its Sturm sequence are rescaled to s = x / B, B the Cauchy bound, so that
-every bisection point is a dyadic j / 2^k in [0, 1] and the sign of h there
-is the sign of the homogenised Horner value sum_i c_i j^i 2^(k (deg - i)).
-The rational candidate m / lead is tested the same way, by
-sum_i c_i m^i lead^(deg - i).
-Fractions are built only for the reported roots and interval ends.
+One primitive remainder sequence (Collins; Brown and Traub) carries both the
+multiplicities and the isolation.  ``_remainders`` divides by integer
+pseudo-division, with the divisor made positive-leading so that each
+pseudo-remainder is a positive multiple of the rational remainder, and
+divides every term by its content.  Started from p and p', it is p's Sturm
+sequence, term for term a positive multiple of the rational one, and its
+last term is gcd(p, p') up to a constant.  When that term is a constant, p
+is square-free and the one sequence isolates its roots; otherwise Yun's
+square-free decomposition runs on the same integer gcds and exact integer
+quotients.
+
+A square-free factor h and its Sturm sequence are rescaled to s = x / B, B
+the Cauchy bound, so that every grid point is a dyadic j / 2^k in [0, 1]
+and the sign of h there is the sign of the homogenised Horner value
+sum_i c_i j^i 2^(k (deg - i)).  Isolation bisects (0, 1] with Sturm counts.
+Refinement is quadratic interval refinement (QIR; Abbott, "Quadratic
+Interval Refinement for Real Roots", ACM CCA 2014) on the same grid: it
+guesses the piece of the secant's zero among 2^m pieces of the interval and
+certifies it by two signs, so the number of correct bits about doubles per
+step near the root.  It returns the grid cell that bisection would, the one
+holding the root at the first level narrow enough.
+
+Rational roots are always reported exactly: by Gauss's lemma a rational
+root of an integer polynomial is m / lead for an integer m, so an isolating
+interval at most 1 / lead wide has a single rational candidate, tested by
+sum_i c_i m^i lead^(deg - i).  Irrational roots come as intervals of width
+at most 1e-30.  Fractions are built only for the reported roots and
+interval ends.
 """
 
 from __future__ import annotations
@@ -69,26 +85,13 @@ def multiply(p: Poly, q: Poly) -> Poly:
     return strip(out)
 
 
-def divmod_exact(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Polynomial division with remainder over the rationals (int or
-    Fraction coefficients in, Fractions out)."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    dq = len(q) - 1
-    lead = q[-1]
-    for k in range(len(rem) - 1, dq - 1, -1):
-        c = rem[k] / lead
-        if c == 0:
-            continue
-        quo[k - dq] = c
-        for j in range(dq + 1):
-            rem[k - dq + j] -= c * q[j]
-    return strip(quo), strip(rem)
+def _content_free(p: IntPoly) -> IntPoly:
+    """p divided by the gcd of its coefficients (a positive number)."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def _primitive_keep_sign(p: Poly) -> IntPoly:
+def _primitive_keep_sign(p) -> IntPoly:
     """Scale by a positive rational to integer, content-free coefficients.
 
     Positive scaling only, so sign patterns (and Sturm variation counts) are
@@ -97,75 +100,115 @@ def _primitive_keep_sign(p: Poly) -> IntPoly:
     if not p:
         return []
     mult = lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (mult // c.denominator) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return [c // g for c in ints]
+    return _content_free([c.numerator * (mult // c.denominator) for c in p])
 
 
-def _primitive(p: Poly) -> IntPoly:
+def _positive_lead(p: IntPoly) -> IntPoly:
+    return [-c for c in p] if p and p[-1] < 0 else p
+
+
+def _primitive(p) -> IntPoly:
     """Like _primitive_keep_sign but also forces a positive leading
     coefficient (canonical form for gcds and square-free factors)."""
-    p = _primitive_keep_sign(p)
-    if p and p[-1] < 0:
-        p = [-c for c in p]
-    return p
+    return _positive_lead(_primitive_keep_sign(p))
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd via the Euclidean algorithm (remainders kept primitive)."""
-    a, b = _primitive(p), _primitive(q)
+# ---------------------------------------------------------------------------
+# Integer remainder sequences, Sturm sequences and Yun's decomposition
+
+
+def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
+    """lead^s * (a mod b) for some s >= 0, lead = |b's leading coefficient|:
+    long division of a by the positive-leading one of +-b, scaling the
+    partial remainder by lead before each elimination, never dividing.
+    a mod -b = a mod b, so this is a positive multiple of the remainder."""
+    b = _positive_lead(b)
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r.pop()  # the coefficient of x^k, cancelled by c * x^(k-db) * b
+        if c:
+            r = [x * lead for x in r]
+            for j in range(db):
+                r[k - db + j] -= c * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _remainders(a: IntPoly, b: IntPoly) -> list[IntPoly]:
+    """a, b, then minus the remainder of each term by the next, each made
+    content-free, until a remainder is zero.
+
+    Every term is a positive multiple of the one the rational Euclidean
+    algorithm gives, so for b = a' this is a's Sturm sequence, and in any
+    case the last term is gcd(a, b) up to a constant."""
+    seq = [a]
     while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, _primitive(r)
-    return a
+        seq.append(b)
+        a, b = b, [-c for c in _content_free(_pseudo_remainder(a, b))]
+    return seq
 
 
-def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: [(factor, multiplicity), ...] with square-free,
-    pairwise-coprime factors (constant factors dropped)."""
-    p = strip(p)
-    if degree(p) < 1:
+def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The primitive, positive-leading gcd of two integer polynomials."""
+    return _positive_lead(_content_free(_remainders(a, b)[-1]))
+
+
+def _quotient(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b for integer polynomials with an integer quotient (b primitive
+    and dividing a, by Gauss's lemma): every step divides exactly."""
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k] // lead
+        q[k - db] = c
+        if c:
+            for j in range(db + 1):
+                r[k - db + j] -= c * b[j]
+    return q
+
+
+def _difference(p: IntPoly, q: IntPoly) -> IntPoly:
+    n = max(len(p), len(q))
+    out = [x - y for x, y in zip(p + [0] * (n - len(p)), q + [0] * (n - len(q)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def square_free_decomposition(p) -> list[tuple[IntPoly, int]]:
+    """Yun's algorithm over the integers: [(factor, multiplicity), ...] with
+    square-free, pairwise-coprime factors, each primitive with a positive
+    lead (constant factors dropped).
+
+    The gcds are ``_gcd`` (the last term of a remainder sequence) and every
+    division is exact, so the factors are integer polynomials throughout.
+    """
+    a = _primitive(p)
+    if len(a) < 2:
         return []
-    dp = derivative(p)
-    a0 = poly_gcd(p, dp)
-    b, _ = divmod_exact(p, a0)
-    c, _ = divmod_exact(dp, a0)
-    d = [x - y for x, y in _padded(c, derivative(b))]
-    out: list[tuple[Poly, int]] = []
+    da = derivative(a)
+    g = _gcd(a, da)
+    b, c = _quotient(a, g), _quotient(da, g)
+    out: list[tuple[IntPoly, int]] = []
     i = 1
-    while degree(b) > 0:
-        ai = poly_gcd(b, strip(d))
-        if degree(ai) > 0:
-            out.append((_primitive(ai), i))
-        b, _ = divmod_exact(b, ai)
-        cnext, _ = divmod_exact(strip(d), ai)
-        d = [x - y for x, y in _padded(cnext, derivative(b))]
+    while len(b) > 1:
+        d = _difference(c, derivative(b))
+        ai = _gcd(b, d)
+        if len(ai) > 1:
+            out.append((ai, i))
+        b, c = _quotient(b, ai), _quotient(d, ai)
         i += 1
     return out
 
 
-def _padded(p: Poly, q: Poly):
-    n = max(len(p), len(q))
-    p = p + [Fraction(0)] * (n - len(p))
-    q = q + [Fraction(0)] * (n - len(q))
-    return zip(p, q)
-
-
-# ---------------------------------------------------------------------------
-# Sturm sequences
-
-
-def sturm_sequence(p: Poly) -> list[IntPoly]:
-    seq = [_primitive_keep_sign(p), _primitive_keep_sign(derivative(p))]
-    while seq[-1]:
-        _, r = divmod_exact(seq[-2], seq[-1])
-        r = _primitive_keep_sign(r)
-        if not r:
-            break
-        seq.append([-c for c in r])
-    return [s for s in seq if s]
+def sturm_sequence(p) -> list[IntPoly]:
+    """p, p' and the negated remainders, each scaled by a positive rational
+    to content-free integers (``_remainders``)."""
+    a = _primitive_keep_sign(p)
+    return _remainders(a, _content_free(derivative(a))) if a else []
 
 
 def _sign_changes(values) -> int:
@@ -193,8 +236,8 @@ def _homogeneous_value(h: Poly, a: int, b: int):
 
 def _dyadic_value(h: IntPoly, j: int, k: int) -> int:
     """2^(k deg) * h(j / 2^k): ``_homogeneous_value`` at b = 2^k, with
-    shifts in place of the multiplications by powers of b (the bisection's
-    hot loop)."""
+    shifts in place of the multiplications by powers of b (the isolation's
+    and refinement's hot loop)."""
     acc = 0
     shift = 0
     for c in reversed(h):
@@ -264,8 +307,9 @@ class _Isolation:
 
     ``residual`` is the factor with the exact ``roots`` (midpoint hits)
     divided out, and ``scaled`` its rescaling to s = x / bound with bound =
-    bn/bd.  An interval (lo, hi, k) is s in (lo/2^k, hi/2^k]; it holds
-    exactly one root of the residual and none at either end.
+    bn/bd.  An interval (lo, hi, k) is s in (lo/2^k, hi/2^k], a grid cell
+    (hi = lo + 1); it holds exactly one root of the residual and none at
+    either end.
     """
 
     residual: IntPoly
@@ -280,25 +324,25 @@ class _Isolation:
         return Fraction(self.bn * j, self.bd << k)
 
 
-def _isolate_positive(h: Poly) -> _Isolation:
-    """Isolating intervals for the positive roots of a square-free h.
+def _isolate_positive(seq: list[IntPoly]) -> _Isolation:
+    """Isolating intervals for the positive roots of a square-free h, given
+    its Sturm sequence ``seq`` (h = seq[0], primitive with a positive lead).
 
     Bisects (0, bound] with Sturm counts.  A midpoint that is a root is
     deflated out exactly and the isolation restarts on the quotient.
     """
-    h = _primitive(h)
+    h = seq[0]
     exact: list[Fraction] = []
     while True:
         if len(h) < 2:
             return _Isolation(h, exact, 1, 1, h, [])
         bound = cauchy_bound(h)
         bn, bd = bound.numerator, bound.denominator
-        # h is primitive with a positive lead, so the sequence starts with h
-        seq = [_rescaled(s, bn, bd) for s in sturm_sequence(h)]
-        scaled = seq[0]
+        scaled_seq = [_rescaled(s, bn, bd) for s in seq]
+        scaled = scaled_seq[0]
 
         def variations(j: int, k: int) -> int:
-            return _sign_changes(_dyadic_value(s, j, k) for s in seq)
+            return _sign_changes(_dyadic_value(s, j, k) for s in scaled_seq)
 
         intervals: list[tuple[int, int, int]] = []
         # (lo, hi, k, sign variations at lo, at hi)
@@ -315,6 +359,7 @@ def _isolate_positive(h: Poly) -> _Isolation:
                 root = Fraction(bn * mid, bd << k)
                 exact.append(root)
                 h = _primitive(_deflate(h, root.numerator, root.denominator))
+                seq = sturm_sequence(h)
                 break
             vmid = variations(mid, k)
             stack.append((lo, mid, k, vlo, vmid))
@@ -323,25 +368,75 @@ def _isolate_positive(h: Poly) -> _Isolation:
             return _Isolation(h, exact, bn, bd, scaled, intervals)
 
 
-def _refine(iso: _Isolation, lo: int, hi: int, k: int, width: Fraction) -> tuple[int, int, int]:
-    """Shrink an isolating interval by sign bisection until bound * (hi -
-    lo) / 2^k <= width, an integer comparison.
+def _grid_point(j: int, k: int) -> tuple[int, int, int]:
+    """The collapsed interval (j, j, k) of a root at j / 2^k, in lowest terms."""
+    zeros = (j & -j).bit_length() - 1
+    return j >> zeros, j >> zeros, k - zeros
 
-    The residual has opposite signs at the two ends on entry (single root,
-    no endpoint roots); an exact midpoint hit collapses the interval.
+
+def _refine(iso: _Isolation, lo: int, hi: int, k: int, width: Fraction) -> tuple[int, int, int]:
+    """Shrink the isolating cell (lo, lo + 1) at level k to the cell that
+    holds the root at level k*, the first level (not below k) where
+    bound / 2^k* <= width; a root at a grid point j / 2^k' with k' <= k*
+    comes back collapsed, (j, j, k') in lowest terms.  That is what
+    bisection returns.
+
+    QIR on the grid: with the residual's values at the cell's ends, the
+    secant's zero is rounded to the nearest of the 2^m + 1 points that cut
+    the cell into 2^m pieces at level k + m, and the sign there and at the
+    neighbour towards the root certifies a piece, or not.  A hit moves to
+    that piece and doubles m; a miss takes one bisection step and halves m.
+    m is capped so that no point finer than level k* is ever evaluated: the
+    root is strictly inside every cell, so one at a grid point of level at
+    most k* is always hit exactly.
     """
-    wn, wd = width.numerator, width.denominator
-    lo_positive = _dyadic_value(iso.scaled, lo, k) > 0
-    while iso.bn * (hi - lo) * wd > (iso.bd << k) * wn:
-        lo, mid, hi, k = 2 * lo, lo + hi, 2 * hi, k + 1
-        v = _dyadic_value(iso.scaled, mid, k)
-        if v == 0:
-            return mid, mid, k
-        if (v > 0) == lo_positive:
-            lo = mid
+    ceil_ratio = -(-iso.bn * width.denominator // (iso.bd * width.numerator))
+    target = max(k, (ceil_ratio - 1).bit_length())
+    if k == target or lo == hi:
+        return lo, hi, k
+    h, d = iso.scaled, len(iso.scaled) - 1
+    vlo, vhi = _dyadic_value(h, lo, k), _dyadic_value(h, lo + 1, k)
+    left = vlo > 0  # the residual's sign left of the root, at every lower end
+
+    def value(x: int) -> int:
+        """The value x pieces past lo at the level ``fine`` of this step."""
+        if x == 0:
+            return vlo << shift
+        if x == n:
+            return vhi << shift
+        return _dyadic_value(h, base + x, fine)
+
+    m = 2
+    while k < target:
+        step = min(m, target - k)
+        n, fine, shift, base = 1 << step, k + step, step * d, lo << step
+        num, den = (vlo, vlo - vhi) if left else (-vlo, vhi - vlo)
+        i = ((num << (step + 1)) + den) // (den << 1)  # nearest the secant's zero
+        vi = value(i)
+        if vi == 0:
+            return _grid_point(base + i, fine)
+        j = i + 1 if (vi > 0) == left else i - 1  # the neighbour towards the root
+        vj = value(j)
+        if vj == 0:
+            return _grid_point(base + j, fine)
+        if (vi > 0) != (vj > 0):
+            lo, k, vlo, vhi = (base + i, fine, vi, vj) if i < j else (base + j, fine, vj, vi)
+            m *= 2
+            continue
+        m = max(1, m // 2)
+        half = n >> 1
+        if half in (i, j):
+            vmid = (vi if i == half else vj) >> (shift - d)
         else:
-            hi = mid
-    return lo, hi, k
+            vmid = _dyadic_value(h, 2 * lo + 1, k + 1)
+        if vmid == 0:
+            return _grid_point(2 * lo + 1, k + 1)
+        if (vmid > 0) == left:
+            lo, vlo, vhi = 2 * lo + 1, vmid, vhi << d
+        else:
+            lo, vlo, vhi = 2 * lo, vlo << d, vmid
+        k += 1
+    return lo, lo + 1, k
 
 
 def _root_record(iso: _Isolation, lo: int, hi: int, k: int, mult: int) -> RootRecord:
@@ -371,15 +466,26 @@ def _root_record(iso: _Isolation, lo: int, hi: int, k: int, mult: int) -> RootRe
 
 
 def positive_roots(p) -> list[RootRecord]:
-    """All positive real roots of p with multiplicities, sorted ascending."""
+    """All positive real roots of p with multiplicities, sorted ascending.
+
+    p's Sturm sequence comes first; when its last term, gcd(p, p') up to a
+    constant, is a constant, p is square-free and the sequence isolates its
+    roots directly.  Otherwise the square-free factors each get their own.
+    """
     p = strip(p)
     if not p:
         raise InputError("zero polynomial has no well-defined root set")
     while p and p[0] == 0:  # roots at 0 are not positive roots
         p = p[1:]
+    seq = sturm_sequence(p)
+    if len(seq[-1]) == 1:
+        sign = 1 if seq[0][-1] > 0 else -1
+        factors = [([[sign * c for c in s] for s in seq], 1)]
+    else:
+        factors = [(sturm_sequence(f), mult) for f, mult in square_free_decomposition(p)]
     records: list[RootRecord] = []
-    for factor, mult in square_free_decomposition(p):
-        iso = _isolate_positive(factor)
+    for factor_seq, mult in factors:
+        iso = _isolate_positive(factor_seq)
         records += [RootRecord(r, r, r, mult) for r in iso.roots]
         records += [_root_record(iso, lo, hi, k, mult) for lo, hi, k in iso.intervals]
     records.sort(key=lambda r: r.value if r.value is not None else (r.lo + r.hi) / 2)

@@ -106,16 +106,111 @@ def reference_bordered_coefficients(g: SignedWeightedGraph) -> tuple[Fraction, .
 
 
 # ---------------------------------------------------------------------------
-# Root isolation in Fraction arithmetic: an oracle for the integer pipeline
-# of ``polyroots.positive_roots``.  Every point is a Fraction, every sign a
-# Fraction Horner evaluation; the shared pieces are the square-free
-# decomposition, the Sturm sequence and the Cauchy bound.
+# Polynomials in Fraction arithmetic: an oracle for the integer pipeline of
+# ``polyroots.positive_roots``.  Every division is a rational one, every
+# point a Fraction and every sign a Fraction Horner evaluation; the only
+# pieces shared with the code under test are ``_primitive`` (the canonical
+# scaling of a factor), ``cauchy_bound`` and ``RootRecord``.
+
+REFERENCE_WIDTH = Fraction(1, 10**30)
+
+
+def reference_strip(p) -> list[Fraction]:
+    p = [Fraction(c) for c in p]
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def reference_evaluate(p, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def reference_derivative(p) -> list[Fraction]:
+    return reference_strip([c * k for k, c in enumerate(p)][1:])
+
+
+def reference_divmod_exact(p, q) -> tuple[list[Fraction], list[Fraction]]:
+    """Polynomial division with remainder over the rationals."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in p]
+    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    dq = len(q) - 1
+    for k in range(len(rem) - 1, dq - 1, -1):
+        c = rem[k] / q[-1]
+        if c == 0:
+            continue
+        quo[k - dq] = c
+        for j in range(dq + 1):
+            rem[k - dq + j] -= c * q[j]
+    return reference_strip(quo), reference_strip(rem)
+
+
+def reference_poly_gcd(p, q) -> list[int]:
+    """Primitive gcd by the Euclidean algorithm over the rationals."""
+    a, b = pr._primitive(p), pr._primitive(q)
+    while b:
+        _, r = reference_divmod_exact(a, b)
+        a, b = b, pr._primitive(r)
+    return a
+
+
+def reference_square_free_decomposition(p) -> list[tuple[list[int], int]]:
+    """Yun's algorithm over the rationals: [(factor, multiplicity), ...] with
+    primitive, positive-leading factors (constant factors dropped)."""
+    p = reference_strip(p)
+    if len(p) < 2:
+        return []
+    dp = reference_derivative(p)
+    a0 = reference_poly_gcd(p, dp)
+    b, _ = reference_divmod_exact(p, a0)
+    c, _ = reference_divmod_exact(dp, a0)
+    out = []
+    i = 1
+    while len(b) > 1:
+        d = reference_strip([x - y for x, y in _reference_padded(c, reference_derivative(b))])
+        ai = reference_poly_gcd(b, d)
+        if len(ai) > 1:
+            out.append((ai, i))
+        b, _ = reference_divmod_exact(b, ai)
+        c, _ = reference_divmod_exact(d, ai)
+        i += 1
+    return out
+
+
+def _reference_padded(p, q):
+    n = max(len(p), len(q))
+    return zip(list(p) + [0] * (n - len(p)), list(q) + [0] * (n - len(q)))
+
+
+def _reference_keep_sign(p) -> list[int]:
+    """p scaled by a positive rational to content-free integers."""
+    p = reference_strip(p)
+    q = pr._primitive(p)
+    return [-c for c in q] if p and p[-1] < 0 else q
+
+
+def reference_sturm_sequence(p) -> list[list[int]]:
+    """p, p' and the negated rational remainders, each scaled by a positive
+    rational to content-free integers."""
+    seq = [_reference_keep_sign(p), _reference_keep_sign(reference_derivative(reference_strip(p)))]
+    while seq[-1]:
+        _, r = reference_divmod_exact(seq[-2], seq[-1])
+        r = _reference_keep_sign(r)
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return [s for s in seq if s]
 
 
 def _reference_variations(seq, x: Fraction) -> int:
     signs = []
     for s in seq:
-        v = pr.evaluate(s, x)
+        v = reference_evaluate(s, x)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -131,9 +226,9 @@ def reference_isolate_positive(h):
     h = pr._primitive(h)
     exact: list[Fraction] = []
     while True:
-        if pr.degree(h) < 1:
+        if len(h) < 2:
             return h, exact, []
-        seq = pr.sturm_sequence(h)
+        seq = reference_sturm_sequence(h)
         bound = pr.cauchy_bound(h)
         total = _reference_count(seq, Fraction(0), bound)
         intervals: list[tuple[Fraction, Fraction]] = []
@@ -147,9 +242,9 @@ def reference_isolate_positive(h):
                 intervals.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
-            if pr.evaluate(h, mid) == 0:
+            if reference_evaluate(h, mid) == 0:
                 exact.append(mid)
-                h, _ = pr.divmod_exact(h, [-mid, Fraction(1)])
+                h, _ = reference_divmod_exact(h, [-mid, Fraction(1)])
                 h = pr._primitive(h)
                 restart = True
                 break
@@ -163,10 +258,10 @@ def reference_isolate_positive(h):
 def reference_refine(h, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Sign bisection of an isolating interval down to ``width``; an exact
     midpoint hit collapses it."""
-    flo = pr.evaluate(h, lo)
+    flo = reference_evaluate(h, lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fmid = pr.evaluate(h, mid)
+        fmid = reference_evaluate(h, mid)
         if fmid == 0:
             return mid, mid
         if (fmid > 0) == (flo > 0):
@@ -177,18 +272,18 @@ def reference_refine(h, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fr
 
 
 def reference_positive_roots(p) -> list[pr.RootRecord]:
-    """``positive_roots`` with the Fraction isolation, refinement and
-    rational candidate."""
-    p = pr.strip(p)
+    """``positive_roots`` with the Fraction decomposition, isolation,
+    bisection and rational candidate."""
+    p = reference_strip(p)
     while p and p[0] == 0:
         p = p[1:]
     records = []
-    for factor, mult in pr.square_free_decomposition(p):
+    for factor, mult in reference_square_free_decomposition(p):
         residual, exact, intervals = reference_isolate_positive(factor)
         records += [pr.RootRecord(r, r, r, mult) for r in exact]
         lead = residual[-1]
         for lo, hi in intervals:
-            lo, hi = reference_refine(residual, lo, hi, pr._WIDTH)
+            lo, hi = reference_refine(residual, lo, hi, REFERENCE_WIDTH)
             report = lo, hi
             lo, hi = reference_refine(residual, lo, hi, Fraction(1, lead))
             # Gauss's lemma: a rational root is m / lead, and (lo, hi] holds
@@ -196,7 +291,7 @@ def reference_positive_roots(p) -> list[pr.RootRecord]:
             x = Fraction(math.floor(lead * hi), lead)
             if lo == hi:
                 records.append(pr.RootRecord(lo, lo, lo, mult))
-            elif lo < x and pr.evaluate(residual, x) == 0:
+            elif lo < x and reference_evaluate(residual, x) == 0:
                 records.append(pr.RootRecord(x, x, x, mult))
             else:
                 records.append(pr.RootRecord(None, *report, mult))

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from signedlap import _kernels, cli, crossing, discriminants, graph, spectral, stability
+from signedlap import ensemble as ens
 
 from conftest import kn_with_reds, triangle_chain
 
@@ -522,6 +523,74 @@ def test_ensemble_run(tmp_path, capsys):
     cli.main(["ensemble", "--input", str(cfg_path), "--output", str(csv2)])
     capsys.readouterr()
     assert csv2.read_bytes() == csv_path.read_bytes()
+
+
+def _list_summary(records) -> dict:
+    """The summary by grouping a full record list per M: the route the CLI
+    took before it streamed, kept as the oracle for the streamed fold."""
+    by_m = {}
+    for rec in records:
+        by_m.setdefault(rec.m, []).append(rec)
+    per_m = {}
+    for m in sorted(by_m):
+        recs = by_m[m]
+        connected = [r for r in recs if r.gplus_connected]
+        cond = [r.log10_gap for r in connected if not r.delta_zero]
+        hist = {"all": [0] * ens._HIST_BINS}
+        for r in recs:
+            if r.log10_gap is not None:
+                b = ens._hist_bin(r.log10_gap)
+                hist["all"][b] += 1
+                hist.setdefault(r.class_label, [0] * ens._HIST_BINS)[b] += 1
+        mean = sum(cond) / len(cond) if cond else None
+        per_m[str(m)] = {
+            "samples": len(recs),
+            "p_gplus_disconnected": sum(1 for r in recs if not r.gplus_connected) / len(recs),
+            "p_delta_zero_given_connected": (
+                sum(1 for r in connected if r.delta_zero) / len(connected) if connected else None
+            ),
+            "log10_gap_mean": mean,
+            "log10_gap_std": math.sqrt(sum((x - mean) ** 2 for x in cond) / len(cond)) if cond else None,
+            "histograms": {k: hist[k] for k in sorted(hist)},
+        }
+    return {"per_m": per_m}
+
+
+@pytest.mark.parametrize("chunk", [ens._CHUNK, 7])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"N": 9, "M": [12, 20, 15], "samples": 60, "seed": 5},
+        # G(N, p): the edge count, and so the summary key, varies per sample
+        {"N": 8, "M": [10, 11], "samples": 50, "seed": 9, "model": "gnp", "p": 0.45},
+    ],
+)
+def test_streamed_ensemble_matches_the_list_path_byte_for_byte(tmp_path, capsys, monkeypatch, cfg, chunk):
+    monkeypatch.setattr(ens, "_CHUNK", chunk)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(tmp_path / "s.csv")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    records = ens.generate_records(ens.config_from_dict(cfg))
+    ens.write_csv(records, tmp_path / "l.csv")
+    ens.write_summary(_list_summary(records), tmp_path / "l.summary.json")
+    assert out["records"] == len(records) == len(cfg["M"]) * cfg["samples"]
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "l.csv").read_bytes()
+    assert (tmp_path / "s.summary.json").read_bytes() == (tmp_path / "l.summary.json").read_bytes()
+    assert len(_list_summary(records)["per_m"]) >= len(cfg["M"])
+
+
+def test_ensemble_records_stream_in_chunks(monkeypatch):
+    cfg = ens.config_from_dict({"N": 8, "M": [10, 12], "samples": 6, "seed": 3})
+    computed = []
+    compute = ens.compute_record
+    monkeypatch.setattr(ens, "compute_record", lambda *args: computed.append(args) or compute(*args))
+    monkeypatch.setattr(ens, "_CHUNK", 5)
+    records = ens.iter_records(cfg)
+    next(records)
+    assert len(computed) == 5  # one chunk, not all 12 samples
+    assert [r.sample_id for r in records] == [1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5]
+    assert len(computed) == 12
 
 
 def test_ensemble_invalid_samples(tmp_path, capsys):

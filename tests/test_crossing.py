@@ -22,7 +22,7 @@ from signedlap import (
 )
 from signedlap import _kernels
 from signedlap.crossing import bits_to_mask, mask_to_bits
-from signedlap.graph import red_subset_is_forest
+from signedlap.graph import component_counts, red_subset_is_forest
 
 from conftest import (
     k4_disjoint,
@@ -355,3 +355,20 @@ def test_interpolated_ray_polynomial_guards():
     with pytest.raises(InputError, match="connected graph"):
         graph_ray_polynomial(swg(3, [(0, 1, 1)]), [])
 
+
+
+def test_ray_polynomials_are_real_rooted():
+    # Q + L_red(alpha) is positive definite on a connected graph, so every
+    # root of det(Q - t L_red(alpha)) is real: with the zero root of
+    # multiplicity c(G+) - 1 and degree N - c(G-), the positive roots,
+    # counted with multiplicity, are N - c(G-) - c(G+) + 1
+    rng = random.Random(411)
+    disconnected = 0
+    for _ in range(200):
+        g = random_connected_graph(rng, n_min=3, n_max=9, extra_max=6, red_choices=range(1, 7), num_max=99, den_max=9)
+        _, c_plus, c_minus = component_counts(g)
+        disconnected += c_plus > 1
+        alpha = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(g.red_count)]
+        roots = graph_ray_crossings(g, alpha).roots
+        assert sum(r.multiplicity for r in roots) == g.n - c_minus - c_plus + 1, g
+    assert 50 <= disconnected <= 150

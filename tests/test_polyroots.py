@@ -5,15 +5,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from signedlap.crossing import crossing_polynomial, ray_polynomial
+from signedlap.crossing import crossing_polynomial, graph_ray_polynomial, ray_polynomial
 from signedlap.errors import InputError
 from signedlap import polyroots as pr
 
 from conftest import (
     random_connected_graph,
+    reference_divmod_exact,
     reference_isolate_positive,
+    reference_poly_gcd,
     reference_positive_roots,
     reference_refine,
+    reference_square_free_decomposition,
+    reference_sturm_sequence,
 )
 
 
@@ -33,16 +37,18 @@ def test_divmod_exact_roundtrip():
         p, q = pr.strip(p), pr.strip(q)
         if not q:
             continue
-        quo, rem = pr.divmod_exact(p, q)
-        recon = [a + b for a, b in pr._padded(pr.multiply(quo, q), rem)]
+        quo, rem = reference_divmod_exact(p, q)
+        assert len(rem) < len(q)
+        prod = pr.multiply(quo, q)
+        recon = [a + b for a, b in zip(prod + [F(0)] * len(p), rem + [F(0)] * len(p))]
         assert pr.strip(recon) == p
 
 
 def test_poly_gcd_known():
     p = _poly_from_roots([(1, 2), (F(-2), 1)])
     q = _poly_from_roots([(1, 1), (3, 1)])
-    g = pr.poly_gcd(p, q)
-    assert g == [F(-1), F(1)]  # t - 1
+    g = reference_poly_gcd(p, q)
+    assert g == [-1, 1]  # t - 1
 
 
 def test_square_free_decomposition_known():
@@ -63,6 +69,38 @@ def test_sturm_counts():
     assert pr.count_roots_halfopen(seq, F(0), F(1)) == 1
     assert pr.count_roots_halfopen(seq, F(1), F(10)) == 1
     assert pr.count_roots_halfopen(seq, F(4), F(10)) == 0
+
+
+def test_integer_remainders_match_the_fraction_reference():
+    # rational and integer coefficients, leads of either sign, products of
+    # repeated linear and quadratic factors (non-constant gcd(p, p')),
+    # random polynomials (constant gcd, almost surely) and sparse ones, whose
+    # remainders drop more than one degree: an odd number of pseudo-division
+    # steps by a negative-leading divisor
+    rng = random.Random(410)
+    multiple = constant_gcd = 0
+    for case in range(150):
+        if case % 3 == 0:
+            p = [_random_coefficient(rng, case % 2 == 1) for _ in range(rng.randint(1, 9))]
+            p = pr.strip(p + [_random_coefficient(rng, case % 2 == 1) or F(1)])
+        elif case % 3 == 1:
+            p = [F(rng.choice([0, 0, rng.randint(-30, 30)])) for _ in range(rng.randint(2, 10))]
+            p = pr.strip(p + [F(rng.choice([-3, -1, 1, 2]))])
+        else:
+            p = [F(rng.choice([-7, -2, -1, 1, 3]), rng.randint(1, 9))]
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.6:
+                    factor = [F(rng.randint(-40, 40), rng.randint(1, 15)), F(rng.randint(1, 5))]
+                else:
+                    factor = [F(rng.randint(-50, 50), rng.randint(1, 7)), F(rng.randint(-3, 3)), F(1)]
+                for _ in range(rng.randint(1, 3)):
+                    p = pr.multiply(p, factor)
+        seq = pr.sturm_sequence(p)
+        assert seq == reference_sturm_sequence(p), p
+        assert pr.square_free_decomposition(p) == reference_square_free_decomposition(p), p
+        multiple += len(seq[-1]) > 1
+        constant_gcd += len(seq[-1]) == 1 and len(p) > 2
+    assert multiple >= 40 and constant_gcd >= 40
 
 
 def test_positive_roots_rational_detection():
@@ -141,7 +179,7 @@ def _random_coefficient(rng, rational):
 def _same_isolation(factor):
     """The integer isolation of a square-free factor, as Fractions, equals the
     reference's: residual, midpoint roots in the order found, intervals."""
-    iso = pr._isolate_positive(factor)
+    iso = pr._isolate_positive(pr.sturm_sequence(factor))
     intervals = [(iso.at(lo, k), iso.at(hi, k)) for lo, hi, k in iso.intervals]
     got = (iso.residual, iso.roots, intervals)
     assert got == reference_isolate_positive(factor), factor
@@ -293,7 +331,7 @@ def test_gauss_candidate_outside_the_interval_is_not_reported():
     # the root 1/3 just below it
     p = pr.multiply([F(-1), F(3)], [F(-1), F(0), F(7)])
     (factor, _), = pr.square_free_decomposition(p)
-    assert pr._isolate_positive(factor).roots == []
+    assert pr._isolate_positive(pr.sturm_sequence(factor)).roots == []
     r, s = _same_as_reference(p)
     assert r.value == F(1, 3)
     assert s.value is None and s.lo**2 < F(1, 7) < s.hi**2
@@ -311,3 +349,56 @@ def test_integer_pipeline_matches_reference_on_ray_polynomials():
         found += len(_same_as_reference(ray_polynomial(p, alpha)))
     assert found >= 24
 
+
+
+# ---------------------------------------------------------------------------
+# Quadratic interval refinement: the work per root
+
+
+def _refinement_evaluations(p, monkeypatch):
+    """Residual sign evaluations spent refining each isolating interval of
+    the square-free p to the 1e-30 report width, and the irrational roots
+    found there."""
+    (factor, _), = pr.square_free_decomposition(p)
+    iso = pr._isolate_positive(pr.sturm_sequence(factor))
+    counts = []
+    for lo, hi, k in iso.intervals:
+        calls = []
+        value = pr._dyadic_value
+        monkeypatch.setattr(pr, "_dyadic_value", lambda *args: calls.append(1) or value(*args))
+        lo, hi, k = pr._refine(iso, lo, hi, k, pr._WIDTH)
+        monkeypatch.undo()
+        assert lo < hi and iso.at(hi, k) - iso.at(lo, k) <= pr._WIDTH
+        counts.append(len(calls))
+    return counts
+
+
+def test_refinement_takes_few_sign_evaluations_per_root(monkeypatch):
+    # one bisection step per bit would take about 102 evaluations for
+    # sqrt(3/2), with Cauchy bound 5/2, and about 110 for the ray roots
+    (count,) = _refinement_evaluations([F(-3), F(0), F(2)], monkeypatch)
+    assert count <= 40
+    rng = random.Random(59)
+    g = random_connected_graph(
+        rng, n_min=9, n_max=12, extra_max=12, red_choices=range(8, 14), num_max=10**4, den_max=99
+    )
+    alpha = [F(rng.randint(1, 99), rng.randint(1, 20)) for _ in range(g.red_count)]
+    q = graph_ray_polynomial(g, alpha)
+    assert pr.degree(q) == 8 and max(len(str(abs(c))) for c in pr._primitive(q)) >= 40
+    counts = _refinement_evaluations(q, monkeypatch)
+    assert len(counts) == 8 and max(counts) <= 40
+    assert _same_as_reference(q) and all(r.value is None for r in pr.positive_roots(q))
+
+
+def test_integer_pipeline_matches_reference_on_200_digit_coefficients():
+    # 200-digit leads: every irrational root is refined past 1e-30 down to
+    # 1 / lead, about 660 more bits, for its rational candidate
+    rng = random.Random(6)
+    found = 0
+    for _ in range(10):
+        p = [F(rng.randint(-10**200, 10**200)) for _ in range(rng.randint(3, 11))]
+        found += len(_same_as_reference(p))
+    p = pr.multiply([F(-(10**199 + 7)), F(3 * 10**199 + 1)], [F(-2), F(0), F(10**200 + 3)])
+    roots = _same_as_reference(p)
+    assert [r.value for r in roots if r.value is not None] == [F(10**199 + 7, 3 * 10**199 + 1)]
+    assert found + len(roots) >= 10
