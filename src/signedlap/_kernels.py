@@ -1,9 +1,12 @@
 """Integer kernels: exact determinants, BFS distances, component counts.
 
 All three are plain Python over Python ints and adjacency lists.  On the
-matrix sizes this package meets (minors of a few to a few dozen rows) the
+matrix sizes ``det_int`` meets (minors of a few to a few dozen rows) the
 fraction-free elimination over Python ints is faster than an int64 numpy
 elimination, needs no overflow guard and is exact for any entry size.
+``det_int`` is the general elimination, with row swaps; the symmetric
+eliminations of ``inertia``, the bordered core and the ray run on
+``spectral._schur`` instead.
 """
 
 from __future__ import annotations
@@ -16,20 +19,20 @@ def backend() -> str:
     return "python"
 
 
-def det_int(rows, prev: int = 1) -> int:
+def det_int(rows) -> int:
     """Exact determinant of a square integer matrix (sequence of rows).
 
     Fraction-free (Bareiss) elimination with row swaps on zero pivots; every
-    division by the previous pivot is exact.  ``prev`` resumes an elimination
-    already begun: when ``rows`` is what is left of a larger matrix after
-    Bareiss steps whose last pivot was ``prev``, the result is the
-    determinant of that larger matrix.
+    division by the previous pivot is exact.  This general elimination
+    serves ``spectral.det_rational`` and the bordered minors of more than
+    one row; inertia and the ray's determinants go through
+    ``spectral._pivots``.
     """
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:
-        return prev
-    sign = 1
+        return 1
+    sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for r in range(k + 1, n):

@@ -42,11 +42,11 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Sequence
 
-from . import _kernels, polyroots
+from . import polyroots
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, component_counts, is_connected
 from .polyroots import RootRecord
-from .spectral import _bordered_minors, _eliminate, _principal_minors
+from .spectral import _bordered_minors, _eliminate, _pivots, _principal_minors
 
 MAX_RED_DEFAULT = 20
 
@@ -129,32 +129,32 @@ def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) 
     R > max_red (2^R blow-up guard).
 
     The black weights are scaled to integers by the lcm L of their
-    denominators and ``_eliminate`` runs over the N - 1 rows of Q.  When it
-    skips none (A_empty > 0), the rows left are -K, K the transfer-current
-    matrix, and ``_principal_minors`` gives every A_I * L^(N-1-|I|) from
-    one subset recursion of fraction-free Schur updates, never visiting a
-    superset of a cyclic red set.  When it skips rows (A_empty = 0), they
-    border every minor and have a zero diagonal, so no pivot order starts
-    the recursion: each forest subset I with at least as many red edges as
-    skipped rows is read off as its own minor by ``_bordered_minors``, the
-    forests from a depth-first walk that never extends a cyclic set.  A
-    negative A_I is a fault (``require_nonnegative``, lowest mask first).
+    denominators and ``_eliminate`` runs once over the N - 1 rows of Q.
+    When it moves no zero row (A_empty > 0), the upper triangle left is -K,
+    K the transfer-current matrix, and ``_principal_minors`` gives every
+    A_I * L^(N-1-|I|) from one subset recursion of fraction-free Schur
+    updates, never visiting a superset of a cyclic red set.  When it moves
+    rows (A_empty = 0), they border every minor and have a zero diagonal, so
+    no pivot order starts the recursion: each forest subset I with at least
+    as many red edges as moved rows is read off the same elimination as its
+    own minor by ``_bordered_minors``, the forests from a depth-first walk
+    that never extends a cyclic set.  A negative A_I is a fault
+    (``require_nonnegative``, lowest mask first).
     """
     reds = [(u, v) for u, v, _ in g.red_edges]
     r = len(reds)
     if r > max_red:
         raise InputError(f"{r} red edges exceeds the 2^R guard (max_red={max_red})")
-    blacks = g.black_edges
-    scale = lcm(*(w.denominator for _, _, w in blacks))
-    black = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in blacks]
-    rows, skipped, d = _eliminate(g.n, black, reds, g.n - 1)
-    if skipped:
-        forests = [s for s in _red_forests(g.n, reds) if len(s) >= len(skipped)]
+    scale, black = g._black_ints
+    elim = _eliminate(g.n, black, reds, g.n - 1)
+    upper, moved, d = elim
+    if moved:
+        forests = [s for s in _red_forests(g.n, reds) if len(s) >= moved]
         values = [0] * (1 << r)
-        for s, x in zip(forests, _bordered_minors(g.n, black, reds, [(s, s) for s in forests])):
+        for s, x in zip(forests, _bordered_minors(elim, [(s, s) for s in forests])):
             values[sum(1 << i for i in s)] = x
     else:
-        values = _principal_minors([[-x for x in row] for row in rows], d)
+        values = _principal_minors([[-x for x in row] for row in upper], d)
     powers = [scale ** (g.n - 1 - k) for k in range(g.n)]
     zero = Fraction(0)
     coeffs = []
@@ -268,9 +268,11 @@ def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> l
     touches, depend on s.  ``_eliminate`` pivots once over the other
     vertices, ordered first: every edge at them is black and the graph is
     connected, so no pivot is zero.  Bareiss leaves S - s*prev*Lr over T,
-    with S the black rows left, prev the last pivot and Lr the red
-    Laplacian with weights L*alpha_i, and ``det_int`` resumed from prev
-    gives P(s) from at most |T| <= min(N - 1, 2R) rows.
+    with S the black upper triangle left, prev the last pivot and Lr the
+    red Laplacian with weights L*alpha_i.  ``_pivots`` resumed from prev
+    finishes the same symmetric elimination over at most
+    |T| <= min(N - 1, 2R) rows: P(s) is its last pivot, or 0 when it drops
+    a zero row.
 
     P has degree d = N - c(G-) <= R.  It is evaluated at s = 0..d; its
     forward differences at 0 are its integer coefficients in the binomial
@@ -284,26 +286,28 @@ def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> l
     c_all, c_plus, c_minus = component_counts(g)
     if c_all != 1:
         raise InputError("the ray polynomial requires a connected graph")
-    reds, blacks = g.red_edges, g.black_edges
+    reds = g.red_edges
     alpha = _ray_direction(len(reds), alpha)
-    scale = lcm(*(w.denominator for _, _, w in blacks), *(a.denominator for a in alpha))
+    black_scale, black_ints = g._black_ints
+    scale = lcm(black_scale, *(a.denominator for a in alpha))
     touched = {x for u, v, _ in reds for x in (u, v)} - {0}
     at = {v: i for i, v in enumerate([v for v in range(g.n) if v not in touched] + sorted(touched))}
-    black = [(*sorted((at[u], at[v])), w.numerator * (scale // w.denominator)) for u, v, w in blacks]
-    rows, _, prev = _eliminate(g.n, black, (), g.n - 1 - len(touched))
+    black = [(*sorted((at[u], at[v])), w * (scale // black_scale)) for u, v, w in black_ints]
+    upper, _, prev = _eliminate(g.n, black, (), g.n - 1 - len(touched))
     base = g.n - len(touched)
-    red = [[0] * len(rows) for _ in rows]
+    red = [[0] * len(row) for row in upper]
     for (u, v, _), a in zip(reds, alpha):
         w = a.numerator * (scale // a.denominator) * prev
         incidence = [(at[x] - base, sign) for x, sign in ((u, 1), (v, -1)) if x]  # over T
         for i, x in incidence:
             for j, y in incidence:
-                red[i][j] += x * y * w
+                if i <= j:
+                    red[i][j - i] += x * y * w
     d = g.n - c_minus
-    values = [
-        _kernels.det_int([[x - s * y for x, y in zip(rb, rr)] for rb, rr in zip(rows, red)], prev)
-        for s in range(d + 1)
-    ]
+    values = []
+    for s in range(d + 1):
+        pivots, nullity = _pivots([[x - s * y for x, y in zip(rb, rr)] for rb, rr in zip(upper, red)], prev)
+        values.append(0 if nullity else pivots[-1] if pivots else prev)
     diffs = []
     for _ in range(d + 1):
         diffs.append(values[0])

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .crossing import CrossingPolynomial, require_nonnegative
 from .errors import InputError
-from .graph import SignedWeightedGraph, component_counts, minor_with_info, red_subset_is_forest, two_forests
+from .graph import SignedWeightedGraph, _is_int, component_counts, minor_with_info, red_subset_is_forest, two_forests
 from .spectral import _as_rows, _graph_minors, det_rational
 
 
@@ -153,6 +153,14 @@ def _forest_dual(g: SignedWeightedGraph) -> Fraction:
     return _disc_minors(g)[1]
 
 
+def _check_indices(indices, n: int):
+    for i in indices:
+        if not _is_int(i):
+            raise InputError(f"index {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise InputError(f"index {i} out of range 0..{n - 1}")
+
+
 def laplacian_minor(m, rows_removed: Sequence[int], cols_removed: Sequence[int]) -> Fraction:
     """Exact determinant of the matrix with the given rows and columns removed."""
     rows = _as_rows(m)
@@ -162,9 +170,7 @@ def laplacian_minor(m, rows_removed: Sequence[int], cols_removed: Sequence[int])
         raise InputError("removed index sets contain duplicates")
     if len(rset) != len(cset):
         raise InputError("must remove equally many rows and columns")
-    for i in rset | cset:
-        if not 0 <= i < n:
-            raise InputError(f"index {i} out of range 0..{n - 1}")
+    _check_indices(rset | cset, n)
     keep_r = [i for i in range(n) if i not in rset]
     keep_c = [j for j in range(n) if j not in cset]
     return det_rational([[rows[i][j] for j in keep_c] for i in keep_r])
@@ -180,9 +186,7 @@ def dodgson_identity_holds(m, i: int, j: int, k: int, l: int) -> bool:
     n = len(rows)
     if i == j or k == l:
         raise InputError("need two distinct rows and two distinct columns")
-    for idx in (i, j, k, l):
-        if not 0 <= idx < n:
-            raise InputError(f"index {idx} out of range 0..{n - 1}")
+    _check_indices((i, j, k, l), n)
     i, j = sorted((i, j))  # the identity is stated for ordered index pairs
     k, l = sorted((k, l))
     full = det_rational(rows)

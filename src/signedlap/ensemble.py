@@ -25,7 +25,7 @@ from . import _kernels
 from .discriminants import _R2_MINORS, _gap_and_log
 from .errors import InputError
 from .graph import SignedWeightedGraph
-from .spectral import _bordered_minors
+from .spectral import _bordered_minors, _eliminate
 
 _HIST_LO = -10.0
 _HIST_HI = 10.0
@@ -206,7 +206,7 @@ def compute_record(cfg: EnsembleConfig, m: int, index: int) -> EnsembleRecord:
     black_pairs = [e for i, e in enumerate(edges) if i not in (r1, r2)]
     n = cfg.n
     black = [(u, v, 1) for u, v in black_pairs]
-    a00, ax, ay, axy = _bordered_minors(n, black, (red1, red2), _R2_MINORS)
+    a00, ax, ay, axy = _bordered_minors(_eliminate(n, black, (red1, red2), n - 1), _R2_MINORS)
     delta = axy * a00 - ax * ay
     gplus_connected = a00 != 0
     if not gplus_connected:

@@ -50,7 +50,7 @@ class SignedWeightedGraph:
     """Immutable simple graph on vertices 0..n-1 with signed rational weights.
 
     The edges are classified by sign once, on construction; the component
-    counts are computed once, on first use.
+    counts and the integer black weights are computed once, on first use.
     """
 
     n: int
@@ -108,6 +108,13 @@ class SignedWeightedGraph:
             full.union(u, v)
             minus.union(u, v)
         return full.count, plus.count, minus.count
+
+    @cached_property
+    def _black_ints(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """The lcm L of the black-weight denominators and the black edges
+        (u, v, L*w), whose weights are then positive integers."""
+        scale = math.lcm(*(w.denominator for _, _, w in self.black_edges))
+        return scale, tuple((u, v, w.numerator * (scale // w.denominator)) for u, v, w in self.black_edges)
 
     @property
     def red_count(self) -> int:

@@ -7,6 +7,15 @@ matrix whose kernel contains the all-ones vector.  The spectral index is the
 triple (n_minus, n_zero, n_plus).  Inertia, determinants and the bordered
 elimination are fraction-free (Bareiss) on Python ints; only
 ``eigenvalues`` uses floats.
+
+Every exact symmetric elimination is one step, ``_schur``, a Bareiss update
+of an upper triangle, run by two loops: ``_pivots`` runs it to the end,
+with a unimodular congruence for a zero pivot (``inertia``, and the ray's
+determinants in ``crossing``), and ``_eliminate`` runs it over the grounded
+black Laplacian of the bordered matrix, moving each zero row past the red
+columns; ``_principal_minors`` recurses on what it leaves.  The general
+``_kernels.det_int`` is left for ``det_rational`` and the bordered minors of
+more than one row.
 """
 
 from __future__ import annotations
@@ -58,9 +67,14 @@ class LaplacianMatrix:
 
 
 def _as_rows(m) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of a square matrix as Fractions; any other shape is an
+    InputError."""
     if isinstance(m, LaplacianMatrix):
         return m.rows
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+    rows = tuple(tuple(Fraction(x) for x in row) for row in m)
+    if any(len(row) != len(rows) for row in rows):
+        raise InputError("matrix must be square")
+    return rows
 
 
 def laplacian(g: SignedWeightedGraph, t: Sequence[Fraction] | None = None) -> LaplacianMatrix:
@@ -115,44 +129,18 @@ def inertia(m) -> SpectralIndex:
     """Exact inertia by one fraction-free symmetric elimination (Sylvester).
 
     The entries are scaled by the lcm of their denominators, a positive
-    scale.  Bareiss elimination then pivots on the first nonzero remaining
-    diagonal entry; its pivots p_k are leading principal minors, so each
-    contributes the eigenvalue sign of p_k * p_(k-1) (Jacobi).  When every
-    remaining diagonal entry is zero but some a_pq is not, row and column q
-    are added to row and column p, which makes a_pp = 2 a_pq: a unimodular
-    congruence, so the inertia is unchanged and every division stays exact.
-    What is left when nothing nonzero remains is the kernel.  No fractions
-    and no floating point anywhere.
+    scale, and ``_pivots`` eliminates the upper triangle in integers.  Its
+    pivots p_k are nested principal minors of a unimodular congruent
+    matrix, so each contributes the eigenvalue sign of p_k * p_(k-1)
+    (Jacobi); every dropped zero row is one kernel vector.  No fractions and
+    no floating point anywhere.
     """
     rows = m.rows if isinstance(m, LaplacianMatrix) else LaplacianMatrix(m).rows
     scale = lcm(*(x.denominator for row in rows for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    n_minus = n_plus = 0
-    prev = 1
-    while a:
-        k = next((i for i, row in enumerate(a) if row[i]), None)
-        if k is None:
-            pair = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), None)
-            if pair is None:
-                break
-            k, q = pair
-            a[k] = [x + y for x, y in zip(a[k], a[q])]
-            for row in a:
-                row[k] += row[q]
-        pivot_row = a.pop(k)
-        pk = pivot_row.pop(k)
-        if (pk > 0) == (prev > 0):
-            n_plus += 1
-        else:
-            n_minus += 1
-        for row in a:
-            f = row.pop(k)
-            if f:
-                row[:] = [(x * pk - f * y) // prev for x, y in zip(row, pivot_row)]
-            elif pk != prev:
-                row[:] = [x * pk // prev for x in row]
-        prev = pk
-    return SpectralIndex(n_minus, len(a), n_plus)
+    upper = [[x.numerator * (scale // x.denominator) for x in row[i:]] for i, row in enumerate(rows)]
+    pivots, nullity = _pivots(upper)
+    n_plus = sum((p > 0) == (prev > 0) for p, prev in zip(pivots, [1] + pivots))
+    return SpectralIndex(len(pivots) - n_plus, nullity, n_plus)
 
 
 def det_rational(rows) -> Fraction:
@@ -191,21 +179,74 @@ def tree_sum(g: SignedWeightedGraph, t: Sequence[Fraction] | None = None) -> Fra
     return -d if (n - 1) % 2 else d
 
 
+def _schur(upper, prev: int):
+    """One Bareiss step on a symmetric integer matrix held as its upper
+    triangle (row i from the diagonal on), pivoting on entry (0, 0).
+
+    When the entries are prev times a Schur complement, so is the upper
+    triangle returned, now with the pivot as prev: each entry
+    (p a_ij - a_0i a_0j) / prev is exact by Sylvester's identity.  A row
+    with a_0i = 0 is only rescaled, and reused when p = prev.
+    """
+    pivot_row = upper[0]
+    pk = pivot_row[0]
+    out = []
+    for i in range(1, len(upper)):
+        f = pivot_row[i]
+        row = upper[i]
+        if f:
+            out.append([(x * pk - f * y) // prev for x, y in zip(row, pivot_row[i:])])
+        elif pk != prev:
+            out.append([x * pk // prev for x in row])
+        else:
+            out.append(row)
+    return out
+
+
+def _pivots(upper, prev: int = 1) -> tuple[list[int], int]:
+    """Every Bareiss pivot of a symmetric integer matrix held as its upper
+    triangle, resumed from ``prev`` as ``_schur`` leaves it, and the nullity.
+
+    An all-zero row is dropped as one kernel vector.  A zero pivot whose row
+    is not zero first takes s times row and column k, for the first k with
+    a_0k != 0 and the s = +-1 that makes the new a_00 = 2 s a_0k + a_kk
+    nonzero: a unimodular congruence, which keeps the inertia, the
+    determinant and every exact division.  With no row dropped the last
+    pivot is the determinant of the whole matrix the elimination began on.
+    """
+    pivots, nullity = [], 0
+    while upper:
+        row = upper[0]
+        if not row[0]:
+            k = next((k for k, x in enumerate(row) if x), None)
+            if k is None:
+                upper = upper[1:]
+                nullity += 1
+                continue
+            row_k = [upper[j][k - j] for j in range(k)] + upper[k]
+            s = 1 if 2 * row[k] + row_k[k] else -1
+            upper = [[2 * s * row[k] + row_k[k]] + [x + s * y for x, y in zip(row[1:], row_k[1:])]] + upper[1:]
+        pivots.append(upper[0][0])
+        upper = _schur(upper, prev)
+        prev = pivots[-1]
+    return pivots, nullity
+
+
 def _eliminate(n: int, black, reds, steps: int):
     """Fraction-free elimination of the first ``steps`` rows of the bordered
     matrix H = [[Q, B], [B^T, 0]].
 
     Q is the Laplacian of the ``black`` edges (u, v, w), u < v, w a positive
     integer, grounded at vertex 0 (row v - 1 is vertex v); column i of B is
-    e_u - e_v for ``reds[i]`` = (u, v) without its vertex-0 entry.  Bareiss
-    steps keep only upper triangles (every intermediate is symmetric).  Q is
-    positive semidefinite, so a zero pivot has a zero row within Q: it is
-    skipped, and its row only rescales.
+    e_u - e_v for ``reds[i]`` = (u, v) without its vertex-0 entry.  Every
+    step is one ``_schur`` on upper triangles.  Q is positive semidefinite,
+    so a zero pivot has a zero row within Q: that row moves past the red
+    columns, where it borders every minor, and later steps only rescale it.
 
-    Returns (rows, skipped, prev): the rows left, dense, which are the last
-    pivot taken times the Schur complement of the pivots; the skipped rows,
-    over the columns still to come; and the last pivot prev, the
-    determinant of Q over the pivots taken (1 if none).
+    Returns (upper, moved, prev): the upper triangle left, which is the last
+    pivot taken times the Schur complement of the pivots, over the rows not
+    yet reached, then the red columns, then the ``moved`` zero rows; and the
+    last pivot prev, the determinant of Q over the pivots taken (1 if none).
     """
     size = n - 1 + len(reds)
     upper = [[0] * (size - i) for i in range(size)]
@@ -219,59 +260,40 @@ def _eliminate(n: int, black, reds, steps: int):
             upper[u - 1][col - u + 1] = 1
         if v:
             upper[v - 1][col - v + 1] = -1
-    rows = upper
-    skipped = []
+    moved = 0
     prev = 1
     for _ in range(steps):
-        pivot_row = rows[0]
-        pk = pivot_row[0]
-        if pk == 0:
-            skipped = [row[1:] for row in skipped] + [pivot_row[1:]]
-            rows = rows[1:]
-            continue
-        nxt = []
-        for i in range(1, len(rows)):
-            f = pivot_row[i]
-            row = rows[i]
-            if f:
-                nxt.append([(x * pk - f * y) // prev for x, y in zip(row, pivot_row[i:])])
-            elif pk != prev:
-                nxt.append([x * pk // prev for x in row])
-            else:
-                nxt.append(row)
-        if skipped:
-            skipped = [[x * pk // prev for x in row[1:]] for row in skipped]
-        rows = nxt
-        prev = pk
-    return [[rows[min(i, j)][abs(i - j)] for j in range(len(rows))] for i in range(len(rows))], skipped, prev
+        pivot_row = upper[0]
+        if pivot_row[0]:
+            upper = _schur(upper, prev)
+            prev = pivot_row[0]
+        else:
+            upper = [row + [pivot_row[i]] for i, row in enumerate(upper[1:], 1)] + [[0]]
+            moved += 1
+    return upper, moved, prev
 
 
-def _bordered_minors(n: int, black, reds, index_pairs) -> list[int]:
+def _bordered_minors(elim, index_pairs) -> list[int]:
     """(-1)^|I| det H[Q+I, Q+J] for each pair (I, J) of equally long tuples
-    of red-column indices, with H, Q, B, ``black`` and ``reds`` as in
-    ``_eliminate``.  I = J gives the crossing coefficient A_I; I = (0,),
-    J = (1,) the signed 2-forest sum.
+    of red-column indices, with H and Q as in ``_eliminate``, read off
+    ``elim``, its elimination over the n - 1 rows of Q.  I = J gives the
+    crossing coefficient A_I; I = (0,), J = (1,) the signed 2-forest sum.
 
-    ``_eliminate`` runs over the n - 1 rows of Q.  With P the pivots taken,
-    d = det Q[P, P] (the last pivot) and Z the skipped rows (one per black
-    component past the first), Sylvester's identity turns each value into
-    the exact division det M[I+Z, J+Z] / d^(|I| + |Z| - 1) of a small minor
-    of the trailing block M over the red columns and Z.  When the black
-    subgraph is connected, Z is empty, d = A_empty and M = -K with
-    K = B^T adj(Q) B.
+    With P the pivots taken, d = det Q[P, P] (the last pivot) and Z the
+    moved rows (one per black component past the first), Sylvester's
+    identity turns each value into the exact division
+    det M[I+Z, J+Z] / d^(|I| + |Z| - 1) of a small minor of the trailing
+    block M over the red columns and Z.  When the black subgraph is
+    connected, Z is empty, d = A_empty and M = -K with K = B^T adj(Q) B.
     """
-    rows, skipped, prev = _eliminate(n, black, reds, n - 1)
-    # the trailing block: the red columns first, then the skipped rows
-    m = [row + [z[i] for z in skipped] for i, row in enumerate(rows)]
-    m += [row + [0] * len(skipped) for row in skipped]
-    border = tuple(range(len(rows), len(m)))
+    upper, moved, prev = elim
+    border = tuple(range(len(upper) - moved, len(upper)))
     out = []
     for rows_i, cols_j in index_pairs:
         keep_r, keep_c = rows_i + border, cols_j + border
-        if len(keep_r) > 1:
-            det = _kernels.det_int([[m[i][j] for j in keep_c] for i in keep_r])
-        else:  # read off: the ensemble asks for three such minors per sample
-            det = m[keep_r[0]][keep_c[0]] if keep_r else 1
+        sub = [[upper[min(i, j)][abs(i - j)] for j in keep_c] for i in keep_r]
+        # read off up to 1 x 1: the ensemble asks for three such minors per sample
+        det = _kernels.det_int(sub) if len(sub) > 1 else sub[0][0] if sub else 1
         value, rem = divmod((-1) ** len(rows_i) * det * prev, prev ** len(keep_r))
         if rem:
             raise InternalConsistencyError(
@@ -284,32 +306,27 @@ def _bordered_minors(n: int, black, reds, index_pairs) -> list[int]:
 def _principal_minors(k, d: int) -> list[int]:
     """det K[I, I] / d^(|I| - 1) for every subset I of the rows of K, by
     bitmask (d for I empty), with K the R x R transfer-current matrix
-    B^T adj(Q) B (the negated rows ``_eliminate`` leaves when it skips
-    none) and d = det Q.
+    B^T adj(Q) B held as its upper triangle (the negated rows ``_eliminate``
+    leaves when it moves none) and d = det Q.
 
     One depth-first recursion over the subsets in index order, the
     principal-minor algorithm of Griffin and Tsatsomeros in Bareiss form:
-    a node I holds its pivot p_I = det K[I, I] / d^(|I| - 1) and the block T
-    over the indices after max(I).  The child I + {j} reads its pivot
-    p_j = T_jj, and its block is (p_j T_ab - T_aj T_jb) / p_I, an exact
-    division (Sylvester's identity).  K / d is positive semidefinite, so a
-    zero pivot zeroes every superset: that subtree is never visited.
+    a node I holds its pivot p_I = det K[I, I] / d^(|I| - 1) and the upper
+    triangle T over the indices after max(I).  The child I + {j} reads its
+    pivot p_j = T_jj, and its block is ``_schur(T[j:], p_I)``.  K / d is
+    positive semidefinite, so a zero pivot zeroes every superset: that
+    subtree is never visited.
     """
     out = [0] * (1 << len(k))
     out[0] = d
-    stack = [(0, 0, d, [row[a:] for a, row in enumerate(k)])]  # upper triangles
+    stack = [(0, 0, d, k)]
     while stack:
         mask, first, p, upper = stack.pop()
-        for jpos, pivot_row in enumerate(upper):
-            pj = pivot_row[0]
-            child = mask | 1 << (first + jpos)
-            out[child] = pj
-            if pj and jpos + 1 < len(upper):
-                block = [
-                    [(pj * x - f * y) // p for x, y in zip(upper[a], pivot_row[a - jpos :])]
-                    for a, f in enumerate(pivot_row[1:], jpos + 1)
-                ]
-                stack.append((child, first + jpos + 1, pj, block))
+        for j, row in enumerate(upper):
+            child = mask | 1 << (first + j)
+            out[child] = row[0]
+            if row[0] and j + 1 < len(upper):
+                stack.append((child, first + j + 1, row[0], _schur(upper[j:], p)))
     return out
 
 
@@ -317,14 +334,9 @@ def _graph_minors(g: SignedWeightedGraph, reds, index_pairs) -> list[Fraction]:
     """``_bordered_minors`` of ``g``, its black weights scaled by the lcm L of
     their denominators; a value with |I| red columns has degree N - 1 - |I|
     in the weights, so it is divided by L^(N - 1 - |I|)."""
-    black = g.black_edges
-    scale = lcm(*(w.denominator for _, _, w in black)) if black else 1
-    scaled = [(u, v, int(w * scale)) for u, v, w in black]
-    values = _bordered_minors(g.n, scaled, reds, index_pairs)
-    return [
-        Fraction(x) / Fraction(scale) ** (g.n - 1 - len(rows_i))
-        for x, (rows_i, _) in zip(values, index_pairs)
-    ]
+    scale, black = g._black_ints
+    values = _bordered_minors(_eliminate(g.n, black, reds, g.n - 1), index_pairs)
+    return [Fraction(x, scale ** (g.n - 1 - len(rows_i))) for x, (rows_i, _) in zip(values, index_pairs)]
 
 
 def index_limits(g: SignedWeightedGraph) -> tuple[SpectralIndex, SpectralIndex]:

@@ -71,6 +71,23 @@ def minor_path_coefficients(g: SignedWeightedGraph) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def reference_det(rows):
+    """Cofactor expansion along the first row, independent of every
+    production elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        sub = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
+        total += (-1) ** j * rows[0][j] * reference_det(sub)
+    return total
+
+
 def reference_component_count(n, pairs) -> int:
     """Components of the graph on vertices 0..n-1 with edges ``pairs``, by
     union-find: a reference for ``_kernels.component_count`` and

@@ -92,22 +92,46 @@ def test_analyze_with_t(capsys, k4_file):
     assert len(out["eigenvalues"]) == 4
 
 
+# the alternating 4-cycle: its black subgraph has two components (A_empty = 0)
+C4_ALTERNATING = {
+    "n": 4,
+    "edges": [
+        {"u": 0, "v": 1, "w": "1"},
+        {"u": 2, "v": 3, "w": "1"},
+        {"u": 1, "v": 2, "w": "-1"},
+        {"u": 0, "v": 3, "w": "-1"},
+    ],
+}
+
+
 def test_analyze_with_t_on_a_zero_diagonal(capsys, tmp_path):
     # the alternating 4-cycle at t = (1, 1) has an all-zero diagonal, so the
     # first pivot of the exact inertia needs the congruence step
-    doc = {
-        "n": 4,
-        "edges": [
-            {"u": 0, "v": 1, "w": "1"},
-            {"u": 2, "v": 3, "w": "1"},
-            {"u": 1, "v": 2, "w": "-1"},
-            {"u": 0, "v": 3, "w": "-1"},
-        ],
-    }
-    path = _graph_file(tmp_path, "c4", doc)
+    path = _graph_file(tmp_path, "c4", C4_ALTERNATING)
     code, out = _run(capsys, ["analyze", "--input", path, "--t", "1,1"])
     assert code == 0
     assert out["index"] == [1, 2, 1]
+
+
+def test_coeffs_with_a_disconnected_black_subgraph_eliminates_once(monkeypatch, capsys, tmp_path):
+    # A_empty = 0: the forest subsets are read off the one elimination that
+    # crossing_polynomial ran, wherever _eliminate is looked up
+    path = _graph_file(tmp_path, "c4", C4_ALTERNATING)
+    real, calls = spectral._eliminate, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    holders = [
+        m for name, m in sys.modules.items() if name.startswith("signedlap") and getattr(m, "_eliminate", None) is real
+    ]
+    assert spectral in holders and crossing in holders
+    for module in holders:
+        monkeypatch.setattr(module, "_eliminate", counted)
+    code, out = _run(capsys, ["coeffs", "--input", path])
+    assert code == 0 and out == {"00": "0", "10": "1", "01": "1", "11": "2"}
+    assert len(calls) == 1
 
 
 def test_analyze_with_t_outside_float_range_is_input_error(capsys, tmp_path):
@@ -273,16 +297,16 @@ def test_factorize_and_crossings_past_the_2r_guard(capsys, tmp_path):
 
 
 def test_crossings_interpolation_fault_is_internal_fault(monkeypatch, capsys, k4_file):
-    # one corrupted determinant (P(1) read as 0) breaks the ray polynomial's
-    # sign and degree contract
-    real = _kernels.det_int
+    # one corrupted determinant (P(1) read as 0, a dropped zero row) breaks
+    # the ray polynomial's sign and degree contract
+    real = crossing._pivots
     calls = []
 
-    def corrupt(rows, prev=1):
-        calls.append(rows)
-        return 0 if len(calls) == 2 else real(rows, prev)
+    def corrupt(upper, prev):
+        calls.append(upper)
+        return ([], 1) if len(calls) == 2 else real(upper, prev)
 
-    monkeypatch.setattr(_kernels, "det_int", corrupt)
+    monkeypatch.setattr(crossing, "_pivots", corrupt)
     assert cli.main(["crossings", "--input", k4_file, "--ray", "1,1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "sign and degree contract" in captured.err

@@ -20,7 +20,7 @@ from signedlap import (
     spanning_trees,
     tree_sum,
 )
-from signedlap import _kernels
+from signedlap import _kernels, crossing
 from signedlap.crossing import bits_to_mask, mask_to_bits
 from signedlap.graph import component_counts, red_subset_is_forest
 
@@ -30,6 +30,7 @@ from conftest import (
     minor_path_coefficients,
     random_connected_graph,
     reference_bordered_coefficients,
+    reference_inertia,
     swg,
     triangle_chain,
 )
@@ -326,17 +327,43 @@ def test_interpolated_ray_polynomial_determinants_cover_only_red_touched_vertice
     edges = [(i, (i + 1) % 12, F(i + 1, 2)) for i in range(12)] + [(0, 6, F(3)), (2, 8, F(5, 3)), (4, 10, F(7))]
     edges += [(0, 5, F(-1)), (5, 9, F(-2))]
     g = swg(12, edges)
-    real, dims = _kernels.det_int, []
+    real, dims = crossing._pivots, []
 
-    def counted(rows, *prev):
-        dims.append(len(rows))
-        return real(rows, *prev)
+    def counted(upper, prev):
+        dims.append(len(upper))
+        return real(upper, prev)
 
-    monkeypatch.setattr(_kernels, "det_int", counted)
+    monkeypatch.setattr(crossing, "_pivots", counted)
     q = graph_ray_polynomial(g, [F(1), F(2, 3)])
     assert len(dims) == len(q) == 3 and max(dims) <= 3, dims
     monkeypatch.undo()
     assert q == ray_polynomial(crossing_polynomial(g), [F(1), F(2, 3)])
+
+
+def test_inertia_and_ray_polynomial_take_no_general_determinant(monkeypatch):
+    # both are symmetric eliminations: spectral._pivots alone, with the
+    # congruence step for a zero pivot instead of det_int's row swaps
+    rng = random.Random(97)
+    graphs = [k4_shared(), k4_disjoint(), triangle_chain(4)]
+    while len(graphs) < 40:
+        graphs.append(random_connected_graph(rng, n_min=3, n_max=8, extra_max=6, red_choices=range(1, 6)))
+    cases = []
+    for g in graphs:
+        alpha = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(g.red_count)]
+        roots = [r.value for r in graph_ray_crossings(g, alpha).roots if r.value is not None]
+        cases.append((g, alpha, [[x * a for a in alpha] for x in [F(0), F(1), *roots]]))
+    expected = [
+        (ray_polynomial(crossing_polynomial(g), alpha), [reference_inertia(laplacian(g, t)) for t in ts])
+        for g, alpha, ts in cases
+    ]
+    assert sum(idx.n_zero > 1 for _, inertias in expected for idx in inertias) >= 10
+
+    def forbidden(*args):
+        raise AssertionError("det_int called")
+
+    monkeypatch.setattr(_kernels, "det_int", forbidden)
+    got = [(graph_ray_polynomial(g, alpha), [inertia(laplacian(g, t)) for t in ts]) for g, alpha, ts in cases]
+    assert got == expected
 
 
 def test_interpolated_ray_polynomial_on_named_graphs():

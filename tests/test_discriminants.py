@@ -182,6 +182,23 @@ def test_dodgson_identity():
         dodgson_identity_holds(m, 0, 0, 0, 1)
 
 
+def test_minor_and_dodgson_reject_malformed_matrices_and_indices():
+    # a wide matrix is not cut to its leading square, a tall one is not an
+    # IndexError, and an index is an integer, not a float or a bool
+    for m in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
+        with pytest.raises(InputError, match="square"):
+            laplacian_minor(m, [], [])
+        with pytest.raises(InputError, match="square"):
+            dodgson_identity_holds(m, 0, 1, 0, 1)
+    m = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    for bad in (0.5, 1.0, True):
+        with pytest.raises(InputError, match="not an integer"):
+            laplacian_minor(m, [bad], [0])
+        with pytest.raises(InputError, match="not an integer"):
+            dodgson_identity_holds(m, 0, 2, bad, 2)
+    assert laplacian_minor(m, [1], [1]) == 4 and dodgson_identity_holds(m, 0, 2, 0, 2)
+
+
 def test_cycle_minor_k4():
     assert abs(cycle_basis_minor(k4_shared())) == 4
     assert cycle_basis_minor(k4_disjoint()) == 0

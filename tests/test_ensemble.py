@@ -15,7 +15,7 @@ from signedlap import (
 )
 from signedlap import _kernels, component_counts
 from signedlap import ensemble as ens
-from signedlap.spectral import _bordered_minors
+from signedlap.spectral import _bordered_minors, _eliminate
 
 from conftest import kn_with_reds, minor_path_coefficients, swg
 
@@ -83,8 +83,8 @@ def test_config_accepts_integral_numbers():
 def test_coefficients_match_minor_path(monkeypatch):
     # oracle: the per-mask minor path, on sparse (black subgraph
     # disconnected, A_empty = 0) up to complete graphs.  The determinant
-    # sizes tell the routes apart: the elimination skips one zero pivot per
-    # black component past the first, and the skipped rows border the small
+    # sizes tell the routes apart: the elimination moves one zero row per
+    # black component past the first, and the moved rows border the small
     # minors left after it, the largest being A_xy's.
     det_int = _kernels.det_int
     dims = []
@@ -105,13 +105,13 @@ def test_coefficients_match_minor_path(monkeypatch):
                 dims.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(_kernels, "det_int", counted)
-                    got = _bordered_minors(n, black, (red1, red2), ens._R2_MINORS)
+                    got = _bordered_minors(_eliminate(n, black, (red1, red2), n - 1), ens._R2_MINORS)
                 assert tuple(got) == expect
-                skipped = component_counts(g)[1] - 1
-                assert max(dims) == skipped + 2
-                assert (expect[0] != 0) == (skipped == 0)
-                seen.add((skipped == 0, bool(set(red1) & set(red2))))
-    # both routes ran (no pivot skipped, A_empty = 0), each on disjoint and
+                moved = component_counts(g)[1] - 1
+                assert max(dims) == moved + 2
+                assert (expect[0] != 0) == (moved == 0)
+                seen.add((moved == 0, bool(set(red1) & set(red2))))
+    # both routes ran (no row moved, A_empty = 0), each on disjoint and
     # on vertex-sharing red pairs
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 

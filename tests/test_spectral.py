@@ -1,5 +1,6 @@
 """Laplacian construction, exact inertia, eigenvalues, tree sum, limits."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,13 +22,14 @@ from signedlap import (
     spanning_trees,
     tree_sum,
 )
-from signedlap.spectral import LaplacianMatrix
+from signedlap.spectral import LaplacianMatrix, _pivots, _schur
 
 from conftest import (
     k4_disjoint,
     k4_shared,
     kn_with_reds,
     random_connected_graph,
+    reference_det,
     reference_inertia,
     swg,
     triangle_one_red,
@@ -162,6 +164,69 @@ def test_inertia_matches_reference_on_random_symmetric_matrices():
     for _ in range(1500):
         a = _random_symmetric(rng, rng.randint(0, 8))
         assert inertia(a) == reference_inertia(a), a
+
+
+def _int_symmetric(rng: random.Random, n: int) -> list[list[int]]:
+    a = _random_symmetric(rng, n)
+    scale = math.lcm(*(x.denominator for row in a for x in row))
+    return [[int(x * scale) for x in row] for row in a]
+
+
+def _upper(a):
+    return [list(row[i:]) for i, row in enumerate(a)]
+
+
+def _determinant(pivots, nullity, prev=1):
+    return 0 if nullity else pivots[-1] if pivots else prev
+
+
+def test_pivots_match_cofactor_determinant_and_reference_inertia():
+    # the last pivot is the determinant (0 once a zero row is dropped), and
+    # the signs of consecutive pivots are the inertia (Jacobi)
+    rng = random.Random(47)
+    seen = {"congruence": 0, "dropped": 0, "nonsingular": 0}
+    for _ in range(600):
+        a = _int_symmetric(rng, rng.randint(0, 6))
+        pivots, nullity = _pivots(_upper(a))
+        assert all(pivots) and len(pivots) + nullity == len(a)
+        assert _determinant(pivots, nullity) == reference_det(a), a
+        n_plus = sum((p > 0) == (q > 0) for p, q in zip(pivots, [1] + pivots))
+        assert SpectralIndex(len(pivots) - n_plus, nullity, n_plus) == reference_inertia(a), a
+        seen["congruence"] += bool(a) and not a[0][0] and any(a[0])
+        seen["dropped"] += nullity > 0
+        seen["nonsingular"] += nullity == 0
+    assert min(seen.values()) >= 50, seen
+
+
+def test_pivots_congruence_takes_minus_one_when_plus_one_leaves_a_zero_pivot():
+    # a_00 = 0 and 2 a_01 + a_11 = 0, so s = -1: the pivot is
+    # -2 a_01 + a_11 = -4, then (-4 * -2 - 3 * 3) / 1 = -1 = det
+    assert _pivots([[0, 1], [-2]]) == ([-4, -1], 0)
+    assert inertia([[0, 1], [1, -2]]) == reference_inertia([[0, 1], [1, -2]]) == SpectralIndex(1, 0, 1)
+    assert _pivots([[0, 1], [2]]) == ([4, -1], 0)  # s = +1
+    assert _pivots([[0, 0], [0]]) == ([], 2)
+
+
+def test_pivots_resumed_after_schur_steps():
+    # _pivots(rest, prev) of what ``steps`` _schur steps leave finishes the
+    # same elimination: its last pivot is the whole determinant, with the
+    # congruence step and dropped rows in the resumed part
+    rng = random.Random(113)
+    seen = {"resumed": 0, "congruence_after": 0, "singular": 0}
+    for _ in range(1500):
+        a = _int_symmetric(rng, rng.randint(1, 6))
+        upper, prev, steps = _upper(a), 1, 0
+        for _ in range(rng.randint(0, len(a))):
+            if not upper[0][0]:
+                break
+            upper, prev, steps = _schur(upper, prev), upper[0][0], steps + 1
+        assert len(upper) == len(a) - steps
+        whole = reference_det(a)
+        assert _determinant(*_pivots(upper, prev), prev) == whole, (a, steps)
+        seen["resumed"] += steps > 0
+        seen["congruence_after"] += steps > 0 and bool(upper) and not upper[0][0] and any(upper[0])
+        seen["singular"] += whole == 0
+    assert min(seen.values()) >= 20, seen
 
 
 def test_inertia_matches_reference_at_certificate_boundaries():
