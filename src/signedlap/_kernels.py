@@ -4,9 +4,9 @@ All three are plain Python over Python ints and adjacency lists.  On the
 matrix sizes ``det_int`` meets (minors of a few to a few dozen rows) the
 fraction-free elimination over Python ints is faster than an int64 numpy
 elimination, needs no overflow guard and is exact for any entry size.
-``det_int`` is the general elimination, with row swaps; the symmetric
-eliminations of ``inertia``, the bordered core and the ray run on
-``spectral._schur`` instead.
+``det_int`` is the general elimination, with row swaps, and serves
+``spectral.det_rational`` only; every symmetric elimination (``inertia``,
+the crossing core, the ray) runs on ``spectral._schur``.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ def det_int(rows) -> int:
     """Exact determinant of a square integer matrix (sequence of rows).
 
     Fraction-free (Bareiss) elimination with row swaps on zero pivots; every
-    division by the previous pivot is exact.  This general elimination
-    serves ``spectral.det_rational`` and the bordered minors of more than
-    one row; inertia and the ray's determinants go through
-    ``spectral._pivots``.
+    division by the previous pivot is exact.  It serves
+    ``spectral.det_rational`` only.
     """
     a = [list(r) for r in rows]
     n = len(a)

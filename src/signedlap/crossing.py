@@ -11,14 +11,15 @@ eigenvalue, so positive roots along rays are eigenvalue crossings.
 
 All A_I are principal minors of one bordered matrix H = [[Q, B], [B^T, 0]]
 (Q the grounded black Laplacian, B the red incidence columns), read off one
-fraction-free elimination (``spectral._eliminate``).  When the black
-subgraph is connected (A_empty > 0) the elimination leaves the
-transfer-current matrix K = B^T adj(Q) B, and ``crossing_polynomial``
-takes every A_I from one depth-first subset recursion over K
+fraction-free elimination (``spectral._eliminate``), which leaves the
+transfer-current matrix K = B^T adj(Q) B.  ``crossing_polynomial`` takes
+every A_I from a depth-first subset recursion over K
 (``spectral._principal_minors``): one fraction-free Schur update per
 forest subset, no determinant, and no visit to a superset of a cyclic red
-set.  When A_empty = 0 each forest subset is read off as its own minor
-(``spectral._bordered_minors``).
+set.  When the black subgraph is disconnected (A_empty = 0) Q is
+singular: ``spectral._bridged`` joins each of its other components to
+vertex 0 by a black edge of weight k, runs the recursion at
+k = 1..c(G+), and takes every A_I as the constant term in k.
 
 Along a ray t*alpha no coefficient is needed: by the matrix-tree theorem
 M(t*alpha) is the determinant of the grounded signed Laplacian, a
@@ -46,7 +47,7 @@ from . import polyroots
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, component_counts, is_connected
 from .polyroots import RootRecord
-from .spectral import _bordered_minors, _eliminate, _pivots, _principal_minors
+from .spectral import _bridged, _eliminate, _pivots, _principal_minors
 
 MAX_RED_DEFAULT = 20
 
@@ -130,16 +131,11 @@ def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) 
 
     The black weights are scaled to integers by the lcm L of their
     denominators and ``_eliminate`` runs once over the N - 1 rows of Q.
-    When it moves no zero row (A_empty > 0), the upper triangle left is -K,
-    K the transfer-current matrix, and ``_principal_minors`` gives every
-    A_I * L^(N-1-|I|) from one subset recursion of fraction-free Schur
-    updates, never visiting a superset of a cyclic red set.  When it moves
-    rows (A_empty = 0), they border every minor and have a zero diagonal, so
-    no pivot order starts the recursion: each forest subset I with at least
-    as many red edges as moved rows is read off the same elimination as its
-    own minor by ``_bordered_minors``, the forests from a depth-first walk
-    that never extends a cyclic set.  A negative A_I is a fault
-    (``require_nonnegative``, lowest mask first).
+    ``_principal_minors`` of K, the transfer-current matrix as ``_bridged``
+    reads it, gives every A_I * L^(N-1-|I|) from one subset recursion of
+    fraction-free Schur updates that never visits a superset of a cyclic
+    red set; with A_empty = 0, one recursion per bridging weight.  A
+    negative A_I is a fault (``require_nonnegative``, lowest mask first).
     """
     reds = [(u, v) for u, v, _ in g.red_edges]
     r = len(reds)
@@ -147,14 +143,7 @@ def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) 
         raise InputError(f"{r} red edges exceeds the 2^R guard (max_red={max_red})")
     scale, black = g._black_ints
     elim = _eliminate(g.n, black, reds, g.n - 1)
-    upper, moved, d = elim
-    if moved:
-        forests = [s for s in _red_forests(g.n, reds) if len(s) >= moved]
-        values = [0] * (1 << r)
-        for s, x in zip(forests, _bordered_minors(elim, [(s, s) for s in forests])):
-            values[sum(1 << i for i in s)] = x
-    else:
-        values = _principal_minors([[-x for x in row] for row in upper], d)
+    values = _bridged(elim, lambda upper, d: _principal_minors([[-x for x in row] for row in upper], d))
     powers = [scale ** (g.n - 1 - k) for k in range(g.n)]
     zero = Fraction(0)
     coeffs = []
@@ -167,21 +156,6 @@ def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) 
             require_nonnegative(a, mask)
         coeffs.append(a)
     return CrossingPolynomial(r, tuple(coeffs))
-
-
-def _red_forests(n: int, reds) -> list[tuple[int, ...]]:
-    """Index tuples of the red subsets that form forests, depth-first in
-    index order; a set is extended only while it stays acyclic."""
-    out = []
-    stack = [((), list(range(n)))]  # (subset, component label of each vertex)
-    while stack:
-        subset, comp = stack.pop()
-        out.append(subset)
-        for j in range(subset[-1] + 1 if subset else 0, len(reds)):
-            a, b = (comp[x] for x in reds[j])
-            if a != b:
-                stack.append((subset + (j,), [a if c == b else c for c in comp]))
-    return out
 
 
 def require_nonnegative(a: Fraction, mask: int):

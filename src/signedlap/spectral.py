@@ -13,15 +13,16 @@ of an upper triangle, run by two loops: ``_pivots`` runs it to the end,
 with a unimodular congruence for a zero pivot (``inertia``, and the ray's
 determinants in ``crossing``), and ``_eliminate`` runs it over the grounded
 black Laplacian of the bordered matrix, moving each zero row past the red
-columns; ``_principal_minors`` recurses on what it leaves.  The general
-``_kernels.det_int`` is left for ``det_rational`` and the bordered minors of
-more than one row.
+columns.  ``_bridged`` finishes it over those rows, joined to vertex 0, and
+``_principal_minors`` and ``_bordered_minors`` read every crossing value off
+what it leaves.  The general ``_kernels.det_int`` is left for
+``det_rational``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -241,7 +242,7 @@ def _eliminate(n: int, black, reds, steps: int):
     e_u - e_v for ``reds[i]`` = (u, v) without its vertex-0 entry.  Every
     step is one ``_schur`` on upper triangles.  Q is positive semidefinite,
     so a zero pivot has a zero row within Q: that row moves past the red
-    columns, where it borders every minor, and later steps only rescale it.
+    columns, for ``_bridged``, and later steps only rescale it.
 
     Returns (upper, moved, prev): the upper triangle left, which is the last
     pivot taken times the Schur complement of the pivots, over the rows not
@@ -273,41 +274,69 @@ def _eliminate(n: int, black, reds, steps: int):
     return upper, moved, prev
 
 
+def _bridged(elim, read) -> list[int]:
+    """``read(T, D)`` of ``elim``, ``_eliminate`` over every row of Q: T is
+    the upper triangle left over the red columns, -K for the transfer-current
+    matrix K = B^T adj(Q) B, and D = det Q.
+
+    The moved rows Z leave Q singular.  Q_k, Q plus a black edge of weight k
+    from vertex 0 to each moved vertex, is positive definite and only puts
+    k * d on the moved diagonals, d the last pivot; one ``_schur`` per moved
+    row gives (T, D) over Q_k.  A value read is then a minor of the bordered
+    matrix over Q_k, an integer polynomial in k of degree at most |Z|, and
+    the value over Q is its constant term,
+    sum over k = 1..|Z|+1 of (-1)^(k+1) C(|Z|+1, k) * value(k).
+    """
+    upper, moved, d = elim
+    if not moved:
+        return read(upper, d)
+    r = len(upper) - moved
+    block = [row[: r - i] for i, row in enumerate(upper[:r])]
+    border = [[upper[j][r + z - j] for j in range(r)] for z in range(moved)]
+    total = None
+    for k in range(1, moved + 2):
+        rows, p = [[k * d] + [0] * (moved - 1 - z) + col for z, col in enumerate(border)] + block, d
+        for _ in range(moved):
+            rows, p = _schur(rows, p), rows[0][0]
+        w, values = (-1) ** (k + 1) * comb(moved + 1, k), read(rows, p)
+        total = [w * x for x in values] if total is None else [t + w * x for t, x in zip(total, values)]
+    return total
+
+
 def _bordered_minors(elim, index_pairs) -> list[int]:
     """(-1)^|I| det H[Q+I, Q+J] for each pair (I, J) of equally long tuples
-    of red-column indices, with H and Q as in ``_eliminate``, read off
-    ``elim``, its elimination over the n - 1 rows of Q.  I = J gives the
-    crossing coefficient A_I; I = (0,), J = (1,) the signed 2-forest sum.
+    of at most two red-column indices, with H and Q as in ``_eliminate``,
+    read off ``elim``, its elimination over the n - 1 rows of Q.  I = J
+    gives the crossing coefficient A_I; I = (0,), J = (1,) the signed
+    2-forest sum.
 
-    With P the pivots taken, d = det Q[P, P] (the last pivot) and Z the
-    moved rows (one per black component past the first), Sylvester's
-    identity turns each value into the exact division
-    det M[I+Z, J+Z] / d^(|I| + |Z| - 1) of a small minor of the trailing
-    block M over the red columns and Z.  When the black subgraph is
-    connected, Z is empty, d = A_empty and M = -K with K = B^T adj(Q) B.
+    By Sylvester's identity the value is det K[I, J] / D^(|I| - 1), K and D
+    as ``_bridged`` reads them: an exact division for two indices.
     """
-    upper, moved, prev = elim
-    border = tuple(range(len(upper) - moved, len(upper)))
-    out = []
-    for rows_i, cols_j in index_pairs:
-        keep_r, keep_c = rows_i + border, cols_j + border
-        sub = [[upper[min(i, j)][abs(i - j)] for j in keep_c] for i in keep_r]
-        # read off up to 1 x 1: the ensemble asks for three such minors per sample
-        det = _kernels.det_int(sub) if len(sub) > 1 else sub[0][0] if sub else 1
-        value, rem = divmod((-1) ** len(rows_i) * det * prev, prev ** len(keep_r))
-        if rem:
-            raise InternalConsistencyError(
-                f"bordered minor {rows_i}x{cols_j}: {det} not divisible by {prev}^{len(keep_r) - 1}"
-            )
-        out.append(value)
-    return out
+    if any(len(rows_i) > 2 for rows_i, _ in index_pairs):
+        raise ValueError("bordered minors are read off for at most two red columns")
+
+    def read(upper, d):
+        out = []
+        for rows_i, cols_j in index_pairs:
+            t = [[upper[min(i, j)][abs(i - j)] for j in cols_j] for i in rows_i]
+            if len(t) < 2:
+                out.append(-t[0][0] if t else d)
+                continue
+            value, rem = divmod(t[0][0] * t[1][1] - t[0][1] * t[1][0], d)
+            if rem:
+                raise InternalConsistencyError(f"bordered minor {rows_i}x{cols_j} not divisible by {d}")
+            out.append(value)
+        return out
+
+    return _bridged(elim, read)
 
 
 def _principal_minors(k, d: int) -> list[int]:
     """det K[I, I] / d^(|I| - 1) for every subset I of the rows of K, by
     bitmask (d for I empty), with K the R x R transfer-current matrix
-    B^T adj(Q) B held as its upper triangle (the negated rows ``_eliminate``
-    leaves when it moves none) and d = det Q.
+    B^T adj(Q) B held as its upper triangle (the negated triangle
+    ``_bridged`` reads) and d = det Q.
 
     One depth-first recursion over the subsets in index order, the
     principal-minor algorithm of Griffin and Tsatsomeros in Bareiss form:

@@ -11,10 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from signedlap import SignedWeightedGraph, SpectralIndex, minor, tree_sum
+from signedlap import SignedWeightedGraph, SpectralIndex, _kernels, minor, tree_sum
 from signedlap import polyroots as pr
 from signedlap.graph import pairs_form_forest, red_subset_is_forest
-from signedlap.spectral import LaplacianMatrix, _graph_minors
+from signedlap.spectral import LaplacianMatrix, _eliminate
 
 
 def swg(n, edges) -> SignedWeightedGraph:
@@ -111,15 +111,29 @@ def reference_component_count(n, pairs) -> int:
 
 def reference_bordered_coefficients(g: SignedWeightedGraph) -> tuple[Fraction, ...]:
     """The 2^R crossing coefficients read off the bordered elimination one
-    minor per mask: an oracle for the subset recursion of
-    ``crossing_polynomial``.  Every forest mask gets its own
-    ``_bordered_minors`` read-off; a cyclic mask gives 0."""
+    minor per mask: an oracle for ``crossing_polynomial``, which takes
+    every A_I from subset recursions.  ``_eliminate`` runs once; each forest
+    mask I reads det M[I+Z, I+Z] / d^(|I| + |Z| - 1) with ``_kernels.det_int``,
+    where M is the trailing block it leaves over the red columns and the
+    moved rows Z, and d its last pivot (Sylvester's identity).  A cyclic
+    mask gives 0."""
     reds = [(u, v) for u, v, _ in g.red_edges]
     r = len(reds)
-    subsets = [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1 << r)]
-    forests = [s for s in subsets if pairs_form_forest(g.n, (reds[i] for i in s))]
-    values = dict(zip(forests, _graph_minors(g, reds, [(s, s) for s in forests])))
-    return tuple(values.get(s, Fraction(0)) for s in subsets)
+    scale, black = g._black_ints
+    upper, moved, d = _eliminate(g.n, black, reds, g.n - 1)
+    border = tuple(range(r, r + moved))
+    coeffs = []
+    for mask in range(1 << r):
+        inside = tuple(i for i in range(r) if mask >> i & 1)
+        if not pairs_form_forest(g.n, (reds[i] for i in inside)):
+            coeffs.append(Fraction(0))
+            continue
+        keep = inside + border
+        det = _kernels.det_int([[upper[min(i, j)][abs(i - j)] for j in keep] for i in keep])
+        value, rem = divmod((-1) ** len(inside) * det * d, d ** len(keep))
+        assert rem == 0, (g, inside)
+        coeffs.append(Fraction(value, scale ** (g.n - 1 - len(inside))))
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, formats, exit codes."""
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -340,17 +341,29 @@ def test_coeffs_negative_pivot_is_internal_fault(monkeypatch, capsys, k4_file):
     assert captured.out == "" and "negative tree-sum coefficient -5 at mask 1" in captured.err
 
 
-def test_coeffs_with_a_connected_black_subgraph_takes_no_determinant(monkeypatch, capsys, tmp_path, k4_file):
+def test_coeffs_takes_no_determinant(monkeypatch, capsys, tmp_path, k4_file):
+    # with a connected black subgraph (K4, the chain) and without: the
+    # alternating 4-cycle (one moved row) and K5 with black edges (0,1) and
+    # (2,3) only (two moved rows), whose 256 coefficients summed by |I| give
+    # the ray polynomial 20t^2 - 60t^3 + 45t^4 along (1, ..., 1)
     chain = _graph_file(tmp_path, "chain8", _graph_doc(triangle_chain(8)))
-    expected = [_run(capsys, ["coeffs", "--input", path]) for path in (k4_file, chain)]
+    c4 = _graph_file(tmp_path, "c4", C4_ALTERNATING)
+    k5 = _graph_file(tmp_path, "k5", _graph_doc(kn_with_reds(5, set(itertools.combinations(range(5), 2)) - {(0, 1), (2, 3)})))
+    paths = (k4_file, chain, c4, k5)
+    expected = [_run(capsys, ["coeffs", "--input", path]) for path in paths]
 
     def forbidden(*args):
         raise AssertionError("det_int called")
 
     monkeypatch.setattr(_kernels, "det_int", forbidden)
-    assert [_run(capsys, ["coeffs", "--input", path]) for path in (k4_file, chain)] == expected
+    assert [_run(capsys, ["coeffs", "--input", path]) for path in paths] == expected
     assert expected[0] == (0, {"00": "3", "10": "5", "01": "5", "11": "3"})
     assert sorted(set(expected[1][1].values()), key=int) == [str(2 ** k) for k in range(9)]
+    assert expected[2] == (0, {"00": "0", "10": "1", "01": "1", "11": "2"})
+    code, out = expected[3]
+    sums = [sum(int(a) for key, a in out.items() if key.count("1") == k) for k in range(9)]
+    assert code == 0 and sums == [0, 0, 20, 60, 45, 0, 0, 0, 0]
+    assert sum(a != "0" for a in out.values()) == 113
 
 
 def test_factorize_chain(capsys, chain_file):

@@ -124,23 +124,32 @@ def test_bordered_core_matches_minor_path_on_weighted_graphs():
             {("a_empty_zero", p.coeffs[0] == 0), ("cyclic", cyclic), ("r_above_n_minus_1", r > g.n - 1)}
         )
     assert seen == {(name, flag) for name in ("a_empty_zero", "cyclic", "r_above_n_minus_1") for flag in (True, False)}
+    # degenerate inputs: no black edge (every vertex but 0 moved), a
+    # disconnected full graph, and N = 1
+    for g in (swg(4, [(0, 1, -2), (1, 2, -1), (0, 2, F(-1, 3)), (2, 3, -5)]), swg(5, [(0, 1, 1), (1, 2, -1), (3, 4, 2)]), swg(1, [])):
+        assert crossing_polynomial(g).coeffs == minor_path_coefficients(g), g
 
 
 def test_subset_recursion_matches_the_per_mask_minors():
     # seeded rational-weight graphs up to R = 12; the per-mask read-off of
     # the bordered elimination is the oracle.  Disconnected black subgraphs
-    # (A_empty = 0, the per-mask route), cyclic red subsets under a positive
-    # A_empty (pruned subtrees) and R > N - 1 are each counted
+    # (A_empty = 0, the bridged recursions), among them |Z| >= 3 moved rows
+    # and R >= 10, cyclic red subsets under a positive A_empty (pruned
+    # subtrees) and R > N - 1 are each counted
     rng = random.Random(83)
-    seen = dict.fromkeys(("a_empty_zero", "cyclic", "r_above_n_minus_1", "r_at_least_10"), 0)
+    names = ("a_empty_zero", "moved_at_least_3", "a_empty_zero_r_at_least_10", "cyclic", "r_above_n_minus_1", "r_at_least_10")
+    seen = dict.fromkeys(names, 0)
     wide = dict(n_min=2, n_max=9, extra_max=14, red_choices=(0, 1, 2, 4, 6, 8, 10, 12))
     dense = dict(n_min=5, n_max=8, extra_max=20, red_choices=(3, 4, 5, 6))
-    for params in [wide] * 100 + [dense] * 40:
+    sparse = dict(n_min=6, n_max=10, extra_max=5, red_choices=(6, 8, 10, 11, 12))
+    for params in [wide] * 100 + [dense] * 40 + [sparse] * 25:
         g = random_connected_graph(rng, den_max=15, **params)
         p = crossing_polynomial(g)
         assert p.coeffs == reference_bordered_coefficients(g), g
         r = g.red_count
         seen["a_empty_zero"] += p.coeffs[0] == 0
+        seen["moved_at_least_3"] += component_counts(g)[1] - 1 >= 3
+        seen["a_empty_zero_r_at_least_10"] += p.coeffs[0] == 0 and r >= 10
         seen["cyclic"] += p.coeffs[0] != 0 and not all(
             red_subset_is_forest(g, [i for i in range(r) if mask >> i & 1]) for mask in range(1 << r)
         )
@@ -149,15 +158,20 @@ def test_subset_recursion_matches_the_per_mask_minors():
     assert min(seen.values()) >= 5, seen
 
 
-def test_coefficients_with_a_connected_black_subgraph_take_no_determinant(monkeypatch):
-    # A_empty > 0: every A_I comes from the subset recursion, with no
-    # per-mask determinant
+def test_coefficients_take_no_determinant(monkeypatch):
+    # every A_I comes from subset recursions, with no per-mask determinant:
+    # one recursion when A_empty > 0, |Z| + 1 bridged ones when A_empty = 0
+    # (|Z| = N - 1 with no black edge; the full graph disconnected at N = 5)
     rng = random.Random(89)
     graphs = [k4_shared(), k4_disjoint(), triangle_chain(6), swg(1, [])]
-    while len(graphs) < 30:
+    graphs += [swg(4, [(0, 1, -2), (1, 2, -1), (0, 2, F(-1, 3)), (2, 3, -5)]), swg(5, [(0, 1, 1), (1, 2, -1), (3, 4, 2)])]
+    connected = 0
+    while len(graphs) < 50:
         g = random_connected_graph(rng, n_min=3, n_max=9, extra_max=10, red_choices=(1, 3, 5, 7, 9))
-        if crossing_polynomial(g).coeffs[0] > 0:
+        if component_counts(g)[1] > 1 or connected < 24:
             graphs.append(g)
+            connected += component_counts(g)[1] == 1
+    assert sum(component_counts(g)[1] - 1 >= 2 for g in graphs) >= 10
     expected = [reference_bordered_coefficients(g) for g in graphs]
 
     def forbidden(*args):

@@ -22,7 +22,10 @@ from signedlap import (
     spanning_trees,
     tree_sum,
 )
-from signedlap.spectral import LaplacianMatrix, _pivots, _schur
+from signedlap import _kernels
+from signedlap import ensemble as ens
+from signedlap.discriminants import _disc_minors, graph_factorization
+from signedlap.spectral import LaplacianMatrix, _bordered_minors, _eliminate, _pivots, _schur
 
 from conftest import (
     k4_disjoint,
@@ -402,3 +405,44 @@ def test_laplacian_matrix_requires_square_symmetric():
         LaplacianMatrix([[1, 2]])
     with pytest.raises(InputError):
         LaplacianMatrix([[1, 2], [3, 4]])
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InputError as e:
+        return str(e)
+
+
+def test_crossing_data_take_no_determinant(monkeypatch):
+    # every value read off the bordered elimination, with and without a
+    # connected black subgraph, comes from _schur steps alone: the same
+    # results (or InputErrors) with det_int made to raise.  The graphs
+    # include one with no black edge and a disconnected one (|Z| = 3)
+    rng = random.Random(101)
+    graphs = [k4_shared(), k4_disjoint(), swg(3, [(0, 1, -2), (1, 2, -1)]), swg(5, [(0, 1, 1), (1, 2, -1), (3, 4, -2)])]
+    while len(graphs) < 40:
+        graphs.append(random_connected_graph(rng, n_min=3, n_max=8, extra_max=4, red_choices=(2,)))
+    graphs = [g for g in graphs if g.red_count == 2]
+    assert {component_counts(g)[1] - 1 for g in graphs} >= {0, 1, 2, 3}
+    cfg = ens.config_from_dict({"N": 10, "M": [12, 30], "samples": 40, "seed": 3})
+    fs = (crossing_polynomial, _disc_minors, axis_thresholds, graph_factorization)
+
+    def run():
+        values = [_outcome(f, g) for g in graphs for f in fs]
+        return values + [ens.compute_record(cfg, m, i) for m in cfg.m_values for i in range(cfg.samples_per_m)]
+
+    expected = run()
+
+    def forbidden(*args):
+        raise AssertionError("det_int called")
+
+    monkeypatch.setattr(_kernels, "det_int", forbidden)
+    assert run() == expected
+    assert {r.gplus_connected for r in expected[4 * len(graphs) :]} == {True, False}
+
+
+def test_bordered_minors_read_at_most_two_red_columns():
+    elim = _eliminate(3, [(0, 1, 1), (1, 2, 1)], [(0, 1), (1, 2), (0, 2)], 2)
+    with pytest.raises(ValueError, match="at most two"):
+        _bordered_minors(elim, [((0, 1, 2), (0, 1, 2))])
