@@ -6,7 +6,9 @@ fraction-free elimination over Python ints is faster than an int64 numpy
 elimination, needs no overflow guard and is exact for any entry size.
 ``det_int`` is the general elimination, with row swaps, and serves
 ``spectral.det_rational`` only; every symmetric elimination (``inertia``,
-the crossing core, the ray) runs on ``spectral._schur``.
+the crossing core, the ray) runs on ``spectral._schur``, and the ensemble's
+samples run its update stacked in int64 (``spectral._stacked_minors``),
+where a whole chunk of small bounded matrices shares each numpy step.
 """
 
 from __future__ import annotations

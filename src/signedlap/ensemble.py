@@ -8,13 +8,19 @@ for a given config whatever the order in which samples are computed.
 
 delta_zero is decided by exact integer arithmetic (the four coefficients are
 integer tree counts, from the bordered elimination that ``crossing_polynomial``
-also uses), never by float thresholding.
+also uses), never by float thresholding.  Records are computed a chunk at a
+time: every sample of the chunk whose black subgraph is connected and whose
+bordered matrix passes the Hadamard bound of ``spectral._fits_int64`` goes
+through one stacked int64 elimination, and the rest (A_empty = 0, or
+entries too large for int64) through the Python-int core one by one.  Both
+give the same integers.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -25,7 +31,7 @@ from . import _kernels
 from .discriminants import _R2_MINORS, _gap_and_log
 from .errors import InputError
 from .graph import SignedWeightedGraph
-from .spectral import _bordered_minors, _eliminate
+from .spectral import _bordered_minors, _bordered_stack, _eliminate, _fits_int64, _stacked_minors
 
 _HIST_LO = -10.0
 _HIST_HI = 10.0
@@ -50,6 +56,8 @@ class EnsembleConfig:
             raise InputError("need at least 2 vertices")
         if self.samples_per_m < 1:
             raise InputError("samples_per_m must be positive")
+        if not self.m_values:
+            raise InputError("ensemble config M must list at least one value")
         if self.model not in ("gnm", "gnp"):
             raise InputError(f"unknown model {self.model!r}")
         if self.model == "gnp" and not (self.p and 0 < self.p <= 1):
@@ -167,8 +175,7 @@ def _adjacency(n: int, pairs) -> list[list[int]]:
     return adj
 
 
-def _distance_class(n: int, black_pairs, red1, red2) -> str:
-    adj = _adjacency(n, black_pairs)
+def _distance_class(adj, red1, red2) -> str:
     symbols = []
     for x in red1:
         dist = _kernels.bfs_distances(adj, x)
@@ -189,76 +196,96 @@ def classify(g: SignedWeightedGraph) -> str:
     """
     if g.red_count != 2:
         raise InputError(f"classification requires exactly 2 red edges, got {g.red_count}")
-    black_pairs = [(u, v) for u, v, _ in g.black_edges]
-    if _kernels.component_count(_adjacency(g.n, black_pairs)) != 1:
+    adj = _adjacency(g.n, [(u, v) for u, v, _ in g.black_edges])
+    if _kernels.component_count(adj) != 1:
         return "disconnected_plus"
     (u1, v1, _), (u2, v2, _) = g.red_edges
     if {u1, v1} & {u2, v2}:
         return "adj"
-    return _distance_class(g.n, black_pairs, (u1, v1), (u2, v2))
+    return _distance_class(adj, (u1, v1), (u2, v2))
+
+
+def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
+    """The records of ``keys``, (M, sample_id) pairs, in order.
+
+    Every sample is drawn first.  The samples whose black subgraph is
+    connected and whose bordered matrix ``_fits_int64`` then go through one
+    stacked int64 elimination together; every other sample, A_empty = 0 or
+    too large for int64, takes the Python-int core one by one.
+    """
+    n = cfg.n
+    draws = []
+    for m, index in keys:
+        edges, r1, r2 = _sample_pairs(cfg, m, sample_seed(cfg.master_seed, m, index))
+        black = edges[:r1] + edges[r1 + 1 : r2] + edges[r2 + 1 :]
+        draws.append((index, len(edges), black, (edges[r1], edges[r2]), _adjacency(n, black)))
+    batch = [i for i, draw in enumerate(draws) if _kernels.component_count(draw[-1]) == 1]
+    h = _bordered_stack(n, [draws[i][2:4] for i in batch])
+    fits = _fits_int64(h)
+    minors = [None] * len(draws)
+    for i, values in zip(itertools.compress(batch, fits), _stacked_minors(h[fits])):
+        minors[i] = values
+    records = []
+    for (index, m, black, (red1, red2), adj), values in zip(draws, minors):
+        if values is None:
+            values = _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black], (red1, red2), n - 1), _R2_MINORS)
+        a00, ax, ay, axy = values
+        delta = axy * a00 - ax * ay
+        gplus_connected = a00 != 0
+        if not gplus_connected:
+            label = "disconnected_plus"
+        elif set(red1) & set(red2):
+            label = "adj"
+        else:
+            label = _distance_class(adj, red1, red2)
+        if axy == 0:
+            gap_val: float | None = None
+            log_val: float | None = None
+        elif delta == 0:
+            gap_val, log_val = 0.0, -math.inf
+        else:
+            gap_val, log_val = _gap_and_log(delta, axy)
+        records.append(
+            EnsembleRecord(
+                sample_id=index,
+                n=n,
+                m=m,
+                red1=red1,
+                red2=red2,
+                class_label=label,
+                gplus_connected=gplus_connected,
+                delta_zero=delta == 0,
+                gap=gap_val,
+                log10_gap=log_val,
+            )
+        )
+    return records
 
 
 def compute_record(cfg: EnsembleConfig, m: int, index: int) -> EnsembleRecord:
-    """Full per-sample pipeline: sample, classify, exact discriminant, gap."""
-    seed = sample_seed(cfg.master_seed, m, index)
-    edges, r1, r2 = _sample_pairs(cfg, m, seed)
-    red1, red2 = edges[r1], edges[r2]
-    black_pairs = [e for i, e in enumerate(edges) if i not in (r1, r2)]
-    n = cfg.n
-    black = [(u, v, 1) for u, v in black_pairs]
-    a00, ax, ay, axy = _bordered_minors(_eliminate(n, black, (red1, red2), n - 1), _R2_MINORS)
-    delta = axy * a00 - ax * ay
-    gplus_connected = a00 != 0
-    if not gplus_connected:
-        label = "disconnected_plus"
-    elif set(red1) & set(red2):
-        label = "adj"
-    else:
-        label = _distance_class(n, black_pairs, red1, red2)
-    if axy == 0:
-        gap_val: float | None = None
-        log_val: float | None = None
-    elif delta == 0:
-        gap_val, log_val = 0.0, -math.inf
-    else:
-        gap_val, log_val = _gap_and_log(delta, axy)
-    return EnsembleRecord(
-        sample_id=index,
-        n=n,
-        m=len(edges),
-        red1=red1,
-        red2=red2,
-        class_label=label,
-        gplus_connected=gplus_connected,
-        delta_zero=delta == 0,
-        gap=gap_val,
-        log10_gap=log_val,
-    )
+    """Full per-sample pipeline: sample, classify, exact discriminant, gap;
+    a chunk of one sample."""
+    return _records(cfg, [(m, index)])[0]
 
 
 def iter_records(cfg: EnsembleConfig):
     """The records one at a time, in deterministic (M, sample_id) order.
 
-    They are computed in chunks of ``_CHUNK`` and handed on after each
-    chunk, so memory stays bounded while the sampling runs back to back:
-    handing each record to the CSV writer and the summary as soon as it is
-    computed made a 120-sample request about 4% slower.
+    They are computed in chunks of ``_CHUNK``, each chunk's samples through
+    one stacked elimination, and handed on after each chunk, so memory
+    stays bounded.
     """
-    chunk = []
-    for m in cfg.m_values:
-        for i in range(cfg.samples_per_m):
-            chunk.append(compute_record(cfg, m, i))
-            if len(chunk) == _CHUNK:
-                yield from chunk
-                chunk = []
-    yield from chunk
+    keys = ((m, i) for m in cfg.m_values for i in range(cfg.samples_per_m))
+    while chunk := list(itertools.islice(keys, _CHUNK)):
+        yield from _records(cfg, chunk)
 
 
 def generate_records(cfg: EnsembleConfig, threads: int = 1) -> list[EnsembleRecord]:
     """All records in deterministic (M, sample_id) order.
 
     Samples run serially.  ``threads`` is accepted for compatibility and
-    ignored: the per-sample work is pure Python and holds the GIL, so worker
+    ignored: drawing, classifying and the Python-int core hold the GIL, and
+    the stacked elimination is one short numpy pass per chunk, so worker
     threads cannot speed it up.
     """
     return list(iter_records(cfg))
@@ -392,7 +419,23 @@ def summarize(records) -> dict:
     return fold.summary()
 
 
+def _render(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
+    when nested at ``indent``, for dicts, lists of ints and JSON scalars.
+    Each list is one join: the pure-Python encoder that ``indent`` selects
+    takes several calls per histogram bin."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets, items = "{}", [f"{json.dumps(key)}: {_render(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, list):
+        brackets, items = "[]", list(map(str, value))
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def write_summary(summary: dict, path: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_render(summary, "") + "\n")

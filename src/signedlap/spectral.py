@@ -5,8 +5,8 @@ The Laplacian convention is off-diagonal entry = edge weight, diagonal =
 minus the row sum, so an all-positive graph gives a negative-semidefinite
 matrix whose kernel contains the all-ones vector.  The spectral index is the
 triple (n_minus, n_zero, n_plus).  Inertia, determinants and the bordered
-elimination are fraction-free (Bareiss) on Python ints; only
-``eigenvalues`` uses floats.
+elimination are fraction-free (Bareiss) on Python ints, apart from the
+ensemble's stacked int64 step below; only ``eigenvalues`` uses floats.
 
 Every exact symmetric elimination is one step, ``_schur``, a Bareiss update
 of an upper triangle, run by two loops: ``_pivots`` runs it to the end,
@@ -17,12 +17,19 @@ columns.  ``_bridged`` finishes it over those rows, joined to vertex 0, and
 ``_principal_minors`` and ``_bordered_minors`` read every crossing value off
 what it leaves.  The general ``_kernels.det_int`` is left for
 ``det_rational``.
+
+``_stacked_minors`` is ``_schur``'s update on a whole stack of bordered
+matrices at once, in int64: the ensemble's two-red-edge samples with a
+positive definite Q whose entries pass the Hadamard bound of
+``_fits_int64``, built by ``_bordered_stack``.  Every other sample takes
+``_eliminate`` and ``_bordered_minors``, which give the same integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from itertools import chain
+from math import comb, lcm, prod
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -202,6 +209,62 @@ def _schur(upper, prev: int):
         else:
             out.append(row)
     return out
+
+
+def _bordered_stack(n: int, samples) -> np.ndarray:
+    """The bordered matrices H = [[Q, B], [B^T, 0]] of ``_eliminate``, one per
+    (black pairs, two reds) of ``samples``, every black weight 1, stacked as
+    an int64 array of shape (len(samples), n + 1, n + 1)."""
+    size = n + 1
+    # vertex v is row v - 1; vertex 0 goes to an extra last row, cut off
+    row = np.arange(-1, n)
+    row[0] = size
+    flat = chain.from_iterable
+    full = np.zeros((len(samples), size + 1, size + 1), dtype=np.int64)
+    b = np.repeat(np.arange(len(samples)), [len(black) for black, _ in samples])
+    u, v = row[np.fromiter(flat(flat(black for black, _ in samples)), dtype=np.intp).reshape(-1, 2).T]
+    full[b, u, v] = full[b, v, u] = -1
+    diag = np.arange(size + 1)
+    full[:, diag, diag] = -full.sum(axis=2)
+    b, cols = np.arange(len(samples))[:, None], np.array([n - 1, n])
+    u, v = row[np.fromiter(flat(flat(reds for _, reds in samples)), dtype=np.intp).reshape(-1, 2, 2).transpose(2, 0, 1)]
+    full[b, u, cols] = full[b, cols, u] = 1
+    full[b, v, cols] = full[b, cols, v] = -1
+    return full[:, :size, :size]
+
+
+def _fits_int64(h: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack ``h``: whether prod max(1, |row_i|^2) < 2^62.
+
+    By Hadamard's inequality every minor of H is at most the product of the
+    norms of its rows, so that product bounds every product of two minors,
+    and ``_stacked_minors`` forms nothing larger than twice one.
+    """
+    norms = np.maximum(np.einsum("bij,bij->bi", h, h), 1).tolist()
+    return np.array([prod(x) < 1 << 62 for x in norms], dtype=bool)
+
+
+def _stacked_minors(h: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(A_empty, A_x, A_y, A_xy) of each bordered matrix of the stack ``h``,
+    as ``_bordered_minors(..., _R2_MINORS)`` reads them off its elimination.
+
+    Every step is ``_schur``'s update (x p - f y) // prev, on the whole stack
+    at once in int64, which ``_fits_int64`` must have cleared.  Q must be
+    positive definite (a connected black subgraph), so every pivot is a
+    leading principal minor of Q and positive: a pivot that is not is an
+    InternalConsistencyError, as is an inexact division.
+    """
+    prev = np.ones(len(h), dtype=np.int64)
+    for _ in range(h.shape[1] - 2):
+        p = h[:, 0, 0]
+        if not (p > 0).all():
+            raise InternalConsistencyError("stacked elimination met a pivot <= 0")
+        h = (h[:, 1:, 1:] * p[:, None, None] - h[:, 1:, :1] * h[:, :1, 1:]) // prev[:, None, None]
+        prev = p
+    axy, rem = np.divmod(h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0], prev)
+    if rem.any():
+        raise InternalConsistencyError("stacked bordered minor not divisible by det Q")
+    return list(zip(prev.tolist(), (-h[:, 0, 0]).tolist(), (-h[:, 1, 1]).tolist(), axy.tolist()))
 
 
 def _pivots(upper, prev: int = 1) -> tuple[list[int], int]:

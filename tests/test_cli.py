@@ -7,6 +7,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from signedlap import _kernels, cli, crossing, discriminants, graph, spectral, stability
@@ -619,15 +620,42 @@ def test_streamed_ensemble_matches_the_list_path_byte_for_byte(tmp_path, capsys,
 
 def test_ensemble_records_stream_in_chunks(monkeypatch):
     cfg = ens.config_from_dict({"N": 8, "M": [10, 12], "samples": 6, "seed": 3})
-    computed = []
-    compute = ens.compute_record
-    monkeypatch.setattr(ens, "compute_record", lambda *args: computed.append(args) or compute(*args))
+    drawn = []
+    draw = ens._sample_pairs
+    monkeypatch.setattr(ens, "_sample_pairs", lambda *args: drawn.append(args) or draw(*args))
     monkeypatch.setattr(ens, "_CHUNK", 5)
     records = ens.iter_records(cfg)
     next(records)
-    assert len(computed) == 5  # one chunk, not all 12 samples
+    assert len(drawn) == 5  # one chunk, not all 12 samples
     assert [r.sample_id for r in records] == [1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5]
-    assert len(computed) == 12
+    assert len(drawn) == 12
+
+
+def test_ensemble_over_the_int64_bound_takes_the_scalar_route(tmp_path, capsys, monkeypatch):
+    # at N = 40 every sample's bordered matrix is over the Hadamard bound, so
+    # the stack stays empty and the output is the Python-int core's alone
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"N": 40, "M": [60, 300], "samples": 4, "seed": 1}))
+    stacked = []
+    stack = ens._stacked_minors
+    monkeypatch.setattr(ens, "_stacked_minors", lambda h: stacked.append(len(h)) or stack(h))
+    assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(tmp_path / "a.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["records"] == 8
+    assert stacked == [0]
+    monkeypatch.setattr(ens, "_fits_int64", lambda h: np.zeros(len(h), dtype=bool))
+    assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(tmp_path / "b.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.summary.json").read_bytes() == (tmp_path / "b.summary.json").read_bytes()
+
+
+def test_ensemble_rejects_empty_m(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"N": 10, "M": [], "samples": 5, "seed": 1}))
+    out = tmp_path / "x.csv"
+    assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(out)]) == 1
+    assert "M must list at least one value" in capsys.readouterr().err
+    assert not out.exists() and list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_ensemble_invalid_samples(tmp_path, capsys):

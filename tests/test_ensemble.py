@@ -1,6 +1,7 @@
 """Random-ensemble sampling, classification, records, summaries."""
 
 import itertools
+import json
 import math
 
 import pytest
@@ -13,9 +14,9 @@ from signedlap import (
     discriminant,
     sample_graph,
 )
-from signedlap import _kernels, component_counts
+from signedlap import InternalConsistencyError, _kernels, component_counts
 from signedlap import ensemble as ens
-from signedlap.spectral import _bordered_minors, _eliminate
+from signedlap.spectral import _bordered_minors, _bordered_stack, _eliminate, _fits_int64, _stacked_minors
 
 from conftest import kn_with_reds, minor_path_coefficients, swg
 
@@ -108,6 +109,156 @@ def test_coefficients_match_minor_path(monkeypatch):
     # both cases ran (no row moved, A_empty = 0), each on disjoint and on
     # vertex-sharing red pairs
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _bordered_rows(n, black, reds):
+    """H = [[Q, B], [B^T, 0]] entry by entry: Q the unit Laplacian of the
+    ``black`` pairs grounded at vertex 0, column i of B the incidence vector
+    of ``reds[i]``."""
+    h = [[0] * (n + 1) for _ in range(n + 1)]
+    for u, v in black:
+        for a, b in ((u, v), (v, u)):
+            if a:
+                h[a - 1][a - 1] += 1
+                if b:
+                    h[a - 1][b - 1] -= 1
+    for col, (u, v) in enumerate(reds, n - 1):
+        for x, sign in ((u, 1), (v, -1)):
+            if x:
+                h[x - 1][col] = h[col][x - 1] = sign
+    return h
+
+
+def _hadamard_fits(h) -> bool:
+    return math.prod(max(1, sum(x * x for x in row)) for row in h) < 2**62
+
+
+def _grid_samples(n):
+    """The G(n, m) samples of ``test_coefficients_match_minor_path``'s grid,
+    as (graph, black pairs, red pairs)."""
+    total = n * (n - 1) // 2
+    for m in sorted({n - 2, n, n + 1, (n + total) // 2, total}):
+        for seed in range(8):
+            g = sample_graph(n, m, seed)
+            yield g, [(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges)
+
+
+def test_stacked_minors_match_the_scalar_core():
+    # oracle: the Python-int core on each sample; the stack holds every
+    # grid sample with a connected black subgraph, and the Hadamard bound
+    # picks the ones it eliminates
+    stacked = refused = 0
+    for n in range(5, 13):
+        samples, expect = [], []
+        for g, black, reds in _grid_samples(n):
+            if component_counts(g)[1] == 1:
+                samples.append((black, reds))
+                expect.append(tuple(_bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black], reds, n - 1), ens._R2_MINORS)))
+        h = _bordered_stack(n, samples)
+        rows = [_bordered_rows(n, *sample) for sample in samples]
+        assert h.tolist() == rows
+        fits = _fits_int64(h)
+        assert fits.tolist() == [_hadamard_fits(r) for r in rows]
+        got = _stacked_minors(h[fits])
+        assert got == [e for e, f in zip(expect, fits) if f]
+        assert all(type(x) is int for values in got for x in values)
+        assert n > 10 or fits.all()
+        stacked += len(got)
+        refused += len(samples) - len(got)
+    assert stacked > 100 and refused > 0
+
+
+def test_int64_bound_covers_every_product():
+    # the stacked update replayed on Python ints: on every sample that the
+    # bound clears, no product or difference it forms reaches 2^63; the
+    # grid holds samples whose products do
+    def largest(h):
+        top, prev = 0, 1
+        while len(h) > 2:
+            p = h[0][0]
+            products = [(x * p, h[i][0] * h[0][j]) for i, row in enumerate(h[1:], 1) for j, x in enumerate(row[1:], 1)]
+            top = max(top, *(max(abs(a), abs(b), abs(a - b)) for a, b in products))
+            h = [[(x * p - row[0] * h[0][j]) // prev for j, x in enumerate(row[1:], 1)] for row in h[1:]]
+            prev = p
+        return max(top, abs(h[0][0] * h[1][1]), abs(h[0][1] * h[1][0]), abs(h[0][0] * h[1][1] - h[0][1] * h[1][0]))
+
+    beyond = 0
+    for n in range(5, 14):
+        for g, black, reds in _grid_samples(n):
+            if component_counts(g)[1] == 1:
+                h = _bordered_rows(n, black, reds)
+                top = largest(h)
+                assert not _hadamard_fits(h) or top < 2**63
+                beyond += top >= 2**63
+    assert beyond > 0
+
+
+def test_stacked_minors_raise_on_a_zero_pivot_or_an_inexact_division():
+    # 4 black edges on 8 vertices leave Q singular; K12 is over the int64
+    # bound, and its wrapped products no longer divide exactly
+    for (n, m), match in (((8, 6), "pivot"), ((12, 66), "not divisible")):
+        g = sample_graph(n, m, 1)
+        h = _bordered_stack(n, [([(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges))])
+        with pytest.raises(InternalConsistencyError, match=match):
+            _stacked_minors(h)
+
+
+def test_records_route_by_connectivity_and_bound(monkeypatch):
+    # the Python-int core takes exactly the samples with a disconnected
+    # black subgraph (c(G+) > 1) and those over the bound; every other
+    # sample goes through the stack, which at N <= 10 is every connected one
+    stacked, scalar = [], []
+    stack, eliminate = ens._stacked_minors, ens._eliminate
+    monkeypatch.setattr(ens, "_stacked_minors", lambda h: stacked.append(len(h)) or stack(h))
+    monkeypatch.setattr(ens, "_eliminate", lambda n, black, reds, steps: scalar.append((n, black, reds)) or eliminate(n, black, reds, steps))
+    over = {}
+    for n in range(5, 13):
+        total = n * (n - 1) // 2
+        ms = tuple(sorted({n - 2, n, n + 1, (n + total) // 2, total}))
+        cfg = EnsembleConfig(n, ms, 8, master_seed=n)
+        scalar.clear()
+        stacked.clear()
+        records = ens.generate_records(cfg)
+        expect = []
+        for rec in records:
+            g = sample_graph(n, rec.m, ens.sample_seed(n, rec.m, rec.sample_id))
+            black = [(u, v) for u, v, _ in g.black_edges]
+            reds = (rec.red1, rec.red2)
+            disconnected = component_counts(g)[1] > 1
+            assert disconnected != rec.gplus_connected
+            if disconnected or not _hadamard_fits(_bordered_rows(n, black, reds)):
+                expect.append((n, [(u, v, 1) for u, v in black], reds))
+                over[n] = over.get(n, 0) + (not disconnected)
+        assert scalar == expect
+        assert stacked == [len(records) - len(expect)] and stacked[0] > 0
+    assert not any(over.get(n) for n in range(5, 11)) and over.get(11, 0) + over.get(12, 0) > 0
+
+
+def test_compute_record_is_a_chunk_of_one():
+    cfg = EnsembleConfig(9, (8, 20, 36), 10, master_seed=2)
+    assert [ens.compute_record(cfg, m, i) for m in cfg.m_values for i in range(10)] == ens.generate_records(cfg)
+
+
+def test_summary_bytes_match_json_dump(tmp_path):
+    # M = 3 leaves one black edge, so no sample is connected and every
+    # moment is null; K10 (M = 45) with disjoint red edges gives Delta = 0,
+    # a -inf log-gap in bin 0
+    configs = [
+        {"N": 10, "M": [3, 15, 45], "samples": 40, "seed": 1},
+        {"N": 9, "M": [1], "samples": 40, "seed": 4, "model": "gnp", "p": 0.4},
+    ]
+    for k, raw in enumerate(configs):
+        records = ens.generate_records(ens.config_from_dict(raw))
+        summary = ens.summarize(records)
+        path = tmp_path / f"{k}.summary.json"
+        ens.write_summary(summary, path)
+        assert path.read_bytes() == (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+    per_m = ens.summarize(ens.generate_records(ens.config_from_dict(configs[0])))["per_m"]
+    assert per_m["3"]["p_gplus_disconnected"] == 1.0
+    assert per_m["3"]["log10_gap_mean"] is None and per_m["3"]["p_delta_zero_given_connected"] is None
+    assert per_m["45"]["p_delta_zero_given_connected"] > 0 and per_m["45"]["histograms"]["all"][0] > 0
+    for value in ({}, [], {"b": [], "a": {}}, {"x": None, "y": -1.5e-300, "\u00e9": True, "z": [3, 0]}):
+        assert ens._render(value, "") == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_gnp_rejects_fewer_than_three_vertices():
