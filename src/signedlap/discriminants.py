@@ -45,14 +45,17 @@ def discriminant(p: CrossingPolynomial) -> Fraction:
 def _gap_and_log(delta: Fraction | int, a11: Fraction | int) -> tuple[float, float]:
     """sqrt(2|delta|)/|a11| and its log10, for delta and a11 nonzero.
 
-    The ratio 2|delta|/a11^2 is formed exactly and scaled by 4^-e into
-    (1/2, 4), where its float is correctly rounded; ldexp(sqrt(.), e) is then
-    within one ulp of the gap even when the ratio leaves float range.  The
-    gap is 0.0 or inf only when it leaves float range itself, and the
-    logarithm then comes from the scaled root and e.
+    The ratio 2|delta|/a11^2 is formed exactly, as the integers
+    2|num(delta)| den(a11)^2 over den(delta) num(a11)^2 reduced by their gcd,
+    and scaled by 4^-e into (1/2, 4), where its float is correctly rounded;
+    ldexp(sqrt(.), e) is then within one ulp of the gap even when the ratio
+    leaves float range.  The gap is 0.0 or inf only when it leaves float
+    range itself, and the logarithm then comes from the scaled root and e.
     """
-    ratio = Fraction(2 * abs(delta), a11 * a11)
-    num, den = ratio.numerator, ratio.denominator
+    num = 2 * abs(delta.numerator) * a11.denominator**2
+    den = delta.denominator * a11.numerator**2
+    common = math.gcd(num, den)
+    num, den = num // common, den // common
     e = (num.bit_length() - den.bit_length()) // 2
     root = math.sqrt((num << max(-2 * e, 0)) / (den << max(2 * e, 0)))
     try:

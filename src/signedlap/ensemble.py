@@ -9,11 +9,15 @@ for a given config whatever the order in which samples are computed.
 delta_zero is decided by exact integer arithmetic (the four coefficients are
 integer tree counts, from the bordered elimination that ``crossing_polynomial``
 also uses), never by float thresholding.  Records are computed a chunk at a
-time: every sample of the chunk whose black subgraph is connected and whose
-bordered matrix passes the Hadamard bound of ``spectral._fits_int64`` goes
-through one stacked int64 elimination, and the rest (A_empty = 0, or
-entries too large for int64) through the Python-int core one by one.  Both
-give the same integers.
+time.  Every sample of the chunk whose bordered matrix passes the Hadamard
+bound of ``spectral._fits_int64`` goes through one array pipeline,
+``_stacked``, connected or not: one BFS over the stacked adjacency gives
+the black components and the hop distances of the class, and one stacked
+int64 elimination the four coefficients, with the components bridged as
+``spectral._bridged`` bridges them.  The rest, samples with entries too
+large for int64, take the Python-int core and the list BFS of
+``_kernels`` one by one, which ``classify`` also uses.  Both give the same
+integers and labels.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import _kernels
 from .discriminants import _R2_MINORS, _gap_and_log
 from .errors import InputError
 from .graph import SignedWeightedGraph
-from .spectral import _bordered_minors, _bordered_stack, _eliminate, _fits_int64, _stacked_minors
+from .spectral import _bordered_minors, _bordered_norms, _bordered_stack, _eliminate, _fits_int64, _stacked_minors
 
 _HIST_LO = -10.0
 _HIST_HI = 10.0
@@ -40,6 +46,11 @@ _HIST_BINS = 200  # 0.1-wide bins in log10(gap)
 _GNP_MAX_DRAWS = 1000
 # records computed back to back before ``iter_records`` hands them on
 _CHUNK = 1024
+# the largest c(G+) whose bridged Q_c can pass the int64 bound: its c - 1
+# bridged rows have squared norms of at least c^2, and 11^20 > 2^62
+_MAX_BRIDGED = 10
+# a hop distance as its class symbol, clamped to '+' at 10
+_HOP_SYMBOLS = "0123456789+"
 
 
 @dataclass(frozen=True)
@@ -122,12 +133,57 @@ def _all_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
+@functools.cache
+def _pair_ends(n: int) -> np.ndarray:
+    """``_all_pairs(n)`` as a read-only (n(n-1)/2, 2) array."""
+    ends = np.array(_all_pairs(n), dtype=np.intp).reshape(-1, 2)
+    ends.flags.writeable = False
+    return ends
+
+
+def _sample(rng: random.Random, n: int, k: int) -> list[int]:
+    """``rng.sample(range(n), k)``, the same picks from the same stream.
+
+    ``Random.sample`` takes each pick from ``_randbelow``, which draws
+    ``getrandbits(b)``, b the bit length of its bound, until the draw falls
+    below the bound; here the draws are made directly.  A small population
+    is drawn from a shrinking pool, a large one by redrawing picks already
+    taken, with ``Random.sample``'s own set-size rule (the same from Python
+    3.10 to 3.13).
+    """
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    out = []
+    if n <= setsize:
+        pool = list(range(n))
+        for bound in range(n, n - k, -1):
+            bits = bound.bit_length()
+            j = getrandbits(bits)
+            while j >= bound:
+                j = getrandbits(bits)
+            out.append(pool[j])
+            pool[j] = pool[bound - 1]
+        return out
+    bits = n.bit_length()
+    taken = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in taken:
+            j = getrandbits(bits)
+        taken.add(j)
+        out.append(j)
+    return out
+
+
 def _sample_pairs(cfg: EnsembleConfig, m: int, seed: int):
-    """(sorted edge pairs, index of red edge 1, index of red edge 2)."""
+    """(the drawn pairs as sorted indices into ``_all_pairs(cfg.n)``,
+    position of red edge 1, position of red edge 2)."""
     rng = random.Random(seed)
     pairs = _all_pairs(cfg.n)
     if cfg.model == "gnm":
-        chosen = sorted(rng.sample(range(len(pairs)), m))
+        chosen = sorted(_sample(rng, len(pairs), m))
     else:
         for _ in range(_GNP_MAX_DRAWS):
             chosen = [i for i in range(len(pairs)) if rng.random() < cfg.p]
@@ -138,15 +194,15 @@ def _sample_pairs(cfg: EnsembleConfig, m: int, seed: int):
                 f"gnp model at N={cfg.n}, p={cfg.p} drew fewer than 2 edges "
                 f"in {_GNP_MAX_DRAWS} tries; raise p or N"
             )
-    edges = [pairs[i] for i in chosen]
-    r1, r2 = sorted(rng.sample(range(len(edges)), 2))
-    return edges, r1, r2
+    r1, r2 = sorted(_sample(rng, len(chosen), 2))
+    return chosen, r1, r2
 
 
 def sample_graph(n: int, m: int, seed: int) -> SignedWeightedGraph:
     """One G(N,M) draw with two red edges: black weights 1, red weights -1."""
     cfg = EnsembleConfig(n, (m,), 1, 0)
-    edges, r1, r2 = _sample_pairs(cfg, m, seed)
+    chosen, r1, r2 = _sample_pairs(cfg, m, seed)
+    edges = [_all_pairs(n)[i] for i in chosen]
     w = [Fraction(1)] * len(edges)
     w[r1] = Fraction(-1)
     w[r2] = Fraction(-1)
@@ -205,39 +261,108 @@ def classify(g: SignedWeightedGraph) -> str:
     return _distance_class(adj, (u1, v1), (u2, v2))
 
 
-def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
-    """The records of ``keys``, (M, sample_id) pairs, in order.
+def _hops(n: int, owner: np.ndarray, black: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per black graph of ``batch`` (the edges ``black[i]`` of graph
+    ``owner[i]``): the hop distance between every two vertices, clamped at
+    10 (10 also when unreachable), and each vertex's root, the least vertex
+    of its component.
 
-    Every sample is drawn first.  The samples whose black subgraph is
-    connected and whose bordered matrix ``_fits_int64`` then go through one
-    stacked int64 elimination together; every other sample, A_empty = 0 or
-    too large for int64, takes the Python-int core one by one.
+    One BFS from every vertex at once: each step multiplies the reached sets
+    by the adjacency plus the identity, in float32, at most n - 1 times,
+    and each step adds 1 to the distance of every pair not yet reached.
+    """
+    step = np.zeros((batch, n, n), dtype=np.float32)
+    step[owner, black[:, 0], black[:, 1]] = step[owner, black[:, 1], black[:, 0]] = 1
+    diag = np.arange(n)
+    step[:, diag, diag] = 1
+    reached = step
+    dist = 2 - reached
+    dist[:, diag, diag] = 0
+    for _ in range(n - 2):
+        grown = np.minimum(reached @ step, 1)
+        if (grown == reached).all():
+            break
+        dist += 1 - grown
+        reached = grown
+    dist[reached == 0] = 10
+    return np.minimum(dist, 10).astype(np.intp), reached.argmax(axis=2)
+
+
+def _take(owner: np.ndarray, black: np.ndarray, rows: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """The black edges of the graphs ``rows`` (ascending) of ``batch``, with
+    their owners renumbered 0..len(rows) - 1."""
+    if len(rows) == batch:
+        return owner, black
+    slot = np.full(batch, -1)
+    slot[rows] = np.arange(len(rows))
+    keep = slot[owner] >= 0
+    return slot[owner[keep]], black[keep]
+
+
+def _stacked(n: int, draws) -> dict[int, tuple[list[int], str]]:
+    """(minors, class label) of every sample of ``draws`` (``_sample_pairs``
+    draws) whose bordered matrices Q_k of ``_stacked_minors`` pass the int64
+    bound, by position.
+
+    The bound is checked on Q first, and c(G+) >= N - |black edges| must
+    be at most ``_MAX_BRIDGED``, so that dense arrays are built only for
+    samples that may clear it; the BFS of ``_hops`` then gives c(G+) and
+    the rows to bridge, and the bound is checked again on Q_c.
+    """
+    batch = len(draws)
+    counts = np.fromiter((len(chosen) for chosen, _, _ in draws), dtype=np.intp, count=batch)
+    ends = _pair_ends(n)[np.fromiter(itertools.chain.from_iterable(d[0] for d in draws), dtype=np.intp, count=counts.sum())]
+    red_at = np.array([d[1:] for d in draws], dtype=np.intp).reshape(-1, 2) + (np.cumsum(counts) - counts)[:, None]
+    is_black = np.ones(len(ends), dtype=bool)
+    is_black[red_at] = False
+    owner, black, reds = np.repeat(np.arange(batch), counts)[is_black], ends[is_black], ends[red_at]
+    norms = _bordered_norms(n, owner, black, reds, np.zeros((batch, n - 1), dtype=np.int64))
+    near = np.flatnonzero(_fits_int64(norms) & (n - (counts - 2) <= _MAX_BRIDGED))
+    owner, black = _take(owner, black, near, batch)
+    dist, root = _hops(n, owner, black, len(near))
+    bridge = (root == np.arange(n))[:, 1:]
+    c = bridge.sum(axis=1, keepdims=True) + 1
+    rows = np.flatnonzero(_fits_int64(_bordered_norms(n, owner, black, reds[near], bridge * c)))
+    owner, black = _take(owner, black, rows, len(near))
+    reds, dist = reds[near[rows]], dist[rows]
+    values = _stacked_minors(_bordered_stack(n, owner, black, reds), bridge[rows])
+    x, y = reds[:, 0, :, None], reds[:, 1, None, :]
+    hops = np.sort(dist[np.arange(len(rows))[:, None, None], x, y].reshape(-1, 4), axis=1).tolist()
+    shared = (x == y).any(axis=(1, 2)).tolist()
+    labels = [
+        "disconnected_plus" if ci > 1 else "adj" if sh else "".join(map(_HOP_SYMBOLS.__getitem__, h))
+        for ci, sh, h in zip(c[rows, 0].tolist(), shared, hops)
+    ]
+    return dict(zip(near[rows].tolist(), zip(values, labels)))
+
+
+def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
+    """The records of ``keys``, a list of (M, sample_id) pairs, in order.
+
+    Every sample is drawn first.  The samples whose bordered matrices pass
+    the int64 bound then go through ``_stacked`` together, connected or
+    not; every other sample takes the Python-int core and the list BFS one
+    by one.
     """
     n = cfg.n
-    draws = []
-    for m, index in keys:
-        edges, r1, r2 = _sample_pairs(cfg, m, sample_seed(cfg.master_seed, m, index))
-        black = edges[:r1] + edges[r1 + 1 : r2] + edges[r2 + 1 :]
-        draws.append((index, len(edges), black, (edges[r1], edges[r2]), _adjacency(n, black)))
-    batch = [i for i, draw in enumerate(draws) if _kernels.component_count(draw[-1]) == 1]
-    h = _bordered_stack(n, [draws[i][2:4] for i in batch])
-    fits = _fits_int64(h)
-    minors = [None] * len(draws)
-    for i, values in zip(itertools.compress(batch, fits), _stacked_minors(h[fits])):
-        minors[i] = values
+    pairs = _all_pairs(n)
+    draws = [_sample_pairs(cfg, m, sample_seed(cfg.master_seed, m, index)) for m, index in keys]
+    stacked = _stacked(n, draws)
     records = []
-    for (index, m, black, (red1, red2), adj), values in zip(draws, minors):
-        if values is None:
-            values = _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black], (red1, red2), n - 1), _R2_MINORS)
-        a00, ax, ay, axy = values
-        delta = axy * a00 - ax * ay
-        gplus_connected = a00 != 0
-        if not gplus_connected:
-            label = "disconnected_plus"
-        elif set(red1) & set(red2):
-            label = "adj"
+    for i, ((_, index), (chosen, r1, r2)) in enumerate(zip(keys, draws)):
+        red1, red2 = pairs[chosen[r1]], pairs[chosen[r2]]
+        if i in stacked:
+            (a00, ax, ay, axy), label = stacked[i]
         else:
-            label = _distance_class(adj, red1, red2)
+            black = [pairs[j] for j in chosen[:r1] + chosen[r1 + 1 : r2] + chosen[r2 + 1 :]]
+            a00, ax, ay, axy = _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black], (red1, red2), n - 1), _R2_MINORS)
+            if not a00:
+                label = "disconnected_plus"
+            elif set(red1) & set(red2):
+                label = "adj"
+            else:
+                label = _distance_class(_adjacency(n, black), red1, red2)
+        delta = axy * a00 - ax * ay
         if axy == 0:
             gap_val: float | None = None
             log_val: float | None = None
@@ -249,11 +374,11 @@ def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
             EnsembleRecord(
                 sample_id=index,
                 n=n,
-                m=m,
+                m=len(chosen),
                 red1=red1,
                 red2=red2,
                 class_label=label,
-                gplus_connected=gplus_connected,
+                gplus_connected=a00 != 0,
                 delta_zero=delta == 0,
                 gap=gap_val,
                 log10_gap=log_val,

@@ -632,17 +632,27 @@ def test_ensemble_records_stream_in_chunks(monkeypatch):
 
 
 def test_ensemble_over_the_int64_bound_takes_the_scalar_route(tmp_path, capsys, monkeypatch):
-    # at N = 40 every sample's bordered matrix is over the Hadamard bound, so
-    # the stack stays empty and the output is the Python-int core's alone
+    # the scalar route takes exactly the samples over the bound: none at
+    # N = 10, where M = 9 and 12 leave many black subgraphs disconnected,
+    # and every sample at N = 40, where the stack stays empty and the
+    # output is the Python-int core's alone
+    stacked, scalar = [], []
+    stack, eliminate = ens._stacked_minors, ens._eliminate
+    monkeypatch.setattr(ens, "_stacked_minors", lambda h, bridge: stacked.append(len(h)) or stack(h, bridge))
+    monkeypatch.setattr(ens, "_eliminate", lambda *args: scalar.append(args) or eliminate(*args))
+    cfg_path = tmp_path / "cfg10.json"
+    cfg_path.write_text(json.dumps({"N": 10, "M": [9, 12, 45], "samples": 20, "seed": 1}))
+    assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(tmp_path / "n10.csv")]) == 0
+    capsys.readouterr()
+    assert stacked == [60] and scalar == []
+    assert "disconnected_plus" in (tmp_path / "n10.csv").read_text()
+    stacked.clear()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"N": 40, "M": [60, 300], "samples": 4, "seed": 1}))
-    stacked = []
-    stack = ens._stacked_minors
-    monkeypatch.setattr(ens, "_stacked_minors", lambda h: stacked.append(len(h)) or stack(h))
     assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(tmp_path / "a.csv")]) == 0
     assert json.loads(capsys.readouterr().out)["records"] == 8
-    assert stacked == [0]
-    monkeypatch.setattr(ens, "_fits_int64", lambda h: np.zeros(len(h), dtype=bool))
+    assert stacked == [0] and len(scalar) == 8
+    monkeypatch.setattr(ens, "_fits_int64", lambda norms: np.zeros(len(norms), dtype=bool))
     assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(tmp_path / "b.csv")]) == 0
     capsys.readouterr()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

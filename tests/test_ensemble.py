@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import random
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from signedlap import (
@@ -16,7 +20,7 @@ from signedlap import (
 )
 from signedlap import InternalConsistencyError, _kernels, component_counts
 from signedlap import ensemble as ens
-from signedlap.spectral import _bordered_minors, _bordered_stack, _eliminate, _fits_int64, _stacked_minors
+from signedlap.spectral import _bordered_minors, _bordered_norms, _bordered_stack, _eliminate, _fits_int64, _stacked_minors
 
 from conftest import kn_with_reds, minor_path_coefficients, swg
 
@@ -33,6 +37,18 @@ def test_sample_graph_counts_and_determinism():
         assert g1 == g2
         assert len(g1.edges) == 13 and g1.red_count == 2
     assert sample_graph(8, 13, 0) != sample_graph(8, 13, 1)
+
+
+def test_sample_matches_random_sample():
+    # the pool branch (n up to the set size: 21, or 85 for k = 6, or any n
+    # at k = n) and the set branch, on the same seeds; the stream is left
+    # where ``Random.sample`` leaves it
+    for n in (*range(2, 30), 84, 85, 86, 300, 4999):
+        for k in sorted({0, 1, 2, 5, 6, n} & set(range(n + 1))):
+            for seed in range(200 if k < 300 else 10):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert ens._sample(rng, n, k) == ref.sample(range(n), k)
+                assert rng.getrandbits(32) == ref.getrandbits(32)
 
 
 def test_all_pairs_built_once_and_immutable():
@@ -111,10 +127,11 @@ def test_coefficients_match_minor_path(monkeypatch):
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def _bordered_rows(n, black, reds):
+def _bordered_rows(n, black, reds, bump=None):
     """H = [[Q, B], [B^T, 0]] entry by entry: Q the unit Laplacian of the
-    ``black`` pairs grounded at vertex 0, column i of B the incidence vector
-    of ``reds[i]``."""
+    ``black`` pairs grounded at vertex 0, plus ``bump[v - 1]`` on the
+    diagonal of vertex v, column i of B the incidence vector of
+    ``reds[i]``."""
     h = [[0] * (n + 1) for _ in range(n + 1)]
     for u, v in black:
         for a, b in ((u, v), (v, u)):
@@ -126,6 +143,8 @@ def _bordered_rows(n, black, reds):
         for x, sign in ((u, 1), (v, -1)):
             if x:
                 h[x - 1][col] = h[col][x - 1] = sign
+    for i, k in enumerate(bump or ()):
+        h[i][i] += k
     return h
 
 
@@ -143,35 +162,103 @@ def _grid_samples(n):
             yield g, [(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges)
 
 
+def _bridged_rows(n, black) -> list[int]:
+    """The least vertex of every black component without vertex 0, by
+    propagating the least label along the edges until nothing changes."""
+    root = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in black:
+            low = min(root[u], root[v])
+            if root[u] != low or root[v] != low:
+                root[u] = root[v] = low
+                changed = True
+    return [v for v in range(1, n) if root[v] == v]
+
+
+def _bump(n, black, k=None) -> list[int]:
+    """The diagonal that Q_k adds to Q, over the rows of Q: k on every
+    bridged row, k = c(G+) unless given."""
+    rows = _bridged_rows(n, black)
+    k = len(rows) + 1 if k is None else k
+    return [k if v in rows else 0 for v in range(1, n)]
+
+
+def _arrays(samples):
+    """(owner, black, reds) arrays of ``_bordered_stack`` for ``samples``,
+    (black pairs, red pairs) each."""
+    owner = np.array([b for b, (black, _) in enumerate(samples) for _ in black], dtype=np.intp)
+    black = np.array([e for black, _ in samples for e in black], dtype=np.intp).reshape(-1, 2)
+    reds = np.array([reds for _, reds in samples], dtype=np.intp).reshape(-1, 2, 2)
+    return owner, black, reds
+
+
+def _scalar_minors(n, black, reds) -> list[int]:
+    return _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black], reds, n - 1), ens._R2_MINORS)
+
+
 def test_stacked_minors_match_the_scalar_core():
-    # oracle: the Python-int core on each sample; the stack holds every
-    # grid sample with a connected black subgraph, and the Hadamard bound
-    # picks the ones it eliminates
+    # oracle: the Python-int core on each sample.  The stack holds every grid
+    # sample, connected or not, with Q_c's diagonal as the norms see it; the
+    # Hadamard bound on Q_c picks the ones it eliminates
     stacked = refused = 0
+    components = set()
     for n in range(5, 13):
-        samples, expect = [], []
-        for g, black, reds in _grid_samples(n):
-            if component_counts(g)[1] == 1:
-                samples.append((black, reds))
-                expect.append(tuple(_bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black], reds, n - 1), ens._R2_MINORS)))
-        h = _bordered_stack(n, samples)
-        rows = [_bordered_rows(n, *sample) for sample in samples]
-        assert h.tolist() == rows
-        fits = _fits_int64(h)
-        assert fits.tolist() == [_hadamard_fits(r) for r in rows]
-        got = _stacked_minors(h[fits])
-        assert got == [e for e, f in zip(expect, fits) if f]
+        samples = [(black, reds) for _, black, reds in _grid_samples(n)]
+        bump = np.array([_bump(n, black) for black, _ in samples], dtype=np.int64)
+        owner, black, reds = _arrays(samples)
+        h = _bordered_stack(n, owner, black, reds)
+        assert h.tolist() == [_bordered_rows(n, *sample) for sample in samples]
+        rows = [_bordered_rows(n, *sample, b) for sample, b in zip(samples, bump.tolist())]
+        norms = _bordered_norms(n, owner, black, reds, bump)
+        assert norms.tolist() == [[sum(x * x for x in row) for row in h_c] for h_c in rows]
+        fits = _fits_int64(norms)
+        assert fits.tolist() == [_hadamard_fits(h_c) for h_c in rows]
+        got = _stacked_minors(h[fits], bump[fits] > 0)
+        assert got == [_scalar_minors(n, *sample) for sample, f in zip(samples, fits) if f]
         assert all(type(x) is int for values in got for x in values)
         assert n > 10 or fits.all()
+        components |= {min(c, 4) for c in (bump[fits] > 0).sum(axis=1) + 1}
         stacked += len(got)
         refused += len(samples) - len(got)
-    assert stacked > 100 and refused > 0
+    # c(G+) = 1, 2, 3 and >= 4 all went through the stack
+    assert stacked > 200 and refused > 0 and components == {1, 2, 3, 4}
+
+
+def _path_draw(n, red1, red2):
+    """A ``_sample_pairs`` draw: the black path 0-1-...-(n-1) and the red
+    pairs ``red1`` and ``red2``."""
+    pairs = ens._all_pairs(n)
+    chosen = sorted([pairs.index((i, i + 1)) for i in range(n - 1)] + [pairs.index(red1), pairs.index(red2)])
+    return chosen, chosen.index(pairs.index(red1)), chosen.index(pairs.index(red2))
+
+
+def _split(n, draw):
+    """(black pairs, red pairs) of a ``_sample_pairs`` draw."""
+    chosen, r1, r2 = draw
+    pairs = [ens._all_pairs(n)[j] for j in chosen]
+    return pairs[:r1] + pairs[r1 + 1 : r2] + pairs[r2 + 1 :], (pairs[r1], pairs[r2])
+
+
+def test_bound_on_q_alone_does_not_clear_the_bridged_stack():
+    # G(13, 38) at seed 10 has two black components: Q passes the bound but
+    # Q_2 does not, so ``_stacked`` leaves it to the Python-int core and
+    # takes the path drawn next to it
+    n, m, seed = 13, 38, 10
+    g = sample_graph(n, m, seed)
+    black, reds = [(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges)
+    assert len(_bridged_rows(n, black)) == 1 and _scalar_minors(n, black, reds)[0] == 0
+    assert _hadamard_fits(_bordered_rows(n, black, reds))
+    assert not _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black)))
+    draws = [ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, seed), _path_draw(n, (0, 2), (10, 12))]
+    assert list(ens._stacked(n, draws)) == [1]
 
 
 def test_int64_bound_covers_every_product():
-    # the stacked update replayed on Python ints: on every sample that the
-    # bound clears, no product or difference it forms reaches 2^63; the
-    # grid holds samples whose products do
+    # the stacked update replayed on Python ints: on every sample whose Q_c
+    # the bound clears, no product or difference it forms on any Q_k reaches
+    # 2^63; the grid holds samples whose products do
     def largest(h):
         top, prev = 0, 1
         while len(h) > 2:
@@ -182,36 +269,113 @@ def test_int64_bound_covers_every_product():
             prev = p
         return max(top, abs(h[0][0] * h[1][1]), abs(h[0][1] * h[1][0]), abs(h[0][0] * h[1][1] - h[0][1] * h[1][0]))
 
-    beyond = 0
+    beyond = bridged = 0
     for n in range(5, 14):
         for g, black, reds in _grid_samples(n):
-            if component_counts(g)[1] == 1:
-                h = _bordered_rows(n, black, reds)
-                top = largest(h)
-                assert not _hadamard_fits(h) or top < 2**63
+            c = len(_bridged_rows(n, black)) + 1
+            fits = _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black)))
+            for k in range(1, c + 1):
+                top = largest(_bordered_rows(n, black, reds, _bump(n, black, k)))
+                assert not fits or top < 2**63
                 beyond += top >= 2**63
-    assert beyond > 0
+            bridged += fits and c > 1
+    assert beyond > 0 and bridged > 0
+
+
+def test_weighted_combination_stays_in_int64():
+    # sum_k (-1)^(k+1) C(c, k) value(k) replayed on Python ints, each value
+    # read off Q_k by the scalar core (Q plus an edge of weight k from
+    # vertex 0 to each bridged vertex): on every sample whose Q_c the bound
+    # clears, c <= 10 and no term or partial sum reaches 2^63; the sum is
+    # the value over Q
+    assert 10**18 < 2**62 < 11**20 and ens._MAX_BRIDGED == 10
+    seen = set()
+    for n in range(5, 13):
+        for g, black, reds in _grid_samples(n):
+            rows = _bridged_rows(n, black)
+            c = len(rows) + 1
+            if not _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black))):
+                continue
+            assert c <= ens._MAX_BRIDGED
+            total = [0] * 4
+            for k in range(1, c + 1):
+                values = _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black] + [(0, v, k) for v in rows], reds, n - 1), ens._R2_MINORS)
+                for i, x in enumerate(values):
+                    term = (-1) ** (k + 1) * math.comb(c, k) * x
+                    total[i] += term
+                    assert abs(term) < 2**63 and abs(total[i]) < 2**63
+            assert total == _scalar_minors(n, black, reds)
+            seen.add(min(c, 4))
+    assert seen == {1, 2, 3, 4}
 
 
 def test_stacked_minors_raise_on_a_zero_pivot_or_an_inexact_division():
-    # 4 black edges on 8 vertices leave Q singular; K12 is over the int64
-    # bound, and its wrapped products no longer divide exactly
+    # 4 black edges on 8 vertices leave Q singular, and without its bridged
+    # rows the stack meets a zero pivot; K12 is over the int64 bound, and
+    # its wrapped products no longer divide exactly
     for (n, m), match in (((8, 6), "pivot"), ((12, 66), "not divisible")):
         g = sample_graph(n, m, 1)
-        h = _bordered_stack(n, [([(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges))])
+        owner, black, reds = _arrays([([(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges))])
         with pytest.raises(InternalConsistencyError, match=match):
-            _stacked_minors(h)
+            _stacked_minors(_bordered_stack(n, owner, black, reds), np.zeros((1, n - 1), dtype=bool))
 
 
-def test_records_route_by_connectivity_and_bound(monkeypatch):
-    # the Python-int core takes exactly the samples with a disconnected
-    # black subgraph (c(G+) > 1) and those over the bound; every other
-    # sample goes through the stack, which at N <= 10 is every connected one
+def test_stacked_labels_match_classify():
+    # oracle: ``classify`` on each sample (list BFS and component count).
+    # The grid runs to N = 14; black paths on 13 and 14 vertices with red
+    # chords at their ends give distances of 10 and more, clamped to '+'
+    labels = set()
+    for n in range(5, 15):
+        total = n * (n - 1) // 2
+        draws = [
+            ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, seed)
+            for m in sorted({n - 2, n, n + 1, (n + total) // 2, total})
+            for seed in range(8)
+        ]
+        if n >= 13:
+            draws += [_path_draw(n, (0, 2), (n - 3, n - 1)), _path_draw(n, (0, 2), (1, n - 1)), _path_draw(n, (1, 3), (3, 5))]
+        for i, (_, label) in ens._stacked(n, draws).items():
+            black, reds = _split(n, draws[i])
+            assert label == classify(swg(n, [(u, v, 1) for u, v in black] + [(u, v, -1) for u, v in reds]))
+            labels.add(label)
+    # 8+++ and 9+++ at N = 13 and 14, 11++ with d = 10, 12 or 11, 13
+    assert {"adj", "disconnected_plus", "8+++", "9+++", "11++"} <= labels
+    assert any(label.isdigit() and len(label) == 4 for label in labels)
+
+
+def test_samples_over_the_bound_build_no_dense_arrays(monkeypatch):
+    # at N = 200, dense samples (M = 400) fail the bound on Q, and sparse
+    # ones (M = 12) pass it but have c(G+) > 10, so neither reaches the BFS
+    # or the stack: peak memory stays with the edge lists, under half of
+    # what one dense float32 BFS stack for these 256 samples would take
+    # (41 MB)
+    n = 200
+    sizes = []
+    hops, stack = ens._hops, ens._bordered_stack
+    monkeypatch.setattr(ens, "_hops", lambda n, owner, black, batch: sizes.append(batch) or hops(n, owner, black, batch))
+    monkeypatch.setattr(ens, "_bordered_stack", lambda n, owner, black, reds: sizes.append(len(reds)) or stack(n, owner, black, reds))
+    cfg = EnsembleConfig(n, (12, 400), 1, 0)
+    draws = [ens._sample_pairs(cfg, m, seed) for m in cfg.m_values for seed in range(128)]
+    assert any(_hadamard_fits(_bordered_rows(n, *_split(n, draw))) for draw in draws[:8])
+    tracemalloc.start()
+    try:
+        assert ens._stacked(n, draws) == {}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [0, 0] and peak < 20 << 20
+
+
+def test_records_route_by_the_bound_alone(monkeypatch):
+    # the Python-int core takes exactly the samples whose Q_c is over the
+    # bound, connected or not: none at N <= 10, some at N = 11-12.  One
+    # stacked call per chunk takes every other sample, the ones with a
+    # disconnected black subgraph (bridged) included
     stacked, scalar = [], []
     stack, eliminate = ens._stacked_minors, ens._eliminate
-    monkeypatch.setattr(ens, "_stacked_minors", lambda h: stacked.append(len(h)) or stack(h))
+    monkeypatch.setattr(ens, "_stacked_minors", lambda h, bridge: stacked.append((len(h), int(bridge.any(axis=1).sum()))) or stack(h, bridge))
     monkeypatch.setattr(ens, "_eliminate", lambda n, black, reds, steps: scalar.append((n, black, reds)) or eliminate(n, black, reds, steps))
-    over = {}
+    over, bridged = {}, 0
     for n in range(5, 13):
         total = n * (n - 1) // 2
         ms = tuple(sorted({n - 2, n, n + 1, (n + total) // 2, total}))
@@ -219,19 +383,22 @@ def test_records_route_by_connectivity_and_bound(monkeypatch):
         scalar.clear()
         stacked.clear()
         records = ens.generate_records(cfg)
-        expect = []
+        expect, chunk_bridged = [], 0
         for rec in records:
             g = sample_graph(n, rec.m, ens.sample_seed(n, rec.m, rec.sample_id))
             black = [(u, v) for u, v, _ in g.black_edges]
             reds = (rec.red1, rec.red2)
-            disconnected = component_counts(g)[1] > 1
-            assert disconnected != rec.gplus_connected
-            if disconnected or not _hadamard_fits(_bordered_rows(n, black, reds)):
+            c = len(_bridged_rows(n, black)) + 1
+            assert (c == 1) == rec.gplus_connected
+            if _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black))):
+                chunk_bridged += c > 1
+            else:
                 expect.append((n, [(u, v, 1) for u, v in black], reds))
-                over[n] = over.get(n, 0) + (not disconnected)
         assert scalar == expect
-        assert stacked == [len(records) - len(expect)] and stacked[0] > 0
-    assert not any(over.get(n) for n in range(5, 11)) and over.get(11, 0) + over.get(12, 0) > 0
+        assert stacked == [(len(records) - len(expect), chunk_bridged)]
+        over[n] = len(expect)
+        bridged += chunk_bridged
+    assert not any(over[n] for n in range(5, 11)) and over[11] + over[12] > 0 and bridged > 0
 
 
 def test_compute_record_is_a_chunk_of_one():
@@ -420,3 +587,28 @@ def test_gap_and_log_extreme_ratio():
     assert abs(g / 10 ** 200 - math.sqrt(2)) < 1e-6
     g2, lg2 = ens._gap_and_log(1, 10 ** 400)
     assert g2 == 0.0 and abs(lg2 - 0.5 * (math.log10(2) - 800)) < 1e-6
+
+
+def test_gap_and_log_matches_the_fraction_formula():
+    # oracle: the ratio 2|delta|/a11^2 reduced by Fraction, then the same
+    # scaled root; ints and Fractions, out to 10^+-400
+    def reference(delta, a11):
+        ratio = Fraction(2 * abs(delta), a11 * a11)
+        num, den = ratio.numerator, ratio.denominator
+        e = (num.bit_length() - den.bit_length()) // 2
+        root = math.sqrt((num << max(-2 * e, 0)) / (den << max(2 * e, 0)))
+        try:
+            g = math.ldexp(root, e)
+        except OverflowError:
+            g = math.inf
+        if 0.0 < g < math.inf:
+            return g, math.log10(g)
+        return g, math.log10(root) + e * math.log10(2.0)
+
+    rng = random.Random(3)
+    for _ in range(2000):
+        digits = rng.choice((3, 12, 40, 400))
+        delta, a11 = (rng.choice((-1, 1)) * rng.randrange(1, 10**rng.randrange(1, digits)) for _ in range(2))
+        assert ens._gap_and_log(delta, a11) == reference(delta, a11)
+        delta, a11 = Fraction(delta, rng.randrange(1, 10**6)), Fraction(a11, rng.randrange(1, 10**6))
+        assert ens._gap_and_log(delta, a11) == reference(delta, a11)
