@@ -5,7 +5,14 @@ coloring: spectral index and its limits, the multilinear crossing polynomial,
 eigenvalue-crossing discriminants and their spanning-forest / cycle-basis
 duals, hyperplane factorization via wildcard discriminants, l1 stability
 certificates, and Monte Carlo ensembles of random signed graphs.
+
+The ensemble (``signedlap.ensemble``, and the names ``EnsembleConfig``,
+``EnsembleRecord``, ``classify`` and ``sample_graph`` exported here) is
+imported on first use, with numpy, so the exact routes start without
+either.
 """
+
+import importlib
 
 from .errors import InputError, InternalConsistencyError
 from .graph import (
@@ -57,7 +64,6 @@ from .discriminants import (
     wildcard_forest_sum,
 )
 from .stability import StabilityReport, axis_thresholds, certify
-from .ensemble import EnsembleConfig, EnsembleRecord, classify, sample_graph
 
 __version__ = "0.1.0"
 
@@ -112,3 +118,17 @@ __all__ = [
     "classify",
     "sample_graph",
 ]
+
+_ENSEMBLE_NAMES = ("EnsembleConfig", "EnsembleRecord", "classify", "sample_graph")
+
+
+def __getattr__(name):
+    """Import the ensemble on first use of one of its names (PEP 562)."""
+    if name == "ensemble" or name in _ENSEMBLE_NAMES:
+        module = importlib.import_module(".ensemble", __name__)
+        return module if name == "ensemble" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "ensemble", *_ENSEMBLE_NAMES})

@@ -7,7 +7,7 @@ elimination, needs no overflow guard and is exact for any entry size.
 ``det_int`` is the general elimination, with row swaps, and serves
 ``spectral.det_rational`` only; every symmetric elimination (``inertia``,
 the crossing core, the ray) runs on ``spectral._schur``.  The ensemble
-runs that update stacked in int64 (``spectral._stacked_minors``) and its
+runs that update stacked in int64 (``ensemble._stacked_minors``) and its
 BFS as stacked float32 products (``ensemble._hops``), where a whole chunk
 of small bounded samples shares each numpy step; ``bfs_distances`` and
 ``component_count`` serve ``ensemble.classify`` and the ensemble samples

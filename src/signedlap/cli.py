@@ -22,7 +22,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import crossing, discriminants, ensemble, spectral, stability
+from . import crossing, discriminants, spectral, stability
 from .errors import InputError, InternalConsistencyError
 from .graph import component_counts, is_connected, parse_graph
 
@@ -171,6 +171,8 @@ def _cmd_crossings(args) -> dict:
 
 
 def _cmd_ensemble(args) -> dict:
+    from . import ensemble  # numpy and the sampler load only for this command
+
     raw = _read_json(args.input)
     if args.seed is not None and isinstance(raw, dict):  # config_from_dict rejects the rest
         raw["seed"] = args.seed

@@ -5,8 +5,8 @@ The Laplacian convention is off-diagonal entry = edge weight, diagonal =
 minus the row sum, so an all-positive graph gives a negative-semidefinite
 matrix whose kernel contains the all-ones vector.  The spectral index is the
 triple (n_minus, n_zero, n_plus).  Inertia, determinants and the bordered
-elimination are fraction-free (Bareiss) on Python ints, apart from the
-ensemble's stacked int64 step below; only ``eigenvalues`` uses floats.
+elimination are fraction-free (Bareiss) on Python ints; only
+``eigenvalues`` uses floats, and only it imports numpy.
 
 Every exact symmetric elimination is one step, ``_schur``, a Bareiss update
 of an upper triangle, run by two loops: ``_pivots`` runs it to the end,
@@ -17,23 +17,13 @@ columns.  ``_bridged`` finishes it over those rows, joined to vertex 0, and
 ``_principal_minors`` and ``_bordered_minors`` read every crossing value off
 what it leaves.  The general ``_kernels.det_int`` is left for
 ``det_rational``.
-
-``_stacked_minors`` is ``_schur``'s update on a whole stack of bordered
-matrices at once, in int64: the ensemble's two-red-edge samples, built by
-``_bordered_stack``, whose entries pass the Hadamard bound of
-``_fits_int64`` (on row norms from ``_bordered_norms``, no stack needed).
-A sample with a disconnected black subgraph is bridged as ``_bridged``
-does it, its Q_k stacked next to the others.  Every other sample takes
-``_eliminate`` and ``_bordered_minors``, which give the same integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, lcm
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from . import _kernels
 from .errors import InputError, InternalConsistencyError
@@ -122,6 +112,8 @@ def eigenvalues(m) -> np.ndarray:
     eigenvalue that is not finite is an InputError; the exact ``inertia``
     has no such limit.
     """
+    import numpy as np  # imported here: the exact routes never load numpy
+
     message = "eigenvalues need every nonzero entry and eigenvalue within the float range (2.5e-324 < |x| < 1.8e308)"
     rows = m.rows if isinstance(m, LaplacianMatrix) else m
     try:
@@ -210,100 +202,6 @@ def _schur(upper, prev: int):
         else:
             out.append(row)
     return out
-
-
-def _bordered_stack(n: int, owner: np.ndarray, black: np.ndarray, reds: np.ndarray) -> np.ndarray:
-    """The bordered matrices H = [[Q, B], [B^T, 0]] of ``_eliminate``, every
-    black weight 1, stacked as an int64 array of shape (len(reds), n + 1,
-    n + 1): matrix b has the black edges ``black[i]`` (a (E, 2) array of
-    vertex pairs) with ``owner[i]`` = b and the red edges ``reds[b]`` (a
-    (B, 2, 2) array)."""
-    size = n + 1
-    # vertex v is row v - 1; vertex 0 goes to an extra last row, cut off
-    row = np.arange(-1, n)
-    row[0] = size
-    full = np.zeros((len(reds), size + 1, size + 1), dtype=np.int64)
-    u, v = row[black.T]
-    full[owner, u, v] = full[owner, v, u] = -1
-    diag = np.arange(size + 1)
-    full[:, diag, diag] = -full.sum(axis=2)
-    b, cols = np.arange(len(reds))[:, None], np.array([n - 1, n])
-    u, v = row[reds.transpose(2, 0, 1)]
-    full[b, u, cols] = full[b, cols, u] = 1
-    full[b, v, cols] = full[b, cols, v] = -1
-    return full[:, :size, :size]
-
-
-def _bordered_norms(n: int, owner: np.ndarray, black: np.ndarray, reds: np.ndarray, bump: np.ndarray) -> np.ndarray:
-    """The squared row norms of each matrix of ``_bordered_stack(n, owner,
-    black, reds)``, black pairs u < v, with ``bump`` (shape (B, n - 1))
-    added to the diagonal of Q, without building the stack.
-
-    Row v of Q holds its diagonal deg_v + bump_v, a -1 for each black
-    neighbour other than vertex 0 and a +-1 for each red edge at v; a red
-    column holds a +-1 for each of its endpoints other than vertex 0.
-    """
-    batch = len(reds)
-    u, v = owner * n + black.T
-    off_0 = black[:, 0] != 0
-    deg = np.bincount(np.concatenate([u, v]), minlength=batch * n).reshape(batch, n)
-    rest = np.bincount(
-        np.concatenate([u[off_0], v[off_0], (np.arange(batch)[:, None, None] * n + reds).ravel()]), minlength=batch * n
-    ).reshape(batch, n)
-    rows = (deg[:, 1:] + bump) ** 2 + rest[:, 1:]
-    return np.concatenate([rows, (reds != 0).sum(axis=2)], axis=1)
-
-
-def _fits_int64(norms: np.ndarray) -> np.ndarray:
-    """Per row of ``norms``, the squared row norms of one bordered matrix:
-    whether prod max(1, |row_i|^2) < 2^62, in exact integers.
-
-    By Hadamard's inequality every minor of H is at most the product of the
-    norms of its rows, so that product bounds every product of two minors,
-    and ``_stacked_minors`` forms nothing larger than twice one.
-    """
-    return np.array([prod(x) < 1 << 62 for x in np.maximum(norms, 1).tolist()], dtype=bool)
-
-
-def _stacked_minors(h: np.ndarray, bridge: np.ndarray) -> list[list[int]]:
-    """[A_empty, A_x, A_y, A_xy] of each bordered matrix of the stack ``h``,
-    as ``_bordered_minors(..., _R2_MINORS)`` reads them off its elimination.
-
-    ``bridge`` marks, per matrix, one row of Q in each black component
-    without vertex 0; with c - 1 of them, c = c(G+), the values are read
-    as ``_bridged`` reads them, off Q_k = Q + k on those diagonals for
-    k = 1..c, and combined as sum_k (-1)^(k+1) C(c, k) value(k).  With
-    c = 1 that is the one matrix Q.
-
-    Every step is ``_schur``'s update (x p - f y) // prev, on all the Q_k at
-    once in int64, which ``_fits_int64`` must have cleared on Q_c, so on
-    every Q_k.  Each Q_k is positive definite, so every pivot is a leading
-    principal minor and positive: a pivot that is not is an
-    InternalConsistencyError, as is an inexact division.  Each value is a
-    minor of a cleared Q_k, so below 2^31, and c <= 10 on a cleared Q_c,
-    so the combination stays below 2^31 * 2^10.
-    """
-    c = bridge.sum(axis=1) + 1
-    owner = np.repeat(np.arange(len(h)), c)
-    first = np.cumsum(c) - c
-    k = np.arange(len(owner)) - first[owner] + 1
-    # the stack's own axis last, so each step runs long contiguous loops
-    h = np.ascontiguousarray(h.transpose(1, 2, 0)[:, :, owner])
-    diag = np.arange(bridge.shape[1])
-    h[diag, diag] += k * bridge[owner].T
-    prev = np.ones(len(owner), dtype=np.int64)
-    for _ in range(len(h) - 2):
-        p = h[0, 0]
-        if not (p > 0).all():
-            raise InternalConsistencyError("stacked elimination met a pivot <= 0")
-        h = (h[1:, 1:] * p - h[1:, :1] * h[:1, 1:]) // prev
-        prev = p
-    axy, rem = np.divmod(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0], prev)
-    if rem.any():
-        raise InternalConsistencyError("stacked bordered minor not divisible by det Q")
-    weight = np.array([(-1) ** (j + 1) * comb(cc, j) for cc, j in zip(c[owner].tolist(), k.tolist())], dtype=np.int64)
-    values = np.stack([prev, -h[0, 0], -h[1, 1], axy], axis=1) * weight[:, None]
-    return np.add.reduceat(values, first, axis=0).tolist() if len(first) else []
 
 
 def _pivots(upper, prev: int = 1) -> tuple[list[int], int]:

@@ -4,12 +4,16 @@ import argparse
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import signedlap
 from signedlap import _kernels, cli, crossing, discriminants, graph, spectral, stability
 from signedlap import ensemble as ens
 
@@ -768,3 +772,122 @@ def test_disc_rejects_other_red_counts_first(monkeypatch, capsys, tmp_path):
     assert cli.main(["disc", "--input", _graph_file(tmp_path, "r3", _graph_doc(k4))]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "operation requires exactly 2 red edges, got 3" in captured.err
+
+
+def _fresh(script, *args):
+    """The JSON that ``script`` prints, run in a fresh interpreter on the
+    ``signedlap`` under test: this process has imported numpy already."""
+    path = os.pathsep.join(filter(None, [str(Path(signedlap.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+_ENSEMBLE_NAMES = ("EnsembleConfig", "EnsembleRecord", "classify", "sample_graph")
+
+_PACKAGE_API = """
+import json, sys
+import signedlap
+before = "signedlap.ensemble" in sys.modules
+star = {}
+exec("from signedlap import *", star)
+try:
+    signedlap.no_such_name
+except AttributeError as exc:
+    error = str(exc)
+else:
+    error = None
+print(json.dumps({
+    "before": before,
+    "star": sorted(name for name in signedlap.__all__ if star.get(name) is getattr(signedlap, name)),
+    "dir": sorted(name for name in signedlap.__all__ + ["ensemble"] if name in dir(signedlap)),
+    "ensemble": signedlap.ensemble.__name__,
+    "modules": [getattr(signedlap, name).__module__ for name in %r],
+    "error": error,
+    "hasattr": hasattr(signedlap, "no_such_name"),
+}))
+""" % (_ENSEMBLE_NAMES,)
+
+
+def test_package_exports_the_ensemble_on_first_use():
+    out = _fresh(_PACKAGE_API)
+    assert out["before"] is False
+    assert out["star"] == sorted(signedlap.__all__)
+    assert out["dir"] == sorted(signedlap.__all__ + ["ensemble"])
+    assert out["ensemble"] == "signedlap.ensemble"
+    assert out["modules"] == ["signedlap.ensemble"] * 4
+    assert out["error"] == "module 'signedlap' has no attribute 'no_such_name'"
+    assert out["hasattr"] is False
+    assert signedlap.ensemble is ens
+    assert all(getattr(signedlap, name) is getattr(ens, name) for name in _ENSEMBLE_NAMES)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        signedlap.no_such_name
+
+
+_LOADED = "[name in sys.modules for name in ('numpy', 'signedlap.ensemble')]"
+
+# the loaded modules after ``import signedlap``, after ``import
+# signedlap.cli`` and after each ``cli.main(argv)``, with its exit code,
+# stdout and stderr
+_STARTUP = f"""
+import contextlib, io, json, sys
+import signedlap
+loaded = [{_LOADED}]
+import signedlap.cli
+loaded.append({_LOADED})
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = signedlap.cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue(), {_LOADED}])
+print(json.dumps({{"loaded": loaded, "runs": runs}}))
+"""
+
+
+def _in_process(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return [code, captured.out, captured.err]
+
+
+def test_exact_commands_start_without_numpy(capsys, k4_file):
+    argvs = [
+        ["coeffs", "--input", k4_file],
+        ["disc", "--input", k4_file],
+        ["factorize", "--input", k4_file],
+        ["stability", "--input", k4_file],
+        ["stability", "--input", k4_file, "--t", "3/10,3/10"],
+        ["crossings", "--input", k4_file, "--ray", "1,2"],
+        ["analyze", "--input", k4_file],
+    ]
+    out = _fresh(_STARTUP, json.dumps(argvs))
+    assert out["loaded"] == [[False, False], [False, False]]
+    for argv, (code, stdout, stderr, loaded) in zip(argvs, out["runs"], strict=True):
+        assert loaded == [False, False], argv
+        assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv), argv
+
+
+def test_analyze_with_t_and_ensemble_load_numpy(capsys, tmp_path, k4_file):
+    argv = ["analyze", "--input", k4_file, "--t", "1,1"]
+    out = _fresh(_STARTUP, json.dumps([argv]))
+    ((code, stdout, stderr, loaded),) = out["runs"]
+    assert out["loaded"][-1] == [False, False] and loaded == [True, False]
+    assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 9, "M": [9, 20], "samples": 15, "seed": 4}))
+    csv = tmp_path / "runs.csv"
+    argv = ["ensemble", "--input", str(cfg), "--output", str(csv)]
+    out = _fresh(_STARTUP, json.dumps([argv]))
+    ((code, stdout, stderr, loaded),) = out["runs"]
+    files = [csv.read_bytes(), (tmp_path / "runs.summary.json").read_bytes()]
+    assert out["loaded"][-1] == [False, False] and loaded == [True, True]
+    assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv)
+    assert files == [csv.read_bytes(), (tmp_path / "runs.summary.json").read_bytes()]

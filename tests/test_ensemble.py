@@ -20,7 +20,8 @@ from signedlap import (
 )
 from signedlap import InternalConsistencyError, _kernels, component_counts
 from signedlap import ensemble as ens
-from signedlap.spectral import _bordered_minors, _bordered_norms, _bordered_stack, _eliminate, _fits_int64, _stacked_minors
+from signedlap.ensemble import _bordered_norms, _bordered_stack, _fits_int64, _stacked_minors
+from signedlap.spectral import _bordered_minors, _eliminate
 
 from conftest import kn_with_reds, minor_path_coefficients, swg
 
