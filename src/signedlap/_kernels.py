@@ -6,7 +6,7 @@ fraction-free elimination over Python ints is faster than an int64 numpy
 elimination, needs no overflow guard and is exact for any entry size.
 ``det_int`` is the general elimination, with row swaps, and serves
 ``spectral.det_rational`` only; every symmetric elimination (``inertia``,
-the crossing core, the ray) runs on ``spectral._schur``.  The ensemble
+the crossing core, the ray and the graph index) runs on ``spectral._schur``.  The ensemble
 runs that update stacked in int64 (``ensemble._stacked_minors``) and its
 BFS as stacked float32 products (``ensemble._hops``), where a whole chunk
 of small bounded samples shares each numpy step; ``bfs_distances`` and

@@ -92,9 +92,9 @@ def _cmd_analyze(args) -> dict:
         out["index_limits"] = None
     if args.t is not None:
         t = _parse_fractions(args.t)
-        lap = spectral.laplacian(g, t)
+        lap = spectral.laplacian(g, t)  # checks t, and feeds the float eigenvalues
         out["t"] = [str(x) for x in t]
-        out["index"] = list(spectral.inertia(lap))
+        out["index"] = list(spectral._graph_inertia(g, t))
         out["eigenvalues"] = [float(x) for x in spectral.eigenvalues(lap)]
     return out
 

@@ -24,9 +24,11 @@ k = 1..c(G+), and takes every A_I as the constant term in k.
 Along a ray t*alpha no coefficient is needed: by the matrix-tree theorem
 M(t*alpha) is the determinant of the grounded signed Laplacian, a
 polynomial in t of degree exactly N - c(G-).  ``graph_ray_polynomial``
-runs the same elimination over the vertices off the red edges, then
-evaluates the determinant at t = 0..N - c(G-) in integers from the rows
-left, at most min(N - 1, 2R) of them, and interpolates exactly.  So
+takes the block of ``spectral._touched_block``, which the spectral index
+is read off too: one elimination of the vertices off the red edges, then
+the red Laplacian added over the at most min(N - 1, 2R) rows left.  It
+evaluates the determinant at t = 0..N - c(G-) in integers from that block
+and interpolates exactly.  So
 ``graph_ray_crossings`` costs one elimination plus N - c(G-) + 1 small
 determinants instead of 2^R minors.  ``crossing_polynomial`` with
 ``ray_polynomial`` is the 2^R route, kept for ``coeffs`` and as the test
@@ -40,14 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Sequence
 
 from . import polyroots
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, component_counts, is_connected
 from .polyroots import RootRecord
-from .spectral import _bridged, _eliminate, _pivots, _principal_minors
+from .spectral import _bridged, _eliminate, _pivots, _principal_minors, _touched_block
 
 MAX_RED_DEFAULT = 20
 
@@ -166,10 +168,6 @@ def require_nonnegative(a: Fraction, mask: int):
         )
 
 
-def evaluate(p: CrossingPolynomial, t: Sequence[Fraction]) -> Fraction:
-    return p.evaluate(t)
-
-
 def degree_support(p: CrossingPolynomial, g: SignedWeightedGraph) -> tuple[int, int]:
     """Verify nonzero terms occur exactly for degrees c(G+)-1 .. N-c(G-).
 
@@ -235,18 +233,14 @@ def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> l
     """M(t*alpha) straight from the graph, equal to
     ``ray_polynomial(crossing_polynomial(g), alpha)`` at any R.
 
-    With L the lcm of the black-weight and alpha denominators, the grounded
-    signed Laplacian with black weights L*w and red weights -s*L*alpha_i is
-    an integer matrix whose determinant is P(s) = L^(N-1) * M(s*alpha).
-    Only its rows over T, the vertices other than 0 that a red edge
-    touches, depend on s.  ``_eliminate`` pivots once over the other
-    vertices, ordered first: every edge at them is black and the graph is
-    connected, so no pivot is zero.  Bareiss leaves S - s*prev*Lr over T,
-    with S the black upper triangle left, prev the last pivot and Lr the
-    red Laplacian with weights L*alpha_i.  ``_pivots`` resumed from prev
-    finishes the same symmetric elimination over at most
-    |T| <= min(N - 1, 2R) rows: P(s) is its last pivot, or 0 when it drops
-    a zero row.
+    ``spectral._touched_block`` of alpha gives the block that an
+    elimination of the grounded signed Laplacian leaves over T, the vertices
+    other than 0 that a red edge touches: S - s * R at magnitudes s * alpha,
+    prev times a Schur complement, with L the lcm of the black-weight and
+    alpha denominators.  ``_pivots`` resumed from prev finishes the same
+    symmetric elimination over at most |T| <= min(N - 1, 2R) rows, so its
+    last pivot is P(s) = L^(N-1) * M(s*alpha), or 0 when it drops a zero
+    row.
 
     P has degree d = N - c(G-) <= R.  It is evaluated at s = 0..d; its
     forward differences at 0 are its integer coefficients in the binomial
@@ -260,23 +254,8 @@ def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> l
     c_all, c_plus, c_minus = component_counts(g)
     if c_all != 1:
         raise InputError("the ray polynomial requires a connected graph")
-    reds = g.red_edges
-    alpha = _ray_direction(len(reds), alpha)
-    black_scale, black_ints = g._black_ints
-    scale = lcm(black_scale, *(a.denominator for a in alpha))
-    touched = {x for u, v, _ in reds for x in (u, v)} - {0}
-    at = {v: i for i, v in enumerate([v for v in range(g.n) if v not in touched] + sorted(touched))}
-    black = [(*sorted((at[u], at[v])), w * (scale // black_scale)) for u, v, w in black_ints]
-    upper, _, prev = _eliminate(g.n, black, (), g.n - 1 - len(touched))
-    base = g.n - len(touched)
-    red = [[0] * len(row) for row in upper]
-    for (u, v, _), a in zip(reds, alpha):
-        w = a.numerator * (scale // a.denominator) * prev
-        incidence = [(at[x] - base, sign) for x, sign in ((u, 1), (v, -1)) if x]  # over T
-        for i, x in incidence:
-            for j, y in incidence:
-                if i <= j:
-                    red[i][j - i] += x * y * w
+    alpha = _ray_direction(g.red_count, alpha)
+    upper, red, prev, scale = _touched_block(g, alpha)
     d = g.n - c_minus
     values = []
     for s in range(d + 1):

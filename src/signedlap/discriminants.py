@@ -151,11 +151,6 @@ def _disc_minors(g: SignedWeightedGraph) -> tuple[CrossingPolynomial, Fraction]:
     return CrossingPolynomial(2, tuple(coeffs)), sigma
 
 
-def _forest_dual(g: SignedWeightedGraph) -> Fraction:
-    """sigma = forest_sum(g), value and sign, from ``_disc_minors``."""
-    return _disc_minors(g)[1]
-
-
 def _check_indices(indices, n: int):
     for i in indices:
         if not _is_int(i):
@@ -239,32 +234,21 @@ def cycle_basis_minor(g: SignedWeightedGraph) -> Fraction | None:
                 order.append(w)
     if len(parent) != n:
         return None  # g minus the red edges is disconnected
-    depth = {0: 0}
+    # path[v]: the tree path from 0 to v, +-1 per edge orientation (every
+    # edge is stored tail < head)
+    path = {0: [0] * m}
     for v in order[1:]:
-        depth[v] = depth[parent[v][0]] + 1
-    tree_pos = {parent[v][1] for v in parent if parent[v][1] is not None}
+        p, pos = parent[v]
+        path[v] = path[p].copy()
+        path[v][pos] = 1 if p < v else -1
+    tree_pos = {parent[v][1] for v in order[1:]}
 
     def cycle_vector(pos: int) -> list[int]:
-        """Fundamental cycle of chord ``pos``: traverse the chord from its
-        lower endpoint, then the tree path back; +-1 per edge orientation
-        (every edge is stored tail < head)."""
-        vec = [0] * m
+        """Fundamental cycle of chord ``pos`` = (u, v): the chord from u to
+        v, then the tree path back from v to u, path[u] - path[v]."""
         u, v, _ = g.edges[pos]
-        vec[pos] = 1  # traversed u -> v, matching its orientation
-        a, b = v, u  # walk the tree path v -> u
-        steps: list[tuple[int, int, int]] = []  # (from, to, edge pos)
-        while a != b:
-            if depth[a] >= depth[b]:
-                pa, pe = parent[a]
-                steps.append((a, pa, pe))
-                a = pa
-            else:
-                pb, pe = parent[b]
-                steps.insert(0, (pb, b, pe))
-                b = pb
-        for frm, to, pe in steps:
-            eu, ev, _ = g.edges[pe]
-            vec[pe] += 1 if (frm, to) == (eu, ev) else -1
+        vec = [a - b for a, b in zip(path[u], path[v])]
+        vec[pos] = 1
         return vec
 
     chords = [pos for pos in black_pos if pos not in tree_pos]

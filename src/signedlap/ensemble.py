@@ -60,8 +60,8 @@ _CHUNK = 1024
 # the largest c(G+) whose bridged Q_c can pass the int64 bound: its c - 1
 # bridged rows have squared norms of at least c^2, and 11^20 > 2^62
 _MAX_BRIDGED = 10
-# a hop distance as its class symbol, clamped to '+' at 10
-_HOP_SYMBOLS = "0123456789+"
+# a hop distance below 10 as its class symbol; 10 and above are '+'
+_HOP_SYMBOLS = "0123456789"
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,14 @@ def config_from_dict(d: dict) -> EnsembleConfig:
     "model": "gnm"|"gnp", "p": ..}.
 
     N, every M, samples and seed must be integers (integral floats such as
-    1e4 are accepted); p must be a number.  Nothing is truncated or coerced.
+    1e4 are accepted); p must be a number, and is given only with model
+    gnp.  Nothing is truncated or coerced, and any other key is an error.
     """
     if not isinstance(d, dict):
         raise InputError("ensemble config must be a JSON object")
+    unknown = [key for key in d if key not in ("N", "M", "samples", "seed", "model", "p")]
+    if unknown:
+        raise InputError(f"ensemble config has unknown keys {unknown}")
     missing = [key for key in ("N", "M", "samples", "seed") if key not in d]
     if missing:
         raise InputError(f"ensemble config needs integer N, M, samples, seed; missing {missing}")
@@ -122,6 +126,8 @@ def config_from_dict(d: dict) -> EnsembleConfig:
     samples = _integer_field("samples", d["samples"])
     seed = _integer_field("seed", d["seed"])
     model = d.get("model", "gnm")
+    if model == "gnm" and "p" in d:
+        raise InputError("ensemble config p applies only to model gnp")
     p = d.get("p")
     if p is not None:
         if isinstance(p, bool) or not isinstance(p, (int, float)):
@@ -242,34 +248,32 @@ def _adjacency(n: int, pairs) -> list[list[int]]:
     return adj
 
 
-def _distance_class(adj, red1, red2) -> str:
-    symbols = []
-    for x in red1:
-        dist = _kernels.bfs_distances(adj, x)
-        for y in red2:
-            d = dist[y]
-            symbols.append("+" if d < 0 or d >= 10 else str(d))
-    symbols.sort(key=lambda s: 10 if s == "+" else int(s))
-    return "".join(symbols)
+def _class_label(connected: bool, shared: bool, hops) -> str:
+    """The red-pair class: "disconnected_plus" when the black subgraph is
+    not ``connected`` (takes precedence); "adj" when the red edges have a
+    ``shared`` vertex; otherwise the four black-graph hop distances between
+    their endpoints, ``hops``, sorted ascending, each clamped to '+' at 10
+    and above, concatenated."""
+    if not connected:
+        return "disconnected_plus"
+    if shared:
+        return "adj"
+    return "".join([_HOP_SYMBOLS[h] if h < 10 else "+" for h in sorted(hops)])
+
+
+def _list_label(n: int, black, red1, red2) -> str:
+    """``_class_label`` of one sample, by the list BFS of ``_kernels``."""
+    adj = _adjacency(n, black)
+    hops = [dist[y] for dist in (_kernels.bfs_distances(adj, x) for x in red1) for y in red2]
+    return _class_label(_kernels.component_count(adj) == 1, bool(set(red1) & set(red2)), hops)
 
 
 def classify(g: SignedWeightedGraph) -> str:
-    """Red-pair geometry class of a 2-red-edge graph.
-
-    "disconnected_plus" when the black subgraph is disconnected (takes
-    precedence); "adj" when the red edges share a vertex; otherwise the four
-    black-graph distances between red endpoints, clamped to '+' at >= 10,
-    sorted ascending and concatenated.
-    """
+    """Red-pair geometry class of a 2-red-edge graph (``_class_label``)."""
     if g.red_count != 2:
         raise InputError(f"classification requires exactly 2 red edges, got {g.red_count}")
-    adj = _adjacency(g.n, [(u, v) for u, v, _ in g.black_edges])
-    if _kernels.component_count(adj) != 1:
-        return "disconnected_plus"
     (u1, v1, _), (u2, v2, _) = g.red_edges
-    if {u1, v1} & {u2, v2}:
-        return "adj"
-    return _distance_class(adj, (u1, v1), (u2, v2))
+    return _list_label(g.n, [(u, v) for u, v, _ in g.black_edges], (u1, v1), (u2, v2))
 
 
 def _bordered_stack(n: int, owner: np.ndarray, black: np.ndarray, reds: np.ndarray) -> np.ndarray:
@@ -371,9 +375,9 @@ def _stacked_minors(h: np.ndarray, bridge: np.ndarray) -> list[list[int]]:
 
 def _hops(n: int, owner: np.ndarray, black: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
     """Per black graph of ``batch`` (the edges ``black[i]`` of graph
-    ``owner[i]``): the hop distance between every two vertices, clamped at
-    10 (10 also when unreachable), and each vertex's root, the least vertex
-    of its component.
+    ``owner[i]``): the hop distance between every two vertices of one
+    component (between two components, some number that no class reads),
+    and each vertex's root, the least vertex of its component.
 
     One BFS from every vertex at once: each step multiplies the reached sets
     by the adjacency plus the identity, in float32, at most n - 1 times,
@@ -392,8 +396,7 @@ def _hops(n: int, owner: np.ndarray, black: np.ndarray, batch: int) -> tuple[np.
             break
         dist += 1 - grown
         reached = grown
-    dist[reached == 0] = 10
-    return np.minimum(dist, 10).astype(np.intp), reached.argmax(axis=2)
+    return dist.astype(np.intp), reached.argmax(axis=2)
 
 
 def _take(owner: np.ndarray, black: np.ndarray, rows: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -435,12 +438,9 @@ def _stacked(n: int, draws) -> dict[int, tuple[list[int], str]]:
     reds, dist = reds[near[rows]], dist[rows]
     values = _stacked_minors(_bordered_stack(n, owner, black, reds), bridge[rows])
     x, y = reds[:, 0, :, None], reds[:, 1, None, :]
-    hops = np.sort(dist[np.arange(len(rows))[:, None, None], x, y].reshape(-1, 4), axis=1).tolist()
+    hops = dist[np.arange(len(rows))[:, None, None], x, y].reshape(-1, 4).tolist()
     shared = (x == y).any(axis=(1, 2)).tolist()
-    labels = [
-        "disconnected_plus" if ci > 1 else "adj" if sh else "".join(map(_HOP_SYMBOLS.__getitem__, h))
-        for ci, sh, h in zip(c[rows, 0].tolist(), shared, hops)
-    ]
+    labels = [_class_label(ci == 1, sh, h) for ci, sh, h in zip(c[rows, 0].tolist(), shared, hops)]
     return dict(zip(near[rows].tolist(), zip(values, labels)))
 
 
@@ -464,12 +464,7 @@ def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
         else:
             black = [pairs[j] for j in chosen[:r1] + chosen[r1 + 1 : r2] + chosen[r2 + 1 :]]
             a00, ax, ay, axy = _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black], (red1, red2), n - 1), _R2_MINORS)
-            if not a00:
-                label = "disconnected_plus"
-            elif set(red1) & set(red2):
-                label = "adj"
-            else:
-                label = _distance_class(_adjacency(n, black), red1, red2)
+            label = _list_label(n, black, red1, red2)
         delta = axy * a00 - ax * ay
         if axy == 0:
             gap_val: float | None = None

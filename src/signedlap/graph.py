@@ -218,15 +218,12 @@ def is_connected(g: SignedWeightedGraph) -> bool:
 class MinorResult:
     """Internal record of a deletion/contraction pass.
 
-    vertex_map[old_vertex] = new vertex id (classes renumbered by their
-    minimal original member, so composed minors stay comparable).
     red_map[old_red_index] = new red index, or None if the edge became a loop
     or was merged away.  merged_positions flags new-graph edge positions whose
     weight is a sum of two or more original edges.
     """
 
     graph: SignedWeightedGraph
-    vertex_map: tuple[int, ...]
     red_map: dict[int, int | None] = field(compare=False)
     merged_positions: frozenset[int] = frozenset()
 
@@ -257,12 +254,9 @@ def minor_with_info(
     for ri in contract:
         u, v, _ = g.edges[reds[ri]]
         uf.union(u, v)
-    roots = sorted({uf.find(v) for v in range(g.n)})
-    # classes renumbered by minimal original member
-    min_member = {root: min(v for v in range(g.n) if uf.find(v) == root) for root in roots}
-    order = sorted(roots, key=lambda root: min_member[root])
-    new_id = {root: i for i, root in enumerate(order)}
-    vmap = tuple(new_id[uf.find(v)] for v in range(g.n))
+    # classes numbered by their least member: roots in first-appearance order
+    new_id: dict[int, int] = {}
+    vmap = [new_id.setdefault(uf.find(v), len(new_id)) for v in range(g.n)]
 
     removed = {reds[ri] for ri in contract | delete}
     acc: dict[tuple[int, int], Fraction] = {}
@@ -284,7 +278,7 @@ def minor_with_info(
 
     kept = sorted((k for k, w in acc.items() if w != 0), key=lambda k: first_pos[k])
     new_edges = tuple((k[0], k[1], acc[k]) for k in kept)
-    new_graph = SignedWeightedGraph(len(order), new_edges)
+    new_graph = SignedWeightedGraph(len(new_id), new_edges)
 
     pos_of = {k: i for i, k in enumerate(kept)}
     merged = frozenset(pos_of[k] for k in kept if len(members[k]) > 1)
@@ -305,7 +299,7 @@ def minor_with_info(
             red_map[old_idx] = None  # merged away or sign flipped by a merge
         else:
             red_map[old_idx] = red_pos_to_idx[new_pos]
-    return MinorResult(new_graph, vmap, red_map, merged)
+    return MinorResult(new_graph, red_map, merged)
 
 
 def minor(g: SignedWeightedGraph, contract: Iterable[int], delete: Iterable[int]) -> SignedWeightedGraph:

@@ -57,18 +57,6 @@ def strip(p) -> Poly:
     return p
 
 
-def degree(p: Poly) -> int:
-    """Degree of a stripped polynomial; -1 for the zero polynomial."""
-    return len(p) - 1
-
-
-def evaluate(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def derivative(p: Poly) -> Poly:
     return [c * k for k, c in enumerate(p)][1:]
 
@@ -244,16 +232,6 @@ def _dyadic_value(h: IntPoly, j: int, k: int) -> int:
         acc = acc * j + (c << shift)
         shift += k
     return acc
-
-
-def _variations_at(seq: list[Poly], x: Fraction) -> int:
-    x = Fraction(x)
-    return _sign_changes(_homogeneous_value(s, x.numerator, x.denominator) for s in seq)
-
-
-def count_roots_halfopen(seq: list[Poly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] for a square-free polynomial."""
-    return _variations_at(seq, lo) - _variations_at(seq, hi)
 
 
 def cauchy_bound(p: Poly) -> Fraction:

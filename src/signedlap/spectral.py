@@ -1,5 +1,6 @@
 """Laplacians, exact inertia, float eigenvalues, the spanning-tree sum, and
-the bordered elimination that every crossing coefficient comes from.
+the eliminations that every crossing coefficient, ray polynomial and
+spectral index comes from.
 
 The Laplacian convention is off-diagonal entry = edge weight, diagonal =
 minus the row sum, so an all-positive graph gives a negative-semidefinite
@@ -10,13 +11,16 @@ elimination are fraction-free (Bareiss) on Python ints; only
 
 Every exact symmetric elimination is one step, ``_schur``, a Bareiss update
 of an upper triangle, run by two loops: ``_pivots`` runs it to the end,
-with a unimodular congruence for a zero pivot (``inertia``, and the ray's
-determinants in ``crossing``), and ``_eliminate`` runs it over the grounded
-black Laplacian of the bordered matrix, moving each zero row past the red
-columns.  ``_bridged`` finishes it over those rows, joined to vertex 0, and
-``_principal_minors`` and ``_bordered_minors`` read every crossing value off
-what it leaves.  The general ``_kernels.det_int`` is left for
-``det_rational``.
+with a unimodular congruence for a zero pivot, and ``_eliminate`` runs it
+over the grounded black Laplacian Q, moving each zero row to the end.  On
+the bordered matrix of Q and the red columns, ``_bridged`` finishes it over
+the moved rows, joined to vertex 0, and ``_principal_minors`` and
+``_bordered_minors`` read every crossing value off what it leaves.  With no
+red column, ``_touched_block`` stops it at the red-touched vertices and
+adds the red Laplacian there; ``_pivots`` of that block gives the ray's
+determinants and the spectral index of a graph (``_graph_inertia``, with
+``inertia`` of the explicit matrix as its reference).  The general
+``_kernels.det_int`` is left for ``det_rational``.
 """
 
 from __future__ import annotations
@@ -130,16 +134,22 @@ def inertia(m) -> SpectralIndex:
     """Exact inertia by one fraction-free symmetric elimination (Sylvester).
 
     The entries are scaled by the lcm of their denominators, a positive
-    scale, and ``_pivots`` eliminates the upper triangle in integers.  Its
-    pivots p_k are nested principal minors of a unimodular congruent
-    matrix, so each contributes the eigenvalue sign of p_k * p_(k-1)
-    (Jacobi); every dropped zero row is one kernel vector.  No fractions and
-    no floating point anywhere.
+    scale, and ``_pivots`` eliminates the upper triangle in integers; its
+    pivots give the signs (``_jacobi``).  No fractions and no floating
+    point anywhere.  The reference for ``_graph_inertia``.
     """
     rows = m.rows if isinstance(m, LaplacianMatrix) else LaplacianMatrix(m).rows
     scale = lcm(*(x.denominator for row in rows for x in row))
     upper = [[x.numerator * (scale // x.denominator) for x in row[i:]] for i, row in enumerate(rows)]
-    pivots, nullity = _pivots(upper)
+    return _jacobi(*_pivots(upper))
+
+
+def _jacobi(pivots: list[int], nullity: int) -> SpectralIndex:
+    """The inertia of the matrix that ``_pivots`` returned (pivots, nullity)
+    for, resumed from a positive prev or not.  Its pivots p_k are nested
+    principal minors of a unimodular congruent matrix, so each contributes
+    the eigenvalue sign of p_k * p_(k-1) (Jacobi); every dropped zero row is
+    one kernel vector."""
     n_plus = sum((p > 0) == (prev > 0) for p, prev in zip(pivots, [1] + pivots))
     return SpectralIndex(len(pivots) - n_plus, nullity, n_plus)
 
@@ -272,6 +282,60 @@ def _eliminate(n: int, black, reds, steps: int):
             upper = [row + [pivot_row[i]] for i, row in enumerate(upper[1:], 1)] + [[0]]
             moved += 1
     return upper, moved, prev
+
+
+def _touched_block(g: SignedWeightedGraph, magnitudes):
+    """The grounded form G = Q - Lr of ``g`` with red edge i at magnitude
+    ``magnitudes[i]``, eliminated over the vertices that no red edge touches.
+
+    With L the lcm of the black-weight and magnitude denominators, Q and Lr
+    are the black and red Laplacians with weights L * w and L * m_i, vertex
+    0 grounded, so G is L times minus ``laplacian(g, m)`` without row and
+    column 0.  T, the other vertices on a red edge, is ordered last, and
+    ``_eliminate`` pivots over the rest with no red column.  Every edge at
+    those is black, so each pivot is positive, and a zero pivot has a zero
+    row in G too: it is moved to the end, one kernel vector, so the graph
+    need not be connected.  Bareiss leaves S, prev times the black Schur
+    complement, over T and the moved rows.  Lr lives on T, so the block of
+    G at magnitudes s * m is S - s * R with R = prev * Lr.
+
+    Returns (S, R, prev, L), S and R upper triangles of one shape and prev
+    the last pivot taken (1 if none).
+    """
+    black_scale, black_ints = g._black_ints
+    magnitudes = [Fraction(m) for m in magnitudes]
+    scale = lcm(black_scale, *(m.denominator for m in magnitudes))
+    touched = {x for u, v, _ in g.red_edges for x in (u, v)} - {0}
+    at = {v: i for i, v in enumerate([v for v in range(g.n) if v not in touched] + sorted(touched))}
+    black = [(*sorted((at[u], at[v])), w * (scale // black_scale)) for u, v, w in black_ints]
+    upper, _, prev = _eliminate(g.n, black, (), g.n - 1 - len(touched))
+    base = g.n - len(touched)
+    red = [[0] * len(row) for row in upper]
+    for (u, v, _), m in zip(g.red_edges, magnitudes):
+        w = m.numerator * (scale // m.denominator) * prev
+        incidence = [(at[x] - base, sign) for x, sign in ((u, 1), (v, -1)) if x]  # over T
+        for i, x in incidence:
+            for j, y in incidence:
+                if i <= j:
+                    red[i][j - i] += x * y * w
+    return upper, red, prev, scale
+
+
+def _graph_inertia(g: SignedWeightedGraph, t: Sequence[Fraction]) -> SpectralIndex:
+    """``inertia(laplacian(g, t))`` off ``_touched_block``, with no N x N
+    matrix; ``t`` is taken as valid (``laplacian`` checks it).
+
+    Congruence by a basis whose first vector is the all-ones vector, in the
+    kernel of every Laplacian, splits L(t) into 0 and minus the grounded
+    form G, so inertia(L(t)) = (n_plus(G), n_zero(G) + 1, n_minus(G)).  By
+    Haynsworth's inertia formula, G's inertia is that of its block over the
+    pivoted red-free vertices, all positive, plus that of its Schur
+    complement: ``_pivots`` of the touched block resumed from prev, which
+    drops each moved row as a kernel vector.
+    """
+    s, r, prev, _ = _touched_block(g, t)
+    block = _jacobi(*_pivots([[x - y for x, y in zip(a, b)] for a, b in zip(s, r)], prev))
+    return SpectralIndex(g.n - 1 - len(s) + block.n_plus, block.n_zero + 1, block.n_minus)
 
 
 def _bridged(elim, read) -> list[int]:

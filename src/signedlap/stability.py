@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .graph import SignedWeightedGraph, component_counts
-from .spectral import SpectralIndex, _graph_minors, inertia, laplacian
+from .spectral import SpectralIndex, _graph_inertia, _graph_minors
 
 
 def axis_thresholds(g: SignedWeightedGraph) -> list[Fraction | None]:
@@ -39,8 +39,10 @@ class StabilityReport:
 
     certified: ||t||_1 <= min omega (boundary included).  On the open ball the
     index is (N-1, 1, 0); exactly on the boundary n_zero may be 2, which the
-    boundary flag distinguishes.  verified_index is always computed by exact
-    inertia, independent of the certificate.
+    boundary flag distinguishes.  verified_index is always the exact inertia
+    of L(t), read off an elimination separate from the thresholds' (the
+    red-free vertices of the grounded Laplacian at t, then the block over
+    the red-touched ones), so it is independent of the certificate.
     """
 
     thresholds: tuple[Fraction | None, ...]
@@ -64,5 +66,5 @@ def certify(g: SignedWeightedGraph, t: Sequence[Fraction]) -> StabilityReport:
     certified = min_omega is None or norm1 <= min_omega
     boundary = min_omega is not None and norm1 == min_omega
     margin = None if min_omega is None else min_omega - norm1
-    verified = inertia(laplacian(g, t))
+    verified = _graph_inertia(g, t)
     return StabilityReport(tuple(omegas), certified, boundary, margin, verified)

@@ -119,6 +119,33 @@ def test_analyze_with_t_on_a_zero_diagonal(capsys, tmp_path):
     assert out["index"] == [1, 2, 1]
 
 
+def test_analyze_and_stability_index_take_no_matrix_inertia(monkeypatch, capsys, tmp_path):
+    # the index comes off the touched block, never off inertia(laplacian(g,
+    # t)): with spectral.inertia made to raise, every byte is what the
+    # matrix route gives (on C4 stability stops at the thresholds)
+    runs = []
+    for name, doc in (("k4", K4_SHARED), ("c4", C4_ALTERNATING)):
+        path = _graph_file(tmp_path, name, doc)
+        for argv in (["analyze", "--t", "1,1"], ["analyze", "--t", "3,1/2"], ["stability", "--t", "3/10,3/10"], ["stability", "--t", "1,1"]):
+            runs.append([*argv, "--input", path])
+
+    def outputs():
+        return [(cli.main(argv), *capsys.readouterr()) for argv in runs]
+
+    with monkeypatch.context() as m:
+        _patch_everywhere(m, spectral._graph_inertia, lambda g, t: spectral.inertia(spectral.laplacian(g, t)))
+        expected = outputs()
+
+    def forbidden(*args):
+        raise AssertionError("spectral.inertia called")
+
+    _patch_everywhere(monkeypatch, spectral.inertia, forbidden)
+    assert outputs() == expected
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0, 0, 0, 1, 1]
+    payloads = [json.loads(out) for code, out, _ in expected if code == 0]
+    assert [p.get("index") or p["verified_index"] for p in payloads] == [[2, 1, 1], [2, 1, 1], [3, 1, 0], [2, 1, 1], [1, 2, 1], [2, 1, 1]]
+
+
 def test_coeffs_with_a_disconnected_black_subgraph_eliminates_once(monkeypatch, capsys, tmp_path):
     # A_empty = 0: the forest subsets are read off the one elimination that
     # crossing_polynomial ran, wherever _eliminate is looked up
@@ -670,6 +697,20 @@ def test_ensemble_rejects_empty_m(tmp_path, capsys):
     assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(out)]) == 1
     assert "M must list at least one value" in capsys.readouterr().err
     assert not out.exists() and list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [({"modle": "gnp", "p": 0.5}, "unknown keys ['modle']"), ({"p": 0.5}, "p applies only to model gnp")],
+)
+def test_ensemble_rejects_unknown_config_keys(tmp_path, capsys, extra, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"N": 6, "M": [8], "samples": 2, "seed": 1, **extra}))
+    out = tmp_path / "x.csv"
+    assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_ensemble_invalid_samples(tmp_path, capsys):

@@ -27,7 +27,7 @@ from signedlap import (
     wildcard_discriminant,
     wildcard_forest_sum,
 )
-from signedlap.discriminants import _forest_dual
+from signedlap.discriminants import _disc_minors
 from signedlap.graph import component_counts
 
 from conftest import (
@@ -120,7 +120,7 @@ def test_forest_dual_matches_forest_sum_value_and_sign():
         g = random_connected_graph(rng, n_min=3, n_max=8, extra_max=4, red_choices=(2,))
         if g.red_count != 2:
             continue
-        assert _forest_dual(g) == forest_sum(g)
+        assert _disc_minors(g)[1] == forest_sum(g)
         (u1, v1, _), (u2, v2, _) = g.red_edges
         shared = {u1, v1} & {u2, v2}
         flipped = bool(shared) and min(shared) in (v1, v2)

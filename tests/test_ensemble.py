@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -90,6 +91,19 @@ def test_config_rejects_coercion(patch):
     base = {"N": 10, "M": [15, 30], "samples": 40, "seed": 1}
     with pytest.raises(InputError):
         ens.config_from_dict({**base, **patch})
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"N": 6, "M": [8], "samples": 2, "seed": 1, "modle": "gnp", "p": 0.5}, "unknown keys ['modle']"),
+        ({"N": 6, "M": [8], "samples": 2, "seed": 1, "p": 0.5}, "p applies only to model gnp"),
+        ({"N": 6, "M": [8], "samples": 2, "seed": 1, "model": "gnm", "p": 0.5}, "p applies only to model gnp"),
+    ],
+)
+def test_config_rejects_unknown_keys_and_p_under_gnm(raw, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        ens.config_from_dict(raw)
 
 
 def test_config_accepts_integral_numbers():

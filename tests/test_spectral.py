@@ -1,8 +1,11 @@
 """Laplacian construction, exact inertia, eigenvalues, tree sum, limits."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +28,15 @@ from signedlap import (
 from signedlap import _kernels
 from signedlap import ensemble as ens
 from signedlap.discriminants import _disc_minors, graph_factorization
-from signedlap.spectral import LaplacianMatrix, _bordered_minors, _eliminate, _pivots, _schur
+from signedlap.graph import _UnionFind
+from signedlap.spectral import LaplacianMatrix, _bordered_minors, _eliminate, _graph_inertia, _pivots, _schur
 
 from conftest import (
     k4_disjoint,
     k4_shared,
     kn_with_reds,
     random_connected_graph,
+    random_fraction,
     reference_det,
     reference_inertia,
     swg,
@@ -446,3 +451,54 @@ def test_bordered_minors_read_at_most_two_red_columns():
     elim = _eliminate(3, [(0, 1, 1), (1, 2, 1)], [(0, 1), (1, 2), (0, 2)], 2)
     with pytest.raises(ValueError, match="at most two"):
         _bordered_minors(elim, [((0, 1, 2), (0, 1, 2))])
+
+
+def _graph_inertia_kinds(g, t) -> list[str]:
+    """The cases of ``_graph_inertia`` that (g, t) exercises."""
+    c_all, c_plus, _ = component_counts(g)
+    uf = _UnionFind(g.n)
+    for u, v, _ in g.edges:
+        uf.union(u, v)
+    red_free = {uf.find(x) for x in range(g.n)} - {uf.find(x) for u, v, _ in g.red_edges for x in (u, v)}
+    return [
+        kind
+        for kind, hit in (
+            ("disconnected", c_all > 1),
+            ("a_empty_0", c_plus > 1),
+            ("zero_t", 0 in t),
+            ("no_red", not g.red_count),
+            ("red_at_0", any(u == 0 for u, _, _ in g.red_edges)),
+            ("r_over_n_1", g.red_count > g.n - 1),
+            # a component with no red edge and without vertex 0: a moved row
+            ("moved_row", bool(red_free - {uf.find(0)})),
+        )
+        if hit
+    ]
+
+
+def test_graph_inertia_matches_the_matrix_inertia(monkeypatch):
+    # the touched-block read against inertia(laplacian(g, t)): the 156
+    # analyze and stability requests of cli-corpus seeds 1-3 (78 graphs),
+    # then N = 1 and 300 random graphs, connected or not, with any signs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import corpus
+
+    cases = [
+        (req.graph, [Fraction(x) for x in req.options[1].split(",")])
+        for seed in (1, 2, 3)
+        for req in corpus.requests("cli-corpus", seed)
+        if req.kind in ("analyze", "stability")
+    ]
+    assert len(cases) == 156
+    cases.append((swg(1, []), []))
+    rng = random.Random(1117)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        pairs = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(0, n * (n - 1) // 2))
+        g = swg(n, [(u, v, rng.choice((-1, 1)) * random_fraction(rng, 9, 4)) for u, v in pairs])
+        cases.append((g, [Fraction(0) if rng.random() < 0.2 else random_fraction(rng, 9, 4) for _ in range(g.red_count)]))
+    kinds = Counter()
+    for g, t in cases:
+        assert _graph_inertia(g, t) == inertia(laplacian(g, t)), (g, t)
+        kinds.update(_graph_inertia_kinds(g, t))
+    assert len(kinds) == 7 and min(kinds.values()) >= 10, kinds
