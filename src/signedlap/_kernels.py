@@ -4,9 +4,11 @@ All three are plain Python over Python ints and adjacency lists.  On the
 matrix sizes ``det_int`` meets (minors of a few to a few dozen rows) the
 fraction-free elimination over Python ints is faster than an int64 numpy
 elimination, needs no overflow guard and is exact for any entry size.
-``det_int`` is the general elimination, with row swaps, and serves
-``spectral.det_rational`` only; every symmetric elimination (``inertia``,
-the crossing core, the ray and the graph index) runs on ``spectral._schur``.  The ensemble
+``det_int`` is the general elimination, with row swaps.  It serves
+``spectral.det_rational`` and the integer cycle Gram minor of
+``discriminants.cycle_basis_minor``; every symmetric elimination
+(``inertia``, the crossing core, the ray and the graph index) runs on
+``spectral._schur``.  The ensemble
 runs that update stacked in int64 (``ensemble._stacked_minors``) and its
 BFS as stacked float32 products (``ensemble._hops``), where a whole chunk
 of small bounded samples shares each numpy step; ``bfs_distances`` and
@@ -29,7 +31,7 @@ def det_int(rows) -> int:
 
     Fraction-free (Bareiss) elimination with row swaps on zero pivots; every
     division by the previous pivot is exact.  It serves
-    ``spectral.det_rational`` only.
+    ``spectral.det_rational`` and ``discriminants.cycle_basis_minor``.
     """
     a = [list(r) for r in rows]
     n = len(a)

@@ -37,10 +37,12 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:  # a UTF-8 BOM too: it decodes to U+FEFF
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"JSON in {path} is nested too deeply") from exc
 
 
 def _load_graph(path: str):
@@ -224,19 +226,19 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         payload = handler(args)
+        if args.command == "ensemble":
+            print(json.dumps(payload, indent=2))
+        else:
+            _emit(payload, args.output)
     except InternalConsistencyError as exc:
         print(f"internal consistency fault: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except OSError as exc:  # an --output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "ensemble":
-        print(json.dumps(payload, indent=2))
-    else:
-        _emit(payload, args.output)
     return 0
 
 

@@ -40,32 +40,30 @@ Bitmask convention: bit k of a coefficient index corresponds to red edge k
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import polyroots
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, component_counts, is_connected
+from .graph import SignedWeightedGraph, _Frozen, component_counts, is_connected
 from .polyroots import RootRecord
 from .spectral import _bridged, _eliminate, _pivots, _principal_minors, _touched_block
 
 MAX_RED_DEFAULT = 20
 
 
-@dataclass(frozen=True)
-class CrossingPolynomial:
+class CrossingPolynomial(_Frozen):
     """Coefficients A_I by bitmask; evaluation applies the (-1)^|I| signs."""
 
+    _fields = ("red_count", "coeffs")
     red_count: int
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) != 1 << self.red_count:
-            raise InputError(
-                f"need {1 << self.red_count} coefficients for {self.red_count} red edges"
-            )
+    def __init__(self, red_count: int, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != 1 << red_count:
+            raise InputError(f"need {1 << red_count} coefficients for {red_count} red edges")
+        vars(self).update(red_count=red_count, coeffs=coeffs)
 
     def coefficient(self, mask: int) -> Fraction:
         return self.coeffs[mask]
@@ -219,8 +217,7 @@ def ray_polynomial(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> list[Fra
     return polyroots.strip(out)
 
 
-@dataclass(frozen=True)
-class RayCrossings:
+class RayCrossings(NamedTuple):
     """Positive roots of the ray polynomial, ascending, with multiplicities,
     and the ray polynomial itself (lowest degree first)."""
 

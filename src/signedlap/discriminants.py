@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from . import _kernels
 from .crossing import CrossingPolynomial, require_nonnegative
 from .errors import InputError
-from .graph import SignedWeightedGraph, _is_int, component_counts, minor_with_info, red_subset_is_forest, two_forests
+from .graph import SignedWeightedGraph, _Frozen, _is_int, component_counts, minor_with_info, red_subset_is_forest, two_forests
 from .spectral import _as_rows, _graph_minors, det_rational
 
 
@@ -258,15 +258,14 @@ def cycle_basis_minor(g: SignedWeightedGraph) -> Fraction | None:
     c = len(basis)
     gram = [[sum(a * b for a, b in zip(basis[i], basis[j])) for j in range(c)] for i in range(c)]
     sub = [[gram[i][j] for j in range(c) if j != c - 2] for i in range(c) if i != c - 1]
-    return det_rational(sub)
+    return Fraction(_kernels.det_int(sub))
 
 
 # ---------------------------------------------------------------------------
 # Wildcards and full factorization
 
 
-@dataclass(frozen=True)
-class Wildcard:
+class Wildcard(_Frozen):
     """Length-R pattern over {0, 1, free} with exactly two free positions.
 
     Serialized as a string over {0, 1, *}, read left to right as red edges
@@ -274,16 +273,18 @@ class Wildcard:
     {b, b+e_i, b+e_j, b+e_i+e_j} where b is the pattern with frees zeroed.
     """
 
+    _fields = ("r", "i", "j", "bits")
     r: int
     i: int  # first free position (0-based)
     j: int  # second free position, i < j
     bits: int  # mask over the fixed positions
 
-    def __post_init__(self):
-        if not (0 <= self.i < self.j < self.r):
-            raise InputError(f"free positions ({self.i}, {self.j}) invalid for length {self.r}")
-        if self.bits & (1 << self.i) or self.bits & (1 << self.j):
+    def __init__(self, r: int, i: int, j: int, bits: int):
+        if not (0 <= i < j < r):
+            raise InputError(f"free positions ({i}, {j}) invalid for length {r}")
+        if bits & (1 << i) or bits & (1 << j):
             raise InputError("fixed bits overlap the free positions")
+        vars(self).update(r=r, i=i, j=j, bits=bits)
 
     @classmethod
     def from_string(cls, s: str) -> "Wildcard":
@@ -339,8 +340,7 @@ def wildcard_discriminant(p: CrossingPolynomial, w: Wildcard) -> Fraction:
     return p.coeffs[bij] * p.coeffs[b] - p.coeffs[bi] * p.coeffs[bj]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """M(t) = alpha * prod_i (1 - C_i * t_i); crossing hyperplanes at
     t_i = 1/C_i for C_i > 0."""
 

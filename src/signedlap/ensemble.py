@@ -39,15 +39,15 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .discriminants import _R2_MINORS, _gap_and_log
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph
+from .graph import SignedWeightedGraph, _Frozen
 from .spectral import _bordered_minors, _eliminate
 
 _HIST_LO = -10.0
@@ -64,32 +64,43 @@ _MAX_BRIDGED = 10
 _HOP_SYMBOLS = "0123456789"
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
+class EnsembleConfig(_Frozen):
+    _fields = ("n", "m_values", "samples_per_m", "master_seed", "model", "p")
     n: int
     m_values: tuple[int, ...]
     samples_per_m: int
     master_seed: int
-    model: str = "gnm"  # "gnm" or "gnp"
-    p: float | None = None
+    model: str  # "gnm" or "gnp"
+    p: float | None
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(
+        self,
+        n: int,
+        m_values: tuple[int, ...],
+        samples_per_m: int,
+        master_seed: int,
+        model: str = "gnm",
+        p: float | None = None,
+    ):
+        if n < 2:
             raise InputError("need at least 2 vertices")
-        if self.samples_per_m < 1:
+        if samples_per_m < 1:
             raise InputError("samples_per_m must be positive")
-        if not self.m_values:
+        if not m_values:
             raise InputError("ensemble config M must list at least one value")
-        if self.model not in ("gnm", "gnp"):
-            raise InputError(f"unknown model {self.model!r}")
-        if self.model == "gnp" and not (self.p and 0 < self.p <= 1):
+        if model not in ("gnm", "gnp"):
+            raise InputError(f"unknown model {model!r}")
+        if model == "gnp" and not (p and 0 < p <= 1):
             raise InputError("gnp model needs 0 < p <= 1")
-        if self.model == "gnp" and self.n < 3:
-            raise InputError(f"gnp model needs N >= 3 to draw two red edges, got N={self.n}")
-        total = self.n * (self.n - 1) // 2
-        for m in self.m_values:
-            if self.model == "gnm" and not 2 <= m <= total:
-                raise InputError(f"M={m} outside 2..{total} for N={self.n}")
+        if model == "gnp" and n < 3:
+            raise InputError(f"gnp model needs N >= 3 to draw two red edges, got N={n}")
+        total = n * (n - 1) // 2
+        for m in m_values:
+            if model == "gnm" and not 2 <= m <= total:
+                raise InputError(f"M={m} outside 2..{total} for N={n}")
+        vars(self).update(
+            n=n, m_values=m_values, samples_per_m=samples_per_m, master_seed=master_seed, model=model, p=p
+        )
 
 
 def _integer_field(name: str, value) -> int:
@@ -226,8 +237,7 @@ def sample_graph(n: int, m: int, seed: int) -> SignedWeightedGraph:
     return SignedWeightedGraph(n, tuple((u, v, wi) for (u, v), wi in zip(edges, w)))
 
 
-@dataclass(frozen=True)
-class EnsembleRecord:
+class EnsembleRecord(NamedTuple):
     sample_id: int
     n: int
     m: int

@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -45,34 +44,70 @@ def _as_weight(w) -> Fraction:
     raise InputError(f"weight must be a rational string or integer, got {type(w).__name__}")
 
 
-@dataclass(frozen=True)
-class SignedWeightedGraph:
+class _Frozen:
+    """Base of the value classes whose constructor validates (the graph, the
+    crossing polynomial, a wildcard, the ensemble config).
+
+    ``__init__`` sets the attributes once, through the instance ``__dict__``;
+    after that they cannot be assigned or deleted.  Instances are equal and
+    hash alike when their class and the attributes named in ``_fields``
+    are, and print as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SignedWeightedGraph(_Frozen):
     """Immutable simple graph on vertices 0..n-1 with signed rational weights.
 
     The edges are classified by sign once, on construction; the component
     counts and the integer black weights are computed once, on first use.
+    Graphs are equal by ``n`` and ``edges``.
     """
 
+    _fields = ("n", "edges")
     n: int
     edges: tuple[Edge, ...]
     # edge-sequence positions of the red (negative-weight) edges
-    red_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    red_edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
-    black_edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
+    red_indices: tuple[int, ...]
+    red_edges: tuple[Edge, ...]
+    black_edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        if not _is_int(self.n) or self.n < 1:
-            raise InputError(f"vertex count must be a positive integer, got {self.n!r}")
+    def __init__(self, n: int, edges: Iterable[Edge]):
+        if not _is_int(n) or n < 1:
+            raise InputError(f"vertex count must be a positive integer, got {n!r}")
         seen: set[tuple[int, int]] = set()
         norm: list[Edge] = []
         red_indices: list[int] = []
         red: list[Edge] = []
         black: list[Edge] = []
-        for pos, (u, v, w) in enumerate(self.edges):
+        for pos, (u, v, w) in enumerate(edges):
             if not (_is_int(u) and _is_int(v)):
                 raise InputError(f"edge {pos}: endpoints must be integers")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge {pos} ({u},{v}): vertex id out of range 0..{self.n - 1}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge {pos} ({u},{v}): vertex id out of range 0..{n - 1}")
             if u == v:
                 raise InputError(f"edge {pos} ({u},{v}): self-loop")
             w = _as_weight(w)
@@ -90,13 +125,13 @@ class SignedWeightedGraph:
                 red.append(edge)
             else:
                 black.append(edge)
-        for name, value in (
-            ("edges", tuple(norm)),
-            ("red_indices", tuple(red_indices)),
-            ("red_edges", tuple(red)),
-            ("black_edges", tuple(black)),
-        ):
-            object.__setattr__(self, name, value)
+        vars(self).update(
+            n=n,
+            edges=tuple(norm),
+            red_indices=tuple(red_indices),
+            red_edges=tuple(red),
+            black_edges=tuple(black),
+        )
 
     @cached_property
     def _counts(self) -> tuple[int, int, int]:
@@ -214,8 +249,7 @@ def is_connected(g: SignedWeightedGraph) -> bool:
 # Deletion / contraction
 
 
-@dataclass(frozen=True)
-class MinorResult:
+class MinorResult(NamedTuple):
     """Internal record of a deletion/contraction pass.
 
     red_map[old_red_index] = new red index, or None if the edge became a loop
@@ -224,7 +258,7 @@ class MinorResult:
     """
 
     graph: SignedWeightedGraph
-    red_map: dict[int, int | None] = field(compare=False)
+    red_map: dict[int, int | None]
     merged_positions: frozenset[int] = frozenset()
 
 
@@ -325,15 +359,13 @@ def red_subset_is_forest(g: SignedWeightedGraph, indices: Iterable[int]) -> bool
 # Spanning tree / 2-forest enumeration (oracles)
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(NamedTuple):
     edge_indices: tuple[int, ...]
     pi: Fraction        # product over all edge weights in the tree
     pi_black: Fraction  # product over black edge weights only
 
 
-@dataclass(frozen=True)
-class TwoForest:
+class TwoForest(NamedTuple):
     edge_indices: tuple[int, ...]
     parts: tuple[frozenset[int], frozenset[int]]
     epsilon: int

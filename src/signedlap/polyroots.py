@@ -38,9 +38,9 @@ interval ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -240,8 +240,7 @@ def cauchy_bound(p: Poly) -> Fraction:
     return 1 + max(abs(c) for c in p) / lead
 
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(NamedTuple):
     """One positive real root.
 
     value is the exact Fraction when the root is rational (always found,
@@ -279,8 +278,7 @@ def _deflate(h: IntPoly, a: int, b: int) -> IntPoly:
     return quo
 
 
-@dataclass(frozen=True)
-class _Isolation:
+class _Isolation(NamedTuple):
     """Isolating intervals of one square-free factor.
 
     ``residual`` is the factor with the exact ``roots`` (midpoint hits)

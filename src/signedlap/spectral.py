@@ -20,7 +20,8 @@ red column, ``_touched_block`` stops it at the red-touched vertices and
 adds the red Laplacian there; ``_pivots`` of that block gives the ray's
 determinants and the spectral index of a graph (``_graph_inertia``, with
 ``inertia`` of the explicit matrix as its reference).  The general
-``_kernels.det_int`` is left for ``det_rational``.
+``_kernels.det_int`` is left for ``det_rational`` and the integer cycle
+Gram minor of ``discriminants.cycle_basis_minor``.
 """
 
 from __future__ import annotations

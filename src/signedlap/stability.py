@@ -11,9 +11,8 @@ hence certified; the certificate is sufficient only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .graph import SignedWeightedGraph, component_counts
@@ -33,8 +32,7 @@ def axis_thresholds(g: SignedWeightedGraph) -> list[Fraction | None]:
     return [a_empty / a_i if a_i != 0 else None for a_i in a_axes]
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Certificate outcome plus an independent exact verification.
 
     certified: ||t||_1 <= min omega (boundary included).  On the open ball the

@@ -21,6 +21,24 @@ def swg(n, edges) -> SignedWeightedGraph:
     return SignedWeightedGraph(n, tuple((u, v, Fraction(w)) for u, v, w in edges))
 
 
+def assert_value(a, same, *others):
+    """``a`` equals and hashes like ``same`` and differs from each of
+    ``others``, and assigning or deleting any of its attributes (or a new
+    one) raises AttributeError and leaves it as it was."""
+    assert a == same and hash(a) == hash(same) and len({a, same}) == 1
+    assert all(a != other for other in others)
+    names = getattr(type(a), "_fields", ())
+    assert names
+    for name in (*names, "extra"):
+        before = getattr(a, name, None)
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name, None) is before
+    assert a == same
+
+
 def complete_graph_edges(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

@@ -230,6 +230,43 @@ def test_analyze_graph_error_exit_code(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+def _ensemble_argv(tmp_path, config):
+    return ["ensemble", "--input", str(config), "--output", str(tmp_path / "runs.csv")]
+
+
+def _assert_input_error(capsys, argv, message):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err, argv
+
+
+def test_input_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"n": 2, "edges": [], "note": "caf\xe9"}')
+    _assert_input_error(capsys, ["coeffs", "--input", str(bad)], "codec can't decode byte 0xe9")
+    _assert_input_error(capsys, _ensemble_argv(tmp_path, bad), "codec can't decode byte 0xe9")
+    assert not (tmp_path / "runs.csv").exists()
+    # a UTF-8 byte order mark decodes, and the JSON reader rejects it
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + json.dumps(K4_SHARED).encode())
+    _assert_input_error(capsys, ["coeffs", "--input", str(bom)], "malformed JSON")
+
+
+def test_json_nested_past_the_recursion_limit_is_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    _assert_input_error(capsys, ["analyze", "--input", str(deep)], "nested too deeply")
+    _assert_input_error(capsys, _ensemble_argv(tmp_path, deep), "nested too deeply")
+    assert not (tmp_path / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["coeffs", "disc", "factorize", "stability", "analyze"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, k4_file, name):
+    target = tmp_path / "missing" / "out.json"
+    _assert_input_error(capsys, [name, "--input", k4_file, "--output", str(target)], "No such file or directory")
+    assert not target.parent.exists()
+
+
 def test_coeffs_mapping(capsys, k4_file):
     code, out = _run(capsys, ["coeffs", "--input", k4_file])
     assert code == 0
@@ -871,13 +908,15 @@ def test_package_exports_the_ensemble_on_first_use():
         signedlap.no_such_name
 
 
-_LOADED = "[name in sys.modules for name in ('numpy', 'signedlap.ensemble')]"
+# whether each of these modules is loaded and was not before the import
+_LOADED = "[name in sys.modules and name not in before for name in ('numpy', 'signedlap.ensemble', 'dataclasses', 'inspect')]"
 
 # the loaded modules after ``import signedlap``, after ``import
 # signedlap.cli`` and after each ``cli.main(argv)``, with its exit code,
 # stdout and stderr
 _STARTUP = f"""
 import contextlib, io, json, sys
+before = set(sys.modules)
 import signedlap
 loaded = [{_LOADED}]
 import signedlap.cli
@@ -909,9 +948,9 @@ def test_exact_commands_start_without_numpy(capsys, k4_file):
         ["analyze", "--input", k4_file],
     ]
     out = _fresh(_STARTUP, json.dumps(argvs))
-    assert out["loaded"] == [[False, False], [False, False]]
+    assert out["loaded"] == [[False] * 4, [False] * 4]
     for argv, (code, stdout, stderr, loaded) in zip(argvs, out["runs"], strict=True):
-        assert loaded == [False, False], argv
+        assert loaded == [False] * 4, argv
         assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv), argv
 
 
@@ -919,7 +958,8 @@ def test_analyze_with_t_and_ensemble_load_numpy(capsys, tmp_path, k4_file):
     argv = ["analyze", "--input", k4_file, "--t", "1,1"]
     out = _fresh(_STARTUP, json.dumps([argv]))
     ((code, stdout, stderr, loaded),) = out["runs"]
-    assert out["loaded"][-1] == [False, False] and loaded == [True, False]
+    # numpy brings in inspect, but nothing here loads dataclasses
+    assert out["loaded"][-1] == [False] * 4 and loaded[:3] == [True, False, False]
     assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv)
 
     cfg = tmp_path / "cfg.json"
@@ -929,6 +969,6 @@ def test_analyze_with_t_and_ensemble_load_numpy(capsys, tmp_path, k4_file):
     out = _fresh(_STARTUP, json.dumps([argv]))
     ((code, stdout, stderr, loaded),) = out["runs"]
     files = [csv.read_bytes(), (tmp_path / "runs.summary.json").read_bytes()]
-    assert out["loaded"][-1] == [False, False] and loaded == [True, True]
+    assert out["loaded"][-1] == [False] * 4 and loaded[:3] == [True, True, False]
     assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv)
     assert files == [csv.read_bytes(), (tmp_path / "runs.summary.json").read_bytes()]

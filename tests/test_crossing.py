@@ -25,6 +25,7 @@ from signedlap.crossing import bits_to_mask, mask_to_bits
 from signedlap.graph import component_counts, red_subset_is_forest
 
 from conftest import (
+    assert_value,
     k4_disjoint,
     k4_shared,
     minor_path_coefficients,
@@ -286,6 +287,21 @@ def test_serialization_roundtrip():
     d = p.to_json_dict()
     assert d == {"00": "3", "10": "5", "01": "5", "11": "3"}
     assert CrossingPolynomial.from_json_dict(d) == p
+
+
+def test_crossing_polynomial_is_a_validated_immutable_value():
+    with pytest.raises(InputError, match="need 4 coefficients for 2 red edges"):
+        CrossingPolynomial(2, (F(3), F(5), F(5)))
+    p = crossing_polynomial(k4_shared())
+    same = CrossingPolynomial(2, (F(3), F(5), F(5), F(3)))
+    assert_value(p, same, CrossingPolynomial(2, (F(3), F(5), F(5), F(4))), (2, p.coeffs))
+    assert repr(same) == (
+        "CrossingPolynomial(red_count=2, coeffs=(Fraction(3, 1), Fraction(5, 1), Fraction(5, 1), Fraction(3, 1)))"
+    )
+    # a ray's crossings are a named tuple: 3 - 10t + 3t^2 along (1, 1)
+    result = graph_ray_crossings(k4_shared(), [F(1), F(1)])
+    assert [r.value for r in result.roots] == [F(1, 3), F(3)]
+    assert_value(result, ray_crossings(p, [F(1), F(1)]), graph_ray_crossings(k4_shared(), [F(1), F(2)]))
 
 
 def test_mask_bit_convention():

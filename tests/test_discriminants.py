@@ -31,6 +31,7 @@ from signedlap.discriminants import _disc_minors
 from signedlap.graph import component_counts
 
 from conftest import (
+    assert_value,
     k4_disjoint,
     k4_shared,
     kn_with_reds,
@@ -304,6 +305,24 @@ def test_factorize_chain():
         assert fac is not None
         assert fac.alpha == 1
         assert fac.c == tuple([F(2)] * r)
+
+
+def test_wildcard_is_a_validated_immutable_value():
+    for r, i, j in ((3, 1, 1), (3, 2, 1), (3, 0, 3), (3, -1, 1)):
+        with pytest.raises(InputError, match=f"free positions \\({i}, {j}\\) invalid for length {r}"):
+            Wildcard(r, i, j, 0)
+    with pytest.raises(InputError, match="fixed bits overlap the free positions"):
+        Wildcard(3, 0, 1, 0b010)
+    w = Wildcard.from_string("*1*0")
+    assert_value(w, Wildcard(4, 0, 2, 0b0010), Wildcard(4, 0, 2, 0), Wildcard(5, 0, 2, 0b0010), (4, 0, 2, 0b0010))
+    assert repr(w) == "Wildcard(r=4, i=0, j=2, bits=2)"
+    assert len(set(wildcard_basis(6))) == 2**6 - 6 - 1
+
+
+def test_factorization_is_an_immutable_record():
+    fac = factorize(crossing_polynomial(triangle_chain(3)))
+    assert fac == (F(1), (F(2),) * 3)
+    assert_value(fac, graph_factorization(triangle_chain(3)), factorize(crossing_polynomial(triangle_chain(2))))
 
 
 def test_factorize_k4():

@@ -24,7 +24,7 @@ from signedlap import ensemble as ens
 from signedlap.ensemble import _bordered_norms, _bordered_stack, _fits_int64, _stacked_minors
 from signedlap.spectral import _bordered_minors, _eliminate
 
-from conftest import kn_with_reds, minor_path_coefficients, swg
+from conftest import assert_value, kn_with_reds, minor_path_coefficients, swg
 
 
 def test_sample_graph_complete_at_max_m():
@@ -104,6 +104,26 @@ def test_config_rejects_coercion(patch):
 def test_config_rejects_unknown_keys_and_p_under_gnm(raw, message):
     with pytest.raises(InputError, match=re.escape(message)):
         ens.config_from_dict(raw)
+
+
+def test_config_is_a_validated_immutable_value():
+    for args, message in (
+        ((1, (2,), 4, 0), "need at least 2 vertices"),
+        ((10, (), 4, 0), "M must list at least one value"),
+        ((10, (15,), 4, 0, "gnx"), "unknown model 'gnx'"),
+        ((10, (15,), 4, 0, "gnp"), "gnp model needs 0 < p <= 1"),
+        ((10, (15,), 4, 0, "gnp", 1.5), "gnp model needs 0 < p <= 1"),
+    ):
+        with pytest.raises(InputError, match=re.escape(message)):
+            EnsembleConfig(*args)
+    cfg = EnsembleConfig(10, (15, 30), 40, 1)
+    same = ens.config_from_dict({"N": 10, "M": [15, 30], "samples": 40, "seed": 1})
+    assert (cfg.model, cfg.p) == ("gnm", None)
+    assert_value(cfg, same, EnsembleConfig(10, (15, 30), 40, 2), EnsembleConfig(10, (15, 30), 40, 1, "gnp", 0.5))
+    assert repr(cfg) == "EnsembleConfig(n=10, m_values=(15, 30), samples_per_m=40, master_seed=1, model='gnm', p=None)"
+    # the records are named tuples
+    first, second = itertools.islice(ens.iter_records(cfg), 2)
+    assert_value(first, next(ens.iter_records(same)), second)
 
 
 def test_config_accepts_integral_numbers():

@@ -18,6 +18,7 @@ from signedlap import (
 from signedlap.graph import minor_with_info, red_subset_is_forest
 
 from conftest import (
+    assert_value,
     k4_shared,
     kn_with_reds,
     random_connected_graph,
@@ -134,6 +135,30 @@ def test_edge_classes_and_component_counts_match_per_edge_references():
             assert component_counts(x) is component_counts(x)  # computed once per graph
     assert repr(swg(2, [(0, 1, -1)])) == "SignedWeightedGraph(n=2, edges=((0, 1, Fraction(-1, 1)),))"
     assert swg(2, [(0, 1, -1)]) == swg(2, [(1, 0, -1)])
+
+
+def test_graph_is_an_immutable_value():
+    # equal and hashed by n and the normalized edges; the sign classes and
+    # the cached component counts cannot be reassigned either
+    g = swg(3, [(0, 1, 1), (1, 2, -1)])
+    assert component_counts(g) == (1, 2, 2)
+    assert_value(g, swg(3, [(1, 0, 1), (2, 1, -1)]), swg(4, [(0, 1, 1), (1, 2, -1)]), swg(3, [(0, 1, 1), (1, 2, -2)]), (3, g.edges))
+    for name in ("red_indices", "red_edges", "black_edges", "_counts"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(g, name, ())
+    assert g.red_indices == (1,) and component_counts(g) == (1, 2, 2)
+    with pytest.raises(InputError, match="vertex count must be a positive integer"):
+        SignedWeightedGraph(0, ())
+    # the records of a minor and of the enumeration oracles are named tuples;
+    # a minor's red_map is a dict, so its record is not hashable
+    info = minor_with_info(k4_shared(), {0}, set())
+    assert info == minor_with_info(k4_shared(), {0}, set()) != minor_with_info(k4_shared(), set(), {0})
+    with pytest.raises(AttributeError):
+        info.graph = g
+    trees = spanning_trees(g)
+    assert_value(trees[0], spanning_trees(g)[0], *trees[1:])
+    forests = two_forests(k4_shared(), (0, 1), (0, 2))
+    assert_value(forests[0], two_forests(k4_shared(), (0, 1), (0, 2))[0], *forests[1:])
 
 
 def test_red_subset_is_forest_counts_components():

@@ -11,6 +11,7 @@ from signedlap import polyroots as pr
 
 from conftest import (
     _reference_count,
+    assert_value,
     random_connected_graph,
     reference_divmod_exact,
     reference_evaluate,
@@ -171,6 +172,16 @@ def _same_as_reference(p):
     got = pr.positive_roots(p)
     assert got == reference_positive_roots(p), p
     return got
+
+
+def test_root_records_are_immutable():
+    (r,) = pr.positive_roots([F(-3), F(2)])  # 2t - 3
+    assert_value(r, pr.RootRecord(F(3, 2), F(3, 2), F(3, 2), 1), pr.RootRecord(F(3, 2), F(3, 2), F(3, 2), 2))
+    assert r.midpoint == 1.5
+    # the isolation record holds lists: immutable, but not hashable
+    iso = pr._isolate_positive(pr.sturm_sequence([F(-2), F(0), F(1)]))
+    with pytest.raises(AttributeError):
+        iso.intervals = []
 
 
 def _random_coefficient(rng, rational):

@@ -14,7 +14,7 @@ from signedlap import (
     tree_sum,
 )
 
-from conftest import k4_shared, kn_with_reds, random_connected_graph, swg, triangle_one_red
+from conftest import assert_value, k4_shared, kn_with_reds, random_connected_graph, swg, triangle_one_red
 
 
 def test_thresholds_examples():
@@ -22,6 +22,12 @@ def test_thresholds_examples():
     assert axis_thresholds(k4_shared()) == [F(3, 5), F(3, 5)]
     g = kn_with_reds(4, [(0, 1)])
     assert axis_thresholds(g) == [F(1)]  # 8 trees each side: 8 - 8t
+
+
+def test_stability_report_is_an_immutable_record():
+    report = certify(k4_shared(), [F(3, 10), F(3, 10)])
+    assert report == ((F(3, 5), F(3, 5)), True, True, F(0), SpectralIndex(3, 1, 0))  # on the boundary
+    assert_value(report, certify(k4_shared(), [F(3, 10), F(3, 10)]), certify(k4_shared(), [F(1, 10), F(3, 10)]))
 
 
 def test_thresholds_require_connected_black():
