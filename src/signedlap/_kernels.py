@@ -5,10 +5,10 @@ matrix sizes ``det_int`` meets (minors of a few to a few dozen rows) the
 fraction-free elimination over Python ints is faster than an int64 numpy
 elimination, needs no overflow guard and is exact for any entry size.
 ``det_int`` is the general elimination, with row swaps.  It serves
-``spectral.det_rational`` and the integer cycle Gram minor of
-``discriminants.cycle_basis_minor``; every symmetric elimination
-(``inertia``, the crossing core, the ray and the graph index) runs on
-``spectral._schur``.  The ensemble
+``spectral.det_rational`` and the integer cycle Gram minor of the
+``discriminants.cycle_basis_minor`` oracle, and no CLI path: every symmetric
+elimination (``inertia``, the crossing core with ``disc``'s cycle minor, the
+ray and the graph index) runs on ``spectral._schur``.  The ensemble
 runs that update stacked in int64 (``ensemble._stacked_minors``) and its
 BFS as stacked float32 products (``ensemble._hops``), where a whole chunk
 of small bounded samples shares each numpy step; ``bfs_distances`` and
@@ -31,7 +31,8 @@ def det_int(rows) -> int:
 
     Fraction-free (Bareiss) elimination with row swaps on zero pivots; every
     division by the previous pivot is exact.  It serves
-    ``spectral.det_rational`` and ``discriminants.cycle_basis_minor``.
+    ``spectral.det_rational`` and the ``discriminants.cycle_basis_minor``
+    oracle; no CLI path calls it.
     """
     a = [list(r) for r in rows]
     n = len(a)

@@ -119,8 +119,7 @@ def _cmd_disc(args) -> dict:
         "cycle_minor": None,
     }
     if all(w == 1 for _, _, w in g.black_edges):
-        cm = discriminants.cycle_basis_minor(g)
-        out["cycle_minor"] = None if cm is None else str(cm)
+        out["cycle_minor"] = _frac(discriminants._cycle_minor(g, sigma))
     return out
 
 

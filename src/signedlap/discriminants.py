@@ -3,10 +3,13 @@
 For R = 2 the crossing polynomial is A11*x*y - A10*x - A01*y + A00 and its
 discriminant Delta = A11*A00 - A01*A10 controls whether the zero set is a
 hyperbola (level repulsion, gap > 0) or two axis-parallel lines with a
-reachable double crossing (Delta = 0).  Delta has two combinatorial duals: a
-signed spanning-2-forest sum squared, and a cycle-basis intersection minor
-squared (both asserted on |Delta|; the forest identity's own sign
-conventions are not internally consistent).
+reachable double crossing (Delta = 0).  Delta has two combinatorial duals,
+each squaring to |Delta|: the signed spanning-2-forest sum sigma and, for
+unit black weights, the cycle-basis intersection minor cm.  Both are the
+off-diagonal K_01 of the transfer-current matrix, with the red edges
+oriented by ``_forest_pairs`` for sigma and as stored for cm, so cm = f *
+sigma with f = -1 exactly when ``_forest_pairs`` reverses one red edge and
+not the other; ``disc`` reads both off one bordered elimination.
 
 For R > 2 a wildcard (a 0/1 pattern with two free positions) selects a
 4-coefficient sub-polynomial whose 2x2 discriminant must vanish for the zero
@@ -151,6 +154,39 @@ def _disc_minors(g: SignedWeightedGraph) -> tuple[CrossingPolynomial, Fraction]:
     return CrossingPolynomial(2, tuple(coeffs)), sigma
 
 
+def _cycle_minor(g: SignedWeightedGraph, sigma: Fraction) -> Fraction | None:
+    """``cycle_basis_minor(g)`` of a graph with unit black weights, from
+    sigma = ``_disc_minors(g)[1]``: no cycle basis and no determinant.
+
+    The cycle minor is K_01, the off-diagonal of K = B^T adj(Q) B, with both
+    red columns oriented as stored (u < v); sigma is K_01 with them oriented
+    by ``_forest_pairs``.  That reverses a red edge only when the two share
+    a vertex that is its larger endpoint, so cm = -sigma exactly when it
+    reverses one of them and not the other.  With a disconnected black
+    subgraph Q is singular and ``cycle_basis_minor`` undefined: None.
+
+    Why.  The basis of ``cycle_basis_minor`` is the fundamental cycles of a
+    black spanning tree, one per chord: the c - 2 black chords, then the two
+    reds.  Each cycle holds its own chord and no other, so its matrix is
+    F = [I | N], N over the tree edges, and the Gram matrix is
+    G = I + N N^T.  Jacobi's complementary-minor identity gives the minor
+    without row c - 1 and column c - 2 as -det G * (G^-1)_(c-2, c-1).
+    F^T G^-1 F projects onto the cycle space, which is I minus the
+    projection onto the cut space, so (G^-1)_(c-2, c-1) = -b_0^T L^+ b_1 in
+    the unsigned full graph (every weight 1), and det G is its spanning-tree
+    count (Cauchy-Binet): the minor is the transfer current between the two
+    reds there, (B^T adj(Q_full) B)_01.  Q_full = Q + B B^T, so with
+    K^ = B^T Q^-1 B the matrix-determinant lemma and Woodbury's identity give
+    B^T adj(Q_full) B = det Q * K^ adj(I + K^), whose off-diagonal entry is
+    det Q * K^_01 = K_01.  Only the orientations of b_0 and b_1 fix the sign.
+    """
+    if component_counts(g)[1] != 1:
+        return None
+    (u1, _, _), (u2, _, _) = g.red_edges
+    u_pair, w_pair = _forest_pairs(g)
+    return -sigma if (u_pair[0] != u1) != (w_pair[0] != u2) else sigma
+
+
 def _check_indices(indices, n: int):
     for i in indices:
         if not _is_int(i):
@@ -206,7 +242,10 @@ def cycle_basis_minor(g: SignedWeightedGraph) -> Fraction | None:
     ones through each red edge.  Forms the cycle Gram matrix G = F F^T and
     returns the minor removing the last row and second-to-last column.
     None (undefined) when removing the red edges disconnects the graph or the
-    co-rank is < 2.
+    co-rank is < 2.  Otherwise it equals f * ``forest_sum(g)``, f = -1
+    exactly when ``_forest_pairs`` reverses the stored order of one red edge
+    and not the other (``_cycle_minor``, which ``disc`` prints; this
+    determinant is its oracle).
     """
     if g.red_count != 2:
         raise InputError(f"cycle minor requires exactly 2 red edges, got {g.red_count}")

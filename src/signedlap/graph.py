@@ -176,8 +176,12 @@ def parse_graph(document) -> SignedWeightedGraph:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
+        except UnicodeDecodeError as exc:  # bytes that are not UTF-8, -16 or -32
+            raise InputError(f"graph JSON is not text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed graph JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InputError("graph JSON is nested too deeply") from exc
     if not isinstance(document, dict):
         raise InputError("graph document must be a JSON object")
     if "n" not in document or "edges" not in document:

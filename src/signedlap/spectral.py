@@ -21,7 +21,8 @@ adds the red Laplacian there; ``_pivots`` of that block gives the ray's
 determinants and the spectral index of a graph (``_graph_inertia``, with
 ``inertia`` of the explicit matrix as its reference).  The general
 ``_kernels.det_int`` is left for ``det_rational`` and the integer cycle
-Gram minor of ``discriminants.cycle_basis_minor``.
+Gram minor of the ``discriminants.cycle_basis_minor`` oracle; no CLI path
+calls it.
 """
 
 from __future__ import annotations
@@ -49,15 +50,7 @@ class LaplacianMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise InputError("matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise InputError(f"matrix not symmetric at ({i},{j})")
-        self.rows = rows
+        self.rows = _as_rows(rows, symmetric=True)
 
     @property
     def n(self) -> int:
@@ -70,14 +63,25 @@ class LaplacianMatrix:
         return f"LaplacianMatrix(n={self.n})"
 
 
-def _as_rows(m) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows of a square matrix as Fractions; any other shape is an
-    InputError."""
+def _as_rows(m, symmetric: bool = False) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of a square matrix as Fractions; an entry that is not a
+    finite rational, any other shape, or with ``symmetric`` set an
+    asymmetric matrix, is an InputError.  The one normalizer of every matrix
+    argument: a ``LaplacianMatrix`` has passed it already."""
     if isinstance(m, LaplacianMatrix):
         return m.rows
-    rows = tuple(tuple(Fraction(x) for x in row) for row in m)
-    if any(len(row) != len(rows) for row in rows):
+    try:
+        rows = tuple(tuple(Fraction(x) for x in row) for row in m)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"matrix entries must be finite rationals: {exc}") from None
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise InputError("matrix must be square")
+    if symmetric:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    raise InputError(f"matrix not symmetric at ({i},{j})")
     return rows
 
 
@@ -112,15 +116,16 @@ def laplacian(g: SignedWeightedGraph, t: Sequence[Fraction] | None = None) -> La
 def eigenvalues(m) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix (float path).
 
-    An entry above the float range (magnitude above about 1.8e308), a
-    nonzero entry that rounds to 0.0 (magnitude below about 2.5e-324) or an
-    eigenvalue that is not finite is an InputError; the exact ``inertia``
-    has no such limit.
+    A matrix that is not square and symmetric, or has an entry that is not
+    a finite rational, is an InputError, as in ``inertia``.  So is an entry
+    above the float range (magnitude above about 1.8e308), a nonzero entry
+    that rounds to 0.0 (magnitude below about 2.5e-324) or an eigenvalue
+    that is not finite; the exact ``inertia`` has no such limit.
     """
     import numpy as np  # imported here: the exact routes never load numpy
 
     message = "eigenvalues need every nonzero entry and eigenvalue within the float range (2.5e-324 < |x| < 1.8e308)"
-    rows = m.rows if isinstance(m, LaplacianMatrix) else m
+    rows = _as_rows(m, symmetric=True)
     try:
         arr = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
     except OverflowError:
@@ -139,7 +144,7 @@ def inertia(m) -> SpectralIndex:
     pivots give the signs (``_jacobi``).  No fractions and no floating
     point anywhere.  The reference for ``_graph_inertia``.
     """
-    rows = m.rows if isinstance(m, LaplacianMatrix) else LaplacianMatrix(m).rows
+    rows = _as_rows(m, symmetric=True)
     scale = lcm(*(x.denominator for row in rows for x in row))
     upper = [[x.numerator * (scale // x.denominator) for x in row[i:]] for i, row in enumerate(rows)]
     return _jacobi(*_pivots(upper))

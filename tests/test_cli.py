@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ import signedlap
 from signedlap import _kernels, cli, crossing, discriminants, graph, spectral, stability
 from signedlap import ensemble as ens
 
-from conftest import kn_with_reds, triangle_chain
+from conftest import kn_with_reds, random_connected_graph, swg, triangle_chain
 
 K4_SHARED = {
     "n": 4,
@@ -279,8 +280,7 @@ def test_disc(capsys, k4_file):
     assert out["delta"] == "-16"
     assert abs(out["gap"] - 1.8856180831641267) < 1e-12
     assert out["degenerate_point"] is None
-    assert out["forest_sum"] in ("4", "-4")
-    assert out["cycle_minor"] in ("4", "-4")
+    assert out["forest_sum"] == out["cycle_minor"] == "4"  # reds share vertex 0, the smaller endpoint of both
 
 
 def test_disc_forest_sum_beyond_the_enumeration_caps(capsys, tmp_path):
@@ -296,6 +296,34 @@ def test_disc_forest_sum_beyond_the_enumeration_caps(capsys, tmp_path):
         assert Fraction(out["cycle_minor"]) ** 2 == abs(Fraction(out["delta"]))
 
 
+def test_disc_cycle_minor_is_the_cycle_basis_minor(monkeypatch, connected_iso_corpus):
+    # disc reads the cycle minor off sigma with the sign rule of
+    # _cycle_minor; cycle_basis_minor's Gram determinant is the oracle for
+    # its value, its sign and its None, on every red pair of the N <= 6
+    # corpus and on seeded unit-weight graphs up to N = 12
+    graphs = [
+        swg(n, [(u, v, -1 if (u, v) in pair else 1) for u, v in edge_list])
+        for n, reps in connected_iso_corpus.items()
+        for edge_list in reps
+        for pair in itertools.combinations(edge_list, 2)
+    ]
+    rng = random.Random(1919)
+    while len(graphs) < 4208 + 1200:
+        g = random_connected_graph(rng, n_min=3, n_max=12, extra_max=12, red_choices=(2,), unit_weights=True)
+        if g.red_count == 2:
+            graphs.append(g)
+    monkeypatch.setattr(cli, "_load_graph", lambda g: g)
+    flipped = undefined = 0
+    for g in graphs:
+        out = cli._cmd_disc(argparse.Namespace(input=g))
+        cm = discriminants.cycle_basis_minor(g)
+        assert out["cycle_minor"] == (None if cm is None else str(cm)), g
+        undefined += cm is None
+        flipped += cm is not None and out["cycle_minor"] != out["forest_sum"]
+        assert (cm is None) == (graph.component_counts(g)[1] > 1), g
+    assert flipped >= 100 and undefined >= 100, (flipped, undefined)
+
+
 def _patch_everywhere(monkeypatch, fn, replacement):
     """Replace ``fn`` in every signedlap module namespace that holds it."""
     for key, mod in list(sys.modules.items()):
@@ -306,14 +334,16 @@ def _patch_everywhere(monkeypatch, fn, replacement):
 
 
 def test_user_facing_commands_take_no_exponential_or_per_mask_route(monkeypatch, capsys, tmp_path):
-    # minors, tree sums and the enumerations are test oracles; no command
-    # may reach them, in whatever module namespace it looks them up
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a user-facing command reached an oracle route")
-
-    for fn in (graph.minor, spectral.tree_sum, graph.two_forests, graph.spanning_trees):
-        _patch_everywhere(monkeypatch, fn, forbidden)
-    for name, doc in (("k4", K4_SHARED), ("chain", CHAIN2), ("n13", _n13_doc())):
+    # minors, tree sums, the enumerations, the general determinant and the
+    # cycle Gram minor are test oracles; no command may reach them, in
+    # whatever module namespace it looks them up, and every output is the
+    # one the unpatched run gives.  K4 with reds (0,1), (1,2) takes the
+    # cycle minor's sign flip, and the 4-cycle its null (A_empty = 0)
+    k4_path = _graph_doc(kn_with_reds(4, [(0, 1), (1, 2)]))
+    c4 = _graph_doc(swg(4, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, -1)]))
+    cfg = _graph_file(tmp_path, "cfg", {"N": 7, "M": [6, 12], "samples": 10, "seed": 3})
+    runs = [["ensemble", "--input", cfg, "--output", str(tmp_path / "runs.csv")]]
+    for name, doc in (("k4", K4_SHARED), ("chain", CHAIN2), ("n13", _n13_doc()), ("k4_path", k4_path), ("c4", c4)):
         path = _graph_file(tmp_path, name, doc)
         for argv in (
             ["analyze", "--t", "1,1"],
@@ -323,9 +353,36 @@ def test_user_facing_commands_take_no_exponential_or_per_mask_route(monkeypatch,
             ["stability", "--t", "1/10,1/10"],
             ["crossings", "--ray", "1,2"],
         ):
-            assert cli.main([*argv, "--input", path]) == 0, (name, argv, capsys.readouterr().err)
-    cfg = _graph_file(tmp_path, "cfg", {"N": 7, "M": [6, 12], "samples": 10, "seed": 3})
-    assert cli.main(["ensemble", "--input", cfg, "--output", str(tmp_path / "runs.csv")]) == 0
+            runs.append([*argv, "--input", path])
+
+    def outputs():
+        out = []
+        for argv in runs:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            files = [Path(tmp_path / name).read_bytes() for name in ("runs.csv", "runs.summary.json")]
+            out.append((code, captured.out, captured.err, files))
+        return out
+
+    expected = outputs()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a user-facing command reached an oracle route")
+
+    oracles = (graph.minor, spectral.tree_sum, graph.two_forests, graph.spanning_trees, _kernels.det_int, discriminants.cycle_basis_minor)
+    for fn in oracles:
+        _patch_everywhere(monkeypatch, fn, forbidden)
+    assert outputs() == expected
+    disc = {argv[-1]: json.loads(out) for argv, (_, out, _, _) in zip(runs, expected) if argv[0] == "disc"}
+    assert [(out["forest_sum"], out["cycle_minor"]) for out in disc.values()] == [
+        ("4", "4"),
+        ("0", "0"),
+        ("3381", "3381"),
+        ("4", "-4"),
+        ("1", None),
+    ]
+    failed = [argv[0] for argv, (code, *_) in zip(runs, expected) if code]
+    assert failed == ["factorize", "stability"]  # the 4-cycle's A_empty = 0
 
 
 def test_crossings_factorize_stability_take_no_2r_route(monkeypatch, capsys, tmp_path):

@@ -60,6 +60,18 @@ def test_parse_rejections(doc, msg):
         parse_graph(doc)
 
 
+def test_parse_json_nested_past_the_recursion_limit_is_input_error():
+    # the decoder's RecursionError is an input error, as in the CLI
+    with pytest.raises(InputError, match="nested too deeply"):
+        parse_graph("[" * 100000)
+
+
+def test_parse_bytes_that_are_not_text_is_input_error():
+    with pytest.raises(InputError, match="not text"):
+        parse_graph(b"\xff{}")
+    assert parse_graph(b'{"n": 1, "edges": []}').n == 1
+
+
 @pytest.mark.parametrize(
     "doc,msg",
     [

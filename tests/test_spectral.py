@@ -412,6 +412,40 @@ def test_laplacian_matrix_requires_square_symmetric():
         LaplacianMatrix([[1, 2], [3, 4]])
 
 
+def test_eigenvalues_of_an_asymmetric_matrix_are_an_input_error():
+    # eigvalsh reads one triangle: these were the eigenvalues of
+    # [[0, 5], [5, 0]], not an error
+    with pytest.raises(InputError, match=r"not symmetric at \(0,1\)"):
+        eigenvalues([[0, 1], [5, 0]])
+    with pytest.raises(InputError, match=r"not symmetric at \(0,1\)"):
+        inertia([[0, 1], [5, 0]])
+
+
+def test_eigenvalues_of_a_ragged_matrix_are_an_input_error():
+    with pytest.raises(InputError, match="matrix must be square"):
+        eigenvalues([[1, 2], [2]])
+    with pytest.raises(InputError, match="matrix must be square"):
+        inertia([[1, 2], [2]])
+
+
+def test_matrix_entries_that_are_not_finite_rationals_are_input_errors():
+    # a NaN entry gave eigenvalues [0, -0]; inertia let numeric errors escape
+    for bad in (math.inf, math.nan, "x"):
+        for f in (eigenvalues, inertia):
+            with pytest.raises(InputError, match="finite rationals"):
+                f([[bad, 0], [0, 1]])
+    for f in (eigenvalues, inertia):
+        with pytest.raises(InputError, match="finite rationals"):
+            f([1, 2])  # rows that are not sequences
+
+
+def test_eigenvalues_of_a_non_square_matrix_are_an_input_error():
+    with pytest.raises(InputError, match="matrix must be square"):
+        eigenvalues([[1, 2, 3], [2, 1, 3]])
+    with pytest.raises(InputError, match="matrix must be square"):
+        inertia([[1, 2, 3], [2, 1, 3]])
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
