@@ -48,7 +48,7 @@ from . import polyroots
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, _Frozen, component_counts, is_connected
 from .polyroots import RootRecord
-from .spectral import _bridged, _eliminate, _pivots, _principal_minors, _touched_block
+from .spectral import _bridged, _eliminate, _pivots, _principal_minors, _rationals, _touched_block
 
 MAX_RED_DEFAULT = 20
 
@@ -72,7 +72,7 @@ class CrossingPolynomial(_Frozen):
         """Exact value of M at nonnegative rational magnitudes t."""
         if len(t) != self.red_count:
             raise InputError(f"expected {self.red_count} magnitudes, got {len(t)}")
-        t = [Fraction(x) for x in t]
+        t = _rationals(t, "magnitudes")
         total = Fraction(0)
         for mask, a in enumerate(self.coeffs):
             if a == 0:
@@ -105,8 +105,8 @@ class CrossingPolynomial(_Frozen):
         if len(d) != 1 << r or any(len(k) != r for k in d):
             raise InputError("coefficient mapping must cover every length-R bitmask")
         coeffs = [Fraction(0)] * (1 << r)
-        for key, val in d.items():
-            coeffs[bits_to_mask(key)] = Fraction(val)
+        for key, val in zip(d, _rationals(d.values(), "coefficients")):
+            coeffs[bits_to_mask(key)] = val
         return cls(r, tuple(coeffs))
 
 
@@ -185,10 +185,11 @@ def degree_support(p: CrossingPolynomial, g: SignedWeightedGraph) -> tuple[int, 
     return expect_lo, expect_hi
 
 
-def _ray_direction(r: int, alpha: Sequence[Fraction]) -> list[Fraction]:
+def _ray_direction(r: int, alpha: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """``alpha`` as a ray over r red edges: r finite rationals, each > 0."""
     if len(alpha) != r:
         raise InputError(f"expected {r} ray components, got {len(alpha)}")
-    alpha = [Fraction(a) for a in alpha]
+    alpha = _rationals(alpha, "ray components")
     if any(a <= 0 for a in alpha):
         raise InputError("ray direction must be strictly positive componentwise")
     return alpha

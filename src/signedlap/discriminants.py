@@ -34,9 +34,9 @@ from .graph import SignedWeightedGraph, _Frozen, _is_int, component_counts, mino
 from .spectral import _as_rows, _graph_minors, det_rational
 
 
-def _require_r2(p: CrossingPolynomial | SignedWeightedGraph):
+def _require_r2(p: CrossingPolynomial | SignedWeightedGraph, what: str = "operation"):
     if p.red_count != 2:
-        raise InputError(f"operation requires exactly 2 red edges, got {p.red_count}")
+        raise InputError(f"{what} requires exactly 2 red edges, got {p.red_count}")
 
 
 def discriminant(p: CrossingPolynomial) -> Fraction:
@@ -126,8 +126,7 @@ def forest_sum(g: SignedWeightedGraph) -> Fraction:
     weight product ranges over black edges only.  Contract: sigma^2 = |Delta|.
     The global sign depends on the endpoint enumeration order.
     """
-    if g.red_count != 2:
-        raise InputError(f"forest sum requires exactly 2 red edges, got {g.red_count}")
+    _require_r2(g, "forest sum")
     u_pair, w_pair = _forest_pairs(g)
     total = Fraction(0)
     for f in two_forests(g, u_pair, w_pair):
@@ -155,8 +154,9 @@ def _disc_minors(g: SignedWeightedGraph) -> tuple[CrossingPolynomial, Fraction]:
 
 
 def _cycle_minor(g: SignedWeightedGraph, sigma: Fraction) -> Fraction | None:
-    """``cycle_basis_minor(g)`` of a graph with unit black weights, from
-    sigma = ``_disc_minors(g)[1]``: no cycle basis and no determinant.
+    """``cycle_basis_minor(g)`` from sigma = ``_disc_minors(g)[1]``: no
+    cycle basis and no determinant.  None unless every black weight is 1
+    and the black subgraph is connected (c(G+) = 1).
 
     The cycle minor is K_01, the off-diagonal of K = B^T adj(Q) B, with both
     red columns oriented as stored (u < v); sigma is K_01 with them oriented
@@ -180,7 +180,7 @@ def _cycle_minor(g: SignedWeightedGraph, sigma: Fraction) -> Fraction | None:
     B^T adj(Q_full) B = det Q * K^ adj(I + K^), whose off-diagonal entry is
     det Q * K^_01 = K_01.  Only the orientations of b_0 and b_1 fix the sign.
     """
-    if component_counts(g)[1] != 1:
+    if component_counts(g)[1] != 1 or any(w != 1 for _, _, w in g.black_edges):
         return None
     (u1, _, _), (u2, _, _) = g.red_edges
     u_pair, w_pair = _forest_pairs(g)
@@ -247,8 +247,7 @@ def cycle_basis_minor(g: SignedWeightedGraph) -> Fraction | None:
     and not the other (``_cycle_minor``, which ``disc`` prints; this
     determinant is its oracle).
     """
-    if g.red_count != 2:
-        raise InputError(f"cycle minor requires exactly 2 red edges, got {g.red_count}")
+    _require_r2(g, "cycle minor")
     if any(w != 1 for _, _, w in g.black_edges):
         raise InputError("cycle minor requires unit black weights")
     n = g.n

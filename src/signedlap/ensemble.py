@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .discriminants import _R2_MINORS, _gap_and_log
+from .discriminants import _R2_MINORS, _gap_and_log, _require_r2
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, _Frozen
 from .spectral import _bordered_minors, _eliminate
@@ -280,8 +280,7 @@ def _list_label(n: int, black, red1, red2) -> str:
 
 def classify(g: SignedWeightedGraph) -> str:
     """Red-pair geometry class of a 2-red-edge graph (``_class_label``)."""
-    if g.red_count != 2:
-        raise InputError(f"classification requires exactly 2 red edges, got {g.red_count}")
+    _require_r2(g, "classification")
     (u1, v1, _), (u2, v2, _) = g.red_edges
     return _list_label(g.n, [(u, v) for u, v, _ in g.black_edges], (u1, v1), (u2, v2))
 

@@ -164,24 +164,32 @@ class SignedWeightedGraph(_Frozen):
         return (self.n, tuple(sorted(self.edges)))
 
 
+def _decode_json(text: str | bytes, what: str):
+    """The package's one JSON reader: ``text``, bytes as strict UTF-8.  Bytes
+    that are not UTF-8, malformed JSON (a byte order mark too: it decodes to
+    U+FEFF) and too deep nesting are InputErrors naming ``what``."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} is not text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{what} is nested too deeply") from exc
+
+
 def parse_graph(document) -> SignedWeightedGraph:
     """Build a graph from the JSON wire format.
 
     ``{"n": <int>, "edges": [{"u": <int>, "v": <int>, "w": "<p>/<q>" | "<p>"}, ...]}``
 
     Weights are exact rational strings (integers also accepted); the sign of
-    the weight determines the color.  ``document`` may be the JSON text or an
-    already-decoded dict.
+    the weight determines the color.  ``document`` may be an already-decoded
+    dict or the JSON text, ``str`` or UTF-8 ``bytes`` with no byte order mark,
+    decoded as a CLI input file is (``_decode_json``).
     """
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except UnicodeDecodeError as exc:  # bytes that are not UTF-8, -16 or -32
-            raise InputError(f"graph JSON is not text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed graph JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise InputError("graph JSON is nested too deeply") from exc
+        document = _decode_json(document, "graph JSON")
     if not isinstance(document, dict):
         raise InputError("graph document must be a JSON object")
     if "n" not in document or "edges" not in document:

@@ -63,6 +63,16 @@ class LaplacianMatrix:
         return f"LaplacianMatrix(n={self.n})"
 
 
+def _rationals(xs, what: str, item=Fraction) -> tuple:
+    """``tuple(map(item, xs))``, ``item`` Fraction or built on it: the one
+    converter of the rationals a caller passes in.  Anything that is not a
+    finite rational, or an ``xs`` not iterable, is an InputError naming ``what``."""
+    try:
+        return tuple(map(item, xs))
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"{what} must be finite rationals: {exc}") from None
+
+
 def _as_rows(m, symmetric: bool = False) -> tuple[tuple[Fraction, ...], ...]:
     """The rows of a square matrix as Fractions; an entry that is not a
     finite rational, any other shape, or with ``symmetric`` set an
@@ -70,10 +80,7 @@ def _as_rows(m, symmetric: bool = False) -> tuple[tuple[Fraction, ...], ...]:
     argument: a ``LaplacianMatrix`` has passed it already."""
     if isinstance(m, LaplacianMatrix):
         return m.rows
-    try:
-        rows = tuple(tuple(Fraction(x) for x in row) for row in m)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise InputError(f"matrix entries must be finite rationals: {exc}") from None
+    rows = _rationals(m, "matrix entries", lambda row: tuple(map(Fraction, row)))
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise InputError("matrix must be square")
@@ -85,22 +92,25 @@ def _as_rows(m, symmetric: bool = False) -> tuple[tuple[Fraction, ...], ...]:
     return rows
 
 
+def _magnitudes(g: SignedWeightedGraph, t: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """``t`` as the red magnitudes of ``g``, one finite rational >= 0 per red
+    edge, else an InputError: every route that takes magnitudes checks here."""
+    if len(t) != g.red_count:
+        raise InputError(f"expected {g.red_count} red magnitudes, got {len(t)}")
+    t = _rationals(t, "red magnitudes")
+    for i, ti in enumerate(t):
+        if ti < 0:
+            raise InputError(f"red magnitude t[{i}] = {ti} is negative")
+    return t
+
+
 def laplacian(g: SignedWeightedGraph, t: Sequence[Fraction] | None = None) -> LaplacianMatrix:
     """Laplacian of ``g``; with ``t`` given, red edge i carries weight -t_i.
 
-    ``t`` must assign one nonnegative rational per red edge.  Black weights are
-    always taken from the graph.  Row sums are exactly zero by construction.
+    ``t`` must assign one nonnegative rational per red edge (``_magnitudes``).
+    Black weights are taken from the graph.  Row sums are exactly zero.
     """
-    reds = g.red_indices
-    weights = {}
-    if t is not None:
-        if len(t) != len(reds):
-            raise InputError(f"expected {len(reds)} red magnitudes, got {len(t)}")
-        for i, pos in enumerate(reds):
-            ti = Fraction(t[i])
-            if ti < 0:
-                raise InputError(f"red magnitude t[{i}] = {ti} is negative")
-            weights[pos] = -ti
+    weights = {} if t is None else {pos: -ti for pos, ti in zip(g.red_indices, _magnitudes(g, t))}
     a = [[Fraction(0)] * g.n for _ in range(g.n)]
     for pos, (u, v, w) in enumerate(g.edges):
         w = weights.get(pos, w)
@@ -161,19 +171,14 @@ def _jacobi(pivots: list[int], nullity: int) -> SpectralIndex:
 
 
 def det_rational(rows) -> Fraction:
-    """Exact determinant of a square matrix of rationals.
+    """Exact determinant of a square matrix of rationals, read by ``_as_rows``.
 
     Clears denominators row-wise and defers to the exact integer kernel.
     """
-    rows = [list(row) for row in rows]
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
     scale = 1
     int_rows = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in row)) if row else 1
+    for row in _as_rows(rows):
+        mult = lcm(*(x.denominator for x in row))
         scale *= mult
         int_rows.append([int(x * mult) for x in row])
     return Fraction(_kernels.det_int(int_rows), scale)
@@ -309,7 +314,6 @@ def _touched_block(g: SignedWeightedGraph, magnitudes):
     the last pivot taken (1 if none).
     """
     black_scale, black_ints = g._black_ints
-    magnitudes = [Fraction(m) for m in magnitudes]
     scale = lcm(black_scale, *(m.denominator for m in magnitudes))
     touched = {x for u, v, _ in g.red_edges for x in (u, v)} - {0}
     at = {v: i for i, v in enumerate([v for v in range(g.n) if v not in touched] + sorted(touched))}
@@ -329,7 +333,7 @@ def _touched_block(g: SignedWeightedGraph, magnitudes):
 
 def _graph_inertia(g: SignedWeightedGraph, t: Sequence[Fraction]) -> SpectralIndex:
     """``inertia(laplacian(g, t))`` off ``_touched_block``, with no N x N
-    matrix; ``t`` is taken as valid (``laplacian`` checks it).
+    matrix; ``t`` is checked as ``laplacian`` checks it (``_magnitudes``).
 
     Congruence by a basis whose first vector is the all-ones vector, in the
     kernel of every Laplacian, splits L(t) into 0 and minus the grounded
@@ -339,7 +343,7 @@ def _graph_inertia(g: SignedWeightedGraph, t: Sequence[Fraction]) -> SpectralInd
     complement: ``_pivots`` of the touched block resumed from prev, which
     drops each moved row as a kernel vector.
     """
-    s, r, prev, _ = _touched_block(g, t)
+    s, r, prev, _ = _touched_block(g, _magnitudes(g, t))
     block = _jacobi(*_pivots([[x - y for x, y in zip(a, b)] for a, b in zip(s, r)], prev))
     return SpectralIndex(g.n - 1 - len(s) + block.n_plus, block.n_zero + 1, block.n_minus)
 

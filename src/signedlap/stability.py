@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .graph import SignedWeightedGraph, component_counts
-from .spectral import SpectralIndex, _graph_inertia, _graph_minors
+from .spectral import SpectralIndex, _graph_inertia, _graph_minors, _magnitudes
 
 
 def axis_thresholds(g: SignedWeightedGraph) -> list[Fraction | None]:
@@ -51,13 +51,12 @@ class StabilityReport(NamedTuple):
 
 
 def certify(g: SignedWeightedGraph, t: Sequence[Fraction]) -> StabilityReport:
-    """Check ||t||_1 <= min_i omega_i and verify the spectral index exactly."""
+    """Check ||t||_1 <= min_i omega_i and verify the spectral index exactly.
+
+    A disconnected black subgraph is reported before ``t`` is checked
+    (``spectral._magnitudes``)."""
     omegas = axis_thresholds(g)
-    if len(t) != len(omegas):
-        raise InputError(f"expected {len(omegas)} red magnitudes, got {len(t)}")
-    t = [Fraction(x) for x in t]
-    if any(x < 0 for x in t):
-        raise InputError("red magnitudes must be nonnegative")
+    t = _magnitudes(g, t)
     norm1 = sum(t, Fraction(0))
     finite = [w for w in omegas if w is not None]
     min_omega = min(finite) if finite else None

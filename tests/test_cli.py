@@ -251,6 +251,22 @@ def test_input_that_is_not_utf8_is_input_error(tmp_path, capsys):
     bom = tmp_path / "bom.json"
     bom.write_bytes(b"\xef\xbb\xbf" + json.dumps(K4_SHARED).encode())
     _assert_input_error(capsys, ["coeffs", "--input", str(bom)], "malformed JSON")
+    # UTF-16 is not UTF-8: the file is readable but not text to the decoder
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(json.dumps(K4_SHARED).encode("utf-16"))
+    _assert_input_error(capsys, ["coeffs", "--input", str(utf16)], f"JSON in {utf16} is not text")
+    # parse_graph reads bytes with the same decoder as a file
+    for path in (bad, bom, utf16):
+        with pytest.raises(signedlap.InputError) as exc:
+            graph.parse_graph(path.read_bytes())
+        assert cli.main(["coeffs", "--input", str(path)]) == 1
+        assert str(exc.value).replace("graph JSON", f"JSON in {path}") in capsys.readouterr().err
+
+
+def test_input_file_that_cannot_be_read_is_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    _assert_input_error(capsys, ["coeffs", "--input", str(missing)], f"cannot read {missing}: [Errno 2]")
+    _assert_input_error(capsys, _ensemble_argv(tmp_path, missing), f"cannot read {missing}: [Errno 2]")
 
 
 def test_json_nested_past_the_recursion_limit_is_input_error(tmp_path, capsys):
@@ -529,6 +545,29 @@ def test_crossings_zero_ray_polynomial_is_internal_fault(monkeypatch, capsys, k4
     monkeypatch.setattr(crossing, "graph_ray_polynomial", lambda g, alpha: [])
     assert cli.main(["crossings", "--input", k4_file, "--ray", "1,1"]) == 2
     assert "ray polynomial is identically zero" in capsys.readouterr().err
+
+
+_SPLIT = {"n": 4, "edges": [{"u": 0, "v": 1, "w": "1"}, {"u": 1, "v": 2, "w": "-1"}]}  # vertex 3 isolated
+
+
+def test_analyze_on_a_disconnected_graph_has_no_crossing_count(capsys, tmp_path):
+    code, out = _run(capsys, ["analyze", "--input", _graph_file(tmp_path, "split", _SPLIT)])
+    assert code == 0
+    assert out["components"] == {"full": 2, "black": 3, "red": 3}
+    assert out["tau"] is None and out["index_limits"] is None
+
+
+def test_crossings_on_a_disconnected_graph_is_input_error(capsys, tmp_path):
+    # the route checks connectivity after the ray has been read
+    path = _graph_file(tmp_path, "split", _SPLIT)
+    _assert_input_error(capsys, ["crossings", "--input", path, "--ray", "1"], "the ray polynomial requires a connected graph")
+    _assert_input_error(capsys, ["crossings", "--input", path, "--ray", "x"], "the components of 'x' must be finite rationals")
+
+
+def test_disc_prints_no_cycle_minor_for_weighted_black_edges(capsys, tmp_path):
+    code, out = _run(capsys, ["disc", "--input", _graph_file(tmp_path, "k4w", _k4_with_black_weight("2"))])
+    assert code == 0
+    assert out["forest_sum"] == "16" and out["cycle_minor"] is None
 
 
 def test_crossings_requires_ray(capsys, k4_file):

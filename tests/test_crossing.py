@@ -201,6 +201,16 @@ def test_degree_support_examples():
     assert degree_support(crossing_polynomial(black), black) == (0, 0)
 
 
+def test_degree_support_and_crossing_count_need_a_connected_graph():
+    from signedlap import crossing_count
+
+    g = swg(4, [(0, 1, 1), (1, 2, -1)])  # vertex 3 isolated
+    with pytest.raises(InputError, match="degree bounds require a connected graph"):
+        degree_support(crossing_polynomial(g), g)
+    with pytest.raises(InputError, match="crossing count requires a connected graph"):
+        crossing_count(g)
+
+
 def test_degree_support_detects_corruption():
     g = k4_shared()
     p = crossing_polynomial(g)
@@ -287,6 +297,20 @@ def test_serialization_roundtrip():
     d = p.to_json_dict()
     assert d == {"00": "3", "10": "5", "01": "5", "11": "3"}
     assert CrossingPolynomial.from_json_dict(d) == p
+
+
+@pytest.mark.parametrize(
+    "d,msg",
+    [
+        ({}, "empty coefficient mapping"),
+        ({"00": "3", "10": "5", "01": "5"}, "must cover every length-R bitmask"),
+        ({"00": "3", "10": "5", "01": "5", "1": "3"}, "must cover every length-R bitmask"),
+        ({"00": "3", "10": "5", "01": "5", "12": "3"}, "bad bitmask string '12'"),
+    ],
+)
+def test_coefficient_mappings_that_are_not_complete_are_input_errors(d, msg):
+    with pytest.raises(InputError, match=msg):
+        CrossingPolynomial.from_json_dict(d)
 
 
 def test_crossing_polynomial_is_a_validated_immutable_value():

@@ -10,6 +10,7 @@ import pytest
 from signedlap import (
     InputError,
     Wildcard,
+    classify,
     crossing_polynomial,
     cycle_basis_minor,
     degenerate_point,
@@ -27,7 +28,7 @@ from signedlap import (
     wildcard_discriminant,
     wildcard_forest_sum,
 )
-from signedlap.discriminants import _disc_minors
+from signedlap.discriminants import _cycle_minor, _disc_minors
 from signedlap.graph import component_counts
 
 from conftest import (
@@ -131,6 +132,22 @@ def test_forest_dual_matches_forest_sum_value_and_sign():
     assert moved == {0, 1, 2}
 
 
+@pytest.mark.parametrize(
+    "rows,cols,msg",
+    [
+        ([0, 0], [0, 1], "duplicates"),
+        ([0], [1, 1], "duplicates"),
+        ([0], [3], "index 3 out of range 0..2"),
+        ([-1], [0], "index -1 out of range 0..2"),
+        (["0"], [0], "index '0' is not an integer"),
+    ],
+)
+def test_laplacian_minor_rejects_bad_index_sets(rows, cols, msg):
+    lap = laplacian(swg(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]))
+    with pytest.raises(InputError, match=msg):
+        laplacian_minor(lap, rows, cols)
+
+
 def test_laplacian_minor_examples():
     g = swg(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     lap = laplacian(g)
@@ -221,6 +238,26 @@ def test_cycle_minor_guards():
     assert cycle_basis_minor(tree_plus) is None  # co-rank 1
     with pytest.raises(InputError):
         cycle_basis_minor(swg(3, [(0, 1, -1), (1, 2, -1), (0, 2, 2)]))  # non-unit black
+
+
+def test_disc_cycle_minor_needs_unit_black_weights():
+    # K4 with reds (0,1), (0,2) and black weight 2 on (0,3): sigma is 5, and
+    # the cycle minor, defined for unit black weights only, is None (it was
+    # 5; only the CLI kept it from being printed)
+    g = swg(4, [(0, 1, -1), (0, 2, -1), (0, 3, 2), (1, 2, 1), (1, 3, 1), (2, 3, 1)])
+    _, sigma = _disc_minors(g)
+    assert sigma == 5 and _cycle_minor(g, sigma) is None
+    g = k4_shared()
+    assert _cycle_minor(g, _disc_minors(g)[1]) == cycle_basis_minor(g) == 4
+
+
+@pytest.mark.parametrize(
+    "f,what", [(forest_sum, "forest sum"), (cycle_basis_minor, "cycle minor"), (classify, "classification")]
+)
+@pytest.mark.parametrize("reds", [[(0, 1)], [(0, 1), (0, 2), (1, 2)]])
+def test_two_red_routes_reject_other_red_counts(f, what, reds):
+    with pytest.raises(InputError, match=f"{what} requires exactly 2 red edges, got {len(reds)}"):
+        f(kn_with_reds(4, reds))
 
 
 def test_cycle_minor_squared_equals_abs_discriminant_random():
@@ -407,6 +444,22 @@ def test_wildcard_forest_sum_collapse_undefined():
     g = swg(3, [(0, 1, -1), (1, 2, -1), (0, 2, -1)])
     w = Wildcard.from_string("**1")
     assert wildcard_forest_sum(g, w) is None
+
+
+def test_wildcard_forest_sum_of_a_cyclic_fixed_one_set_is_undefined():
+    # the fixed ones contract the red triangle 0-1-2: no spanning tree holds
+    # it, so every coefficient under the wildcard is zero
+    g = swg(5, [(2, 3, -1), (3, 4, -1), (0, 1, -1), (1, 2, -1), (0, 2, -1), (0, 3, 1), (1, 4, 1)])
+    assert wildcard_forest_sum(g, Wildcard.from_string("**111")) is None
+
+
+def test_wildcards_of_the_wrong_length_are_input_errors():
+    g = k4_shared()
+    w = Wildcard.from_string("**0")
+    with pytest.raises(InputError, match="wildcard length 3 != red count 2"):
+        wildcard_discriminant(crossing_polynomial(g), w)
+    with pytest.raises(InputError, match="wildcard length 3 != red count 2"):
+        wildcard_forest_sum(g, w)
 
 
 def test_wildcard_forest_sum_squared_matches_discriminant_random():

@@ -32,6 +32,8 @@ def test_parse_basic():
     g = parse_graph('{"n": 2, "edges": [{"u": 0, "v": 1, "w": "2"}]}')
     assert g.n == 2 and g.black_count == 1 and g.red_count == 0
     assert g.edges[0][2] == 2
+    # an integer weight is accepted as the rational it is
+    assert parse_graph('{"n": 2, "edges": [{"u": 0, "v": 1, "w": -3}]}').edges == ((0, 1, Fraction(-3)),)
 
 
 def test_parse_red_classification():
@@ -53,6 +55,21 @@ def test_parse_red_classification():
             '{"n": 3, "edges": [{"u": 0, "v": 1, "w": "1"}, {"u": 1, "v": 0, "w": "2"}]}',
             "duplicate",
         ),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"edges": []}', 'needs keys "n" and "edges"'),
+        ('{"n": 2}', 'needs keys "n" and "edges"'),
+        ('{"n": 2, "edges": {}}', '"edges" must be a list'),
+        ('{"n": 2, "edges": [[0, 1, "1"]]}', 'each edge needs keys "u", "v", "w"'),
+        ('{"n": 2, "edges": [{"u": 0, "v": 1}]}', 'each edge needs keys "u", "v", "w"'),
+        ('{"n": 2, "edges": [', "malformed graph JSON"),
+        ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": "1/x"}]}', "cannot parse weight '1/x'"),
+        ('{"n": 2, "edges": [{"u": 0, "v": 1, "w": "1/0"}]}', "cannot parse weight '1/0'"),
+        # bytes are read as strict UTF-8, as a CLI input file is: a byte
+        # order mark decodes to U+FEFF, which JSON does not allow, and
+        # UTF-16 is not UTF-8 (json.loads alone would accept both)
+        pytest.param(b'\xef\xbb\xbf{"n": 1, "edges": []}', "malformed graph JSON: Unexpected UTF-8 BOM", id="utf-8-bom"),
+        pytest.param('{"n": 1, "edges": []}'.encode("utf-16"), "graph JSON is not text", id="utf-16"),
+        pytest.param('{"n": 1, "edges": []}'.encode("utf-16-le"), "malformed graph JSON", id="utf-16-le"),
     ],
 )
 def test_parse_rejections(doc, msg):
@@ -208,6 +225,12 @@ def test_minor_rejects_overlap():
         minor(g, {0}, {0})
 
 
+@pytest.mark.parametrize("contract,delete", [({2}, set()), (set(), {-1}), ({0}, {"1"})])
+def test_minor_rejects_red_indices_out_of_range(contract, delete):
+    with pytest.raises(InputError, match=r"out of range 0\.\.1"):
+        minor(k4_shared(), contract, delete)
+
+
 def test_minor_zero_merge_drops_edge():
     # contracting the red edge (0,1) makes (0,2) and (1,2) parallel: 1 + (-1) = 0
     g = swg(3, [(0, 1, -1), (0, 2, 1), (1, 2, -1)])
@@ -262,6 +285,11 @@ def test_spanning_tree_of_tree_is_itself():
     assert trees[0].edge_indices == (0, 1, 2)
 
 
+def test_spanning_trees_of_one_vertex_is_the_empty_tree():
+    (tree,) = spanning_trees(swg(1, []))
+    assert tree == ((), Fraction(1), Fraction(1))
+
+
 def test_spanning_trees_disconnected_empty():
     g = swg(4, [(0, 1, 1), (2, 3, 1)])
     assert spanning_trees(g) == []
@@ -311,6 +339,28 @@ def test_two_forests_unsatisfiable():
     # W = (1,2) together or keeps U = (0,3) together, so nothing qualifies.
     g = swg(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1)])
     assert two_forests(g, (0, 3), (1, 2)) == []
+
+
+@pytest.mark.parametrize("u_pair,w_pair", [((0, 0), (1, 2)), ((0, 1), (2, 2)), ((0,), (1, 2))])
+def test_two_forests_pairs_need_two_distinct_vertices(u_pair, w_pair):
+    with pytest.raises(InputError, match="two distinct vertices"):
+        two_forests(k4_shared(), u_pair, w_pair)
+
+
+def test_two_forests_need_n_minus_2_edges():
+    # N = 5 and one edge: no 2-forest has the N - 2 = 3 edges it needs
+    assert two_forests(swg(5, [(0, 1, 1)]), (0, 1), (2, 3)) == []
+
+
+def test_two_forests_over_the_subset_cap_raise_before_enumerating(monkeypatch):
+    import itertools
+
+    def enumerate_nothing(*args):
+        raise AssertionError("the subsets were enumerated")
+
+    monkeypatch.setattr(itertools, "combinations", enumerate_nothing)
+    with pytest.raises(InputError, match=r"too large: C\(66,10\) subsets"):
+        two_forests(kn_with_reds(12, []), (0, 1), (2, 3))
 
 
 def test_two_forests_epsilon_flips_with_enumeration_order():

@@ -54,6 +54,11 @@ def test_poly_gcd_known():
     assert g == [-1, 1]  # t - 1
 
 
+@pytest.mark.parametrize("p", [[F(5)], [F(-1, 3)], []])
+def test_square_free_decomposition_of_a_constant_is_empty(p):
+    assert pr.square_free_decomposition(p) == []
+
+
 def test_square_free_decomposition_known():
     p = _poly_from_roots([(1, 3), (F(1, 3), 1), (F(-2), 2)], lead=F(6))
     fac = dict()

@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 
 from signedlap import (
+    CrossingPolynomial,
     InputError,
     axis_thresholds,
+    certify,
     component_counts,
     SpectralIndex,
     crossing_count,
     crossing_polynomial,
     eigenvalues,
+    graph_ray_crossings,
     index_limits,
     inertia,
     laplacian,
@@ -29,7 +32,7 @@ from signedlap import _kernels
 from signedlap import ensemble as ens
 from signedlap.discriminants import _disc_minors, graph_factorization
 from signedlap.graph import _UnionFind
-from signedlap.spectral import LaplacianMatrix, _bordered_minors, _eliminate, _graph_inertia, _pivots, _schur
+from signedlap.spectral import LaplacianMatrix, _bordered_minors, _eliminate, _graph_inertia, _pivots, _schur, det_rational
 
 from conftest import (
     k4_disjoint,
@@ -69,11 +72,41 @@ def test_laplacian_red_substitution_keeps_zero_row_sums():
 
 
 def test_laplacian_t_validation():
+    # every route that takes red magnitudes checks them by one rule: one per
+    # red edge, then each >= 0.  _graph_inertia took them unchecked
     g = triangle_one_red()
-    with pytest.raises(InputError):
-        laplacian(g, [1, 2])
-    with pytest.raises(InputError):
-        laplacian(g, [Fraction(-1, 2)])
+    for f in (laplacian, tree_sum, _graph_inertia, certify):
+        with pytest.raises(InputError, match="expected 1 red magnitudes, got 2"):
+            f(g, [1, 2])
+        with pytest.raises(InputError, match=r"red magnitude t\[0\] = -1/2 is negative"):
+            f(g, [Fraction(-1, 2)])
+
+
+_RATIONAL_VECTOR_ROUTES = (
+    "laplacian", "tree_sum", "certify", "_graph_inertia", "graph_ray_crossings", "ray_crossings", "evaluate", "from_json_dict"
+)
+
+
+@pytest.mark.parametrize("route", _RATIONAL_VECTOR_ROUTES)
+@pytest.mark.parametrize("bad", ["abc", None, math.inf, math.nan, "1/0"])
+def test_rational_vectors_that_are_not_finite_rationals_are_input_errors(bad, route):
+    # magnitudes, rays and coefficients go through the converter of the
+    # matrix entries: a bare ValueError, TypeError, OverflowError or
+    # ZeroDivisionError escaped each of these
+    g = k4_shared()
+    p = crossing_polynomial(g)
+    calls = {
+        "laplacian": lambda: laplacian(g, [1, bad]),
+        "tree_sum": lambda: tree_sum(g, [1, bad]),
+        "certify": lambda: certify(g, [1, bad]),
+        "_graph_inertia": lambda: _graph_inertia(g, [1, bad]),
+        "graph_ray_crossings": lambda: graph_ray_crossings(g, [1, bad]),
+        "ray_crossings": lambda: ray_crossings(p, [1, bad]),
+        "evaluate": lambda: p.evaluate([1, bad]),
+        "from_json_dict": lambda: CrossingPolynomial.from_json_dict({"00": "3", "10": bad, "01": "5", "11": "3"}),
+    }
+    with pytest.raises(InputError, match="must be finite rationals"):
+        calls[route]()
 
 
 def test_inertia_diagonal():
@@ -428,13 +461,20 @@ def test_eigenvalues_of_a_ragged_matrix_are_an_input_error():
         inertia([[1, 2], [2]])
 
 
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]])
+def test_det_rational_of_a_matrix_that_is_not_square_is_an_input_error(rows):
+    # the 1 x 2 matrix had determinant 1; the others raised IndexError
+    with pytest.raises(InputError, match="matrix must be square"):
+        det_rational(rows)
+
+
 def test_matrix_entries_that_are_not_finite_rationals_are_input_errors():
     # a NaN entry gave eigenvalues [0, -0]; inertia let numeric errors escape
-    for bad in (math.inf, math.nan, "x"):
-        for f in (eigenvalues, inertia):
+    for bad in (math.inf, math.nan, "x", None, "1/0"):
+        for f in (eigenvalues, inertia, det_rational):
             with pytest.raises(InputError, match="finite rationals"):
                 f([[bad, 0], [0, 1]])
-    for f in (eigenvalues, inertia):
+    for f in (eigenvalues, inertia, det_rational):
         with pytest.raises(InputError, match="finite rationals"):
             f([1, 2])  # rows that are not sequences
 
