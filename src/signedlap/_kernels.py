@@ -10,10 +10,9 @@ elimination, needs no overflow guard and is exact for any entry size.
 elimination (``inertia``, the crossing core with ``disc``'s cycle minor, the
 ray and the graph index) runs on ``spectral._schur``.  The ensemble
 runs that update stacked in int64 (``ensemble._stacked_minors``) and its
-BFS as stacked float32 products (``ensemble._hops``), where a whole chunk
-of small bounded samples shares each numpy step; ``bfs_distances`` and
-``component_count`` serve ``ensemble.classify`` and the ensemble samples
-over the int64 bound.
+BFS as stacked float32 products (``ensemble._hops``), which labels every
+sample of a chunk; ``bfs_distances`` and ``component_count`` serve only
+``ensemble.classify``, the reference that BFS is tested against.
 """
 
 from __future__ import annotations

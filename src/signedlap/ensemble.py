@@ -9,26 +9,21 @@ for a given config whatever the order in which samples are computed.
 delta_zero is decided by exact integer arithmetic (the four coefficients are
 integer tree counts, from the bordered elimination that ``crossing_polynomial``
 also uses), never by float thresholding.  Records are computed a chunk at a
-time.  Every sample of the chunk whose bordered matrix passes the Hadamard
-bound of ``_fits_int64`` goes through one array pipeline, ``_stacked``,
-connected or not: one BFS over the stacked adjacency gives the black
-components and the hop distances of the class, and one stacked int64
-elimination the four coefficients, with the components bridged as
-``spectral._bridged`` bridges them.  The rest, samples with entries too
-large for int64, take the Python-int core and the list BFS of
-``_kernels`` one by one, which ``classify`` also uses.  Both give the same
-integers and labels.
-
-``_stacked_minors`` is ``spectral._schur``'s update on a whole stack of
-bordered matrices at once, in int64: the chunk's two-red-edge samples,
-built by ``_bordered_stack``, whose entries pass the Hadamard bound of
-``_fits_int64`` (on row norms from ``_bordered_norms``, no stack needed).
-A sample with a disconnected black subgraph is bridged as
-``spectral._bridged`` does it, its Q_k stacked next to the others.  Every
-other sample takes ``spectral._eliminate`` and
-``spectral._bordered_minors``, which give the same integers.  This module
-is the only one that imports numpy at import time, and the package loads
-it only when an ensemble name is first used.
+time, and every sample of the chunk goes through one array pipeline,
+``_stacked``: one BFS over the stacked adjacency, ``_hops``, gives every
+sample's black components and the hop distances of its class.  The
+Hadamard bound of ``_fits_int64`` is then checked once per sample, on the
+bordered matrix Q_c over its c = c(G+) components (on row norms from
+``_bordered_norms``, no stack needed), and the samples that pass take one
+stacked int64 elimination, ``_stacked_minors``: ``spectral._schur``'s
+update on the matrices built by ``_bordered_stack``, a disconnected black
+subgraph bridged as ``spectral._bridged`` bridges it, its Q_k stacked next
+to the others.  Every other sample takes ``spectral._eliminate`` and
+``spectral._bordered_minors`` one by one, which give the same integers.
+``classify`` labels one graph by the list BFS of ``_kernels``, the
+reference the array BFS is tested against.  This module is the only one
+that imports numpy at import time, and the package loads it only when an
+ensemble name is first used.
 """
 
 from __future__ import annotations
@@ -55,11 +50,10 @@ _HIST_HI = 10.0
 _HIST_BINS = 200  # 0.1-wide bins in log10(gap)
 # G(N,p) draws with fewer than two edges are redrawn at most this many times
 _GNP_MAX_DRAWS = 1000
-# records computed back to back before ``iter_records`` hands them on
+# ``iter_records`` computes at most _CHUNK records back to back before it
+# hands them on, fewer at large N (``_chunk_length``)
 _CHUNK = 1024
-# the largest c(G+) whose bridged Q_c can pass the int64 bound: its c - 1
-# bridged rows have squared norms of at least c^2, and 11^20 > 2^62
-_MAX_BRIDGED = 10
+_CHUNK_ENTRIES = 1 << 19
 # a hop distance below 10 as its class symbol; 10 and above are '+'
 _HOP_SYMBOLS = "0123456789"
 
@@ -94,6 +88,9 @@ class EnsembleConfig(_Frozen):
             raise InputError("gnp model needs 0 < p <= 1")
         if model == "gnp" and n < 3:
             raise InputError(f"gnp model needs N >= 3 to draw two red edges, got N={n}")
+        repeated = sorted({m for m in m_values if m_values.count(m) > 1})
+        if repeated:
+            raise InputError(f"ensemble config M lists {', '.join(map(str, repeated))} more than once")
         total = n * (n - 1) // 2
         for m in m_values:
             if model == "gnm" and not 2 <= m <= total:
@@ -250,14 +247,6 @@ class EnsembleRecord(NamedTuple):
     log10_gap: float | None  # -inf when gap == 0; None when gap undefined
 
 
-def _adjacency(n: int, pairs) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def _class_label(connected: bool, shared: bool, hops) -> str:
     """The red-pair class: "disconnected_plus" when the black subgraph is
     not ``connected`` (takes precedence); "adj" when the red edges have a
@@ -271,18 +260,19 @@ def _class_label(connected: bool, shared: bool, hops) -> str:
     return "".join([_HOP_SYMBOLS[h] if h < 10 else "+" for h in sorted(hops)])
 
 
-def _list_label(n: int, black, red1, red2) -> str:
-    """``_class_label`` of one sample, by the list BFS of ``_kernels``."""
-    adj = _adjacency(n, black)
-    hops = [dist[y] for dist in (_kernels.bfs_distances(adj, x) for x in red1) for y in red2]
-    return _class_label(_kernels.component_count(adj) == 1, bool(set(red1) & set(red2)), hops)
-
-
 def classify(g: SignedWeightedGraph) -> str:
-    """Red-pair geometry class of a 2-red-edge graph (``_class_label``)."""
+    """Red-pair geometry class of a 2-red-edge graph (``_class_label``), by
+    the list BFS and component count of ``_kernels``: the reference that
+    the array BFS of ``_stacked``, which labels the ensemble, is checked
+    against."""
     _require_r2(g, "classification")
     (u1, v1, _), (u2, v2, _) = g.red_edges
-    return _list_label(g.n, [(u, v) for u, v, _ in g.black_edges], (u1, v1), (u2, v2))
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v, _ in g.black_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    hops = [dist[y] for dist in (_kernels.bfs_distances(adj, x) for x in (u1, v1)) for y in (u2, v2)]
+    return _class_label(_kernels.component_count(adj) == 1, bool({u1, v1} & {u2, v2}), hops)
 
 
 def _bordered_stack(n: int, owner: np.ndarray, black: np.ndarray, reds: np.ndarray) -> np.ndarray:
@@ -408,26 +398,14 @@ def _hops(n: int, owner: np.ndarray, black: np.ndarray, batch: int) -> tuple[np.
     return dist.astype(np.intp), reached.argmax(axis=2)
 
 
-def _take(owner: np.ndarray, black: np.ndarray, rows: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """The black edges of the graphs ``rows`` (ascending) of ``batch``, with
-    their owners renumbered 0..len(rows) - 1."""
-    if len(rows) == batch:
-        return owner, black
-    slot = np.full(batch, -1)
-    slot[rows] = np.arange(len(rows))
-    keep = slot[owner] >= 0
-    return slot[owner[keep]], black[keep]
+def _stacked(n: int, draws) -> tuple[list[str], dict[int, list[int]]]:
+    """The class label of every sample of ``draws`` (``_sample_pairs``
+    draws), and by position the minors of each sample whose bordered
+    matrices Q_k of ``_stacked_minors`` pass the int64 bound.
 
-
-def _stacked(n: int, draws) -> dict[int, tuple[list[int], str]]:
-    """(minors, class label) of every sample of ``draws`` (``_sample_pairs``
-    draws) whose bordered matrices Q_k of ``_stacked_minors`` pass the int64
-    bound, by position.
-
-    The bound is checked on Q first, and c(G+) >= N - |black edges| must
-    be at most ``_MAX_BRIDGED``, so that dense arrays are built only for
-    samples that may clear it; the BFS of ``_hops`` then gives c(G+) and
-    the rows to bridge, and the bound is checked again on Q_c.
+    The BFS of ``_hops`` runs on the whole chunk: it gives every label,
+    c(G+) and the rows to bridge.  The bound is then checked once, on Q_c,
+    and picks the samples that ``_stacked_minors`` eliminates.
     """
     batch = len(draws)
     counts = np.fromiter((len(chosen) for chosen, _, _ in draws), dtype=np.intp, count=batch)
@@ -436,44 +414,40 @@ def _stacked(n: int, draws) -> dict[int, tuple[list[int], str]]:
     is_black = np.ones(len(ends), dtype=bool)
     is_black[red_at] = False
     owner, black, reds = np.repeat(np.arange(batch), counts)[is_black], ends[is_black], ends[red_at]
-    norms = _bordered_norms(n, owner, black, reds, np.zeros((batch, n - 1), dtype=np.int64))
-    near = np.flatnonzero(_fits_int64(norms) & (n - (counts - 2) <= _MAX_BRIDGED))
-    owner, black = _take(owner, black, near, batch)
-    dist, root = _hops(n, owner, black, len(near))
+    dist, root = _hops(n, owner, black, batch)
     bridge = (root == np.arange(n))[:, 1:]
     c = bridge.sum(axis=1, keepdims=True) + 1
-    rows = np.flatnonzero(_fits_int64(_bordered_norms(n, owner, black, reds[near], bridge * c)))
-    owner, black = _take(owner, black, rows, len(near))
-    reds, dist = reds[near[rows]], dist[rows]
-    values = _stacked_minors(_bordered_stack(n, owner, black, reds), bridge[rows])
     x, y = reds[:, 0, :, None], reds[:, 1, None, :]
-    hops = dist[np.arange(len(rows))[:, None, None], x, y].reshape(-1, 4).tolist()
+    hops = dist[np.arange(batch)[:, None, None], x, y].reshape(-1, 4).tolist()
     shared = (x == y).any(axis=(1, 2)).tolist()
-    labels = [_class_label(ci == 1, sh, h) for ci, sh, h in zip(c[rows, 0].tolist(), shared, hops)]
-    return dict(zip(near[rows].tolist(), zip(values, labels)))
+    labels = [_class_label(ci == 1, sh, h) for ci, sh, h in zip(c[:, 0].tolist(), shared, hops)]
+    fits = _fits_int64(_bordered_norms(n, owner, black, reds, bridge * c))
+    # the edges of the cleared samples, their owners renumbered 0, 1, ...
+    keep = fits[owner]
+    h = _bordered_stack(n, (np.cumsum(fits) - 1)[owner[keep]], black[keep], reds[fits])
+    return labels, dict(zip(np.flatnonzero(fits).tolist(), _stacked_minors(h, bridge[fits])))
 
 
 def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
     """The records of ``keys``, a list of (M, sample_id) pairs, in order.
 
-    Every sample is drawn first.  The samples whose bordered matrices pass
-    the int64 bound then go through ``_stacked`` together, connected or
-    not; every other sample takes the Python-int core and the list BFS one
-    by one.
+    Every sample is drawn first, then the whole chunk goes through
+    ``_stacked``, which labels every sample and gives the minors of those
+    under the int64 bound, connected or not; every other sample takes the
+    Python-int core one by one.
     """
     n = cfg.n
     pairs = _all_pairs(n)
     draws = [_sample_pairs(cfg, m, sample_seed(cfg.master_seed, m, index)) for m, index in keys]
-    stacked = _stacked(n, draws)
+    labels, stacked = _stacked(n, draws)
     records = []
     for i, ((_, index), (chosen, r1, r2)) in enumerate(zip(keys, draws)):
         red1, red2 = pairs[chosen[r1]], pairs[chosen[r2]]
         if i in stacked:
-            (a00, ax, ay, axy), label = stacked[i]
+            a00, ax, ay, axy = stacked[i]
         else:
-            black = [pairs[j] for j in chosen[:r1] + chosen[r1 + 1 : r2] + chosen[r2 + 1 :]]
-            a00, ax, ay, axy = _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black], (red1, red2), n - 1), _R2_MINORS)
-            label = _list_label(n, black, red1, red2)
+            black = [(*pairs[j], 1) for j in chosen[:r1] + chosen[r1 + 1 : r2] + chosen[r2 + 1 :]]
+            a00, ax, ay, axy = _bordered_minors(_eliminate(n, black, (red1, red2), n - 1), _R2_MINORS)
         delta = axy * a00 - ax * ay
         if axy == 0:
             gap_val: float | None = None
@@ -489,7 +463,7 @@ def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
                 m=len(chosen),
                 red1=red1,
                 red2=red2,
-                class_label=label,
+                class_label=labels[i],
                 gplus_connected=a00 != 0,
                 delta_zero=delta == 0,
                 gap=gap_val,
@@ -505,15 +479,22 @@ def compute_record(cfg: EnsembleConfig, m: int, index: int) -> EnsembleRecord:
     return _records(cfg, [(m, index)])[0]
 
 
+def _chunk_length(n: int) -> int:
+    """Samples per chunk at N = ``n``: ``_CHUNK``, or fewer at large N, so
+    that each stacked N x N array of a chunk holds at most
+    ``_CHUNK_ENTRIES`` entries (1024 samples up to N = 22, 13 at N = 200)."""
+    return max(1, min(_CHUNK, _CHUNK_ENTRIES // n**2))
+
+
 def iter_records(cfg: EnsembleConfig):
     """The records one at a time, in deterministic (M, sample_id) order.
 
-    They are computed in chunks of ``_CHUNK``, each chunk's samples through
-    one stacked elimination, and handed on after each chunk, so memory
-    stays bounded.
+    They are computed in chunks of ``_chunk_length(N)`` samples, each
+    chunk's samples through one BFS and one stacked elimination, and handed
+    on after each chunk, so memory stays bounded.
     """
     keys = ((m, i) for m in cfg.m_values for i in range(cfg.samples_per_m))
-    while chunk := list(itertools.islice(keys, _CHUNK)):
+    while chunk := list(itertools.islice(keys, _chunk_length(cfg.n))):
         yield from _records(cfg, chunk)
 
 

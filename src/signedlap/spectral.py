@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from numbers import Rational, Real
 from typing import NamedTuple, Sequence
 
 from . import _kernels
@@ -63,10 +64,20 @@ class LaplacianMatrix:
         return f"LaplacianMatrix(n={self.n})"
 
 
-def _rationals(xs, what: str, item=Fraction) -> tuple:
-    """``tuple(map(item, xs))``, ``item`` Fraction or built on it: the one
-    converter of the rationals a caller passes in.  Anything that is not a
-    finite rational, or an ``xs`` not iterable, is an InputError naming ``what``."""
+def _exact(x) -> Fraction:
+    """``Fraction(x)`` of a rational given exactly, such as an int, a
+    Fraction or a string; a bool or a float (numpy's too) is a TypeError,
+    not the rational it happens to equal."""
+    if isinstance(x, bool) or isinstance(x, Real) and not isinstance(x, Rational):
+        raise TypeError(f"{x!r} is a {type(x).__name__}, not an exact rational")
+    return Fraction(x)
+
+
+def _rationals(xs, what: str, item=_exact) -> tuple:
+    """``tuple(map(item, xs))``, ``item`` ``_exact`` or built on Fraction:
+    the one converter of the rationals a caller passes in.  Anything that is
+    not a finite rational (by default also a bool or a float), or an ``xs``
+    not iterable, is an InputError naming ``what``."""
     try:
         return tuple(map(item, xs))
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:

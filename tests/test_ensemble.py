@@ -99,6 +99,9 @@ def test_config_rejects_coercion(patch):
         ({"N": 6, "M": [8], "samples": 2, "seed": 1, "modle": "gnp", "p": 0.5}, "unknown keys ['modle']"),
         ({"N": 6, "M": [8], "samples": 2, "seed": 1, "p": 0.5}, "p applies only to model gnp"),
         ({"N": 6, "M": [8], "samples": 2, "seed": 1, "model": "gnm", "p": 0.5}, "p applies only to model gnp"),
+        # a repeated M would write every record twice under one summary key
+        ({"N": 8, "M": [10, 10], "samples": 3, "seed": 1}, "M lists 10 more than once"),
+        ({"N": 8, "M": [12, 10, 12, 11, 10], "samples": 3, "seed": 1}, "M lists 10, 12 more than once"),
     ],
 )
 def test_config_rejects_unknown_keys_and_p_under_gnm(raw, message):
@@ -276,10 +279,16 @@ def _split(n, draw):
     return pairs[:r1] + pairs[r1 + 1 : r2] + pairs[r2 + 1 :], (pairs[r1], pairs[r2])
 
 
+def _draw_graph(n, draw):
+    """The two-red-edge graph of a ``_sample_pairs`` draw."""
+    black, reds = _split(n, draw)
+    return swg(n, [(u, v, 1) for u, v in black] + [(u, v, -1) for u, v in reds])
+
+
 def test_bound_on_q_alone_does_not_clear_the_bridged_stack():
     # G(13, 38) at seed 10 has two black components: Q passes the bound but
-    # Q_2 does not, so ``_stacked`` leaves it to the Python-int core and
-    # takes the path drawn next to it
+    # Q_2 does not, so ``_stacked`` leaves its minors to the Python-int core
+    # and takes the path drawn next to it; it labels both
     n, m, seed = 13, 38, 10
     g = sample_graph(n, m, seed)
     black, reds = [(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges)
@@ -287,7 +296,9 @@ def test_bound_on_q_alone_does_not_clear_the_bridged_stack():
     assert _hadamard_fits(_bordered_rows(n, black, reds))
     assert not _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black)))
     draws = [ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, seed), _path_draw(n, (0, 2), (10, 12))]
-    assert list(ens._stacked(n, draws)) == [1]
+    labels, minors = ens._stacked(n, draws)
+    assert list(minors) == [1]
+    assert labels == [classify(_draw_graph(n, draw)) for draw in draws] == ["disconnected_plus", "8+++"]
 
 
 def test_int64_bound_covers_every_product():
@@ -323,7 +334,8 @@ def test_weighted_combination_stays_in_int64():
     # vertex 0 to each bridged vertex): on every sample whose Q_c the bound
     # clears, c <= 10 and no term or partial sum reaches 2^63; the sum is
     # the value over Q
-    assert 10**18 < 2**62 < 11**20 and ens._MAX_BRIDGED == 10
+    # (c >= 11 leaves c - 1 >= 10 bridged rows of squared norm >= c^2)
+    assert 10**18 < 2**62 < 11**20
     seen = set()
     for n in range(5, 13):
         for g, black, reds in _grid_samples(n):
@@ -331,7 +343,7 @@ def test_weighted_combination_stays_in_int64():
             c = len(rows) + 1
             if not _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black))):
                 continue
-            assert c <= ens._MAX_BRIDGED
+            assert c <= 10
             total = [0] * 4
             for k in range(1, c + 1):
                 values = _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black] + [(0, v, k) for v in rows], reds, n - 1), ens._R2_MINORS)
@@ -356,49 +368,65 @@ def test_stacked_minors_raise_on_a_zero_pivot_or_an_inexact_division():
 
 
 def test_stacked_labels_match_classify():
-    # oracle: ``classify`` on each sample (list BFS and component count).
-    # The grid runs to N = 14; black paths on 13 and 14 vertices with red
+    # oracle: ``classify`` on each sample (list BFS and component count),
+    # for every sample of the chunk, under the int64 bound or over it.
+    # The grid runs to N = 14 and takes in N = 16, 20 and 40, G(N,p)
+    # draws, and M = 2, 3 (no black edge, or one: A_empty = 0 with
+    # c(G+) > 10 from N = 13); black paths on 13 and 14 vertices with red
     # chords at their ends give distances of 10 and more, clamped to '+'
-    labels = set()
-    for n in range(5, 15):
+    labels, over, many = set(), set(), set()
+    for n in (*range(5, 15), 16, 20, 40):
         total = n * (n - 1) // 2
         draws = [
             ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, seed)
-            for m in sorted({n - 2, n, n + 1, (n + total) // 2, total})
+            for m in sorted({2, 3, n - 2, n, n + 1, (n + total) // 2, total})
             for seed in range(8)
         ]
+        for p in (0.1, 0.3, 0.7):
+            draws += [ens._sample_pairs(EnsembleConfig(n, (1,), 1, 0, "gnp", p), 1, seed) for seed in range(8)]
         if n >= 13:
             draws += [_path_draw(n, (0, 2), (n - 3, n - 1)), _path_draw(n, (0, 2), (1, n - 1)), _path_draw(n, (1, 3), (3, 5))]
-        for i, (_, label) in ens._stacked(n, draws).items():
-            black, reds = _split(n, draws[i])
-            assert label == classify(swg(n, [(u, v, 1) for u, v in black] + [(u, v, -1) for u, v in reds]))
+        got, minors = ens._stacked(n, draws)
+        assert len(got) == len(draws)
+        for i, (draw, label) in enumerate(zip(draws, got)):
+            assert label == classify(_draw_graph(n, draw))
             labels.add(label)
+            if i not in minors:
+                over.add(n)
+            if len(_bridged_rows(n, _split(n, draw)[0])) >= 10:
+                many.add(n)
     # 8+++ and 9+++ at N = 13 and 14, 11++ with d = 10, 12 or 11, 13
     assert {"adj", "disconnected_plus", "8+++", "9+++", "11++"} <= labels
     assert any(label.isdigit() and len(label) == 4 for label in labels)
+    assert {16, 20, 40} <= over and {13, 14, 16, 20, 40} <= many
 
 
 def test_samples_over_the_bound_build_no_dense_arrays(monkeypatch):
     # at N = 200, dense samples (M = 400) fail the bound on Q, and sparse
-    # ones (M = 12) pass it but have c(G+) > 10, so neither reaches the BFS
-    # or the stack: peak memory stays with the edge lists, under half of
-    # what one dense float32 BFS stack for these 256 samples would take
-    # (41 MB)
+    # ones (M = 12) pass it but have c(G+) > 10, so Q_c fails it: no sample
+    # reaches the stack.  All reach the BFS, in chunks of the production
+    # length, whose stacked N x N arrays hold at most 2^19 entries each:
+    # peak memory stays under half of what one dense float32 BFS stack for
+    # these 256 samples would take (41 MB)
     n = 200
-    sizes = []
+    batches, stacked = [], []
     hops, stack = ens._hops, ens._bordered_stack
-    monkeypatch.setattr(ens, "_hops", lambda n, owner, black, batch: sizes.append(batch) or hops(n, owner, black, batch))
-    monkeypatch.setattr(ens, "_bordered_stack", lambda n, owner, black, reds: sizes.append(len(reds)) or stack(n, owner, black, reds))
+    monkeypatch.setattr(ens, "_hops", lambda n, owner, black, batch: batches.append(batch) or hops(n, owner, black, batch))
+    monkeypatch.setattr(ens, "_bordered_stack", lambda n, owner, black, reds: stacked.append(len(reds)) or stack(n, owner, black, reds))
     cfg = EnsembleConfig(n, (12, 400), 1, 0)
     draws = [ens._sample_pairs(cfg, m, seed) for m in cfg.m_values for seed in range(128)]
     assert any(_hadamard_fits(_bordered_rows(n, *_split(n, draw))) for draw in draws[:8])
+    length = ens._chunk_length(n)
     tracemalloc.start()
     try:
-        assert ens._stacked(n, draws) == {}
+        for start in range(0, len(draws), length):
+            labels, minors = ens._stacked(n, draws[start : start + length])
+            assert len(labels) == len(draws[start : start + length]) and minors == {}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes == [0, 0] and peak < 20 << 20
+    assert sum(batches) == len(draws) and all(batch * n * n <= 2**19 for batch in batches)
+    assert set(stacked) == {0} and peak < 20 << 20
 
 
 def test_records_route_by_the_bound_alone(monkeypatch):

@@ -88,11 +88,13 @@ _RATIONAL_VECTOR_ROUTES = (
 
 
 @pytest.mark.parametrize("route", _RATIONAL_VECTOR_ROUTES)
-@pytest.mark.parametrize("bad", ["abc", None, math.inf, math.nan, "1/0"])
+@pytest.mark.parametrize("bad", ["abc", None, math.inf, math.nan, "1/0", True, 0.5])
 def test_rational_vectors_that_are_not_finite_rationals_are_input_errors(bad, route):
     # magnitudes, rays and coefficients go through the converter of the
     # matrix entries: a bare ValueError, TypeError, OverflowError or
-    # ZeroDivisionError escaped each of these
+    # ZeroDivisionError escaped each of these.  A bool or a float is not
+    # taken for the rational it equals (True would be 1, 0.1 would be
+    # 3602879701896397/36028797018963968)
     g = k4_shared()
     p = crossing_polynomial(g)
     calls = {
