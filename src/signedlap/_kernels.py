@@ -10,8 +10,9 @@ elimination, needs no overflow guard and is exact for any entry size.
 elimination (``inertia``, the crossing core with ``disc``'s cycle minor, the
 ray and the graph index) runs on ``spectral._schur``.  The ensemble
 runs that update stacked in int64 (``ensemble._stacked_minors``) and its
-BFS as stacked float32 products (``ensemble._hops``), which labels every
-sample of a chunk; ``bfs_distances`` and ``component_count`` serve only
+BFS as float32 products with the nonzero pattern of the chunk's int64
+Laplacian stack (``ensemble._hops``), which labels every sample of a
+chunk; ``bfs_distances`` and ``component_count`` serve only
 ``ensemble.classify``, the reference that BFS is tested against.
 """
 

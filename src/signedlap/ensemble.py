@@ -10,20 +10,22 @@ delta_zero is decided by exact integer arithmetic (the four coefficients are
 integer tree counts, from the bordered elimination that ``crossing_polynomial``
 also uses), never by float thresholding.  Records are computed a chunk at a
 time, and every sample of the chunk goes through one array pipeline,
-``_stacked``: one BFS over the stacked adjacency, ``_hops``, gives every
-sample's black components and the hop distances of its class.  The
-Hadamard bound of ``_fits_int64`` is then checked once per sample, on the
-bordered matrix Q_c over its c = c(G+) components (on row norms from
-``_bordered_norms``, no stack needed), and the samples that pass take one
-stacked int64 elimination, ``_stacked_minors``: ``spectral._schur``'s
-update on the matrices built by ``_bordered_stack``, a disconnected black
-subgraph bridged as ``spectral._bridged`` bridges it, its Q_k stacked next
-to the others.  Every other sample takes ``spectral._eliminate`` and
-``spectral._bordered_minors`` one by one, which give the same integers.
-``classify`` labels one graph by the list BFS of ``_kernels``, the
-reference the array BFS is tested against.  This module is the only one
-that imports numpy at import time, and the package loads it only when an
-ensemble name is first used.
+``_stacked``, on one int64 stack of the samples' black Laplacians, vertex 0
+included.  One BFS over its nonzero pattern, ``_hops``, gives every
+sample's black components and the hop distances of its class.
+``_bordered_stack`` builds every sample's bordered matrix H = [[Q, B],
+[B^T, 0]] from it, and the Hadamard bound of ``_fits_int64`` is checked
+once per sample, on the row norms of H with Q_c in place of Q: Q plus
+c = c(G+) on the diagonal of one row in each black component without
+vertex 0.  The samples that pass take one stacked int64 elimination,
+``_stacked_minors``: ``spectral._schur``'s update on their H, a
+disconnected black subgraph bridged as ``spectral._bridged`` bridges it,
+its Q_k stacked next to the others.  Every other sample takes
+``spectral._eliminate`` and ``spectral._bordered_minors`` one by one, which
+give the same integers.  ``classify`` labels one graph by the list BFS of
+``_kernels``, the reference the array BFS is tested against.  This module
+is the only one that imports numpy at import time, and the package loads
+it only when an ensemble name is first used.
 """
 
 from __future__ import annotations
@@ -58,7 +60,28 @@ _CHUNK_ENTRIES = 1 << 19
 _HOP_SYMBOLS = "0123456789"
 
 
+def _integer_field(name: str, value) -> int:
+    """``value`` as an int when it is an integer or an integral float;
+    booleans, fractional numbers and strings are rejected, not coerced."""
+    if isinstance(value, bool):
+        raise InputError(f"ensemble config {name} must be an integer, got boolean {value}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InputError(f"ensemble config {name} must be an integer, got {value!r}")
+
+
 class EnsembleConfig(_Frozen):
+    """An ensemble: N vertices, the M values, samples per M, the master
+    seed, the model and, under gnp, p.
+
+    N, every M, samples and seed must be integers (integral floats such as
+    1e4 are accepted and stored as ints); p must be a number, stored as a
+    float.  Nothing is truncated or coerced, and ``m_values`` is stored as
+    a tuple.
+    """
+
     _fields = ("n", "m_values", "samples_per_m", "master_seed", "model", "p")
     n: int
     m_values: tuple[int, ...]
@@ -76,6 +99,14 @@ class EnsembleConfig(_Frozen):
         model: str = "gnm",
         p: float | None = None,
     ):
+        n = _integer_field("N", n)
+        m_values = tuple(_integer_field("M", m) for m in m_values)
+        samples_per_m = _integer_field("samples", samples_per_m)
+        master_seed = _integer_field("seed", master_seed)
+        if p is not None:
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise InputError(f"ensemble config p must be a number, got {p!r}")
+            p = float(p)
         if n < 2:
             raise InputError("need at least 2 vertices")
         if samples_per_m < 1:
@@ -100,25 +131,11 @@ class EnsembleConfig(_Frozen):
         )
 
 
-def _integer_field(name: str, value) -> int:
-    """``value`` as an int when it is an integer or an integral float;
-    booleans, fractional numbers and strings are rejected, not coerced."""
-    if isinstance(value, bool):
-        raise InputError(f"ensemble config {name} must be an integer, got boolean {value}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InputError(f"ensemble config {name} must be an integer, got {value!r}")
-
-
 def config_from_dict(d: dict) -> EnsembleConfig:
     """Accepts {"N": .., "M": [..] or int, "samples": .., "seed": ..,
-    "model": "gnm"|"gnp", "p": ..}.
-
-    N, every M, samples and seed must be integers (integral floats such as
-    1e4 are accepted); p must be a number, and is given only with model
-    gnp.  Nothing is truncated or coerced, and any other key is an error.
+    "model": "gnm"|"gnp", "p": ..}, the fields of ``EnsembleConfig``,
+    which checks their values.  Any other key is an error, and so is p
+    under model gnm.
     """
     if not isinstance(d, dict):
         raise InputError("ensemble config must be a JSON object")
@@ -128,20 +145,11 @@ def config_from_dict(d: dict) -> EnsembleConfig:
     missing = [key for key in ("N", "M", "samples", "seed") if key not in d]
     if missing:
         raise InputError(f"ensemble config needs integer N, M, samples, seed; missing {missing}")
-    n = _integer_field("N", d["N"])
-    m_raw = d["M"]
-    m_values = tuple(_integer_field("M", m) for m in (m_raw if isinstance(m_raw, list) else [m_raw]))
-    samples = _integer_field("samples", d["samples"])
-    seed = _integer_field("seed", d["seed"])
     model = d.get("model", "gnm")
     if model == "gnm" and "p" in d:
         raise InputError("ensemble config p applies only to model gnp")
-    p = d.get("p")
-    if p is not None:
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise InputError(f"ensemble config p must be a number, got {p!r}")
-        p = float(p)
-    return EnsembleConfig(n, m_values, samples, seed, model, p)
+    m_values = d["M"] if isinstance(d["M"], list) else [d["M"]]
+    return EnsembleConfig(d["N"], m_values, d["samples"], d["seed"], model, d.get("p"))
 
 
 def sample_seed(master_seed: int, m: int, index: int) -> int:
@@ -275,46 +283,23 @@ def classify(g: SignedWeightedGraph) -> str:
     return _class_label(_kernels.component_count(adj) == 1, bool({u1, v1} & {u2, v2}), hops)
 
 
-def _bordered_stack(n: int, owner: np.ndarray, black: np.ndarray, reds: np.ndarray) -> np.ndarray:
+def _bordered_stack(lap: np.ndarray, reds: np.ndarray) -> np.ndarray:
     """The bordered matrices H = [[Q, B], [B^T, 0]] of
-    ``spectral._eliminate``, every black weight 1, stacked as an int64 array
-    of shape (len(reds), n + 1, n + 1): matrix b has the black edges
-    ``black[i]`` (a (E, 2) array of vertex pairs) with ``owner[i]`` = b and
-    the red edges ``reds[b]`` (a (B, 2, 2) array)."""
-    size = n + 1
-    # vertex v is row v - 1; vertex 0 goes to an extra last row, cut off
-    row = np.arange(-1, n)
-    row[0] = size
-    full = np.zeros((len(reds), size + 1, size + 1), dtype=np.int64)
-    u, v = row[black.T]
-    full[owner, u, v] = full[owner, v, u] = -1
-    diag = np.arange(size + 1)
-    full[:, diag, diag] = -full.sum(axis=2)
-    b, cols = np.arange(len(reds))[:, None], np.array([n - 1, n])
-    u, v = row[reds.transpose(2, 0, 1)]
+    ``spectral._eliminate`` for the Laplacian stack ``lap`` (shape (B, n,
+    n), vertex 0 included), as one int64 array of shape (B, n + 1, n + 1):
+    Q is ``lap[b]`` without vertex 0, and column i of B the incidence
+    vector of the red edge ``reds[b, i]`` ((B, 2, 2) vertex pairs) without
+    vertex 0."""
+    batch, n = lap.shape[:2]
+    full = np.zeros((batch, n + 2, n + 2), dtype=np.int64)
+    # the Laplacian bordered by the red incidence columns; vertex 0's row
+    # and column are cut off
+    full[:, :n, :n] = lap
+    b, cols = np.arange(batch)[:, None], np.array([n, n + 1])
+    u, v = reds[:, :, 0], reds[:, :, 1]
     full[b, u, cols] = full[b, cols, u] = 1
     full[b, v, cols] = full[b, cols, v] = -1
-    return full[:, :size, :size]
-
-
-def _bordered_norms(n: int, owner: np.ndarray, black: np.ndarray, reds: np.ndarray, bump: np.ndarray) -> np.ndarray:
-    """The squared row norms of each matrix of ``_bordered_stack(n, owner,
-    black, reds)``, black pairs u < v, with ``bump`` (shape (B, n - 1))
-    added to the diagonal of Q, without building the stack.
-
-    Row v of Q holds its diagonal deg_v + bump_v, a -1 for each black
-    neighbour other than vertex 0 and a +-1 for each red edge at v; a red
-    column holds a +-1 for each of its endpoints other than vertex 0.
-    """
-    batch = len(reds)
-    u, v = owner * n + black.T
-    off_0 = black[:, 0] != 0
-    deg = np.bincount(np.concatenate([u, v]), minlength=batch * n).reshape(batch, n)
-    rest = np.bincount(
-        np.concatenate([u[off_0], v[off_0], (np.arange(batch)[:, None, None] * n + reds).ravel()]), minlength=batch * n
-    ).reshape(batch, n)
-    rows = (deg[:, 1:] + bump) ** 2 + rest[:, 1:]
-    return np.concatenate([rows, (reds != 0).sum(axis=2)], axis=1)
+    return full[:, 1:, 1:]
 
 
 def _fits_int64(norms: np.ndarray) -> np.ndarray:
@@ -372,18 +357,19 @@ def _stacked_minors(h: np.ndarray, bridge: np.ndarray) -> list[list[int]]:
     return np.add.reduceat(values, first, axis=0).tolist() if len(first) else []
 
 
-def _hops(n: int, owner: np.ndarray, black: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per black graph of ``batch`` (the edges ``black[i]`` of graph
-    ``owner[i]``): the hop distance between every two vertices of one
-    component (between two components, some number that no class reads),
-    and each vertex's root, the least vertex of its component.
+def _hops(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per graph of the Laplacian stack ``lap`` (shape (B, n, n)): the hop
+    distance between every two vertices of one component (between two
+    components, some number that no class reads), and each vertex's root,
+    the least vertex of its component.
 
     One BFS from every vertex at once: each step multiplies the reached sets
-    by the adjacency plus the identity, in float32, at most n - 1 times,
-    and each step adds 1 to the distance of every pair not yet reached.
+    by the adjacency plus the identity, the nonzero pattern of ``lap`` with
+    every diagonal entry set, in float32, at most n - 1 times, and each step
+    adds 1 to the distance of every pair not yet reached.
     """
-    step = np.zeros((batch, n, n), dtype=np.float32)
-    step[owner, black[:, 0], black[:, 1]] = step[owner, black[:, 1], black[:, 0]] = 1
+    n = lap.shape[1]
+    step = (lap != 0).astype(np.float32)
     diag = np.arange(n)
     step[:, diag, diag] = 1
     reached = step
@@ -403,9 +389,11 @@ def _stacked(n: int, draws) -> tuple[list[str], dict[int, list[int]]]:
     draws), and by position the minors of each sample whose bordered
     matrices Q_k of ``_stacked_minors`` pass the int64 bound.
 
-    The BFS of ``_hops`` runs on the whole chunk: it gives every label,
-    c(G+) and the rows to bridge.  The bound is then checked once, on Q_c,
-    and picks the samples that ``_stacked_minors`` eliminates.
+    The chunk's black graphs are one int64 Laplacian stack, which every
+    step reads: the BFS of ``_hops`` gives every label, c(G+) and the rows
+    to bridge; ``_bordered_stack`` gives every H, whose row norms, with
+    Q_c's bump on the diagonal of Q, pick the samples under the bound, and
+    ``_stacked_minors`` eliminates those.
     """
     batch = len(draws)
     counts = np.fromiter((len(chosen) for chosen, _, _ in draws), dtype=np.intp, count=batch)
@@ -413,19 +401,25 @@ def _stacked(n: int, draws) -> tuple[list[str], dict[int, list[int]]]:
     red_at = np.array([d[1:] for d in draws], dtype=np.intp).reshape(-1, 2) + (np.cumsum(counts) - counts)[:, None]
     is_black = np.ones(len(ends), dtype=bool)
     is_black[red_at] = False
-    owner, black, reds = np.repeat(np.arange(batch), counts)[is_black], ends[is_black], ends[red_at]
-    dist, root = _hops(n, owner, black, batch)
-    bridge = (root == np.arange(n))[:, 1:]
+    owner, (u, v), reds = np.repeat(np.arange(batch), counts)[is_black], ends[is_black].T, ends[red_at]
+    lap = np.zeros((batch, n, n), dtype=np.int64)
+    lap[owner, u, v] = lap[owner, v, u] = -1
+    diag = np.arange(n)
+    lap[:, diag, diag] = -lap.sum(axis=2)
+    dist, root = _hops(lap)
+    bridge = (root == diag)[:, 1:]
     c = bridge.sum(axis=1, keepdims=True) + 1
     x, y = reds[:, 0, :, None], reds[:, 1, None, :]
     hops = dist[np.arange(batch)[:, None, None], x, y].reshape(-1, 4).tolist()
     shared = (x == y).any(axis=(1, 2)).tolist()
     labels = [_class_label(ci == 1, sh, h) for ci, sh, h in zip(c[:, 0].tolist(), shared, hops)]
-    fits = _fits_int64(_bordered_norms(n, owner, black, reds, bridge * c))
-    # the edges of the cleared samples, their owners renumbered 0, 1, ...
-    keep = fits[owner]
-    h = _bordered_stack(n, (np.cumsum(fits) - 1)[owner[keep]], black[keep], reds[fits])
-    return labels, dict(zip(np.flatnonzero(fits).tolist(), _stacked_minors(h, bridge[fits])))
+    h = _bordered_stack(lap, reds)
+    # (d + k)^2 = d^2 + k (2 d + k) on each bridged diagonal d of Q
+    bump, q = bridge * c, diag[:-1]
+    norms = np.einsum("bij,bij->bi", h, h)
+    norms[:, q] += bump * (2 * h[:, q, q] + bump)
+    fits = _fits_int64(norms)
+    return labels, dict(zip(np.flatnonzero(fits).tolist(), _stacked_minors(h[fits], bridge[fits])))
 
 
 def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:

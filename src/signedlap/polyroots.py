@@ -43,6 +43,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import InputError
+from .spectral import _rationals
 
 Poly = list[Fraction]
 IntPoly = list[int]
@@ -236,6 +237,8 @@ def _dyadic_value(h: IntPoly, j: int, k: int) -> int:
 
 def cauchy_bound(p: Poly) -> Fraction:
     p = strip(p)
+    if not p:
+        raise InputError("zero polynomial has no Cauchy bound")
     lead = abs(p[-1])
     return 1 + max(abs(c) for c in p) / lead
 
@@ -447,8 +450,10 @@ def positive_roots(p) -> list[RootRecord]:
     p's Sturm sequence comes first; when its last term, gcd(p, p') up to a
     constant, is a constant, p is square-free and the sequence isolates its
     roots directly.  Otherwise the square-free factors each get their own.
+    The coefficients go through ``spectral._rationals``: a float, a bool or
+    anything else that is not an exact rational is an InputError.
     """
-    p = strip(p)
+    p = strip(_rationals(p, "polynomial coefficients"))
     if not p:
         raise InputError("zero polynomial has no well-defined root set")
     while p and p[0] == 0:  # roots at 0 are not positive roots

@@ -23,6 +23,7 @@ from signedlap import (
 from signedlap import _kernels, crossing
 from signedlap.crossing import bits_to_mask, mask_to_bits
 from signedlap.graph import component_counts, red_subset_is_forest
+from signedlap.spectral import SpectralIndex, _graph_inertia
 
 from conftest import (
     assert_value,
@@ -453,3 +454,47 @@ def test_ray_polynomials_are_real_rooted():
         roots = graph_ray_crossings(g, alpha).roots
         assert sum(r.multiplicity for r in roots) == g.n - c_minus - c_plus + 1, g
     assert 50 <= disconnected <= 150
+
+
+def _ray_index(g, roots, s) -> SpectralIndex:
+    """(N - 1 - o - rho(s) - m(s), 1 + m(s), o + rho(s)): o = c(G+) - 1,
+    rho(s) the roots of ``roots`` in (0, s) and m(s) the multiplicity of
+    s, each counted with multiplicity.  ``s`` is an exact root or lies
+    outside every isolating interval."""
+    o = component_counts(g)[1] - 1
+    below = at = 0
+    for r in roots:
+        if r.value is None:
+            assert r.hi <= s or s <= r.lo
+            below += r.multiplicity * (r.hi <= s)
+        else:
+            below += r.multiplicity * (r.value < s)
+            at += r.multiplicity * (r.value == s)
+    return SpectralIndex(g.n - 1 - o - below - at, 1 + at, o + below)
+
+
+def test_index_along_a_ray_follows_its_roots():
+    # along s * alpha on a connected graph the eigenvalues only cross zero
+    # at the ray's roots, m of them upward at a root of multiplicity m, and
+    # the o = c(G+) - 1 of the zero root are crossed already: the index off
+    # the touched block equals the one counted from graph_ray_crossings at
+    # every exact root, both ends of every isolating interval and s = 1e-6.
+    # The chain of three unit triangles along (1, 1, 1) has the root 1/2
+    # with multiplicity 3, where the index is (3, 4, 0)
+    rng = random.Random(1729)
+    cases = [(triangle_chain(3), [F(1)] * 3)]
+    while len(cases) < 300:
+        g = random_connected_graph(rng, n_min=3, n_max=9, extra_max=6, red_choices=range(1, 7), num_max=99, den_max=9)
+        cases.append((g, [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(g.red_count)]))
+    points = disconnected = irrational = multiple = 0
+    for g, alpha in cases:
+        roots = graph_ray_crossings(g, alpha).roots
+        ends = [x for r in roots if r.value is None for x in (r.lo, r.hi)]
+        for s in [F(1, 10**6), *(r.value for r in roots if r.value is not None), *ends]:
+            assert _graph_inertia(g, [s * a for a in alpha]) == _ray_index(g, roots, s), (g, alpha, s)
+            points += 1
+        disconnected += component_counts(g)[1] > 1
+        irrational += len(ends) // 2
+        multiple += any(r.multiplicity > 1 for r in roots)
+    assert _graph_inertia(triangle_chain(3), [F(1, 2)] * 3) == (3, 4, 0)
+    assert points > 1000 and disconnected >= 100 and irrational >= 200 and multiple >= 1, (points, disconnected, irrational, multiple)

@@ -21,7 +21,7 @@ from signedlap import (
 )
 from signedlap import InternalConsistencyError, _kernels, component_counts
 from signedlap import ensemble as ens
-from signedlap.ensemble import _bordered_norms, _bordered_stack, _fits_int64, _stacked_minors
+from signedlap.ensemble import _bordered_stack, _fits_int64, _stacked_minors
 from signedlap.spectral import _bordered_minors, _eliminate
 
 from conftest import assert_value, kn_with_reds, minor_path_coefficients, swg
@@ -135,6 +135,36 @@ def test_config_accepts_integral_numbers():
     assert all(type(x) is int for x in (cfg.n, cfg.samples_per_m, cfg.master_seed, *cfg.m_values))
 
 
+def test_config_checks_its_own_fields():
+    # the constructor applies config_from_dict's rules itself: an integral
+    # float is the int, so seed 7.0 draws seed 7's stream; M is a tuple
+    records = ens.generate_records(EnsembleConfig(10, (15,), 3, 7))
+    cfg = EnsembleConfig(10.0, [15.0], 3.0, 7.0)
+    assert cfg == EnsembleConfig(10, (15,), 3, 7) and type(cfg.m_values) is tuple
+    assert all(type(x) is int for x in (cfg.n, cfg.samples_per_m, cfg.master_seed, *cfg.m_values))
+    assert ens.generate_records(cfg) == records
+    assert EnsembleConfig(10, (15,), 3, 7, "gnp", 1).p == 1.0
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((10, (15,), 3, "7"), "seed must be an integer, got '7'"),
+        ((10, (15,), 3, 7, "gnp", True), "p must be a number, got True"),
+        ((10.5, (15,), 3, 7), "N must be an integer, got 10.5"),
+        ((10, (15, 30.5), 3, 7), "M must be an integer, got 30.5"),
+        ((10, (15,), 3.5, 7), "samples must be an integer, got 3.5"),
+        ((10, (15,), 3, 7, "gnp", "0.5"), "p must be a number, got '0.5'"),
+    ],
+)
+def test_config_constructor_rejects_coercion(args, message):
+    # a string seed no longer runs as seed 7, p = True no longer as p = 1,
+    # and a float N, M or samples or a string p is an InputError, not a
+    # TypeError from range or a comparison
+    with pytest.raises(InputError, match=re.escape(message)):
+        EnsembleConfig(*args)
+
+
 def test_coefficients_match_minor_path(monkeypatch):
     # oracle: the per-mask minor path, on sparse (black subgraph
     # disconnected, A_empty = 0) up to complete graphs.  The elimination
@@ -192,12 +222,12 @@ def _hadamard_fits(h) -> bool:
 
 def _grid_samples(n):
     """The G(n, m) samples of ``test_coefficients_match_minor_path``'s grid,
-    as (graph, black pairs, red pairs)."""
+    as (``_sample_pairs`` draw, black pairs, red pairs)."""
     total = n * (n - 1) // 2
     for m in sorted({n - 2, n, n + 1, (n + total) // 2, total}):
         for seed in range(8):
-            g = sample_graph(n, m, seed)
-            yield g, [(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges)
+            draw = ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, seed)
+            yield draw, *_split(n, draw)
 
 
 def _bridged_rows(n, black) -> list[int]:
@@ -223,39 +253,51 @@ def _bump(n, black, k=None) -> list[int]:
     return [k if v in rows else 0 for v in range(1, n)]
 
 
-def _arrays(samples):
-    """(owner, black, reds) arrays of ``_bordered_stack`` for ``samples``,
-    (black pairs, red pairs) each."""
-    owner = np.array([b for b, (black, _) in enumerate(samples) for _ in black], dtype=np.intp)
-    black = np.array([e for black, _ in samples for e in black], dtype=np.intp).reshape(-1, 2)
+def _stack(n, samples):
+    """(Laplacian stack, red pairs) arrays of ``_bordered_stack`` for
+    ``samples``, (black pairs, red pairs) each: the unit Laplacian of the
+    black pairs, vertex 0 included, built entry by entry."""
+    lap = np.zeros((len(samples), n, n), dtype=np.int64)
+    for b, (black, _) in enumerate(samples):
+        for u, v in black:
+            lap[b, u, v] = lap[b, v, u] = -1
+            lap[b, u, u] += 1
+            lap[b, v, v] += 1
     reds = np.array([reds for _, reds in samples], dtype=np.intp).reshape(-1, 2, 2)
-    return owner, black, reds
+    return lap, reds
 
 
 def _scalar_minors(n, black, reds) -> list[int]:
     return _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black], reds, n - 1), ens._R2_MINORS)
 
 
-def test_stacked_minors_match_the_scalar_core():
+def test_stacked_minors_match_the_scalar_core(monkeypatch):
     # oracle: the Python-int core on each sample.  The stack holds every grid
-    # sample, connected or not, with Q_c's diagonal as the norms see it; the
-    # Hadamard bound on Q_c picks the ones it eliminates
+    # sample, connected or not; the norms that ``_stacked`` reads off it for
+    # the bound are the row norms of H with Q_c's diagonal, and the Hadamard
+    # bound on them picks the samples it eliminates
+    seen = []
+    fits_int64 = ens._fits_int64
+    monkeypatch.setattr(ens, "_fits_int64", lambda norms: seen.append(norms) or fits_int64(norms))
     stacked = refused = 0
     components = set()
     for n in range(5, 13):
-        samples = [(black, reds) for _, black, reds in _grid_samples(n)]
+        grid = list(_grid_samples(n))
+        samples = [(black, reds) for _, black, reds in grid]
         bump = np.array([_bump(n, black) for black, _ in samples], dtype=np.int64)
-        owner, black, reds = _arrays(samples)
-        h = _bordered_stack(n, owner, black, reds)
+        h = _bordered_stack(*_stack(n, samples))
         assert h.tolist() == [_bordered_rows(n, *sample) for sample in samples]
         rows = [_bordered_rows(n, *sample, b) for sample, b in zip(samples, bump.tolist())]
-        norms = _bordered_norms(n, owner, black, reds, bump)
+        seen.clear()
+        _, minors = ens._stacked(n, [draw for draw, _, _ in grid])
+        (norms,) = seen
         assert norms.tolist() == [[sum(x * x for x in row) for row in h_c] for h_c in rows]
         fits = _fits_int64(norms)
         assert fits.tolist() == [_hadamard_fits(h_c) for h_c in rows]
         got = _stacked_minors(h[fits], bump[fits] > 0)
         assert got == [_scalar_minors(n, *sample) for sample, f in zip(samples, fits) if f]
         assert all(type(x) is int for values in got for x in values)
+        assert minors == dict(zip(np.flatnonzero(fits).tolist(), got))
         assert n > 10 or fits.all()
         components |= {min(c, 4) for c in (bump[fits] > 0).sum(axis=1) + 1}
         stacked += len(got)
@@ -317,7 +359,7 @@ def test_int64_bound_covers_every_product():
 
     beyond = bridged = 0
     for n in range(5, 14):
-        for g, black, reds in _grid_samples(n):
+        for _, black, reds in _grid_samples(n):
             c = len(_bridged_rows(n, black)) + 1
             fits = _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black)))
             for k in range(1, c + 1):
@@ -338,7 +380,7 @@ def test_weighted_combination_stays_in_int64():
     assert 10**18 < 2**62 < 11**20
     seen = set()
     for n in range(5, 13):
-        for g, black, reds in _grid_samples(n):
+        for _, black, reds in _grid_samples(n):
             rows = _bridged_rows(n, black)
             c = len(rows) + 1
             if not _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black))):
@@ -362,9 +404,9 @@ def test_stacked_minors_raise_on_a_zero_pivot_or_an_inexact_division():
     # its wrapped products no longer divide exactly
     for (n, m), match in (((8, 6), "pivot"), ((12, 66), "not divisible")):
         g = sample_graph(n, m, 1)
-        owner, black, reds = _arrays([([(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges))])
+        lap, reds = _stack(n, [([(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges))])
         with pytest.raises(InternalConsistencyError, match=match):
-            _stacked_minors(_bordered_stack(n, owner, black, reds), np.zeros((1, n - 1), dtype=bool))
+            _stacked_minors(_bordered_stack(lap, reds), np.zeros((1, n - 1), dtype=bool))
 
 
 def test_stacked_labels_match_classify():
@@ -404,15 +446,15 @@ def test_stacked_labels_match_classify():
 def test_samples_over_the_bound_build_no_dense_arrays(monkeypatch):
     # at N = 200, dense samples (M = 400) fail the bound on Q, and sparse
     # ones (M = 12) pass it but have c(G+) > 10, so Q_c fails it: no sample
-    # reaches the stack.  All reach the BFS, in chunks of the production
-    # length, whose stacked N x N arrays hold at most 2^19 entries each:
-    # peak memory stays under half of what one dense float32 BFS stack for
-    # these 256 samples would take (41 MB)
+    # reaches the stacked elimination.  All reach the BFS, in chunks of the
+    # production length, whose stacked N x N arrays hold at most 2^19
+    # entries each: peak memory stays under half of what one dense float32
+    # BFS stack for these 256 samples would take (41 MB)
     n = 200
     batches, stacked = [], []
-    hops, stack = ens._hops, ens._bordered_stack
-    monkeypatch.setattr(ens, "_hops", lambda n, owner, black, batch: batches.append(batch) or hops(n, owner, black, batch))
-    monkeypatch.setattr(ens, "_bordered_stack", lambda n, owner, black, reds: stacked.append(len(reds)) or stack(n, owner, black, reds))
+    hops, stack = ens._hops, ens._stacked_minors
+    monkeypatch.setattr(ens, "_hops", lambda lap: batches.append(len(lap)) or hops(lap))
+    monkeypatch.setattr(ens, "_stacked_minors", lambda h, bridge: stacked.append(len(h)) or stack(h, bridge))
     cfg = EnsembleConfig(n, (12, 400), 1, 0)
     draws = [ens._sample_pairs(cfg, m, seed) for m in cfg.m_values for seed in range(128)]
     assert any(_hadamard_fits(_bordered_rows(n, *_split(n, draw))) for draw in draws[:8])

@@ -163,6 +163,28 @@ def test_positive_roots_zero_polynomial_rejected():
         pr.positive_roots([F(0)])
 
 
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        # not the root 3602879701896397/36028797018963968 of the binary 0.1
+        ([0.1, -1], "0.1 is a float"),
+        # not the root 1 of [1, -1]
+        ([True, -1], "True is a bool"),
+        (["x"], "Invalid literal for Fraction"),
+    ],
+)
+def test_positive_roots_take_exact_rationals_only(p, message):
+    with pytest.raises(InputError, match=f"polynomial coefficients must be finite rationals: .*{message}"):
+        pr.positive_roots(p)
+    assert pr.positive_roots(["-1/10", 1, 0]) == [pr.RootRecord(F(1, 10), F(1, 10), F(1, 10), 1)]
+
+
+@pytest.mark.parametrize("p", [[], [0]])
+def test_cauchy_bound_of_the_zero_polynomial_is_an_input_error(p):
+    with pytest.raises(InputError, match="zero polynomial has no Cauchy bound"):
+        pr.cauchy_bound(p)
+
+
 def test_cauchy_bound_contains_roots():
     p = _poly_from_roots([(F(99), 1), (F(1, 99), 1)])
     b = pr.cauchy_bound(p)
