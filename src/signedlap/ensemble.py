@@ -9,27 +9,32 @@ for a given config whatever the order in which samples are computed.
 delta_zero is decided by exact integer arithmetic (the four coefficients are
 integer tree counts, from the bordered elimination that ``crossing_polynomial``
 also uses), never by float thresholding.  Records are computed a chunk at a
-time, and every sample of the chunk goes through one array pipeline,
-``_stacked``, on one int64 stack of the samples' black Laplacians, vertex 0
-included.  One BFS over its nonzero pattern, ``_hops``, gives every
-sample's black components and the hop distances of its class.
+time.  The chunk's samples are drawn from one generator, reseeded per sample
+through the C seed that ``random.Random(seed)`` ends in, so each stream is
+a fresh generator's.  Then every sample of the chunk goes through one array
+pipeline, ``_stacked``, on one int64 stack of the samples' black
+Laplacians, vertex 0 included.  One BFS over its nonzero pattern, ``_hops``,
+gives every sample's black components and the hop distances of its class.
 ``_bordered_stack`` builds every sample's bordered matrix H = [[Q, B],
 [B^T, 0]] from it, and the Hadamard bound of ``_fits_int64`` is checked
 once per sample, on the row norms of H with Q_c in place of Q: Q plus
 c = c(G+) on the diagonal of one row in each black component without
-vertex 0.  The samples that pass take one stacked int64 elimination,
-``_stacked_minors``: ``spectral._schur``'s update on their H, a
+vertex 0.  The samples that pass take one stacked elimination,
+``_stacked_minors``: ``spectral._schur``'s update on their H, its products
+in int64 and its exact quotients from a rounded float64 division, a
 disconnected black subgraph bridged as ``spectral._bridged`` bridges it,
 its Q_k stacked next to the others.  Every other sample takes
 ``spectral._eliminate`` and ``spectral._bordered_minors`` one by one, which
 give the same integers.  ``classify`` labels one graph by the list BFS of
-``_kernels``, the reference the array BFS is tested against.  This module
-is the only one that imports numpy at import time, and the package loads
-it only when an ensemble name is first used.
+``_kernels``, the reference the array BFS is tested against.  The CSV and
+the summary are written as bytes.  This module is the only one that
+imports numpy at import time, and the package loads it only when an
+ensemble name is first used.
 """
 
 from __future__ import annotations
 
+import _random
 import functools
 import hashlib
 import itertools
@@ -48,7 +53,6 @@ from .graph import SignedWeightedGraph, _Frozen
 from .spectral import _bordered_minors, _eliminate
 
 _HIST_LO = -10.0
-_HIST_HI = 10.0
 _HIST_BINS = 200  # 0.1-wide bins in log10(gap)
 # G(N,p) draws with fewer than two edges are redrawn at most this many times
 _GNP_MAX_DRAWS = 1000
@@ -78,8 +82,8 @@ class EnsembleConfig(_Frozen):
 
     N, every M, samples and seed must be integers (integral floats such as
     1e4 are accepted and stored as ints); p must be a number, stored as a
-    float.  Nothing is truncated or coerced, and ``m_values`` is stored as
-    a tuple.
+    float, and is given only under gnp.  Nothing is truncated or coerced,
+    and ``m_values`` is stored as a tuple.
     """
 
     _fields = ("n", "m_values", "samples_per_m", "master_seed", "model", "p")
@@ -99,6 +103,8 @@ class EnsembleConfig(_Frozen):
         model: str = "gnm",
         p: float | None = None,
     ):
+        if model == "gnm" and p is not None:
+            raise InputError("ensemble config p applies only to model gnp")
         n = _integer_field("N", n)
         m_values = tuple(_integer_field("M", m) for m in m_values)
         samples_per_m = _integer_field("samples", samples_per_m)
@@ -134,8 +140,8 @@ class EnsembleConfig(_Frozen):
 def config_from_dict(d: dict) -> EnsembleConfig:
     """Accepts {"N": .., "M": [..] or int, "samples": .., "seed": ..,
     "model": "gnm"|"gnp", "p": ..}, the fields of ``EnsembleConfig``,
-    which checks their values.  Any other key is an error, and so is p
-    under model gnm.
+    which checks their values, p under model gnm included.  Any other key
+    is an error.
     """
     if not isinstance(d, dict):
         raise InputError("ensemble config must be a JSON object")
@@ -145,11 +151,8 @@ def config_from_dict(d: dict) -> EnsembleConfig:
     missing = [key for key in ("N", "M", "samples", "seed") if key not in d]
     if missing:
         raise InputError(f"ensemble config needs integer N, M, samples, seed; missing {missing}")
-    model = d.get("model", "gnm")
-    if model == "gnm" and "p" in d:
-        raise InputError("ensemble config p applies only to model gnp")
     m_values = d["M"] if isinstance(d["M"], list) else [d["M"]]
-    return EnsembleConfig(d["N"], m_values, d["samples"], d["seed"], model, d.get("p"))
+    return EnsembleConfig(d["N"], m_values, d["samples"], d["seed"], d.get("model", "gnm"), d.get("p"))
 
 
 def sample_seed(master_seed: int, m: int, index: int) -> int:
@@ -174,30 +177,40 @@ def _pair_ends(n: int) -> np.ndarray:
     return ends
 
 
+@functools.lru_cache(maxsize=256)
+def _pool_steps(n: int, k: int) -> tuple[tuple[int, int, int], ...] | None:
+    """The (bound, bits, bound - 1) of each of the k picks that
+    ``Random.sample`` takes from a shrinking pool of n, bits the bit length
+    of the bound; None when it redraws from a set instead, by its own
+    set-size rule (the same from Python 3.10 to 3.13)."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n > setsize:
+        return None
+    return tuple((bound, bound.bit_length(), bound - 1) for bound in range(n, n - k, -1))
+
+
 def _sample(rng: random.Random, n: int, k: int) -> list[int]:
     """``rng.sample(range(n), k)``, the same picks from the same stream.
 
     ``Random.sample`` takes each pick from ``_randbelow``, which draws
     ``getrandbits(b)``, b the bit length of its bound, until the draw falls
     below the bound; here the draws are made directly.  A small population
-    is drawn from a shrinking pool, a large one by redrawing picks already
-    taken, with ``Random.sample``'s own set-size rule (the same from Python
-    3.10 to 3.13).
+    is drawn from a shrinking pool (``_pool_steps``), a large one by
+    redrawing picks already taken.
     """
     getrandbits = rng.getrandbits
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
     out = []
-    if n <= setsize:
+    steps = _pool_steps(n, k)
+    if steps is not None:
         pool = list(range(n))
-        for bound in range(n, n - k, -1):
-            bits = bound.bit_length()
+        for bound, bits, last in steps:
             j = getrandbits(bits)
             while j >= bound:
                 j = getrandbits(bits)
             out.append(pool[j])
-            pool[j] = pool[bound - 1]
+            pool[j] = pool[last]
         return out
     bits = n.bit_length()
     taken = set()
@@ -210,16 +223,16 @@ def _sample(rng: random.Random, n: int, k: int) -> list[int]:
     return out
 
 
-def _sample_pairs(cfg: EnsembleConfig, m: int, seed: int):
+def _sample_pairs(cfg: EnsembleConfig, m: int, rng: random.Random):
     """(the drawn pairs as sorted indices into ``_all_pairs(cfg.n)``,
-    position of red edge 1, position of red edge 2)."""
-    rng = random.Random(seed)
-    pairs = _all_pairs(cfg.n)
+    position of red edge 1, position of red edge 2), drawn from ``rng``,
+    seeded with the sample's seed."""
+    total = cfg.n * (cfg.n - 1) // 2
     if cfg.model == "gnm":
-        chosen = sorted(_sample(rng, len(pairs), m))
+        chosen = sorted(_sample(rng, total, m))
     else:
         for _ in range(_GNP_MAX_DRAWS):
-            chosen = [i for i in range(len(pairs)) if rng.random() < cfg.p]
+            chosen = [i for i in range(total) if rng.random() < cfg.p]
             if len(chosen) >= 2:
                 break
         else:
@@ -234,7 +247,7 @@ def _sample_pairs(cfg: EnsembleConfig, m: int, seed: int):
 def sample_graph(n: int, m: int, seed: int) -> SignedWeightedGraph:
     """One G(N,M) draw with two red edges: black weights 1, red weights -1."""
     cfg = EnsembleConfig(n, (m,), 1, 0)
-    chosen, r1, r2 = _sample_pairs(cfg, m, seed)
+    chosen, r1, r2 = _sample_pairs(cfg, m, random.Random(seed))
     edges = [_all_pairs(n)[i] for i in chosen]
     w = [Fraction(1)] * len(edges)
     w[r1] = Fraction(-1)
@@ -304,13 +317,26 @@ def _bordered_stack(lap: np.ndarray, reds: np.ndarray) -> np.ndarray:
 
 def _fits_int64(norms: np.ndarray) -> np.ndarray:
     """Per row of ``norms``, the squared row norms of one bordered matrix:
-    whether prod max(1, |row_i|^2) < 2^62, in exact integers.
+    whether prod max(1, |row_i|^2) < 2^62.
 
     By Hadamard's inequality every minor of H is at most the product of the
     norms of its rows, so that product bounds every product of two minors,
-    and ``_stacked_minors`` forms nothing larger than twice one.
+    and ``_stacked_minors`` forms nothing larger than twice one.  The
+    product is decided by the float sum of the log2 norms, far within 1e-3
+    of the exact one; the rows whose sum lies within 1e-3 of 62 take the
+    exact ``math.prod``.
     """
-    return np.array([math.prod(x) < 1 << 62 for x in np.maximum(norms, 1).tolist()], dtype=bool)
+    norms = np.maximum(norms, 1)
+    logs = np.log2(norms).sum(axis=1)
+    fits = logs < 62
+    for i in np.flatnonzero(np.abs(logs - 62) < 1e-3).tolist():
+        fits[i] = math.prod(norms[i].tolist()) < 1 << 62
+    return fits
+
+
+# (-1)^(k+1) C(c, k) at [c, k]: a bordered matrix Q_c that ``_fits_int64``
+# clears has c <= 10 (``_stacked_minors``)
+_WEIGHTS = np.array([[(-1) ** (k + 1) * math.comb(c, k) for k in range(11)] for c in range(11)], dtype=np.int64)
 
 
 def _stacked_minors(h: np.ndarray, bridge: np.ndarray) -> list[list[int]]:
@@ -324,13 +350,15 @@ def _stacked_minors(h: np.ndarray, bridge: np.ndarray) -> list[list[int]]:
     for k = 1..c, and combined as sum_k (-1)^(k+1) C(c, k) value(k).  With
     c = 1 that is the one matrix Q.
 
-    Every step is ``spectral._schur``'s update (x p - f y) // prev, on all
-    the Q_k at once in int64, which ``_fits_int64`` must have cleared on
-    Q_c, so on every Q_k.  Each Q_k is positive definite, so every pivot is a leading
-    principal minor and positive: a pivot that is not is an
-    InternalConsistencyError, as is an inexact division.  Each value is a
-    minor of a cleared Q_k, so below 2^31, and c <= 10 on a cleared Q_c,
-    so the combination stays below 2^31 * 2^10.
+    Every step is ``spectral._schur``'s update (x p - f y) / prev, on all
+    the Q_k at once, which ``_fits_int64`` must have cleared on Q_c, so on
+    every Q_k.  The products and their difference are formed in int64,
+    below 2^62; the quotient is a minor, below 2^31, so its float64
+    quotient lies within 2^-21 of it and rounds to it exactly.  Each Q_k
+    is positive definite, so every pivot is a leading principal minor and
+    positive: a pivot that is not is an InternalConsistencyError, as is a
+    last division that leaves a remainder.  c <= 10 on a cleared Q_c, so
+    the combination stays below 2^31 * 2^10.
     """
     c = bridge.sum(axis=1) + 1
     owner = np.repeat(np.arange(len(h)), c)
@@ -345,15 +373,14 @@ def _stacked_minors(h: np.ndarray, bridge: np.ndarray) -> list[list[int]]:
         p = h[0, 0]
         if not (p > 0).all():
             raise InternalConsistencyError("stacked elimination met a pivot <= 0")
-        h = (h[1:, 1:] * p - h[1:, :1] * h[:1, 1:]) // prev
+        num = h[1:, 1:] * p
+        num -= h[1:, :1] * h[:1, 1:]
+        h = np.rint(num / prev).astype(np.int64)
         prev = p
     axy, rem = np.divmod(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0], prev)
     if rem.any():
         raise InternalConsistencyError("stacked bordered minor not divisible by det Q")
-    weight = np.array(
-        [(-1) ** (j + 1) * math.comb(cc, j) for cc, j in zip(c[owner].tolist(), k.tolist())], dtype=np.int64
-    )
-    values = np.stack([prev, -h[0, 0], -h[1, 1], axy], axis=1) * weight[:, None]
+    values = np.stack([prev, -h[0, 0], -h[1, 1], axy], axis=1) * _WEIGHTS[c[owner], k][:, None]
     return np.add.reduceat(values, first, axis=0).tolist() if len(first) else []
 
 
@@ -384,21 +411,42 @@ def _hops(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dist.astype(np.intp), reached.argmax(axis=2)
 
 
+# the base-11 code of four hop distances clamped at 10, sorted ascending:
+# the first the most significant digit; the two codes past them are "adj"
+# and "disconnected_plus"
+_HOP_DIGITS = np.array([11**3, 11**2, 11, 1])
+_ADJ, _DISCONNECTED = 11**4, 11**4 + 1
+
+
+@functools.cache
+def _labels_by_code() -> np.ndarray:
+    """``_class_label`` at every code of ``_HOP_DIGITS`` that a sorted
+    quadruple takes, and at ``_ADJ`` and ``_DISCONNECTED``, as an object
+    array (the other entries are None)."""
+    table = np.full(11**4 + 2, None, dtype=object)
+    for hops in itertools.combinations_with_replacement(range(11), 4):
+        table[_HOP_DIGITS @ hops] = _class_label(True, False, hops)
+    table[_ADJ], table[_DISCONNECTED] = _class_label(True, True, ()), _class_label(False, False, ())
+    return table
+
+
 def _stacked(n: int, draws) -> tuple[list[str], dict[int, list[int]]]:
     """The class label of every sample of ``draws`` (``_sample_pairs``
     draws), and by position the minors of each sample whose bordered
     matrices Q_k of ``_stacked_minors`` pass the int64 bound.
 
     The chunk's black graphs are one int64 Laplacian stack, which every
-    step reads: the BFS of ``_hops`` gives every label, c(G+) and the rows
-    to bridge; ``_bordered_stack`` gives every H, whose row norms, with
-    Q_c's bump on the diagonal of Q, pick the samples under the bound, and
-    ``_stacked_minors`` eliminates those.
+    step reads: the BFS of ``_hops`` gives every label (by its code in
+    ``_labels_by_code``), c(G+) and the rows to bridge; ``_bordered_stack``
+    gives every H, whose row norms, with Q_c's bump on the diagonal of Q,
+    pick the samples under the bound, and ``_stacked_minors`` eliminates
+    those.
     """
     batch = len(draws)
-    counts = np.fromiter((len(chosen) for chosen, _, _ in draws), dtype=np.intp, count=batch)
-    ends = _pair_ends(n)[np.fromiter(itertools.chain.from_iterable(d[0] for d in draws), dtype=np.intp, count=counts.sum())]
-    red_at = np.array([d[1:] for d in draws], dtype=np.intp).reshape(-1, 2) + (np.cumsum(counts) - counts)[:, None]
+    chosen, r1, r2 = zip(*draws)
+    counts = np.fromiter(map(len, chosen), dtype=np.intp, count=batch)
+    ends = _pair_ends(n)[np.fromiter(itertools.chain.from_iterable(chosen), dtype=np.intp, count=counts.sum())]
+    red_at = np.array([r1, r2], dtype=np.intp).T + (np.cumsum(counts) - counts)[:, None]
     is_black = np.ones(len(ends), dtype=bool)
     is_black[red_at] = False
     owner, (u, v), reds = np.repeat(np.arange(batch), counts)[is_black], ends[is_black].T, ends[red_at]
@@ -410,9 +458,12 @@ def _stacked(n: int, draws) -> tuple[list[str], dict[int, list[int]]]:
     bridge = (root == diag)[:, 1:]
     c = bridge.sum(axis=1, keepdims=True) + 1
     x, y = reds[:, 0, :, None], reds[:, 1, None, :]
-    hops = dist[np.arange(batch)[:, None, None], x, y].reshape(-1, 4).tolist()
-    shared = (x == y).any(axis=(1, 2)).tolist()
-    labels = [_class_label(ci == 1, sh, h) for ci, sh, h in zip(c[:, 0].tolist(), shared, hops)]
+    hops = np.minimum(dist[np.arange(batch)[:, None, None], x, y].reshape(-1, 4), 10)
+    hops.sort(axis=1)
+    codes = hops @ _HOP_DIGITS
+    codes[(x == y).any(axis=(1, 2))] = _ADJ
+    codes[c[:, 0] > 1] = _DISCONNECTED
+    labels = _labels_by_code()[codes].tolist()
     h = _bordered_stack(lap, reds)
     # (d + k)^2 = d^2 + k (2 d + k) on each bridged diagonal d of Q
     bump, q = bridge * c, diag[:-1]
@@ -425,14 +476,22 @@ def _stacked(n: int, draws) -> tuple[list[str], dict[int, list[int]]]:
 def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
     """The records of ``keys``, a list of (M, sample_id) pairs, in order.
 
-    Every sample is drawn first, then the whole chunk goes through
+    Every sample is drawn first, from one generator reseeded per sample
+    with its ``sample_seed``, then the whole chunk goes through
     ``_stacked``, which labels every sample and gives the minors of those
     under the int64 bound, connected or not; every other sample takes the
     Python-int core one by one.
     """
-    n = cfg.n
+    n, master = cfg.n, cfg.master_seed
     pairs = _all_pairs(n)
-    draws = [_sample_pairs(cfg, m, sample_seed(cfg.master_seed, m, index)) for m, index in keys]
+    rng = random.Random(0)
+    # the C seed that random.Random(seed) ends in: the same generator state,
+    # without the Python layers of Random.__init__ and Random.seed
+    reseed = _random.Random.seed.__get__(rng)
+    draws = []
+    for m, index in keys:
+        reseed(sample_seed(master, m, index))
+        draws.append(_sample_pairs(cfg, m, rng))
     labels, stacked = _stacked(n, draws)
     records = []
     for i, ((_, index), (chosen, r1, r2)) in enumerate(zip(keys, draws)):
@@ -444,26 +503,15 @@ def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
             a00, ax, ay, axy = _bordered_minors(_eliminate(n, black, (red1, red2), n - 1), _R2_MINORS)
         delta = axy * a00 - ax * ay
         if axy == 0:
-            gap_val: float | None = None
-            log_val: float | None = None
+            gap_val, log_val = None, None
         elif delta == 0:
             gap_val, log_val = 0.0, -math.inf
         else:
             gap_val, log_val = _gap_and_log(delta, axy)
-        records.append(
-            EnsembleRecord(
-                sample_id=index,
-                n=n,
-                m=len(chosen),
-                red1=red1,
-                red2=red2,
-                class_label=labels[i],
-                gplus_connected=a00 != 0,
-                delta_zero=delta == 0,
-                gap=gap_val,
-                log10_gap=log_val,
-            )
-        )
+        # the fields in order: sample_id, n, m, red1, red2, class_label,
+        # gplus_connected, delta_zero, gap, log10_gap
+        record = EnsembleRecord(index, n, len(chosen), red1, red2, labels[i], a00 != 0, delta == 0, gap_val, log_val)
+        records.append(record)
     return records
 
 
@@ -512,77 +560,52 @@ CSV_HEADER = (
 )
 
 
-def _fmt_float(x: float | None) -> str:
-    if x is None:
-        return ""
-    if x == -math.inf:
-        return "-inf"
-    return f"{x:.17g}"
-
-
 def record_to_csv_line(rec: EnsembleRecord) -> str:
-    return ",".join(
-        [
-            str(rec.sample_id),
-            str(rec.n),
-            str(rec.m),
-            str(rec.red1[0]),
-            str(rec.red1[1]),
-            str(rec.red2[0]),
-            str(rec.red2[1]),
-            rec.class_label,
-            "true" if rec.gplus_connected else "false",
-            "true" if rec.delta_zero else "false",
-            _fmt_float(rec.gap),
-            _fmt_float(rec.log10_gap),
-        ]
+    """The CSV line of ``rec``, without its newline: a gap or log-gap that
+    is None is left empty, a float is written with 17 significant digits
+    (-inf as "-inf")."""
+    sample_id, n, m, (u1, v1), (u2, v2), label, connected, zero, gap, log = rec
+    return (
+        f"{sample_id},{n},{m},{u1},{v1},{u2},{v2},{label},"
+        f"{'true' if connected else 'false'},{'true' if zero else 'false'},"
+        f"{'' if gap is None else f'{gap:.17g}'},{'' if log is None else f'{log:.17g}'}"
     )
 
 
 def write_csv(records, path: str):
-    """Write ``records``, any iterable, in order.  The file is opened once
-    the first record is in hand, so a stream that fails on its first record
-    leaves no file behind."""
+    """Write ``records``, any iterable, in order, as bytes, ``_CHUNK`` lines
+    at a time.  The file is opened once the first record is in hand, so a
+    stream that fails on its first record leaves no file behind, and one
+    that fails later leaves the line of every record before the failure."""
     records = iter(records)
     first = next(records, None)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        if first is not None:
-            fh.write(record_to_csv_line(first) + "\n")
-        for rec in records:
-            fh.write(record_to_csv_line(rec) + "\n")
+    lines = [CSV_HEADER] if first is None else [CSV_HEADER, record_to_csv_line(first)]
+    with open(path, "wb") as fh:
 
+        def flush():
+            lines.append("")
+            fh.write("\n".join(lines).encode())
+            lines.clear()
 
-def _hist_bin(log_gap: float) -> int:
-    if not math.isfinite(log_gap):
-        return 0 if log_gap < 0 else _HIST_BINS - 1
-    b = int(math.floor((log_gap - _HIST_LO) / 0.1))
-    return min(max(b, 0), _HIST_BINS - 1)
+        try:
+            for rec in records:
+                lines.append(record_to_csv_line(rec))
+                if len(lines) >= _CHUNK:
+                    flush()
+        finally:
+            flush()
 
 
 class _Tally:
-    """One M's running totals.  The conditional log10-gaps are kept, in
-    arrival order, for the standard deviation's second pass."""
+    """One M's running totals, which ``SummaryFold.add`` updates.  The
+    conditional log10-gaps are kept, in arrival order, for the standard
+    deviation's second pass."""
 
     def __init__(self):
-        self.total = self.disconnected = self.connected = self.delta_zero = 0
+        self.total = self.connected = self.delta_zero = 0
         self.cond: list[float] = []
-        self.hist: dict[str, list[int]] = {"all": [0] * _HIST_BINS}
-
-    def add(self, r: EnsembleRecord):
-        self.total += 1
-        if not r.gplus_connected:
-            self.disconnected += 1
-        else:
-            self.connected += 1
-            if r.delta_zero:
-                self.delta_zero += 1
-            else:
-                self.cond.append(r.log10_gap)
-        if r.log10_gap is not None:
-            b = _hist_bin(r.log10_gap)
-            self.hist["all"][b] += 1
-            self.hist.setdefault(r.class_label, [0] * _HIST_BINS)[b] += 1
+        self.all = [0] * _HIST_BINS
+        self.hist: dict[str, list[int]] = {"all": self.all}
 
     def entry(self) -> dict:
         cond = self.cond
@@ -590,7 +613,7 @@ class _Tally:
         std = math.sqrt(sum((x - mean) ** 2 for x in cond) / len(cond)) if cond else None
         return {
             "samples": self.total,
-            "p_gplus_disconnected": self.disconnected / self.total,
+            "p_gplus_disconnected": (self.total - self.connected) / self.total,
             "p_delta_zero_given_connected": (self.delta_zero / self.connected) if self.connected else None,
             "log10_gap_mean": mean,
             "log10_gap_std": std,
@@ -607,11 +630,28 @@ class SummaryFold:
         self._by_m: dict[int, _Tally] = {}
 
     def add(self, rec: EnsembleRecord) -> EnsembleRecord:
+        _, _, m, _, _, label, connected, zero, _, log = rec
         self.count += 1
-        tally = self._by_m.get(rec.m)
+        tally = self._by_m.get(m)
         if tally is None:
-            tally = self._by_m[rec.m] = _Tally()
-        tally.add(rec)
+            tally = self._by_m[m] = _Tally()
+        tally.total += 1
+        if connected:
+            tally.connected += 1
+            if zero:
+                tally.delta_zero += 1
+            else:
+                tally.cond.append(log)
+        if log is not None:
+            # 0.1-wide bins from _HIST_LO; -inf and everything below in the
+            # first, +inf and everything above in the last
+            x = (log - _HIST_LO) / 0.1
+            b = 0 if x < 0 else int(x) if x < _HIST_BINS else _HIST_BINS - 1
+            tally.all[b] += 1
+            hist = tally.hist.get(label)
+            if hist is None:
+                hist = tally.hist[label] = [0] * _HIST_BINS
+            hist[b] += 1
         return rec
 
     def summary(self) -> dict:
@@ -631,16 +671,25 @@ def summarize(records) -> dict:
     return fold.summary()
 
 
+_encode_key = json.encoder.encode_basestring_ascii
+
+
 def _render(value, indent: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
-    when nested at ``indent``, for dicts, lists of ints and JSON scalars.
-    Each list is one join: the pure-Python encoder that ``indent`` selects
-    takes several calls per histogram bin."""
+    when nested at ``indent``, for dicts with string keys, lists of ints and
+    JSON scalars.  Keys, ints and finite floats go through the C encoders
+    that ``json`` itself calls, and each list is one join over "0"s with
+    only its nonzero entries formatted: the pure-Python encoder that
+    ``indent`` selects takes several calls per histogram bin."""
     inner = indent + "  "
     if isinstance(value, dict):
-        brackets, items = "{}", [f"{json.dumps(key)}: {_render(value[key], inner)}" for key in sorted(value)]
+        brackets, items = "{}", [f"{_encode_key(key)}: {_render(value[key], inner)}" for key in sorted(value)]
     elif isinstance(value, list):
-        brackets, items = "[]", list(map(str, value))
+        brackets, items = "[]", ["0"] * len(value)
+        for i in itertools.compress(range(len(value)), value):
+            items[i] = int.__repr__(value[i])
+    elif type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
     else:
         return json.dumps(value)
     if not items:
@@ -649,5 +698,5 @@ def _render(value, indent: str) -> str:
 
 
 def write_summary(summary: dict, path: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_render(summary, "") + "\n")
+    with open(path, "wb") as fh:
+        fh.write((_render(summary, "") + "\n").encode())

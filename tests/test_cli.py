@@ -727,6 +727,14 @@ def test_ensemble_run(tmp_path, capsys):
     assert csv2.read_bytes() == csv_path.read_bytes()
 
 
+def _hist_bin(log_gap: float) -> int:
+    """The 0.1-wide bin of ``log_gap`` from -10, clamped to the 200 bins."""
+    if not math.isfinite(log_gap):
+        return 0 if log_gap < 0 else ens._HIST_BINS - 1
+    b = int(math.floor((log_gap + 10.0) / 0.1))
+    return min(max(b, 0), ens._HIST_BINS - 1)
+
+
 def _list_summary(records) -> dict:
     """The summary by grouping a full record list per M: the route the CLI
     took before it streamed, kept as the oracle for the streamed fold."""
@@ -741,7 +749,7 @@ def _list_summary(records) -> dict:
         hist = {"all": [0] * ens._HIST_BINS}
         for r in recs:
             if r.log10_gap is not None:
-                b = ens._hist_bin(r.log10_gap)
+                b = _hist_bin(r.log10_gap)
                 hist["all"][b] += 1
                 hist.setdefault(r.class_label, [0] * ens._HIST_BINS)[b] += 1
         mean = sum(cond) / len(cond) if cond else None

@@ -53,6 +53,33 @@ def test_sample_matches_random_sample():
                 assert rng.getrandbits(32) == ref.getrandbits(32)
 
 
+def test_records_reseed_one_generator_to_a_fresh_ones_state(monkeypatch):
+    # a chunk's samples share one generator, reseeded per sample through
+    # the C seed: before each draw its state is random.Random(seed)'s, for
+    # seeds at the 32- and 64-bit edges, also after a G(N,p) draw has
+    # called random(); every record is the fresh generator's draw
+    seeds = [0, 1, 2**32, 2**63, 2**64 - 1]
+    states, generators = [], set()
+    draw = ens._sample_pairs
+
+    def watched(cfg, m, rng):
+        states.append(rng.getstate())
+        generators.add(id(rng))
+        return draw(cfg, m, rng)
+
+    monkeypatch.setattr(ens, "sample_seed", lambda master, m, index: seeds[index])
+    monkeypatch.setattr(ens, "_sample_pairs", watched)
+    for cfg in (EnsembleConfig(8, (12,), len(seeds), 3), EnsembleConfig(8, (1,), len(seeds), 3, "gnp", 0.4)):
+        states.clear()
+        generators.clear()
+        records = ens.generate_records(cfg)
+        assert states == [random.Random(s).getstate() for s in seeds] and len(generators) == 1
+        for rec, s in zip(records, seeds):
+            chosen, r1, r2 = draw(cfg, cfg.m_values[0], random.Random(s))
+            pairs = ens._all_pairs(cfg.n)
+            assert (rec.m, rec.red1, rec.red2) == (len(chosen), pairs[chosen[r1]], pairs[chosen[r2]])
+
+
 def test_all_pairs_built_once_and_immutable():
     pairs = ens._all_pairs(7)
     assert pairs is ens._all_pairs(7) and isinstance(pairs, tuple)
@@ -116,6 +143,10 @@ def test_config_is_a_validated_immutable_value():
         ((10, (15,), 4, 0, "gnx"), "unknown model 'gnx'"),
         ((10, (15,), 4, 0, "gnp"), "gnp model needs 0 < p <= 1"),
         ((10, (15,), 4, 0, "gnp", 1.5), "gnp model needs 0 < p <= 1"),
+        # p is no silent extra field under gnm, which would draw the same
+        # records as the config without it
+        ((10, (15,), 3, 7, "gnm", 0.5), "ensemble config p applies only to model gnp"),
+        ((10.5, (15,), 3, 7, "gnm", "0.5"), "ensemble config p applies only to model gnp"),
     ):
         with pytest.raises(InputError, match=re.escape(message)):
             EnsembleConfig(*args)
@@ -226,7 +257,7 @@ def _grid_samples(n):
     total = n * (n - 1) // 2
     for m in sorted({n - 2, n, n + 1, (n + total) // 2, total}):
         for seed in range(8):
-            draw = ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, seed)
+            draw = ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, random.Random(seed))
             yield draw, *_split(n, draw)
 
 
@@ -337,37 +368,129 @@ def test_bound_on_q_alone_does_not_clear_the_bridged_stack():
     assert len(_bridged_rows(n, black)) == 1 and _scalar_minors(n, black, reds)[0] == 0
     assert _hadamard_fits(_bordered_rows(n, black, reds))
     assert not _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black)))
-    draws = [ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, seed), _path_draw(n, (0, 2), (10, 12))]
+    draws = [ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, random.Random(seed)), _path_draw(n, (0, 2), (10, 12))]
     labels, minors = ens._stacked(n, draws)
     assert list(minors) == [1]
     assert labels == [classify(_draw_graph(n, draw)) for draw in draws] == ["disconnected_plus", "8+++"]
+
+
+def _replay(h):
+    """The stacked update replayed on Python ints, on one bordered matrix
+    ``h`` (lists): (the largest product or difference it forms, the largest
+    quotient, [A_empty, A_x, A_y, A_xy] as ``_stacked_minors`` reads them)."""
+    top = quotient = 0
+    prev = 1
+    while len(h) > 2:
+        p = h[0][0]
+        products = [(x * p, h[i][0] * h[0][j]) for i, row in enumerate(h[1:], 1) for j, x in enumerate(row[1:], 1)]
+        top = max(top, *(max(abs(a), abs(b), abs(a - b)) for a, b in products))
+        h = [[(x * p - row[0] * h[0][j]) // prev for j, x in enumerate(row[1:], 1)] for row in h[1:]]
+        quotient = max(quotient, *(abs(x) for row in h for x in row))
+        prev = p
+    det = h[0][0] * h[1][1] - h[0][1] * h[1][0]
+    top = max(top, abs(h[0][0] * h[1][1]), abs(h[0][1] * h[1][0]), abs(det))
+    axy, rem = divmod(det, prev)
+    assert rem == 0
+    return top, quotient, [prev, -h[0][0], -h[1][1], axy]
 
 
 def test_int64_bound_covers_every_product():
     # the stacked update replayed on Python ints: on every sample whose Q_c
     # the bound clears, no product or difference it forms on any Q_k reaches
     # 2^63; the grid holds samples whose products do
-    def largest(h):
-        top, prev = 0, 1
-        while len(h) > 2:
-            p = h[0][0]
-            products = [(x * p, h[i][0] * h[0][j]) for i, row in enumerate(h[1:], 1) for j, x in enumerate(row[1:], 1)]
-            top = max(top, *(max(abs(a), abs(b), abs(a - b)) for a, b in products))
-            h = [[(x * p - row[0] * h[0][j]) // prev for j, x in enumerate(row[1:], 1)] for row in h[1:]]
-            prev = p
-        return max(top, abs(h[0][0] * h[1][1]), abs(h[0][1] * h[1][0]), abs(h[0][0] * h[1][1] - h[0][1] * h[1][0]))
-
     beyond = bridged = 0
     for n in range(5, 14):
         for _, black, reds in _grid_samples(n):
             c = len(_bridged_rows(n, black)) + 1
             fits = _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black)))
             for k in range(1, c + 1):
-                top = largest(_bordered_rows(n, black, reds, _bump(n, black, k)))
+                top = _replay(_bordered_rows(n, black, reds, _bump(n, black, k)))[0]
                 assert not fits or top < 2**63
                 beyond += top >= 2**63
             bridged += fits and c > 1
     assert beyond > 0 and bridged > 0
+
+
+def _near_bound(rng: random.Random, r: int):
+    """A bordered matrix H = [[Q, B], [B^T, 0]] with an r x r Q, just under
+    the int64 bound: sparse unit off-diagonals, a diagonally dominant (so
+    positive definite) Q, and two red incidence columns, an endpoint at
+    the ground vertex leaving no entry.  The diagonal of a random set of
+    rows is raised by one common amount as far as the bound allows, then
+    every diagonal by single steps until none can rise."""
+    h = [[0] * (r + 2) for _ in range(r + 2)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            if rng.random() < 0.2:
+                h[i][j] = h[j][i] = rng.choice((-1, 1))
+    for col in (r, r + 1):
+        for row, sign in zip(rng.sample(range(-1, r), 2), (1, -1)):
+            if row >= 0:
+                h[row][col] = h[col][row] = sign
+    base = [sum(map(abs, h[i][:r])) + 1 for i in range(r)]
+    heavy = rng.sample(range(r), rng.randint(1, r))
+
+    def fits_with(t):
+        for i in range(r):
+            h[i][i] = base[i] + t * (i in heavy)
+        return _hadamard_fits(h)
+
+    lo, hi = 0, 1 << 31
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits_with(mid) else (lo, mid)
+    fits_with(lo)
+    raised = True
+    while raised:
+        raised = False
+        for i in rng.sample(range(r), r):
+            h[i][i] += 1
+            raised = _hadamard_fits(h) or raised
+            if not _hadamard_fits(h):
+                h[i][i] -= 1
+    return h
+
+
+def test_float_quotients_are_exact_at_the_int64_bound():
+    # each step divides in float64 and rounds: at the bound its int64
+    # products reach about 2^61, past the 2^53 that float64 holds exactly,
+    # and its quotients 2^31; the stacked minors must still be the
+    # Python-int replay's, on every Q size
+    top = quotient = 0
+    for r in range(2, 9):
+        stack = [_near_bound(random.Random(f"{r}:{seed}"), r) for seed in range(60)]
+        assert all(_hadamard_fits(h) for h in stack)
+        got = _stacked_minors(np.array(stack, dtype=np.int64), np.zeros((len(stack), r), dtype=bool))
+        for h, values in zip(stack, got):
+            t, q, expect = _replay(h)
+            assert values == expect
+            top, quotient = max(top, t), max(quotient, q)
+    assert top > 2**60.9 and quotient > 2**30.9
+
+
+def test_fits_int64_decides_exactly_next_to_the_bound():
+    # rows whose log2 norm sum lies within 1e-6 of 62, on both sides, and
+    # at exactly 2^62 (over the bound): the float sum and its exact
+    # fallback agree with the Hadamard product in Python ints
+    stack = []
+    for r in range(2, 9):
+        for seed in range(20):
+            h = _near_bound(random.Random(f"edge:{r}:{seed}"), r)
+            stack.append(h)
+            over = [row[:] for row in h]
+            i = max(range(r), key=lambda i: over[i][i])
+            over[i][i] += 1
+            stack.append(over)
+    for d in (2**31 - 1, 2**31, 2**31 + 1):
+        # Q = diag(d, 1), red columns with one entry each: norms d^2, 1, 1, 1
+        stack += [[[d, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0], [0, 1, 0, 0]]]
+    width = max(map(len, stack))
+    rows = [[sum(x * x for x in row) for row in h] + [0] * (width - len(h)) for h in stack]
+    near = [row for row in rows if abs(sum(math.log2(max(1, x)) for x in row) - 62) < 1e-6]
+    expect = [_hadamard_fits(h) for h, row in zip(stack, rows) if row in near]
+    assert _fits_int64(np.array(near, dtype=np.int64)).tolist() == expect
+    assert 2**62 in [math.prod(max(1, x) for x in row) for row in near]
+    assert expect.count(True) > 20 and expect.count(False) > 20
 
 
 def test_weighted_combination_stays_in_int64():
@@ -420,12 +543,12 @@ def test_stacked_labels_match_classify():
     for n in (*range(5, 15), 16, 20, 40):
         total = n * (n - 1) // 2
         draws = [
-            ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, seed)
+            ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, random.Random(seed))
             for m in sorted({2, 3, n - 2, n, n + 1, (n + total) // 2, total})
             for seed in range(8)
         ]
         for p in (0.1, 0.3, 0.7):
-            draws += [ens._sample_pairs(EnsembleConfig(n, (1,), 1, 0, "gnp", p), 1, seed) for seed in range(8)]
+            draws += [ens._sample_pairs(EnsembleConfig(n, (1,), 1, 0, "gnp", p), 1, random.Random(seed)) for seed in range(8)]
         if n >= 13:
             draws += [_path_draw(n, (0, 2), (n - 3, n - 1)), _path_draw(n, (0, 2), (1, n - 1)), _path_draw(n, (1, 3), (3, 5))]
         got, minors = ens._stacked(n, draws)
@@ -456,7 +579,7 @@ def test_samples_over_the_bound_build_no_dense_arrays(monkeypatch):
     monkeypatch.setattr(ens, "_hops", lambda lap: batches.append(len(lap)) or hops(lap))
     monkeypatch.setattr(ens, "_stacked_minors", lambda h, bridge: stacked.append(len(h)) or stack(h, bridge))
     cfg = EnsembleConfig(n, (12, 400), 1, 0)
-    draws = [ens._sample_pairs(cfg, m, seed) for m in cfg.m_values for seed in range(128)]
+    draws = [ens._sample_pairs(cfg, m, random.Random(seed)) for m in cfg.m_values for seed in range(128)]
     assert any(_hadamard_fits(_bordered_rows(n, *_split(n, draw))) for draw in draws[:8])
     length = ens._chunk_length(n)
     tracemalloc.start()
@@ -514,23 +637,72 @@ def test_compute_record_is_a_chunk_of_one():
 def test_summary_bytes_match_json_dump(tmp_path):
     # M = 3 leaves one black edge, so no sample is connected and every
     # moment is null; K10 (M = 45) with disjoint red edges gives Delta = 0,
-    # a -inf log-gap in bin 0
+    # a -inf log-gap in bin 0; K8 has two gaps only, so its bins count far
+    # past 9
     configs = [
         {"N": 10, "M": [3, 15, 45], "samples": 40, "seed": 1},
         {"N": 9, "M": [1], "samples": 40, "seed": 4, "model": "gnp", "p": 0.4},
+        {"N": 8, "M": [28, 12], "samples": 250, "seed": 2},
     ]
+    top = 0
     for k, raw in enumerate(configs):
         records = ens.generate_records(ens.config_from_dict(raw))
         summary = ens.summarize(records)
         path = tmp_path / f"{k}.summary.json"
         ens.write_summary(summary, path)
         assert path.read_bytes() == (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+        top = max(top, *(max(h) for entry in summary["per_m"].values() for h in entry["histograms"].values()))
+    assert top >= 100
     per_m = ens.summarize(ens.generate_records(ens.config_from_dict(configs[0])))["per_m"]
     assert per_m["3"]["p_gplus_disconnected"] == 1.0
     assert per_m["3"]["log10_gap_mean"] is None and per_m["3"]["p_delta_zero_given_connected"] is None
     assert per_m["45"]["p_delta_zero_given_connected"] > 0 and per_m["45"]["histograms"]["all"][0] > 0
-    for value in ({}, [], {"b": [], "a": {}}, {"x": None, "y": -1.5e-300, "\u00e9": True, "z": [3, 0]}):
+    for value in (
+        {},
+        [],
+        {"b": [], "a": {}},
+        {"x": None, "y": -1.5e-300, "\u00e9": True, "z": [3, 0]},
+        {"w": -math.inf, "v": math.nan, "n": 10**30, "f": 1 / 3, "k": "\n\"", "h": [0, 12, 0, 100, 0]},
+    ):
         assert ens._render(value, "") == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _joined_line(rec) -> str:
+    """The CSV line as the writer once joined it, field by field."""
+
+    def fmt(x):
+        if x is None:
+            return ""
+        if x == -math.inf:
+            return "-inf"
+        return f"{x:.17g}"
+
+    fields = [rec.sample_id, rec.n, rec.m, *rec.red1, *rec.red2, rec.class_label]
+    flags = ["true" if rec.gplus_connected else "false", "true" if rec.delta_zero else "false"]
+    return ",".join([*map(str, fields), *flags, fmt(rec.gap), fmt(rec.log10_gap)])
+
+
+def test_csv_line_matches_the_joined_fields():
+    # undefined gaps (M = 3), Delta = 0 (K10: gap 0, log-gap -inf), and
+    # floats that take all 17 digits, drawn and made up
+    records = ens.generate_records(EnsembleConfig(10, (3, 15, 45), 40, 1))
+    base = records[0]
+    records += [
+        base._replace(gap=g, log10_gap=lg, gplus_connected=c, delta_zero=z)
+        for g, lg, c, z in (
+            (1 / 3, math.log10(1 / 3), True, False),
+            (0.1 + 0.2, -0.52287874528033762, False, True),
+            (5e-324, -323.3, True, True),
+            (1.7976931348623157e308, 308.25, False, False),
+            (None, None, True, False),
+            (0.0, -math.inf, True, True),
+        )
+    ]
+    lines = [ens.record_to_csv_line(rec) for rec in records]
+    assert lines == [_joined_line(rec) for rec in records]
+    assert any(line.endswith(",,") for line in lines) and any(line.endswith(",0,-inf") for line in lines)
+    digits = [len(re.sub(r"e.*|[-.]", "", field).lstrip("0")) for line in lines for field in line.split(",")[-2:]]
+    assert digits.count(17) > 40
 
 
 def test_gnp_rejects_fewer_than_three_vertices():
@@ -639,6 +811,28 @@ def test_csv_roundtrip_fields(tmp_path):
         assert parts[8] == ("true" if rec.gplus_connected else "false")
         if rec.gap is not None and math.isfinite(rec.gap):
             assert float(parts[10]) == rec.gap
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 1024])
+def test_csv_keeps_every_line_before_a_failing_record(tmp_path, monkeypatch, chunk):
+    # lines are written a chunk at a time, and a stream that raises keeps
+    # the line of every record it gave before, as one written line by line
+    # would; one that raises on its first record leaves no file
+    monkeypatch.setattr(ens, "_CHUNK", chunk)
+    records = ens.generate_records(EnsembleConfig(8, (10,), 5, master_seed=13))
+
+    def failing(count):
+        yield from records[:count]
+        raise InputError("stream failed")
+
+    for count in (0, 1, 2, 5):
+        path = tmp_path / f"{chunk}-{count}.csv"
+        with pytest.raises(InputError, match="stream failed"):
+            ens.write_csv(failing(count), path)
+        if count == 0:
+            assert not path.exists()
+        else:
+            assert path.read_text().splitlines() == [ens.CSV_HEADER, *map(ens.record_to_csv_line, records[:count])]
 
 
 def test_summary_partition_and_pointmass():
