@@ -12,6 +12,19 @@ matrix, at any R.  Exit codes: 0 success, 1 input error (usage errors
 included), 2 internal-consistency fault.  Rationals are serialized as "p/q"
 strings; floats appear only for intrinsically approximate quantities
 (eigenvalues, gap), and one outside the float range is an input error.
+
+Each request does little fixed work besides its subcommand's.  A
+canonical argv, the subcommand followed only by ``--name value`` pairs of
+its own options, is read off the parser's own actions
+(``_canonical_args``); argparse reads every other argv, and stays the one
+definition of every option, default and message.  Files are read and
+written with ``os.read`` and ``os.write`` (``graph._read_file`` and
+``graph._write_file``), rational strings are read as integer pairs
+(``graph._rational``), and the output is written by ``_json_text``, byte
+for byte what ``json.dumps(payload, indent=2)`` writes.  ``analyze --t``
+takes its eigenvalues off the integer Laplacian
+(``spectral._graph_eigenvalues``), so no subcommand builds an N x N
+Fraction matrix.
 """
 
 from __future__ import annotations
@@ -19,15 +32,22 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import crossing, discriminants, spectral, stability
 from .errors import InputError, InternalConsistencyError
-from .graph import _decode_json, component_counts, parse_graph
+from .graph import _decode_json, _read_file, _write_file, component_counts, parse_graph
 
 
 class _Parser(argparse.ArgumentParser):
+    """The CLI's parser.  ``build_parser`` sets ``command_options``: per
+    subcommand, its option strings and the ``Action`` each names, as
+    ``add_argument`` returned them."""
+
+    command_options: dict[str, dict[str, argparse.Action]]
+
     def error(self, message):  # argparse defaults to exit code 2; keep 1 for input errors
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -35,8 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_json(path: str):
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data = _read_file(path)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return _decode_json(data, f"JSON in {path}")
@@ -57,13 +76,55 @@ def _parse_fractions(text: str) -> tuple[Fraction, ...]:
     return spectral._rationals(parts, f"the components of {text!r}")
 
 
-def _emit(payload: dict, output: str | None):
-    text = json.dumps(payload, indent=2)
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it when nested at
+    ``indent``: the CLI's one JSON writer.  Dicts with string keys, lists,
+    strings, ints, finite floats, None and the bools are written here, in
+    insertion order, strings through the C encoder that ``json`` itself
+    calls and numbers by ``int.__repr__`` and ``float.__repr__``; anything
+    else, such as a non-finite float, goes to ``json.dumps``.  The
+    pure-Python encoder that ``indent`` selects takes several calls per
+    value."""
+    kind = type(value)
+    if kind is str:
+        return _encode_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    # strings, most of the values, are encoded here rather than by a call
+    if kind is dict and all(type(key) is str for key in value):
+        brackets = "{}"
+        items = [
+            f"{_encode_string(key)}: {_encode_string(item) if type(item) is str else _json_text(item, inner)}"
+            for key, item in value.items()
+        ]
+    elif kind is list:
+        brackets = "[]"
+        items = [_encode_string(item) if type(item) is str else _json_text(item, inner) for item in value]
     else:
-        print(text)
+        return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _emit(payload: dict, output: str | None):
+    text = _json_text(payload) + "\n"
+    if output:
+        _write_file(output, (text.encode(),))
+    else:
+        sys.stdout.write(text)
 
 
 def _frac(x: Fraction | None) -> str | None:
@@ -88,10 +149,9 @@ def _cmd_analyze(args) -> dict:
         out["index_limits"] = None
     if args.t is not None:
         t = _parse_fractions(args.t)
-        lap = spectral.laplacian(g, t)
         out["t"] = [str(x) for x in t]
         out["index"] = list(spectral._graph_inertia(g, t))
-        out["eigenvalues"] = [float(x) for x in spectral.eigenvalues(lap)]
+        out["eigenvalues"] = [float(x) for x in spectral._graph_eigenvalues(g, t)]
     return out
 
 
@@ -190,32 +250,78 @@ _COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared, unmodified, by every later call."""
-    parser = _Parser(prog="signedlap", description=__doc__)
+    # --help shows the docstring's first two paragraphs, the usage; the
+    # rest is about the implementation (python -OO strips the docstring)
+    description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
+    parser = _Parser(prog="signedlap", description=description)
+    parser.command_options = {}
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="graph JSON path (ensemble: config JSON)")
-        p.add_argument("--output", required=name == "ensemble", help="JSON path, else stdout (ensemble: CSV)")
+        actions = [
+            p.add_argument("--input", required=True, help="graph JSON path (ensemble: config JSON)"),
+            p.add_argument("--output", required=name == "ensemble", help="JSON path, else stdout (ensemble: CSV)"),
+        ]
         if name in ("analyze", "stability"):
-            p.add_argument("--t", help="red magnitudes, comma-separated rationals")
+            actions.append(p.add_argument("--t", help="red magnitudes, comma-separated rationals"))
         if name == "crossings":
-            p.add_argument("--ray", required=True, help="ray direction, positive rationals")
+            actions.append(p.add_argument("--ray", required=True, help="ray direction, positive rationals"))
         if name == "ensemble":
-            p.add_argument("--seed", type=int, help="override the config master seed")
-            p.add_argument("--threads", type=int, default=1, help="ignored: samples run serially")
+            actions.append(p.add_argument("--seed", type=int, help="override the config master seed"))
+            actions.append(p.add_argument("--threads", type=int, default=1, help="ignored: samples run serially"))
+        parser.command_options[name] = {option: action for action in actions for option in action.option_strings}
     return parser
 
 
+def _canonical_args(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for a canonical ``argv``, read off
+    the parser's own actions; None for any other.
+
+    Canonical is ``<command>`` followed only by ``--name value`` pairs,
+    each name one of that subcommand's option strings, each option given
+    once, every required one given, no value starting with "-" and every
+    value that its action's ``type`` takes.  Each action supplies its
+    type, whether it is required and its default, so argparse stays the
+    one definition of every option; help, abbreviations, ``=`` forms and
+    every usage error go to argparse itself.
+    """
+    if len(argv) % 2 == 0:  # not a command and pairs
+        return None
+    options = build_parser().command_options.get(argv[0])
+    if options is None:
+        return None
+    values = {}
+    for name, value in zip(argv[1::2], argv[2::2]):
+        action = options.get(name)
+        if action is None or action.dest in values or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        values[action.dest] = value
+    for action in options.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse usage errors / --help
-        return exc.code if isinstance(exc.code, int) else 1
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _canonical_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse usage errors / --help
+            return exc.code if isinstance(exc.code, int) else 1
     handler = _COMMANDS[args.command]
     try:
         payload = handler(args)
         if args.command == "ensemble":
-            print(json.dumps(payload, indent=2))
+            sys.stdout.write(_json_text(payload) + "\n")
         else:
             _emit(payload, args.output)
     except InternalConsistencyError as exc:

@@ -27,9 +27,10 @@ its Q_k stacked next to the others.  Every other sample takes
 ``spectral._eliminate`` and ``spectral._bordered_minors`` one by one, which
 give the same integers.  ``classify`` labels one graph by the list BFS of
 ``_kernels``, the reference the array BFS is tested against.  The CSV and
-the summary are written as bytes.  This module is the only one that
-imports numpy at import time, and the package loads it only when an
-ensemble name is first used.
+the summary are written as bytes, with ``os.write``
+(``graph._write_file``).  This module is the only one that imports numpy
+at import time, and the package loads it only when an ensemble name is
+first used.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from . import _kernels
 from .discriminants import _R2_MINORS, _gap_and_log, _require_r2
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, _Frozen
+from .graph import SignedWeightedGraph, _Frozen, _write_file
 from .spectral import _bordered_minors, _eliminate
 
 _HIST_LO = -10.0
@@ -574,26 +575,36 @@ def record_to_csv_line(rec: EnsembleRecord) -> str:
 
 def write_csv(records, path: str):
     """Write ``records``, any iterable, in order, as bytes, ``_CHUNK`` lines
-    at a time.  The file is opened once the first record is in hand, so a
+    at a time.  The file is created once the first record is in hand, so a
     stream that fails on its first record leaves no file behind, and one
     that fails later leaves the line of every record before the failure."""
     records = iter(records)
     first = next(records, None)
+    _write_file(path, _csv_chunks(first, records))
+
+
+def _csv_chunks(first: EnsembleRecord | None, records):
+    """The CSV's bytes, the header and the line of ``first`` (None when
+    there are no records) and of each of ``records``, ``_CHUNK`` lines at a
+    time.  When ``records`` fails, the lines before the failure come first,
+    then the error."""
     lines = [CSV_HEADER] if first is None else [CSV_HEADER, record_to_csv_line(first)]
-    with open(path, "wb") as fh:
+    try:
+        for rec in records:
+            lines.append(record_to_csv_line(rec))
+            if len(lines) >= _CHUNK:
+                yield _joined(lines)
+                lines = []
+    except Exception:
+        yield _joined(lines)
+        raise
+    yield _joined(lines)
 
-        def flush():
-            lines.append("")
-            fh.write("\n".join(lines).encode())
-            lines.clear()
 
-        try:
-            for rec in records:
-                lines.append(record_to_csv_line(rec))
-                if len(lines) >= _CHUNK:
-                    flush()
-        finally:
-            flush()
+def _joined(lines: list[str]) -> bytes:
+    """``lines``, each ended by a newline, as bytes."""
+    lines.append("")
+    return "\n".join(lines).encode()
 
 
 class _Tally:
@@ -698,5 +709,4 @@ def _render(value, indent: str) -> str:
 
 
 def write_summary(summary: dict, path: str):
-    with open(path, "wb") as fh:
-        fh.write((_render(summary, "") + "\n").encode())
+    _write_file(path, ((_render(summary, "") + "\n").encode(),))

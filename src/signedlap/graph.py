@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import re
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -31,16 +33,39 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_INTEGER_PAIR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(s: str) -> Fraction:
+    """``Fraction(s)``, the package's one reader of rational strings.
+
+    ``-?digits`` and ``-?digits/digits`` in ASCII digits are read as
+    ``Fraction(int(p), int(q))``, which skips the general pattern and the
+    decimal and exponent steps of ``Fraction(s)``.  Every other string, and
+    such a form that ``int`` or ``Fraction`` cannot take (a zero
+    denominator, more digits than Python converts), goes to ``Fraction(s)``
+    itself, so that any error is the one it raises.
+    """
+    m = _INTEGER_PAIR.fullmatch(s)
+    if m:
+        p, q = m.groups()
+        try:
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+        except (ValueError, ZeroDivisionError):
+            pass
+    return Fraction(s)
+
+
 def _as_weight(w) -> Fraction:
+    if isinstance(w, str):
+        try:
+            return _rational(w)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot parse weight {w!r} as a rational") from exc
     if isinstance(w, Fraction):
         return w
     if _is_int(w):
         return Fraction(w)
-    if isinstance(w, str):
-        try:
-            return Fraction(w)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse weight {w!r} as a rational") from exc
     raise InputError(f"weight must be a rational string or integer, got {type(w).__name__}")
 
 
@@ -135,14 +160,9 @@ class SignedWeightedGraph(_Frozen):
 
     @cached_property
     def _counts(self) -> tuple[int, int, int]:
-        full, plus, minus = _UnionFind(self.n), _UnionFind(self.n), _UnionFind(self.n)
-        for u, v, _ in self.black_edges:
-            full.union(u, v)
-            plus.union(u, v)
-        for u, v, _ in self.red_edges:
-            full.union(u, v)
-            minus.union(u, v)
-        return full.count, plus.count, minus.count
+        uf = _UnionFind(self.n)
+        plus = uf.merge(self.black_edges)
+        return uf.merge(self.red_edges), plus, _UnionFind(self.n).merge(self.red_edges)
 
     @cached_property
     def _black_ints(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
@@ -167,7 +187,8 @@ class SignedWeightedGraph(_Frozen):
 def _decode_json(text: str | bytes, what: str):
     """The package's one JSON reader: ``text``, bytes as strict UTF-8.  Bytes
     that are not UTF-8, malformed JSON (a byte order mark too: it decodes to
-    U+FEFF) and too deep nesting are InputErrors naming ``what``."""
+    U+FEFF), too deep nesting and a number with more digits than Python
+    converts to an int are InputErrors naming ``what``."""
     try:
         return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except UnicodeDecodeError as exc:
@@ -176,6 +197,47 @@ def _decode_json(text: str | bytes, what: str):
         raise InputError(f"malformed {what}: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{what} is nested too deeply") from exc
+    except ValueError as exc:  # int()'s digit limit, which json.loads does not map
+        raise InputError(f"{what} holds a number too long to read: {exc}") from exc
+
+
+_READ_SIZE = 1 << 16
+
+
+def _read_file(path) -> bytes:
+    """The bytes of the file at ``path``, read with ``os.read`` until the end:
+    every file the package reads.  An OSError names ``path`` as ``open``
+    names it; ``os.read`` on a directory raises EISDIR without the name, so
+    that one is raised again with it."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    except IsADirectoryError as exc:
+        raise IsADirectoryError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _write_file(path, chunks) -> None:
+    """Create or truncate the file at ``path`` as ``open(path, "wb")`` does,
+    mode 0o666 less the umask, and write the byte strings of ``chunks`` to
+    it in order, each as it comes, with ``os.write`` until all of it is
+    written: every file the package writes.  The file is closed however
+    ``chunks`` ends, keeping what was written."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while view:
+                view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
+
+
+_EDGE_KEYS = frozenset(("u", "v", "w"))
 
 
 def parse_graph(document) -> SignedWeightedGraph:
@@ -202,7 +264,7 @@ def parse_graph(document) -> SignedWeightedGraph:
         raise InputError('"edges" must be a list')
     edges = []
     for pos, item in enumerate(raw):
-        if not isinstance(item, dict) or not {"u", "v", "w"} <= set(item):
+        if not isinstance(item, dict) or not item.keys() >= _EDGE_KEYS:
             raise InputError(f'edge {pos}: each edge needs keys "u", "v", "w"')
         if isinstance(item["w"], float):
             raise InputError(f"edge {pos}: weights must be exact rational strings, not floats")
@@ -244,6 +306,24 @@ class _UnionFind:
         self.parent[ra] = rb
         self.count -= 1
         return True
+
+    def merge(self, edges) -> int:
+        """Union the endpoints of every edge (u, v, w) of ``edges``, the finds
+        inlined (with path halving), and return the component count."""
+        p = self.parent
+        count = self.count
+        for u, v, _ in edges:
+            while p[u] != u:
+                p[u] = p[p[u]]
+                u = p[u]
+            while p[v] != v:
+                p[v] = p[p[v]]
+                v = p[v]
+            if u != v:
+                p[u] = v
+                count -= 1
+        self.count = count
+        return count
 
 
 def component_counts(g: SignedWeightedGraph) -> tuple[int, int, int]:

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 from . import _kernels
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, component_counts, is_connected
+from .graph import SignedWeightedGraph, _rational, component_counts, is_connected
 
 
 class SpectralIndex(NamedTuple):
@@ -66,8 +66,10 @@ class LaplacianMatrix:
 
 def _exact(x) -> Fraction:
     """``Fraction(x)`` of a rational given exactly, such as an int, a
-    Fraction or a string; a bool or a float (numpy's too) is a TypeError,
-    not the rational it happens to equal."""
+    Fraction or a string (read by ``graph._rational``); a bool or a float
+    (numpy's too) is a TypeError, not the rational it happens to equal."""
+    if isinstance(x, str):
+        return _rational(x)
     if isinstance(x, bool) or isinstance(x, Real) and not isinstance(x, Rational):
         raise TypeError(f"{x!r} is a {type(x).__name__}, not an exact rational")
     return Fraction(x)
@@ -141,18 +143,52 @@ def eigenvalues(m) -> np.ndarray:
     a finite rational, is an InputError, as in ``inertia``.  So is an entry
     above the float range (magnitude above about 1.8e308), a nonzero entry
     that rounds to 0.0 (magnitude below about 2.5e-324) or an eigenvalue
-    that is not finite; the exact ``inertia`` has no such limit.
+    that is not finite (``_eigvalsh``); the exact ``inertia`` has no such
+    limit.
     """
+    rows = _as_rows(m, symmetric=True)
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return _eigvalsh([[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale)
+
+
+def _graph_eigenvalues(g: SignedWeightedGraph, t: Sequence[Fraction]) -> np.ndarray:
+    """``eigenvalues(laplacian(g, t))`` with no N x N Fraction matrix; ``t``
+    is checked as ``laplacian`` checks it (``_magnitudes``).
+
+    The Laplacian is built in integers, L times ``laplacian(g, t)``, with L
+    the lcm of the black-weight and magnitude denominators, and
+    ``_eigvalsh`` divides each entry by L: the same rational, so the same
+    float, as the Fraction entry gives.
+    """
+    t = _magnitudes(g, t)
+    black_scale, black = g._black_ints
+    scale = lcm(black_scale, *(m.denominator for m in t))
+    weights = [(u, v, w * (scale // black_scale)) for u, v, w in black]
+    weights += [(u, v, -m.numerator * (scale // m.denominator)) for (u, v, _), m in zip(g.red_edges, t)]
+    a = [[0] * g.n for _ in range(g.n)]
+    for u, v, w in weights:
+        a[u][v] += w
+        a[v][u] += w
+        a[u][u] -= w
+        a[v][v] -= w
+    return _eigvalsh(a, scale)
+
+
+def _eigvalsh(rows: list[list[int]], scale: int) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix ``rows`` / ``scale``,
+    integer rows and a positive integer scale: each entry is the correctly
+    rounded float of its rational, as ``float`` of a Fraction gives it.  An
+    entry above the float range, a nonzero entry that rounds to 0.0 or an
+    eigenvalue that is not finite is an InputError."""
     import numpy as np  # imported here: the exact routes never load numpy
 
     message = "eigenvalues need every nonzero entry and eigenvalue within the float range (2.5e-324 < |x| < 1.8e308)"
-    rows = _as_rows(m, symmetric=True)
     try:
-        arr = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+        floats = [[x / scale for x in row] for row in rows]
     except OverflowError:
         raise InputError(message) from None
-    underflow = any(x and not y for row, frow in zip(rows, arr) for x, y in zip(row, frow))
-    if underflow or not np.isfinite(ev := np.linalg.eigvalsh(arr)).all():
+    underflow = any(x and not y for row, frow in zip(rows, floats) for x, y in zip(row, frow))
+    if underflow or not np.isfinite(ev := np.linalg.eigvalsh(np.array(floats, dtype=np.float64))).all():
         raise InputError(message)
     return ev
 

@@ -402,6 +402,37 @@ def reference_inertia(m) -> SpectralIndex:
     return SpectralIndex(n_minus, n_zero, n_plus)
 
 
+def fraction_outcome(s):
+    """``Fraction(s)``, or the type and text of the error it raises."""
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# strings that the integer-pair form reads and strings that it leaves to
+# Fraction(s): signs, leading zeros, zero and negative denominators,
+# whitespace, decimals, exponents, underscores, non-ASCII digits, "+" and
+# more digits than int() converts
+RATIONAL_STRINGS = [
+    "3", "-3", "0", "-0", "007", "-007/010", "0/5", "-0/5", "12/18", "-12/18", "1/1",
+    "1/0", "-1/0", "1/000", "0/0", "1/-4", "-1/-4", "-/4", "1/", "/2", "1//2", "--1", "-",
+    " 1/2", "1/2 ", "\t3\n", " -4 ", "1 /2", "1/ 2",
+    "1.5", "-1.5e3", "1e-3", "1E2", ".5", "5.", "1.5/2",
+    "1_000", "1_000/3", "1__0", "_1",
+    "\u0663", "\u0663/\u0664", "1/\u0664", "\uff11\uff12", "\u00b2",
+    "+1", "+1/2", "+-1",
+    "", " ", "x", "0x10", "nan", "inf", "1/x",
+    "1" * 4300, "-" + "1" * 4300, "1/" + "1" * 4300,
+    "1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000, "1" * 5000 + "/0", "1" * 5000 + ".5",
+]
+
+
+def rational_string_id(s: str) -> str:
+    """A short test id for one of ``RATIONAL_STRINGS``."""
+    return repr(s) if len(s) <= 12 else f"{s[:4]}..{s[-4:]}-{len(s)}-chars"
+
+
 def random_fraction(rng: random.Random, num_max=9999, den_max=20) -> Fraction:
     return Fraction(rng.randint(1, num_max), rng.randint(1, den_max))
 

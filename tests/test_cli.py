@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +19,15 @@ import signedlap
 from signedlap import _kernels, cli, crossing, discriminants, graph, spectral, stability
 from signedlap import ensemble as ens
 
-from conftest import kn_with_reds, random_connected_graph, swg, triangle_chain
+from conftest import (
+    RATIONAL_STRINGS,
+    fraction_outcome,
+    kn_with_reds,
+    random_connected_graph,
+    rational_string_id,
+    swg,
+    triangle_chain,
+)
 
 K4_SHARED = {
     "n": 4,
@@ -145,6 +154,34 @@ def test_analyze_and_stability_index_take_no_matrix_inertia(monkeypatch, capsys,
     assert [code for code, _, _ in expected] == [0, 0, 0, 0, 0, 0, 1, 1]
     payloads = [json.loads(out) for code, out, _ in expected if code == 0]
     assert [p.get("index") or p["verified_index"] for p in payloads] == [[2, 1, 1], [2, 1, 1], [3, 1, 0], [2, 1, 1], [1, 2, 1], [2, 1, 1]]
+
+
+def test_analyze_eigenvalues_take_no_fraction_laplacian(monkeypatch, capsys, tmp_path):
+    # analyze --t reads its eigenvalues off the integer Laplacian: with
+    # spectral.laplacian and spectral.eigenvalues made to raise, every byte
+    # is what eigenvalues(laplacian(g, t)) gives, errors included
+    huge = {"n": 3, "edges": [{"u": 0, "v": 1, "w": "1" + "0" * 400}, {"u": 1, "v": 2, "w": "1"}, {"u": 0, "v": 2, "w": "-1"}]}
+    runs = []
+    for name, doc in (("k4", K4_SHARED), ("c4", C4_ALTERNATING), ("huge", huge)):
+        path = _graph_file(tmp_path, name, doc)
+        for t in ("1,1", "3,1/2", "0,7/3", "1", "1,-1"):
+            runs.append(["analyze", "--input", path, "--t", t])
+
+    def outputs():
+        return [(cli.main(argv), *capsys.readouterr()) for argv in runs]
+
+    with monkeypatch.context() as m:
+        _patch_everywhere(m, spectral._graph_eigenvalues, lambda g, t: spectral.eigenvalues(spectral.laplacian(g, t)))
+        expected = outputs()
+
+    def forbidden(*args):
+        raise AssertionError("an N x N Fraction matrix was built")
+
+    _patch_everywhere(monkeypatch, spectral.laplacian, forbidden)
+    _patch_everywhere(monkeypatch, spectral.eigenvalues, forbidden)
+    assert outputs() == expected
+    assert [code for code, _, _ in expected] == [0, 0, 0, 1, 1] * 2 + [1, 1, 1, 1, 1]
+    assert "within the float range" in expected[-2][2]  # huge at t = 1
 
 
 def test_coeffs_with_a_disconnected_black_subgraph_eliminates_once(monkeypatch, capsys, tmp_path):
@@ -282,6 +319,137 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, k4_file, name):
     target = tmp_path / "missing" / "out.json"
     _assert_input_error(capsys, [name, "--input", k4_file, "--output", str(target)], "No such file or directory")
     assert not target.parent.exists()
+
+
+def test_file_errors_keep_the_messages_of_open(tmp_path, capsys, k4_file):
+    # the files are read and written with os.open, os.read and os.write;
+    # each error reads as open() words it, os.read's nameless EISDIR too
+    directory = tmp_path / "adir"
+    directory.mkdir()
+    missing = tmp_path / "missing.json"
+    cfg = _graph_file(tmp_path, "cfg", {"N": 5, "M": [6], "samples": 2, "seed": 1})
+    no_parent = tmp_path / "missing" / "out.json"
+    under_file = f"{k4_file}/out.json"
+    cases = [
+        (["coeffs", "--input", str(directory)], f"cannot read {directory}: [Errno 21] Is a directory: {str(directory)!r}"),
+        (_ensemble_argv(tmp_path, directory), f"cannot read {directory}: [Errno 21] Is a directory: {str(directory)!r}"),
+        (["coeffs", "--input", str(missing)], f"cannot read {missing}: [Errno 2] No such file or directory: {str(missing)!r}"),
+        (_ensemble_argv(tmp_path, missing), f"cannot read {missing}: [Errno 2] No such file or directory: {str(missing)!r}"),
+        (["coeffs", "--input", k4_file, "--output", str(directory)], f"[Errno 21] Is a directory: {str(directory)!r}"),
+        (["ensemble", "--input", cfg, "--output", str(directory)], f"[Errno 21] Is a directory: {str(directory)!r}"),
+        (["coeffs", "--input", k4_file, "--output", str(no_parent)], f"[Errno 2] No such file or directory: {str(no_parent)!r}"),
+        (["coeffs", "--input", k4_file, "--output", under_file], f"[Errno 20] Not a directory: {under_file!r}"),
+        (["ensemble", "--input", cfg, "--output", under_file], f"[Errno 20] Not a directory: {under_file!r}"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+    assert not (tmp_path / "runs.csv").exists()
+
+
+def test_output_files_are_created_and_truncated_as_open_does(tmp_path, capsys, k4_file):
+    cfg = _graph_file(tmp_path, "cfg", {"N": 5, "M": [6], "samples": 2, "seed": 1})
+    out, csv = tmp_path / "out.json", tmp_path / "runs.csv"
+    out.write_text("x" * 10_000)  # a longer file is truncated, not overwritten in place
+    old = os.umask(0o027)
+    try:
+        assert cli.main(["coeffs", "--input", k4_file, "--output", str(out)]) == 0
+        assert cli.main(["coeffs", "--input", k4_file, "--output", str(tmp_path / "new.json")]) == 0
+        assert cli.main(["ensemble", "--input", cfg, "--output", str(csv)]) == 0
+        with open(tmp_path / "reference", "w"):
+            pass
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert json.loads(out.read_text()) == {"00": "3", "10": "5", "01": "5", "11": "3"}
+    created = [tmp_path / "new.json", csv, tmp_path / "runs.summary.json", tmp_path / "reference"]
+    assert [stat.S_IMODE(path.stat().st_mode) for path in created] == [0o666 & ~0o027] * 4
+
+
+@pytest.mark.parametrize("s", [s for s in RATIONAL_STRINGS if "," not in s], ids=rational_string_id)
+def test_rational_components_read_as_fraction_reads_them(capsys, tmp_path, s):
+    # --t and --ray components take the weights' reader: a component is
+    # read as Fraction reads it after the blanks around it are stripped,
+    # and an error carries Fraction's own text
+    expected = fraction_outcome(s.strip()) if s.strip() else None
+    message = None if isinstance(expected, Fraction) or expected is None else expected[1]
+    if message is None:
+        assert cli._parse_fractions(s) == (() if expected is None else (expected,))
+    else:
+        with pytest.raises(signedlap.InputError) as exc:
+            cli._parse_fractions(s)
+        assert str(exc.value) == f"the components of {s!r} must be finite rationals: {message}"
+    if message is None and len(s) > 40:
+        return  # a ray of 1/(4300 digits) puts its root past the float range of "midpoint"
+    tri = _graph_file(tmp_path, "tri", {"n": 3, "edges": [{"u": 0, "v": 1, "w": "1"}, {"u": 1, "v": 2, "w": "1"}, {"u": 0, "v": 2, "w": "-1"}]})
+    ray = [f"--ray={s}"] if s.startswith("-") else ["--ray", s]  # a leading "-" is only read in the "=" form
+    code = cli.main(["crossings", "--input", tri, *ray])
+    captured = capsys.readouterr()
+    if message is not None:
+        assert code == 1 and captured.err == f"error: the components of {s!r} must be finite rationals: {message}\n"
+    elif expected is not None and expected > 0:
+        assert code == 0 and json.loads(captured.out)["ray"] == [str(expected)]
+    else:
+        assert code == 1 and captured.out == ""
+
+
+def test_json_number_past_the_digit_limit_is_input_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError on such a number: once a traceback
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts strings of any length to int")
+    digits = "1" * max(limit + 1, 5000)
+    graph_path = tmp_path / "long.json"
+    graph_path.write_text('{"n": 2, "edges": [{"u": 0, "v": 1, "w": %s}]}' % digits)
+    cfg = tmp_path / "seed.json"
+    cfg.write_text('{"N": 6, "M": [8], "samples": 2, "seed": %s}' % digits)
+    for argv, path in ((["coeffs", "--input", str(graph_path)], graph_path), (_ensemble_argv(tmp_path, cfg), cfg)):
+        _assert_input_error(capsys, argv, f"JSON in {path} holds a number too long to read: Exceeds the limit ({limit} digits)")
+    assert not (tmp_path / "runs.csv").exists()
+
+
+_JSON_VALUES = [
+    None, True, False, 0, -7, 10**40, -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1, -2.5,
+    float("nan"), float("inf"), -float("inf"),
+    "", "plain", 'quote " and \\ backslash', "café ☃ \U0001f600", "\x00\x1f\n\t ",
+    [], {}, [[]], [{}], {"a": {}}, {"a": []}, [1, [2, [3, []]], {"k": None}],
+    {"b": 1, "a": [True, None, "x"], "é": {"nested": [0.5, -0.0, float("nan")]}},
+    {"inf": [float("inf"), 1], "nan": {"x": float("nan")}},
+    (1, 2), {"t": (3, [4])}, {1: "int key"}, {"a": {2.5: "float key", None: 0}}, [{True: 1}],
+]
+
+
+@pytest.mark.parametrize("value", _JSON_VALUES, ids=repr)
+def test_json_writer_writes_what_json_dumps_writes(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_writes_every_corpus_payload_as_json_dumps(monkeypatch, tmp_path, capsys):
+    # every payload of cli-corpus seeds 1-3, printed to stdout, and the
+    # ensemble's stdout payload
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import corpus
+
+    payloads = []
+    emit = cli._emit
+
+    def recorded(payload, output):
+        payloads.append(payload)
+        emit(payload, output)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    path = tmp_path / "in.json"
+    for seed in (1, 2, 3):
+        for req in corpus.requests("cli-corpus", seed):
+            path.write_text(json.dumps(req.doc))
+            assert cli.main([req.kind, "--input", str(path), *req.options]) == 0
+            assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2) + "\n"
+    assert len(payloads) > 400
+    cfg = _graph_file(tmp_path, "cfg", {"N": 5, "M": [6], "samples": 2, "seed": 1})
+    assert cli.main(_ensemble_argv(tmp_path, cfg)) == 0
+    payload = {"csv": str(tmp_path / "runs.csv"), "summary": str(tmp_path / "runs.summary.json"), "records": 2}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_coeffs_mapping(capsys, k4_file):
@@ -629,6 +797,106 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys, k4_file):
     assert cli.main(["crossings"]) == 1
     assert len(built) == first
     capsys.readouterr()
+
+
+def _argparse_outcome(capsys, argv):
+    """(vars of the Namespace or None, exit code or None, stdout, stderr) of
+    ``build_parser().parse_args(argv)`` run directly."""
+    try:
+        namespace, code = vars(cli.build_parser().parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return namespace, code, captured.out, captured.err
+
+
+def _argvs() -> list[list[str]]:
+    """Every corpus shape, then the argvs that must reach argparse, then a
+    seeded draw of commands, option strings and values."""
+    canonical = [
+        ["analyze", "--input", "g.json", "--output", "o.json", "--t", "1/2,3"],
+        ["analyze", "--input", "g.json"],
+        ["coeffs", "--input", "g.json", "--output", "o.json"],
+        ["disc", "--output", "o.json", "--input", "g.json"],
+        ["factorize", "--input", "g.json", "--output", "o.json"],
+        ["stability", "--input", "g.json", "--output", "o.json", "--t", "3/10,3/10"],
+        ["crossings", "--input", "g.json", "--output", "o.json", "--ray", "1,2"],
+        ["crossings", "--ray", "1,2", "--input", "g.json"],
+        ["ensemble", "--input", "c.json", "--output", "r.csv", "--threads", "2"],
+        ["ensemble", "--input", "c.json", "--output", "r.csv", "--seed", "7", "--threads", "1"],
+        ["ensemble", "--threads", " 3 ", "--seed", "1_0", "--output", "r", "--input", "c.json"],
+        ["analyze", "--input", "g.json", "--t", ""],
+        ["analyze", "--input", "", "--t", " "],
+    ]
+    others = [
+        [], ["-h"], ["--help"], ["coeffs"], ["coeffs", "-h"], ["coeffs", "--help"], ["ensemble", "--help"],
+        ["nope", "--input", "g.json"], ["coeff", "--input", "g.json"],
+        ["coeffs", "--in", "g.json"], ["coeffs", "--input=g.json"], ["coeffs", "--input=g.json", "--out", "o.json"],
+        ["coeffs", "--input", "g.json", "--input", "h.json"], ["coeffs", "--output", "o.json"],
+        ["coeffs", "--input", "g.json", "--bogus", "1"], ["coeffs", "--input", "g.json", "--t", "1"],
+        ["coeffs", "--input", "g.json", "extra"], ["coeffs", "--input", "g.json", "--"],
+        ["coeffs", "--input", "-"], ["coeffs", "--input", "-x"], ["coeffs", "--input"],
+        ["analyze", "--input", "g.json", "--t", "-1,2"], ["analyze", "--input", "g.json", "--t=-1,2"],
+        ["analyze", "--input", "g.json", "--t", "-1"], ["crossings", "--input", "g.json"],
+        ["crossings", "--input", "g.json", "--ray"], ["crossings", "--input", "g.json", "--r", "1,1"],
+        ["ensemble", "--input", "c.json"], ["ensemble", "--input", "c.json", "--output", "r.csv", "--seed", "x"],
+        ["ensemble", "--input", "c.json", "--output", "r.csv", "--threads", "1.5"],
+        ["ensemble", "--input", "c.json", "--output", "r.csv", "--seed", "-5"],
+        ["ensemble", "--input", "c.json", "--output", "r.csv", "--seed", "1" * 5000],
+        ["ensemble", "--input", "c.json", "--output", "r.csv", "--se", "9"],
+        ["ensemble", "--input", "c.json", "--output", "r.csv", "--seed", "2", "--seed", "3"],
+    ]
+    rng = random.Random("argv")
+    options = cli.build_parser().command_options
+    names = sorted({name for by_name in options.values() for name in by_name})
+    names += ["--in", "--out", "--bogus", "--input=g.json", "-h", "--help", "--"]
+    values = ["g.json", "o.json", "1,1", "1/2", "7", " 8 ", "x", "1_0", "", " ", "coeffs", "-1,2", "-x", "--input"]
+    drawn = []
+    for _ in range(400):
+        # the subcommand's own options, each required one nearly always, in
+        # any order, then at most one change: a foreign name, a repeat or
+        # a token dropped
+        command = rng.choice(sorted(options))
+        pairs = [
+            [name, rng.choice(values[:11]) if rng.random() < 0.9 else rng.choice(values)]
+            for name, action in options[command].items()
+            if rng.random() < (0.95 if action.required else 0.5)
+        ]
+        rng.shuffle(pairs)
+        change = rng.random()
+        if change < 0.1:
+            pairs.append([rng.choice(names), rng.choice(values)])
+        elif change < 0.15 and pairs:
+            pairs.append(list(rng.choice(pairs)))
+        argv = [command, *itertools.chain.from_iterable(pairs)]
+        if 0.15 <= change < 0.2:
+            argv.pop(rng.randrange(len(argv)))
+        drawn.append(argv)
+    return canonical + others + drawn
+
+
+def test_canonical_argv_reads_what_argparse_reads(monkeypatch, capsys):
+    # the canonical form is read off the parser's own actions; every other
+    # argv reaches argparse, so main's exit code, stdout and stderr are
+    # those of parse_args run directly
+    def handler(args):
+        raise signedlap.InputError(json.dumps(vars(args), sort_keys=True))
+
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, handler))
+    argvs = _argvs()
+    fast = 0
+    for argv in argvs:
+        namespace, code, out, err = _argparse_outcome(capsys, argv)
+        args = cli._canonical_args(argv)
+        if args is not None:
+            fast += 1
+            assert vars(args) == namespace, argv
+        if namespace is not None:
+            code, err = 1, f"error: {json.dumps(namespace, sort_keys=True)}\n"
+        assert [cli.main(argv), *capsys.readouterr()] == [code, out, err], argv
+    # both routes are taken, and every corpus shape reads canonically
+    assert fast >= 13 + 20 and fast <= len(argvs) - 100, fast
+    assert all(cli._canonical_args(argv) is not None for argv in argvs[:13])
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Graph construction, parsing, minors, and enumeration oracles."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,16 @@ from signedlap import (
     spanning_trees,
     two_forests,
 )
-from signedlap.graph import minor_with_info, red_subset_is_forest
+from signedlap.graph import _rational, minor_with_info, red_subset_is_forest
 
 from conftest import (
+    RATIONAL_STRINGS,
     assert_value,
+    fraction_outcome,
     k4_shared,
     kn_with_reds,
     random_connected_graph,
+    rational_string_id,
     reference_component_count,
     swg,
     triangle_one_red,
@@ -112,6 +116,47 @@ def test_graph_rejects_boolean_fields():
         SignedWeightedGraph(2, ((False, True, Fraction(1)),))
     with pytest.raises(InputError, match="got bool"):
         SignedWeightedGraph(2, ((0, 1, True),))
+
+
+def _over_the_digit_limit() -> int:
+    """A digit count past Python's int-string conversion limit; the test
+    is skipped where the running Python has no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts strings of any length to int")
+    return max(limit + 1, 5000)
+
+
+def test_parse_json_integer_past_the_digit_limit_is_input_error():
+    # json.loads raises a plain ValueError for such a number, which the
+    # JSON reader maps like its other errors
+    digits = _over_the_digit_limit()
+    doc = '{"n": 2, "edges": [{"u": 0, "v": 1, "w": %s}]}' % ("1" * digits)
+    for text in (doc, doc.encode()):
+        with pytest.raises(InputError, match=r"graph JSON holds a number too long to read: .*\(\d+ digits\)"):
+            parse_graph(text)
+
+
+@pytest.mark.parametrize("s", RATIONAL_STRINGS, ids=rational_string_id)
+def test_rational_strings_read_as_fraction_reads_them(s):
+    expected = fraction_outcome(s)
+    doc = {"n": 2, "edges": [{"u": 0, "v": 1, "w": s}]}
+    if isinstance(expected, Fraction):
+        assert type(_rational(s)) is Fraction and _rational(s) == expected
+        assert (_rational(s).numerator, _rational(s).denominator) == (expected.numerator, expected.denominator)
+        if expected:
+            assert parse_graph(doc).edges[0][2] == expected
+        else:
+            with pytest.raises(InputError, match="zero weight"):
+                parse_graph(doc)
+        return
+    with pytest.raises(expected[0]) as exc:
+        _rational(s)
+    assert str(exc.value) == expected[1]
+    with pytest.raises(InputError) as exc:
+        parse_graph(doc)
+    assert str(exc.value) == f"cannot parse weight {s!r} as a rational"
+    assert (type(exc.value.__cause__), str(exc.value.__cause__)) == expected
 
 
 def test_parse_rejects_float_weights():

@@ -32,7 +32,16 @@ from signedlap import _kernels
 from signedlap import ensemble as ens
 from signedlap.discriminants import _disc_minors, graph_factorization
 from signedlap.graph import _UnionFind
-from signedlap.spectral import LaplacianMatrix, _bordered_minors, _eliminate, _graph_inertia, _pivots, _schur, det_rational
+from signedlap.spectral import (
+    LaplacianMatrix,
+    _bordered_minors,
+    _eliminate,
+    _graph_eigenvalues,
+    _graph_inertia,
+    _pivots,
+    _schur,
+    det_rational,
+)
 
 from conftest import (
     k4_disjoint,
@@ -552,10 +561,10 @@ def _graph_inertia_kinds(g, t) -> list[str]:
     ]
 
 
-def test_graph_inertia_matches_the_matrix_inertia(monkeypatch):
-    # the touched-block read against inertia(laplacian(g, t)): the 156
-    # analyze and stability requests of cli-corpus seeds 1-3 (78 graphs),
-    # then N = 1 and 300 random graphs, connected or not, with any signs
+def _graph_and_magnitude_cases(monkeypatch) -> list:
+    """The 156 analyze and stability requests of cli-corpus seeds 1-3 (78
+    graphs), then N = 1 and 300 random graphs, connected or not, with any
+    signs, each with red magnitudes."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import corpus
 
@@ -573,8 +582,41 @@ def test_graph_inertia_matches_the_matrix_inertia(monkeypatch):
         pairs = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(0, n * (n - 1) // 2))
         g = swg(n, [(u, v, rng.choice((-1, 1)) * random_fraction(rng, 9, 4)) for u, v in pairs])
         cases.append((g, [Fraction(0) if rng.random() < 0.2 else random_fraction(rng, 9, 4) for _ in range(g.red_count)]))
+    return cases
+
+
+def test_graph_inertia_matches_the_matrix_inertia(monkeypatch):
+    # the touched-block read against inertia(laplacian(g, t))
+    cases = _graph_and_magnitude_cases(monkeypatch)
     kinds = Counter()
     for g, t in cases:
         assert _graph_inertia(g, t) == inertia(laplacian(g, t)), (g, t)
         kinds.update(_graph_inertia_kinds(g, t))
     assert len(kinds) == 7 and min(kinds.values()) >= 10, kinds
+
+
+def test_graph_eigenvalues_are_the_matrix_eigenvalues(monkeypatch):
+    # the integer Laplacian over its scale gives eigvalsh the very array
+    # that the Fraction Laplacian gives it, so the very eigenvalues
+    for g, t in _graph_and_magnitude_cases(monkeypatch):
+        assert np.array_equal(_graph_eigenvalues(g, t), eigenvalues(laplacian(g, t))), (g, t)
+
+
+@pytest.mark.parametrize(
+    "g, t",
+    [
+        (swg(3, [(0, 1, 10**400), (1, 2, 1), (0, 2, -1)]), [1]),  # above the float range
+        (swg(3, [(0, 1, Fraction(1, 10**400)), (1, 2, 1), (0, 2, -1)]), [1]),  # rounds to 0.0
+        (swg(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)]), [Fraction(1, 10**400)]),
+        (swg(2, [(0, 1, 10**308)]), []),  # entries fit, the eigenvalue -2e308 does not
+        (swg(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)]), [1, 2]),
+        (swg(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)]), [-1]),
+        (swg(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)]), [0.5]),
+    ],
+)
+def test_graph_eigenvalues_raise_the_matrix_errors(g, t):
+    with pytest.raises(InputError) as expected:
+        eigenvalues(laplacian(g, t))
+    with pytest.raises(InputError) as exc:
+        _graph_eigenvalues(g, t)
+    assert str(exc.value) == str(expected.value)
