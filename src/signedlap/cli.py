@@ -10,8 +10,9 @@ crossings interpolates the ray polynomial from N - c(G-) + 1 determinants
 of at most min(N - 1, 2R) rows and factorize reads the transfer-current
 matrix, at any R.  Exit codes: 0 success, 1 input error (usage errors
 included), 2 internal-consistency fault.  Rationals are serialized as "p/q"
-strings; floats appear only for intrinsically approximate quantities
-(eigenvalues, gap), and one outside the float range is an input error.
+strings, and one past Python's digit limit is an input error; floats only
+for approximate quantities (eigenvalues, gap, a root's midpoint), and one
+outside the float range is an input error.
 
 Each request does little fixed work besides its subcommand's.  A
 canonical argv, the subcommand followed only by ``--name value`` pairs of
@@ -38,7 +39,7 @@ from fractions import Fraction
 
 from . import crossing, discriminants, spectral, stability
 from .errors import InputError, InternalConsistencyError
-from .graph import _decode_json, _read_file, _write_file, component_counts, parse_graph
+from .graph import _decode_json, _read_file, _strings, _write_file, component_counts, parse_graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +129,7 @@ def _emit(payload: dict, output: str | None):
 
 
 def _frac(x: Fraction | None) -> str | None:
-    return None if x is None else str(x)
+    return None if x is None else _strings((x,))[0]
 
 
 def _cmd_analyze(args) -> dict:
@@ -149,7 +150,7 @@ def _cmd_analyze(args) -> dict:
         out["index_limits"] = None
     if args.t is not None:
         t = _parse_fractions(args.t)
-        out["t"] = [str(x) for x in t]
+        out["t"] = _strings(t)
         out["index"] = list(spectral._graph_inertia(g, t))
         out["eigenvalues"] = [float(x) for x in spectral._graph_eigenvalues(g, t)]
     return out
@@ -166,10 +167,10 @@ def _cmd_disc(args) -> dict:
     delta = discriminants.discriminant(p)
     point = discriminants.degenerate_point(p)
     return {
-        "delta": str(delta),
+        "delta": _frac(delta),
         "gap": discriminants.gap(p),
-        "degenerate_point": None if point is None else [str(point[0]), str(point[1])],
-        "forest_sum": str(sigma),
+        "degenerate_point": None if point is None else _strings(point),
+        "forest_sum": _frac(sigma),
         "cycle_minor": _frac(discriminants._cycle_minor(g, sigma)),
     }
 
@@ -179,7 +180,7 @@ def _cmd_factorize(args) -> dict:
     fac = discriminants.graph_factorization(g)
     if fac is None:
         return {"factorizable": False}
-    return {"alpha": str(fac.alpha), "C": [str(c) for c in fac.c]}
+    return {"alpha": _frac(fac.alpha), "C": _strings(fac.c)}
 
 
 def _cmd_stability(args) -> dict:
@@ -206,12 +207,12 @@ def _cmd_crossings(args) -> dict:
     alpha = _parse_fractions(args.ray)
     result = crossing.graph_ray_crossings(g, alpha)
     return {
-        "ray": [str(a) for a in alpha],
-        "ray_polynomial": [str(c) for c in result.polynomial],
+        "ray": _strings(alpha),
+        "ray_polynomial": _strings(result.polynomial),
         "roots": [
             {
                 "value": _frac(r.value),
-                "interval": [str(r.lo), str(r.hi)],
+                "interval": _strings((r.lo, r.hi)),
                 "midpoint": r.midpoint,
                 "multiplicity": r.multiplicity,
             }

@@ -10,16 +10,16 @@ zero set of M is exactly where the Laplacian picks up an extra zero
 eigenvalue, so positive roots along rays are eigenvalue crossings.
 
 All A_I are principal minors of one bordered matrix H = [[Q, B], [B^T, 0]]
-(Q the grounded black Laplacian, B the red incidence columns), read off one
-fraction-free elimination (``spectral._eliminate``), which leaves the
-transfer-current matrix K = B^T adj(Q) B.  ``crossing_polynomial`` takes
-every A_I from a depth-first subset recursion over K
-(``spectral._principal_minors``): one fraction-free Schur update per
-forest subset, no determinant, and no visit to a superset of a cyclic red
-set.  When the black subgraph is disconnected (A_empty = 0) Q is
-singular: ``spectral._bridged`` joins each of its other components to
-vertex 0 by a black edge of weight k, runs the recursion at
-k = 1..c(G+), and takes every A_I as the constant term in k.
+(Q the grounded black Laplacian, B the red incidence columns), reads of the
+transfer-current matrix K = B^T adj(Q) B that one fraction-free
+elimination leaves (``spectral._transfer_current``).
+``crossing_polynomial`` takes every A_I from a depth-first subset
+recursion over K (``spectral._principal_minors``): one fraction-free
+Schur update per forest subset, no determinant, and no visit to a
+superset of a cyclic red set.  When the black subgraph is disconnected
+(A_empty = 0) Q is singular: ``_transfer_current`` joins each of its
+other components to vertex 0 by a black edge of weight k, runs the
+recursion at k = 1..c(G+), and takes every A_I as the constant term in k.
 
 Along a ray t*alpha no coefficient is needed: by the matrix-tree theorem
 M(t*alpha) is the determinant of the grounded signed Laplacian, a
@@ -46,9 +46,9 @@ from typing import NamedTuple, Sequence
 
 from . import polyroots
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, _Frozen, component_counts, is_connected
+from .graph import SignedWeightedGraph, _Frozen, _strings, component_counts, is_connected
 from .polyroots import RootRecord
-from .spectral import _bridged, _eliminate, _pivots, _principal_minors, _rationals, _touched_block
+from .spectral import _pivots, _principal_minors, _rationals, _touched_block, _transfer_current
 
 MAX_RED_DEFAULT = 20
 
@@ -91,11 +91,11 @@ class CrossingPolynomial(_Frozen):
         return total
 
     def to_json_dict(self) -> dict[str, str]:
-        """{``mask_to_bits(mask, R)``: str(A_mask)} in mask order."""
+        """{``mask_to_bits(mask, R)``: str(A_mask)} in mask order (``graph._strings``)."""
         keys = [""]
         for _ in range(self.red_count):  # masks with bit k set follow those without
             keys = [k + "0" for k in keys] + [k + "1" for k in keys]
-        return dict(zip(keys, map(str, self.coeffs)))
+        return dict(zip(keys, _strings(self.coeffs)))
 
     @classmethod
     def from_json_dict(cls, d: dict[str, str]) -> "CrossingPolynomial":
@@ -130,20 +130,19 @@ def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) 
     R > max_red (2^R blow-up guard).
 
     The black weights are scaled to integers by the lcm L of their
-    denominators and ``_eliminate`` runs once over the N - 1 rows of Q.
-    ``_principal_minors`` of K, the transfer-current matrix as ``_bridged``
-    reads it, gives every A_I * L^(N-1-|I|) from one subset recursion of
-    fraction-free Schur updates that never visits a superset of a cyclic
-    red set; with A_empty = 0, one recursion per bridging weight.  A
-    negative A_I is a fault (``require_nonnegative``, lowest mask first).
+    denominators, and ``_principal_minors`` reads every A_I * L^(N-1-|I|)
+    off the transfer-current matrix K (``_transfer_current``) in one
+    subset recursion of fraction-free Schur updates that never visits a
+    superset of a cyclic red set; with A_empty = 0, one recursion per
+    bridging weight.  A negative A_I is a fault (``require_nonnegative``,
+    lowest mask first).
     """
     reds = [(u, v) for u, v, _ in g.red_edges]
     r = len(reds)
     if r > max_red:
         raise InputError(f"{r} red edges exceeds the 2^R guard (max_red={max_red})")
     scale, black = g._black_ints
-    elim = _eliminate(g.n, black, reds, g.n - 1)
-    values = _bridged(elim, lambda upper, d: _principal_minors([[-x for x in row] for row in upper], d))
+    values = _transfer_current(g.n, black, reds, _principal_minors)
     powers = [scale ** (g.n - 1 - k) for k in range(g.n)]
     zero = Fraction(0)
     coeffs = []

@@ -9,7 +9,7 @@ unit black weights, the cycle-basis intersection minor cm.  Both are the
 off-diagonal K_01 of the transfer-current matrix, with the red edges
 oriented by ``_forest_pairs`` for sigma and as stored for cm, so cm = f *
 sigma with f = -1 exactly when ``_forest_pairs`` reverses one red edge and
-not the other; ``disc`` reads both off one bordered elimination.
+not the other; ``disc`` reads both off one elimination (``_r2_minors``).
 
 For R > 2 a wildcard (a 0/1 pattern with two free positions) selects a
 4-coefficient sub-polynomial whose 2x2 discriminant must vanish for the zero
@@ -29,9 +29,9 @@ from typing import NamedTuple, Sequence
 
 from . import _kernels
 from .crossing import CrossingPolynomial, require_nonnegative
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, _Frozen, _is_int, component_counts, minor_with_info, red_subset_is_forest, two_forests
-from .spectral import _as_rows, _graph_minors, det_rational
+from .spectral import _as_rows, _transfer_current, det_rational
 
 
 def _require_r2(p: CrossingPolynomial | SignedWeightedGraph, what: str = "operation"):
@@ -134,20 +134,29 @@ def forest_sum(g: SignedWeightedGraph) -> Fraction:
     return total
 
 
-# (A_empty, A_x, A_y, A_xy) as bordered minors over the two red columns
-_R2_MINORS = (((), ()), ((0,), (0,)), ((1,), (1,)), ((0, 1), (0, 1)))
+def _r2_minors(k, d: int) -> list[int]:
+    """The R = 2 reader of ``spectral._transfer_current``: [A_empty, A_x,
+    A_y, A_xy, K_01], each times L^(N-1-|I|) (|I| = 1 for K_01).  A_xy =
+    det K / d is exact by Sylvester's identity: a remainder is a fault."""
+    (k00, k01), (k11,) = k
+    axy, rem = divmod(k00 * k11 - k01 * k01, d)
+    if rem:
+        raise InternalConsistencyError(f"det K = {k00 * k11 - k01 * k01} not divisible by det Q = {d}")
+    return [d, k00, k11, axy, k01]
 
 
 def _disc_minors(g: SignedWeightedGraph) -> tuple[CrossingPolynomial, Fraction]:
     """The crossing polynomial and sigma = forest_sum(g) of a graph with two
-    red edges, from one bordered elimination of the grounded black Laplacian.
+    red edges, from ``_r2_minors``, L the lcm of the black-weight denominators.
 
     The red columns are oriented by ``_forest_pairs``, which fixes the sign
-    of sigma = -det H[Q+U, Q+W] (transfer-current theorem) at any size;
-    principal minors, the A_I, do not depend on the orientation.
+    of sigma = K_01 = -det H[Q+U, Q+W] (transfer-current theorem) at any
+    size; principal minors, the A_I, do not depend on the orientation.
     """
     _require_r2(g)
-    *coeffs, sigma = _graph_minors(g, _forest_pairs(g), [*_R2_MINORS, ((0,), (1,))])
+    scale, black = g._black_ints
+    values = _transfer_current(g.n, black, _forest_pairs(g), _r2_minors)
+    *coeffs, sigma = (Fraction(x, scale ** (g.n - 1 - size)) for x, size in zip(values, (0, 1, 1, 2, 1)))
     for mask, a in enumerate(coeffs):
         require_nonnegative(a, mask)
     return CrossingPolynomial(2, tuple(coeffs)), sigma
@@ -423,21 +432,23 @@ def graph_factorization(g: SignedWeightedGraph) -> Factorization | None:
     M(t) = A_empty * det(I - diag(t) K / A_empty).  K is symmetric, so M is
     a product of linear factors exactly when every 2x2 principal minor is
     K_ii K_jj, that is, when every off-diagonal K_ij is 0; then
-    alpha = A_empty and C_i = K_ii / A_empty.  A_empty, the K_ii and the K_ij
-    are all 1x1 read-offs of one bordered elimination.
+    alpha = A_empty and C_i = K_ii / A_empty.  A_empty = det Q / L^(N-1)
+    and K / L^(N-2) are one read off ``spectral._transfer_current``.
     """
     if component_counts(g)[1] != 1:
         raise InputError(_NEEDS_A_EMPTY)
     r = g.red_count
-    pairs = [((i,), (j,)) for i in range(r) for j in range(i + 1, r)]
-    axes = [((i,), (i,)) for i in range(r)]
+    scale, black = g._black_ints
     reds = [(u, v) for u, v, _ in g.red_edges]
-    a0, *values = _graph_minors(g, reds, [((), ())] + axes + pairs)
-    diagonal, off_diagonal = values[:r], values[r:]
+    d, *values = _transfer_current(
+        g.n, black, reds, lambda k, d: [d, *(row[0] for row in k), *(x for row in k for x in row[1:])]
+    )
+    a0 = Fraction(d, scale ** (g.n - 1))
     require_nonnegative(a0, 0)
+    diagonal = [Fraction(k, scale ** (g.n - 2)) for k in values[:r]]
     for i, k in enumerate(diagonal):
         require_nonnegative(k, 1 << i)
-    if any(off_diagonal):
+    if any(values[r:]):
         return None
     return Factorization(a0, tuple(k / a0 for k in diagonal))
 

@@ -7,13 +7,14 @@ derived from (master_seed, M, sample_index), so output is byte-identical
 for a given config whatever the order in which samples are computed.
 
 delta_zero is decided by exact integer arithmetic (the four coefficients are
-integer tree counts, from the bordered elimination that ``crossing_polynomial``
-also uses), never by float thresholding.  Records are computed a chunk at a
-time.  The chunk's samples are drawn from one generator, reseeded per sample
-through the C seed that ``random.Random(seed)`` ends in, so each stream is
-a fresh generator's.  Then every sample of the chunk goes through one array
-pipeline, ``_stacked``, on one int64 stack of the samples' black
-Laplacians, vertex 0 included.  One BFS over its nonzero pattern, ``_hops``,
+integer tree counts, reads of the transfer-current matrix that
+``crossing_polynomial`` also reads), never by float thresholding.  Records
+are computed a chunk at a time.  The chunk's samples are drawn from one
+generator, reseeded per sample through the C seed that
+``random.Random(seed)`` ends in, so each stream is a fresh generator's.
+Then every sample of the chunk goes through one array pipeline,
+``_stacked``, on one int64 stack of the samples' black Laplacians, vertex
+0 included.  One BFS over its nonzero pattern, ``_hops``,
 gives every sample's black components and the hop distances of its class.
 ``_bordered_stack`` builds every sample's bordered matrix H = [[Q, B],
 [B^T, 0]] from it, and the Hadamard bound of ``_fits_int64`` is checked
@@ -22,15 +23,15 @@ c = c(G+) on the diagonal of one row in each black component without
 vertex 0.  The samples that pass take one stacked elimination,
 ``_stacked_minors``: ``spectral._schur``'s update on their H, its products
 in int64 and its exact quotients from a rounded float64 division, a
-disconnected black subgraph bridged as ``spectral._bridged`` bridges it,
-its Q_k stacked next to the others.  Every other sample takes
-``spectral._eliminate`` and ``spectral._bordered_minors`` one by one, which
-give the same integers.  ``classify`` labels one graph by the list BFS of
-``_kernels``, the reference the array BFS is tested against.  The CSV and
-the summary are written as bytes, with ``os.write``
-(``graph._write_file``).  This module is the only one that imports numpy
-at import time, and the package loads it only when an ensemble name is
-first used.
+disconnected black subgraph bridged as ``spectral._transfer_current``
+bridges it, its Q_k stacked next to the others.  Every other sample takes
+``spectral._transfer_current`` with the R = 2 reader
+``discriminants._r2_minors`` one by one, which give the same integers.
+``classify`` labels one graph by the list BFS of ``_kernels``, the
+reference the array BFS is tested against.  The CSV and the summary are
+written as bytes, with ``os.write`` (``graph._write_file``).  This module
+is the only one that imports numpy at import time, and the package loads
+it only when an ensemble name is first used.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .discriminants import _R2_MINORS, _gap_and_log, _require_r2
+from .discriminants import _gap_and_log, _r2_minors, _require_r2
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, _Frozen, _write_file
-from .spectral import _bordered_minors, _eliminate
+from .spectral import _transfer_current
 
 _HIST_LO = -10.0
 _HIST_BINS = 200  # 0.1-wide bins in log10(gap)
@@ -342,14 +343,14 @@ _WEIGHTS = np.array([[(-1) ** (k + 1) * math.comb(c, k) for k in range(11)] for 
 
 def _stacked_minors(h: np.ndarray, bridge: np.ndarray) -> list[list[int]]:
     """[A_empty, A_x, A_y, A_xy] of each bordered matrix of the stack ``h``,
-    as ``spectral._bordered_minors(..., _R2_MINORS)`` reads them off its
-    elimination.
+    as ``discriminants._r2_minors`` reads them off its transfer-current
+    matrix.
 
     ``bridge`` marks, per matrix, one row of Q in each black component
     without vertex 0; with c - 1 of them, c = c(G+), the values are read
-    as ``spectral._bridged`` reads them, off Q_k = Q + k on those diagonals
-    for k = 1..c, and combined as sum_k (-1)^(k+1) C(c, k) value(k).  With
-    c = 1 that is the one matrix Q.
+    as ``spectral._transfer_current`` reads them, off Q_k = Q + k on those
+    diagonals for k = 1..c, and combined as
+    sum_k (-1)^(k+1) C(c, k) value(k).  With c = 1 that is the one matrix Q.
 
     Every step is ``spectral._schur``'s update (x p - f y) / prev, on all
     the Q_k at once, which ``_fits_int64`` must have cleared on Q_c, so on
@@ -501,7 +502,7 @@ def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
             a00, ax, ay, axy = stacked[i]
         else:
             black = [(*pairs[j], 1) for j in chosen[:r1] + chosen[r1 + 1 : r2] + chosen[r2 + 1 :]]
-            a00, ax, ay, axy = _bordered_minors(_eliminate(n, black, (red1, red2), n - 1), _R2_MINORS)
+            a00, ax, ay, axy, _ = _transfer_current(n, black, (red1, red2), _r2_minors)
         delta = axy * a00 - ax * ay
         if axy == 0:
             gap_val, log_val = None, None

@@ -56,6 +56,16 @@ def _rational(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _strings(xs) -> list[str]:
+    """``[str(x) for x in xs]``, the package's one writer of rationals: one
+    past Python's int-to-string digit limit is an InputError naming the
+    limit, as such a number read from JSON is (``_decode_json``)."""
+    try:
+        return list(map(str, xs))
+    except ValueError as exc:  # int()'s digit limit
+        raise InputError(f"a result holds a number too long to write: {exc}") from None
+
+
 def _as_weight(w) -> Fraction:
     if isinstance(w, str):
         try:

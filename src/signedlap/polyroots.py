@@ -249,7 +249,9 @@ class RootRecord(NamedTuple):
     value is the exact Fraction when the root is rational (always found,
     whatever its denominator), else None with (lo, hi) an isolating interval
     of width <= 1e-30 (``_WIDTH``).
-    midpoint is a float convenience view.
+    midpoint is a float convenience view; a root outside the float range,
+    above about 1.8e308 or so small that it rounds to 0.0, is an InputError
+    there, as an eigenvalue is.
     """
 
     value: Fraction | None
@@ -259,9 +261,13 @@ class RootRecord(NamedTuple):
 
     @property
     def midpoint(self) -> float:
-        if self.value is not None:
-            return float(self.value)
-        return float((self.lo + self.hi) / 2)
+        try:
+            mid = float(self.value if self.value is not None else (self.lo + self.hi) / 2)
+        except OverflowError:
+            mid = 0.0  # above the range: rejected with the roots below it
+        if not mid:
+            raise InputError("a root's midpoint needs the root within the float range (2.5e-324 < x < 1.8e308)")
+        return mid
 
 
 def _rescaled(h: IntPoly, bn: int, bd: int) -> IntPoly:

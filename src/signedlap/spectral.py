@@ -13,11 +13,14 @@ Every exact symmetric elimination is one step, ``_schur``, a Bareiss update
 of an upper triangle, run by two loops: ``_pivots`` runs it to the end,
 with a unimodular congruence for a zero pivot, and ``_eliminate`` runs it
 over the grounded black Laplacian Q, moving each zero row to the end.  On
-the bordered matrix of Q and the red columns, ``_bridged`` finishes it over
-the moved rows, joined to vertex 0, and ``_principal_minors`` and
-``_bordered_minors`` read every crossing value off what it leaves.  With no
-red column, ``_touched_block`` stops it at the red-touched vertices and
-adds the red Laplacian there; ``_pivots`` of that block gives the ray's
+the bordered matrix of Q and the red columns, ``_transfer_current`` runs it
+over every row of Q, finishes it over the moved rows, joined to vertex 0,
+and hands the transfer-current matrix K and det Q to a reader: every
+crossing value is a read of K (``_principal_minors`` for the 2^R
+coefficients, the diagonal and the off-diagonal for the thresholds, the
+factorization and the R = 2 discriminant).  With no red column,
+``_touched_block`` stops it at the red-touched vertices and adds the red
+Laplacian there; ``_pivots`` of that block gives the ray's
 determinants and the spectral index of a graph (``_graph_inertia``, with
 ``inertia`` of the explicit matrix as its reference).  The general
 ``_kernels.det_int`` is left for ``det_rational`` and the integer cycle
@@ -33,7 +36,7 @@ from numbers import Rational, Real
 from typing import NamedTuple, Sequence
 
 from . import _kernels
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError
 from .graph import SignedWeightedGraph, _rational, component_counts, is_connected
 
 
@@ -310,7 +313,7 @@ def _eliminate(n: int, black, reds, steps: int):
     e_u - e_v for ``reds[i]`` = (u, v) without its vertex-0 entry.  Every
     step is one ``_schur`` on upper triangles.  Q is positive semidefinite,
     so a zero pivot has a zero row within Q: that row moves past the red
-    columns, for ``_bridged``, and later steps only rescale it.
+    columns, for ``_transfer_current``, and later steps only rescale it.
 
     Returns (upper, moved, prev): the upper triangle left, which is the last
     pivot taken times the Schur complement of the pivots, over the rows not
@@ -395,22 +398,24 @@ def _graph_inertia(g: SignedWeightedGraph, t: Sequence[Fraction]) -> SpectralInd
     return SpectralIndex(g.n - 1 - len(s) + block.n_plus, block.n_zero + 1, block.n_minus)
 
 
-def _bridged(elim, read) -> list[int]:
-    """``read(T, D)`` of ``elim``, ``_eliminate`` over every row of Q: T is
-    the upper triangle left over the red columns, -K for the transfer-current
-    matrix K = B^T adj(Q) B, and D = det Q.
+def _transfer_current(n: int, black, reds, read) -> list[int]:
+    """``read(K, d)`` for the bordered matrix H = [[Q, B], [B^T, 0]] of
+    ``_eliminate``: K = B^T adj(Q) B, the R x R transfer-current matrix held
+    as its upper triangle, and d = det Q.  ``read`` returns a list of
+    integers, each a minor of H or another integer polynomial in K and d.
 
-    The moved rows Z leave Q singular.  Q_k, Q plus a black edge of weight k
-    from vertex 0 to each moved vertex, is positive definite and only puts
-    k * d on the moved diagonals, d the last pivot; one ``_schur`` per moved
-    row gives (T, D) over Q_k.  A value read is then a minor of the bordered
-    matrix over Q_k, an integer polynomial in k of degree at most |Z|, and
-    the value over Q is its constant term,
-    sum over k = 1..|Z|+1 of (-1)^(k+1) C(|Z|+1, k) * value(k).
+    ``_eliminate`` runs over all n - 1 rows of Q and leaves -K over the red
+    columns.  When rows Z moved, Q is singular (A_empty = 0).  Q_k, Q plus
+    a black edge of weight k from vertex 0 to each moved vertex, is
+    positive definite and only puts k * d on the moved diagonals, d the
+    last pivot; one ``_schur`` per moved row gives (K, det Q_k).  A value
+    read is then a minor of the bordered matrix over Q_k, an integer
+    polynomial in k of degree at most |Z|, and the value over Q is its
+    constant term, sum over k = 1..|Z|+1 of (-1)^(k+1) C(|Z|+1, k) * value(k).
     """
-    upper, moved, d = elim
+    upper, moved, d = _eliminate(n, black, reds, n - 1)
     if not moved:
-        return read(upper, d)
+        return read([[-x for x in row] for row in upper], d)
     r = len(upper) - moved
     block = [row[: r - i] for i, row in enumerate(upper[:r])]
     border = [[upper[j][r + z - j] for j in range(r)] for z in range(moved)]
@@ -419,45 +424,16 @@ def _bridged(elim, read) -> list[int]:
         rows, p = [[k * d] + [0] * (moved - 1 - z) + col for z, col in enumerate(border)] + block, d
         for _ in range(moved):
             rows, p = _schur(rows, p), rows[0][0]
-        w, values = (-1) ** (k + 1) * comb(moved + 1, k), read(rows, p)
+        w, values = (-1) ** (k + 1) * comb(moved + 1, k), read([[-x for x in row] for row in rows], p)
         total = [w * x for x in values] if total is None else [t + w * x for t, x in zip(total, values)]
     return total
-
-
-def _bordered_minors(elim, index_pairs) -> list[int]:
-    """(-1)^|I| det H[Q+I, Q+J] for each pair (I, J) of equally long tuples
-    of at most two red-column indices, with H and Q as in ``_eliminate``,
-    read off ``elim``, its elimination over the n - 1 rows of Q.  I = J
-    gives the crossing coefficient A_I; I = (0,), J = (1,) the signed
-    2-forest sum.
-
-    By Sylvester's identity the value is det K[I, J] / D^(|I| - 1), K and D
-    as ``_bridged`` reads them: an exact division for two indices.
-    """
-    if any(len(rows_i) > 2 for rows_i, _ in index_pairs):
-        raise ValueError("bordered minors are read off for at most two red columns")
-
-    def read(upper, d):
-        out = []
-        for rows_i, cols_j in index_pairs:
-            t = [[upper[min(i, j)][abs(i - j)] for j in cols_j] for i in rows_i]
-            if len(t) < 2:
-                out.append(-t[0][0] if t else d)
-                continue
-            value, rem = divmod(t[0][0] * t[1][1] - t[0][1] * t[1][0], d)
-            if rem:
-                raise InternalConsistencyError(f"bordered minor {rows_i}x{cols_j} not divisible by {d}")
-            out.append(value)
-        return out
-
-    return _bridged(elim, read)
 
 
 def _principal_minors(k, d: int) -> list[int]:
     """det K[I, I] / d^(|I| - 1) for every subset I of the rows of K, by
     bitmask (d for I empty), with K the R x R transfer-current matrix
-    B^T adj(Q) B held as its upper triangle (the negated triangle
-    ``_bridged`` reads) and d = det Q.
+    B^T adj(Q) B held as its upper triangle and d = det Q, as
+    ``_transfer_current`` hands them to a reader.
 
     One depth-first recursion over the subsets in index order, the
     principal-minor algorithm of Griffin and Tsatsomeros in Bareiss form:
@@ -478,15 +454,6 @@ def _principal_minors(k, d: int) -> list[int]:
             if row[0] and j + 1 < len(upper):
                 stack.append((child, first + j + 1, row[0], _schur(upper[j:], p)))
     return out
-
-
-def _graph_minors(g: SignedWeightedGraph, reds, index_pairs) -> list[Fraction]:
-    """``_bordered_minors`` of ``g``, its black weights scaled by the lcm L of
-    their denominators; a value with |I| red columns has degree N - 1 - |I|
-    in the weights, so it is divided by L^(N - 1 - |I|)."""
-    scale, black = g._black_ints
-    values = _bordered_minors(_eliminate(g.n, black, reds, g.n - 1), index_pairs)
-    return [Fraction(x, scale ** (g.n - 1 - len(rows_i))) for x, (rows_i, _) in zip(values, index_pairs)]
 
 
 def index_limits(g: SignedWeightedGraph) -> tuple[SpectralIndex, SpectralIndex]:

@@ -2,9 +2,9 @@
 
 Along the i-th axis ray the crossing polynomial is A_empty - A_{e_i} * t, so
 omega_i = A_empty / A_{e_i} is the exact magnitude where stability is first
-lost on that axis.  Both numbers come from one bordered elimination of the
-grounded black Laplacian Q: A_empty = det Q and A_{e_i} = K_ii, the
-diagonal of K = B^T adj(Q) B over the red incidence columns B.  Any t with
+lost on that axis.  Both are reads of K = B^T adj(Q) B, Q the grounded
+black Laplacian and B the red incidence columns: A_empty = det Q and
+A_{e_i} = K_ii (``spectral._transfer_current``).  Any t with
 ||t||_1 <= min_i omega_i is a convex combination of stable axis points,
 hence certified; the certificate is sufficient only.
 """
@@ -16,20 +16,21 @@ from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .graph import SignedWeightedGraph, component_counts
-from .spectral import SpectralIndex, _graph_inertia, _graph_minors, _magnitudes
+from .spectral import SpectralIndex, _graph_inertia, _magnitudes, _transfer_current
 
 
 def axis_thresholds(g: SignedWeightedGraph) -> list[Fraction | None]:
     """omega_i = A_empty / A_{e_i} per red edge; None means the threshold is
     infinite (no spanning tree uses red edge i alone, so that axis never
-    crosses).  Requires a connected black subgraph."""
+    crosses).  Requires a connected black subgraph.  With L the lcm of the
+    black-weight denominators, omega_i = det Q / (K_ii * L)."""
     _, c_plus, _ = component_counts(g)
     if c_plus != 1:
         raise InputError("thresholds require a connected black subgraph")
+    scale, black = g._black_ints
     reds = [(u, v) for u, v, _ in g.red_edges]
-    axes = [((i,), (i,)) for i in range(len(reds))]
-    a_empty, *a_axes = _graph_minors(g, reds, [((), ())] + axes)
-    return [a_empty / a_i if a_i != 0 else None for a_i in a_axes]
+    d, *diagonal = _transfer_current(g.n, black, reds, lambda k, d: [d, *(row[0] for row in k)])
+    return [Fraction(d, k * scale) if k else None for k in diagonal]
 
 
 class StabilityReport(NamedTuple):

@@ -197,7 +197,7 @@ def test_coeffs_with_a_disconnected_black_subgraph_eliminates_once(monkeypatch, 
     holders = [
         m for name, m in sys.modules.items() if name.startswith("signedlap") and getattr(m, "_eliminate", None) is real
     ]
-    assert spectral in holders and crossing in holders
+    assert holders == [spectral]  # _transfer_current looks it up there
     for module in holders:
         monkeypatch.setattr(module, "_eliminate", counted)
     code, out = _run(capsys, ["coeffs", "--input", path])
@@ -407,6 +407,46 @@ def test_json_number_past_the_digit_limit_is_input_error(tmp_path, capsys):
     for argv, path in ((["coeffs", "--input", str(graph_path)], graph_path), (_ensemble_argv(tmp_path, cfg), cfg)):
         _assert_input_error(capsys, argv, f"JSON in {path} holds a number too long to read: Exceeds the limit ({limit} digits)")
     assert not (tmp_path / "runs.csv").exists()
+
+
+def _assert_one_error_line(capsys, argv, message):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1, argv
+
+
+def test_result_past_the_digit_limit_is_input_error(tmp_path, capsys):
+    # K4 with black weights of half the limit's digits: the A_I, the ray
+    # polynomial and Delta are products of three weights, past the limit,
+    # which str() once met with a ValueError traceback; the thresholds
+    # (about one weight) and the factorization outcome stay within it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts ints of any length to strings")
+    w = "1" + "0" * (limit // 2 - 1)
+    edges = [(0, 1, "-1"), (0, 2, "-1")] + [(u, v, w) for u, v in ((0, 3), (1, 2), (1, 3), (2, 3))]
+    path = _graph_file(tmp_path, "k4-digits", {"n": 4, "edges": [{"u": u, "v": v, "w": x} for u, v, x in edges]})
+    message = f"a result holds a number too long to write: Exceeds the limit ({limit} digits)"
+    for argv in (["coeffs"], ["crossings", "--ray", "1,1"], ["disc"]):
+        _assert_one_error_line(capsys, [*argv, "--input", path], message)
+    for command in ("factorize", "analyze", "stability"):
+        code, out = _run(capsys, [command, "--input", path])
+        assert code == 0
+    assert out["thresholds"] == ["6" + "0" * (len(w) - 2)] * 2  # 3w/5 on both axes
+
+
+def test_root_past_the_float_range_is_input_error(tmp_path, capsys):
+    # one red edge on a unit triangle: M(t alpha) = 1 - 2 alpha t, whose
+    # root 1/(2 alpha) lies above the float range of "midpoint" for a
+    # 400-digit denominator (once an OverflowError traceback) and below it,
+    # where it rounded to 0.0, for a 400-digit alpha; 1/(2 * 10^-308) is
+    # within it
+    tri = _graph_file(tmp_path, "tri", {"n": 3, "edges": [{"u": 0, "v": 1, "w": "1"}, {"u": 1, "v": 2, "w": "1"}, {"u": 0, "v": 2, "w": "-1"}]})
+    message = "a root's midpoint needs the root within the float range (2.5e-324 < x < 1.8e308)\n"
+    for ray in ("1/" + "1" * 400, "1" * 400):
+        _assert_one_error_line(capsys, ["crossings", "--input", tri, "--ray", ray], message)
+    code, out = _run(capsys, ["crossings", "--input", tri, "--ray", "1/1" + "0" * 308])
+    assert code == 0 and [r["midpoint"] for r in out["roots"]] == [5e307]
 
 
 _JSON_VALUES = [
@@ -624,31 +664,43 @@ def test_crossings_interpolation_fault_is_internal_fault(monkeypatch, capsys, k4
 
 
 def test_factorize_negative_diagonal_is_internal_fault(monkeypatch, capsys, chain_file):
-    real = discriminants._graph_minors
+    real = discriminants._transfer_current
 
-    def negated_axis(g, reds, index_pairs):
-        values = real(g, reds, index_pairs)
-        values[2] = -values[2]  # A_empty, K_00, K_11, K_01: negate K_11
-        return values
+    def negated_axis(n, black, reds, read):
+        # the read sees K with K_11 negated
+        return real(n, black, reds, lambda k, d: read([k[0], [-k[1][0], *k[1][1:]], *k[2:]], d))
 
-    monkeypatch.setattr(discriminants, "_graph_minors", negated_axis)
+    monkeypatch.setattr(discriminants, "_transfer_current", negated_axis)
     assert cli.main(["factorize", "--input", chain_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "negative tree-sum coefficient -2 at mask 2" in captured.err
 
 
 def test_coeffs_negative_pivot_is_internal_fault(monkeypatch, capsys, k4_file):
-    real = crossing._eliminate
+    real = crossing._transfer_current
 
-    def flipped(*args):
-        rows, skipped, prev = real(*args)
-        rows[0][0] = -rows[0][0]  # K_00 < 0: the pivot of mask 1 is negative
-        return rows, skipped, prev
+    def flipped(n, black, reds, read):
+        # K_00 < 0: the pivot of mask 1 is negative
+        return real(n, black, reds, lambda k, d: read([[-k[0][0], *k[0][1:]], *k[1:]], d))
 
-    monkeypatch.setattr(crossing, "_eliminate", flipped)
+    monkeypatch.setattr(crossing, "_transfer_current", flipped)
     assert cli.main(["coeffs", "--input", k4_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "negative tree-sum coefficient -5 at mask 1" in captured.err
+
+
+def test_disc_inexact_division_is_internal_fault(monkeypatch, capsys, k4_file):
+    # A_xy = det K / det Q is exact by Sylvester's identity: a read of K
+    # with K_00 one too large leaves a remainder
+    real = discriminants._transfer_current
+
+    def perturbed(n, black, reds, read):
+        return real(n, black, reds, lambda k, d: read([[k[0][0] + 1, *k[0][1:]], *k[1:]], d))
+
+    monkeypatch.setattr(discriminants, "_transfer_current", perturbed)
+    assert cli.main(["disc", "--input", k4_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "det K = 14 not divisible by det Q = 3" in captured.err
 
 
 def test_coeffs_takes_no_determinant(monkeypatch, capsys, tmp_path, k4_file):
@@ -1077,9 +1129,9 @@ def test_ensemble_over_the_int64_bound_takes_the_scalar_route(tmp_path, capsys, 
     # and every sample at N = 40, where the stack stays empty and the
     # output is the Python-int core's alone
     stacked, scalar = [], []
-    stack, eliminate = ens._stacked_minors, ens._eliminate
+    stack, transfer_current = ens._stacked_minors, ens._transfer_current
     monkeypatch.setattr(ens, "_stacked_minors", lambda h, bridge: stacked.append(len(h)) or stack(h, bridge))
-    monkeypatch.setattr(ens, "_eliminate", lambda *args: scalar.append(args) or eliminate(*args))
+    monkeypatch.setattr(ens, "_transfer_current", lambda *args: scalar.append(args) or transfer_current(*args))
     cfg_path = tmp_path / "cfg10.json"
     cfg_path.write_text(json.dumps({"N": 10, "M": [9, 12, 45], "samples": 20, "seed": 1}))
     assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(tmp_path / "n10.csv")]) == 0

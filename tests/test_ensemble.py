@@ -22,7 +22,8 @@ from signedlap import (
 from signedlap import InternalConsistencyError, _kernels, component_counts
 from signedlap import ensemble as ens
 from signedlap.ensemble import _bordered_stack, _fits_int64, _stacked_minors
-from signedlap.spectral import _bordered_minors, _eliminate
+from signedlap.discriminants import _r2_minors
+from signedlap.spectral import _transfer_current
 
 from conftest import assert_value, kn_with_reds, minor_path_coefficients, swg
 
@@ -216,7 +217,7 @@ def test_coefficients_match_minor_path(monkeypatch):
                 expect = minor_path_coefficients(g)
                 with monkeypatch.context() as patch:
                     patch.setattr(_kernels, "det_int", forbidden)
-                    got = _bordered_minors(_eliminate(n, black, (red1, red2), n - 1), ens._R2_MINORS)
+                    got = _transfer_current(n, black, (red1, red2), _r2_minors)[:4]
                 assert tuple(got) == expect
                 moved = component_counts(g)[1] - 1
                 assert (expect[0] != 0) == (moved == 0)
@@ -299,7 +300,7 @@ def _stack(n, samples):
 
 
 def _scalar_minors(n, black, reds) -> list[int]:
-    return _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black], reds, n - 1), ens._R2_MINORS)
+    return _transfer_current(n, [(u, v, 1) for u, v in black], reds, _r2_minors)[:4]
 
 
 def test_stacked_minors_match_the_scalar_core(monkeypatch):
@@ -511,7 +512,7 @@ def test_weighted_combination_stays_in_int64():
             assert c <= 10
             total = [0] * 4
             for k in range(1, c + 1):
-                values = _bordered_minors(_eliminate(n, [(u, v, 1) for u, v in black] + [(0, v, k) for v in rows], reds, n - 1), ens._R2_MINORS)
+                values = _transfer_current(n, [(u, v, 1) for u, v in black] + [(0, v, k) for v in rows], reds, _r2_minors)[:4]
                 for i, x in enumerate(values):
                     term = (-1) ** (k + 1) * math.comb(c, k) * x
                     total[i] += term
@@ -600,9 +601,9 @@ def test_records_route_by_the_bound_alone(monkeypatch):
     # stacked call per chunk takes every other sample, the ones with a
     # disconnected black subgraph (bridged) included
     stacked, scalar = [], []
-    stack, eliminate = ens._stacked_minors, ens._eliminate
+    stack, transfer_current = ens._stacked_minors, ens._transfer_current
     monkeypatch.setattr(ens, "_stacked_minors", lambda h, bridge: stacked.append((len(h), int(bridge.any(axis=1).sum()))) or stack(h, bridge))
-    monkeypatch.setattr(ens, "_eliminate", lambda n, black, reds, steps: scalar.append((n, black, reds)) or eliminate(n, black, reds, steps))
+    monkeypatch.setattr(ens, "_transfer_current", lambda n, black, reds, read: scalar.append((n, black, reds)) or transfer_current(n, black, reds, read))
     over, bridged = {}, 0
     for n in range(5, 13):
         total = n * (n - 1) // 2

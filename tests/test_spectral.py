@@ -34,8 +34,6 @@ from signedlap.discriminants import _disc_minors, graph_factorization
 from signedlap.graph import _UnionFind
 from signedlap.spectral import (
     LaplacianMatrix,
-    _bordered_minors,
-    _eliminate,
     _graph_eigenvalues,
     _graph_inertia,
     _pivots,
@@ -530,12 +528,6 @@ def test_crossing_data_take_no_determinant(monkeypatch):
     monkeypatch.setattr(_kernels, "det_int", forbidden)
     assert run() == expected
     assert {r.gplus_connected for r in expected[4 * len(graphs) :]} == {True, False}
-
-
-def test_bordered_minors_read_at_most_two_red_columns():
-    elim = _eliminate(3, [(0, 1, 1), (1, 2, 1)], [(0, 1), (1, 2), (0, 2)], 2)
-    with pytest.raises(ValueError, match="at most two"):
-        _bordered_minors(elim, [((0, 1, 2), (0, 1, 2))])
 
 
 def _graph_inertia_kinds(g, t) -> list[str]:
