@@ -7,13 +7,12 @@ elimination, needs no overflow guard and is exact for any entry size.
 ``det_int`` is the general elimination, with row swaps.  It serves
 ``spectral.det_rational`` and the integer cycle Gram minor of the
 ``discriminants.cycle_basis_minor`` oracle, and no CLI path: every symmetric
-elimination (``inertia``, the crossing core with ``disc``'s cycle minor, the
-ray and the graph index) runs on ``spectral._schur``.  The ensemble
-runs that update stacked in int64 (``ensemble._stacked_minors``) and its
-BFS as float32 products with the nonzero pattern of the chunk's int64
-Laplacian stack (``ensemble._hops``), which labels every sample of a
-chunk; ``bfs_distances`` and ``component_count`` serve only
-``ensemble.classify``, the reference that BFS is tested against.
+elimination (``inertia``, the crossing core, the ray and the graph index)
+runs on ``spectral._schur``.  The ensemble runs that update stacked in
+int64 (``ensemble._stacked_minors``) and its BFS as float32 products with
+the nonzero pattern of its int64 Laplacian stack (``ensemble._hops``);
+``bfs_distances`` and ``component_count`` serve only ``ensemble.classify``,
+the reference that BFS is tested against.
 """
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ elimination leaves (``spectral._transfer_current``).
 ``crossing_polynomial`` takes every A_I from a depth-first subset
 recursion over K (``spectral._principal_minors``): one fraction-free
 Schur update per forest subset, no determinant, and no visit to a
-superset of a cyclic red set.  When the black subgraph is disconnected
-(A_empty = 0) Q is singular: ``_transfer_current`` joins each of its
-other components to vertex 0 by a black edge of weight k, runs the
-recursion at k = 1..c(G+), and takes every A_I as the constant term in k.
+superset of a cyclic red set.  With a disconnected black subgraph
+(A_empty = 0) ``_transfer_current`` reads K off Q_k in closed form, each
+other component joined to vertex 0 by a black edge of weight k: the
+recursion runs at k = 1..c(G+) and every A_I is the constant term in k.
 
 Along a ray t*alpha no coefficient is needed: by the matrix-tree theorem
 M(t*alpha) is the determinant of the grounded signed Laplacian, a
@@ -252,7 +252,7 @@ def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> l
     if c_all != 1:
         raise InputError("the ray polynomial requires a connected graph")
     alpha = _ray_direction(g.red_count, alpha)
-    upper, red, prev, scale = _touched_block(g, alpha)
+    upper, red, prev, scale, _ = _touched_block(g, alpha)  # connected: nothing dropped
     d = g.n - c_minus
     values = []
     for s in range(d + 1):

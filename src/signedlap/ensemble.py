@@ -22,9 +22,9 @@ once per sample, on the row norms of H with Q_c in place of Q: Q plus
 c = c(G+) on the diagonal of one row in each black component without
 vertex 0.  The samples that pass take one stacked elimination,
 ``_stacked_minors``: ``spectral._schur``'s update on their H, its products
-in int64 and its exact quotients from a rounded float64 division, a
-disconnected black subgraph bridged as ``spectral._transfer_current``
-bridges it, its Q_k stacked next to the others.  Every other sample takes
+in int64 and its exact quotients from a rounded float64 division; each
+Q_k of a disconnected black subgraph is stacked next to the others and
+eliminated in full.  Every other sample takes
 ``spectral._transfer_current`` with the R = 2 reader
 ``discriminants._r2_minors`` one by one, which give the same integers.
 ``classify`` labels one graph by the list BFS of ``_kernels``, the
@@ -348,8 +348,8 @@ def _stacked_minors(h: np.ndarray, bridge: np.ndarray) -> list[list[int]]:
 
     ``bridge`` marks, per matrix, one row of Q in each black component
     without vertex 0; with c - 1 of them, c = c(G+), the values are read
-    as ``spectral._transfer_current`` reads them, off Q_k = Q + k on those
-    diagonals for k = 1..c, and combined as
+    off Q_k = Q + k on those diagonals for k = 1..c, each eliminated in
+    full, and combined as
     sum_k (-1)^(k+1) C(c, k) value(k).  With c = 1 that is the one matrix Q.
 
     Every step is ``spectral._schur``'s update (x p - f y) / prev, on all

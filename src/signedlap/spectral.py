@@ -12,20 +12,19 @@ elimination are fraction-free (Bareiss) on Python ints; only
 Every exact symmetric elimination is one step, ``_schur``, a Bareiss update
 of an upper triangle, run by two loops: ``_pivots`` runs it to the end,
 with a unimodular congruence for a zero pivot, and ``_eliminate`` runs it
-over the grounded black Laplacian Q, moving each zero row to the end.  On
-the bordered matrix of Q and the red columns, ``_transfer_current`` runs it
-over every row of Q, finishes it over the moved rows, joined to vertex 0,
-and hands the transfer-current matrix K and det Q to a reader: every
-crossing value is a read of K (``_principal_minors`` for the 2^R
-coefficients, the diagonal and the off-diagonal for the thresholds, the
-factorization and the R = 2 discriminant).  With no red column,
-``_touched_block`` stops it at the red-touched vertices and adds the red
-Laplacian there; ``_pivots`` of that block gives the ray's
+over the grounded black Laplacian Q, dropping each zero row and recording
+its red entries.  On the bordered matrix of Q and the red columns,
+``_transfer_current`` runs it over every row of Q and hands the
+transfer-current matrix K and det Q, or each bridged Q_k's in closed form,
+to a reader: every crossing value is a read of K (``_principal_minors``
+for the 2^R coefficients, the diagonal and the off-diagonal for the
+thresholds, the factorization and the R = 2 discriminant).  With no red
+column, ``_touched_block`` stops it at the red-touched vertices and adds
+the red Laplacian there; ``_pivots`` of that block gives the ray's
 determinants and the spectral index of a graph (``_graph_inertia``, with
-``inertia`` of the explicit matrix as its reference).  The general
-``_kernels.det_int`` is left for ``det_rational`` and the integer cycle
-Gram minor of the ``discriminants.cycle_basis_minor`` oracle; no CLI path
-calls it.
+``inertia`` of the explicit matrix as its reference).  ``_kernels.det_int``
+serves ``det_rational`` and the ``discriminants.cycle_basis_minor`` oracle
+alone.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from numbers import Rational, Real
 from typing import NamedTuple, Sequence
 
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, _rational, component_counts, is_connected
 
 
@@ -312,13 +311,14 @@ def _eliminate(n: int, black, reds, steps: int):
     integer, grounded at vertex 0 (row v - 1 is vertex v); column i of B is
     e_u - e_v for ``reds[i]`` = (u, v) without its vertex-0 entry.  Every
     step is one ``_schur`` on upper triangles.  Q is positive semidefinite,
-    so a zero pivot has a zero row within Q: that row moves past the red
-    columns, for ``_transfer_current``, and later steps only rescale it.
+    so a zero pivot has a zero row within Q: it is dropped, and its red
+    entries x recorded with the pivot q they stand at; a later pivot p only
+    rescales them, to x * p / q exactly.
 
-    Returns (upper, moved, prev): the upper triangle left, which is the last
-    pivot taken times the Schur complement of the pivots, over the rows not
-    yet reached, then the red columns, then the ``moved`` zero rows; and the
-    last pivot prev, the determinant of Q over the pivots taken (1 if none).
+    Returns (upper, dropped, prev): the upper triangle left, which is the
+    last pivot taken times the Schur complement of the pivots, over the
+    rows not yet reached, then the red columns; the (entries, q) of each
+    dropped row; and prev, the last pivot taken (1 if none).
     """
     size = n - 1 + len(reds)
     upper = [[0] * (size - i) for i in range(size)]
@@ -332,17 +332,16 @@ def _eliminate(n: int, black, reds, steps: int):
             upper[u - 1][col - u + 1] = 1
         if v:
             upper[v - 1][col - v + 1] = -1
-    moved = 0
-    prev = 1
+    dropped, prev = [], 1
     for _ in range(steps):
         pivot_row = upper[0]
         if pivot_row[0]:
             upper = _schur(upper, prev)
             prev = pivot_row[0]
         else:
-            upper = [row + [pivot_row[i]] for i, row in enumerate(upper[1:], 1)] + [[0]]
-            moved += 1
-    return upper, moved, prev
+            dropped.append((pivot_row[len(pivot_row) - len(reds) :], prev))
+            upper = upper[1:]
+    return upper, dropped, prev
 
 
 def _touched_block(g: SignedWeightedGraph, magnitudes):
@@ -355,20 +354,20 @@ def _touched_block(g: SignedWeightedGraph, magnitudes):
     column 0.  T, the other vertices on a red edge, is ordered last, and
     ``_eliminate`` pivots over the rest with no red column.  Every edge at
     those is black, so each pivot is positive, and a zero pivot has a zero
-    row in G too: it is moved to the end, one kernel vector, so the graph
+    row in G too: ``_eliminate`` drops it, one kernel vector, so the graph
     need not be connected.  Bareiss leaves S, prev times the black Schur
-    complement, over T and the moved rows.  Lr lives on T, so the block of
-    G at magnitudes s * m is S - s * R with R = prev * Lr.
+    complement, over T.  Lr lives on T, so the block of G at magnitudes
+    s * m is S - s * R with R = prev * Lr.
 
-    Returns (S, R, prev, L), S and R upper triangles of one shape and prev
-    the last pivot taken (1 if none).
+    Returns (S, R, prev, L, dropped), S and R upper triangles over T, prev
+    the last pivot taken (1 if none) and ``dropped`` the zero rows' count.
     """
     black_scale, black_ints = g._black_ints
     scale = lcm(black_scale, *(m.denominator for m in magnitudes))
     touched = {x for u, v, _ in g.red_edges for x in (u, v)} - {0}
     at = {v: i for i, v in enumerate([v for v in range(g.n) if v not in touched] + sorted(touched))}
     black = [(*sorted((at[u], at[v])), w * (scale // black_scale)) for u, v, w in black_ints]
-    upper, _, prev = _eliminate(g.n, black, (), g.n - 1 - len(touched))
+    upper, dropped, prev = _eliminate(g.n, black, (), g.n - 1 - len(touched))
     base = g.n - len(touched)
     red = [[0] * len(row) for row in upper]
     for (u, v, _), m in zip(g.red_edges, magnitudes):
@@ -378,7 +377,7 @@ def _touched_block(g: SignedWeightedGraph, magnitudes):
             for j, y in incidence:
                 if i <= j:
                     red[i][j - i] += x * y * w
-    return upper, red, prev, scale
+    return upper, red, prev, scale, len(dropped)
 
 
 def _graph_inertia(g: SignedWeightedGraph, t: Sequence[Fraction]) -> SpectralIndex:
@@ -389,13 +388,13 @@ def _graph_inertia(g: SignedWeightedGraph, t: Sequence[Fraction]) -> SpectralInd
     kernel of every Laplacian, splits L(t) into 0 and minus the grounded
     form G, so inertia(L(t)) = (n_plus(G), n_zero(G) + 1, n_minus(G)).  By
     Haynsworth's inertia formula, G's inertia is that of its block over the
-    pivoted red-free vertices, all positive, plus that of its Schur
-    complement: ``_pivots`` of the touched block resumed from prev, which
-    drops each moved row as a kernel vector.
+    pivoted red-free vertices, all positive but the dropped zero rows, plus
+    that of its Schur complement: ``_pivots`` of the touched block resumed
+    from prev.
     """
-    s, r, prev, _ = _touched_block(g, _magnitudes(g, t))
+    s, r, prev, _, dropped = _touched_block(g, _magnitudes(g, t))
     block = _jacobi(*_pivots([[x - y for x, y in zip(a, b)] for a, b in zip(s, r)], prev))
-    return SpectralIndex(g.n - 1 - len(s) + block.n_plus, block.n_zero + 1, block.n_minus)
+    return SpectralIndex(g.n - 1 - dropped - len(s) + block.n_plus, block.n_zero + dropped + 1, block.n_minus)
 
 
 def _transfer_current(n: int, black, reds, read) -> list[int]:
@@ -405,26 +404,28 @@ def _transfer_current(n: int, black, reds, read) -> list[int]:
     integers, each a minor of H or another integer polynomial in K and d.
 
     ``_eliminate`` runs over all n - 1 rows of Q and leaves -K over the red
-    columns.  When rows Z moved, Q is singular (A_empty = 0).  Q_k, Q plus
-    a black edge of weight k from vertex 0 to each moved vertex, is
-    positive definite and only puts k * d on the moved diagonals, d the
-    last pivot; one ``_schur`` per moved row gives (K, det Q_k).  A value
-    read is then a minor of the bordered matrix over Q_k, an integer
-    polynomial in k of degree at most |Z|, and the value over Q is its
-    constant term, sum over k = 1..|Z|+1 of (-1)^(k+1) C(|Z|+1, k) * value(k).
+    columns.  When it drops rows Z, Q is singular (A_empty = 0) and it
+    leaves -K' at d, its last pivot.  Q_k, Q plus a black edge of weight k
+    from vertex 0 to each dropped vertex, is positive definite; its
+    elimination would leave k * d on the Z diagonals beside Y, the recorded
+    entries at d, so |Z| more steps give K_k = k^|Z| K' + k^(|Z|-1) Y^T Y / d
+    and det Q_k = d k^|Z| (a remainder of Y^T Y / d is a fault).  Each value
+    read, a minor over Q_k, is an integer polynomial in k of degree at most
+    |Z|, and the value over Q is its constant term, sum over k = 1..|Z|+1 of
+    (-1)^(k+1) C(|Z|+1, k) * value(k).
     """
-    upper, moved, d = _eliminate(n, black, reds, n - 1)
-    if not moved:
+    upper, dropped, d = _eliminate(n, black, reds, n - 1)
+    if not dropped:
         return read([[-x for x in row] for row in upper], d)
-    r = len(upper) - moved
-    block = [row[: r - i] for i, row in enumerate(upper[:r])]
-    border = [[upper[j][r + z - j] for j in range(r)] for z in range(moved)]
-    total = None
-    for k in range(1, moved + 2):
-        rows, p = [[k * d] + [0] * (moved - 1 - z) + col for z, col in enumerate(border)] + block, d
-        for _ in range(moved):
-            rows, p = _schur(rows, p), rows[0][0]
-        w, values = (-1) ** (k + 1) * comb(moved + 1, k), read([[-x for x in row] for row in rows], p)
+    cols = list(zip(*([x * d // q for x in entries] for entries, q in dropped)))  # Y's columns
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in cols[i:]] for i, a in enumerate(cols)]
+    if any(x % d for row in gram for x in row):
+        raise InternalConsistencyError(f"Y^T Y of the dropped rows not divisible by det Q = {d}")
+    z, total = len(dropped), None
+    for k in range(1, z + 2):
+        kz = k ** (z - 1)
+        rows = [[kz * (x // d - k * a) for a, x in zip(ra, rg)] for ra, rg in zip(upper, gram)]
+        w, values = (-1) ** (k + 1) * comb(z + 1, k), read(rows, d * k * kz)
         total = [w * x for x in values] if total is None else [t + w * x for t, x in zip(total, values)]
     return total
 

@@ -132,14 +132,21 @@ def reference_bordered_coefficients(g: SignedWeightedGraph) -> tuple[Fraction, .
     minor per mask: an oracle for ``crossing_polynomial``, which takes
     every A_I from subset recursions.  ``_eliminate`` runs once; each forest
     mask I reads det M[I+Z, I+Z] / d^(|I| + |Z| - 1) with ``_kernels.det_int``,
-    where M is the trailing block it leaves over the red columns and the
-    moved rows Z, and d its last pivot (Sylvester's identity).  A cyclic
-    mask gives 0."""
+    where d is its last pivot and M the trailing block at d over the red
+    columns and the dropped zero rows Z, rebuilt from its records: each
+    recorded red entry x at pivot level p is x * d / p there, and the Z
+    diagonal is 0 (Sylvester's identity).  A cyclic mask gives 0."""
     reds = [(u, v) for u, v, _ in g.red_edges]
     r = len(reds)
     scale, black = g._black_ints
-    upper, moved, d = _eliminate(g.n, black, reds, g.n - 1)
-    border = tuple(range(r, r + moved))
+    upper, dropped, d = _eliminate(g.n, black, reds, g.n - 1)
+    y = []
+    for entries, level in dropped:
+        assert all(x * d % level == 0 for x in entries), (g, entries, level)
+        y.append([x * d // level for x in entries])
+    m = [[upper[min(i, j)][abs(i - j)] for j in range(r)] + [row[i] for row in y] for i in range(r)]
+    m += [row + [0] * len(y) for row in y]
+    border = tuple(range(r, r + len(y)))
     coeffs = []
     for mask in range(1 << r):
         inside = tuple(i for i in range(r) if mask >> i & 1)
@@ -147,7 +154,7 @@ def reference_bordered_coefficients(g: SignedWeightedGraph) -> tuple[Fraction, .
             coeffs.append(Fraction(0))
             continue
         keep = inside + border
-        det = _kernels.det_int([[upper[min(i, j)][abs(i - j)] for j in keep] for i in keep])
+        det = _kernels.det_int([[m[i][j] for j in keep] for i in keep])
         value, rem = divmod((-1) ** len(inside) * det * d, d ** len(keep))
         assert rem == 0, (g, inside)
         coeffs.append(Fraction(value, scale ** (g.n - 1 - len(inside))))

@@ -703,10 +703,48 @@ def test_disc_inexact_division_is_internal_fault(monkeypatch, capsys, k4_file):
     assert captured.out == "" and "det K = 14 not divisible by det Q = 3" in captured.err
 
 
+# black edges (0,1) of weight 2, (2,3) of weight 3/2 and (0,4) of weight 5,
+# red edges (1,2) and (3,4): two black components (|Z| = 1, A_empty = 0) and
+# L = 2, so the dropped row of vertex 3 is recorded at pivot 12 and det Q
+# over the other pivots is d = 120
+BRIDGED_R2 = {
+    "n": 5,
+    "edges": [
+        {"u": 0, "v": 1, "w": "2"},
+        {"u": 2, "v": 3, "w": "3/2"},
+        {"u": 1, "v": 2, "w": "-1"},
+        {"u": 3, "v": 4, "w": "-1"},
+        {"u": 0, "v": 4, "w": "5"},
+    ],
+}
+
+
+def test_coeffs_inexact_bridged_division_is_internal_fault(monkeypatch, capsys, tmp_path):
+    # Y^T Y / d of the recorded rows is exact by Sylvester's identity: a
+    # recorded red entry one too large leaves a remainder
+    path = _graph_file(tmp_path, "bridged-r2", BRIDGED_R2)
+    assert _run(capsys, ["coeffs", "--input", path]) == (0, {"00": "0", "10": "15", "01": "15", "11": "41/2"})
+    code, out = _run(capsys, ["disc", "--input", path])
+    assert code == 0 and (out["delta"], out["forest_sum"], out["gap"], out["cycle_minor"]) == ("-225", "-15", 1.0347904114925086, None)
+    real = spectral._eliminate
+
+    def perturbed(*args):
+        upper, dropped, prev = real(*args)
+        (entries, level), *rest = dropped
+        assert (entries, level, prev) == ([-12, 12], 12, 120)
+        return upper, [([entries[0] + 1, *entries[1:]], level), *rest], prev
+
+    monkeypatch.setattr(spectral, "_eliminate", perturbed)
+    assert cli.main(["coeffs", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal consistency fault: Y^T Y of the dropped rows not divisible by det Q = 120\n"
+
+
 def test_coeffs_takes_no_determinant(monkeypatch, capsys, tmp_path, k4_file):
     # with a connected black subgraph (K4, the chain) and without: the
-    # alternating 4-cycle (one moved row) and K5 with black edges (0,1) and
-    # (2,3) only (two moved rows), whose 256 coefficients summed by |I| give
+    # alternating 4-cycle (one dropped row) and K5 with black edges (0,1) and
+    # (2,3) only (two dropped rows), whose 256 coefficients summed by |I| give
     # the ray polynomial 20t^2 - 60t^3 + 45t^4 along (1, ..., 1)
     chain = _graph_file(tmp_path, "chain8", _graph_doc(triangle_chain(8)))
     c4 = _graph_file(tmp_path, "c4", C4_ALTERNATING)

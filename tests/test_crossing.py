@@ -126,7 +126,7 @@ def test_bordered_core_matches_minor_path_on_weighted_graphs():
             {("a_empty_zero", p.coeffs[0] == 0), ("cyclic", cyclic), ("r_above_n_minus_1", r > g.n - 1)}
         )
     assert seen == {(name, flag) for name in ("a_empty_zero", "cyclic", "r_above_n_minus_1") for flag in (True, False)}
-    # degenerate inputs: no black edge (every vertex but 0 moved), a
+    # degenerate inputs: no black edge (every vertex but 0 dropped), a
     # disconnected full graph, and N = 1
     for g in (swg(4, [(0, 1, -2), (1, 2, -1), (0, 2, F(-1, 3)), (2, 3, -5)]), swg(5, [(0, 1, 1), (1, 2, -1), (3, 4, 2)]), swg(1, [])):
         assert crossing_polynomial(g).coeffs == minor_path_coefficients(g), g
@@ -135,11 +135,11 @@ def test_bordered_core_matches_minor_path_on_weighted_graphs():
 def test_subset_recursion_matches_the_per_mask_minors():
     # seeded rational-weight graphs up to R = 12; the per-mask read-off of
     # the bordered elimination is the oracle.  Disconnected black subgraphs
-    # (A_empty = 0, the bridged recursions), among them |Z| >= 3 moved rows
+    # (A_empty = 0, the bridged recursions), among them |Z| >= 3 dropped rows
     # and R >= 10, cyclic red subsets under a positive A_empty (pruned
     # subtrees) and R > N - 1 are each counted
     rng = random.Random(83)
-    names = ("a_empty_zero", "moved_at_least_3", "a_empty_zero_r_at_least_10", "cyclic", "r_above_n_minus_1", "r_at_least_10")
+    names = ("a_empty_zero", "dropped_at_least_3", "a_empty_zero_r_at_least_10", "cyclic", "r_above_n_minus_1", "r_at_least_10")
     seen = dict.fromkeys(names, 0)
     wide = dict(n_min=2, n_max=9, extra_max=14, red_choices=(0, 1, 2, 4, 6, 8, 10, 12))
     dense = dict(n_min=5, n_max=8, extra_max=20, red_choices=(3, 4, 5, 6))
@@ -150,7 +150,7 @@ def test_subset_recursion_matches_the_per_mask_minors():
         assert p.coeffs == reference_bordered_coefficients(g), g
         r = g.red_count
         seen["a_empty_zero"] += p.coeffs[0] == 0
-        seen["moved_at_least_3"] += component_counts(g)[1] - 1 >= 3
+        seen["dropped_at_least_3"] += component_counts(g)[1] - 1 >= 3
         seen["a_empty_zero_r_at_least_10"] += p.coeffs[0] == 0 and r >= 10
         seen["cyclic"] += p.coeffs[0] != 0 and not all(
             red_subset_is_forest(g, [i for i in range(r) if mask >> i & 1]) for mask in range(1 << r)

@@ -112,12 +112,12 @@ def test_forest_sum_squared_equals_abs_discriminant_random():
 def test_forest_dual_matches_forest_sum_value_and_sign():
     # the bordered-elimination sigma against the 2-forest enumeration, on
     # rational weights, with and without a connected black subgraph (one or
-    # two moved rows, each bridged), and on vertex-sharing red pairs whose
+    # two dropped rows, each bridged), and on vertex-sharing red pairs whose
     # shared vertex is the larger endpoint (there _forest_pairs flips a red
     # column)
     rng = random.Random(67)
     seen = set()
-    moved = set()
+    dropped = set()
     for _ in range(200):
         g = random_connected_graph(rng, n_min=3, n_max=8, extra_max=4, red_choices=(2,))
         if g.red_count != 2:
@@ -127,9 +127,9 @@ def test_forest_dual_matches_forest_sum_value_and_sign():
         shared = {u1, v1} & {u2, v2}
         flipped = bool(shared) and min(shared) in (v1, v2)
         seen.add((crossing_polynomial(g).coeffs[0] == 0, bool(shared), flipped))
-        moved.add(component_counts(g)[1] - 1)
+        dropped.add(component_counts(g)[1] - 1)
     assert {(False, False, False), (False, True, True), (True, False, False), (True, True, True)} <= seen
-    assert moved == {0, 1, 2}
+    assert dropped == {0, 1, 2}
 
 
 @pytest.mark.parametrize(

@@ -200,8 +200,8 @@ def test_config_constructor_rejects_coercion(args, message):
 def test_coefficients_match_minor_path(monkeypatch):
     # oracle: the per-mask minor path, on sparse (black subgraph
     # disconnected, A_empty = 0) up to complete graphs.  The elimination
-    # moves one zero row per black component past the first; with or
-    # without moved rows every value is read off the bridged eliminations,
+    # drops one zero row per black component past the first; with or
+    # without dropped rows every value is read off the one elimination,
     # so no determinant is taken.
     def forbidden(*args):
         raise AssertionError("det_int called")
@@ -219,10 +219,10 @@ def test_coefficients_match_minor_path(monkeypatch):
                     patch.setattr(_kernels, "det_int", forbidden)
                     got = _transfer_current(n, black, (red1, red2), _r2_minors)[:4]
                 assert tuple(got) == expect
-                moved = component_counts(g)[1] - 1
-                assert (expect[0] != 0) == (moved == 0)
-                seen.add((moved == 0, bool(set(red1) & set(red2))))
-    # both cases ran (no row moved, A_empty = 0), each on disjoint and on
+                dropped = component_counts(g)[1] - 1
+                assert (expect[0] != 0) == (dropped == 0)
+                seen.add((dropped == 0, bool(set(red1) & set(red2))))
+    # both cases ran (no row dropped, A_empty = 0), each on disjoint and on
     # vertex-sharing red pairs
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 

@@ -38,6 +38,7 @@ from signedlap.spectral import (
     _graph_inertia,
     _pivots,
     _schur,
+    _transfer_current,
     det_rational,
 )
 
@@ -546,8 +547,9 @@ def _graph_inertia_kinds(g, t) -> list[str]:
             ("no_red", not g.red_count),
             ("red_at_0", any(u == 0 for u, _, _ in g.red_edges)),
             ("r_over_n_1", g.red_count > g.n - 1),
-            # a component with no red edge and without vertex 0: a moved row
-            ("moved_row", bool(red_free - {uf.find(0)})),
+            # a component with no red edge and without vertex 0: a zero row
+            # that the elimination drops
+            ("dropped_row", bool(red_free - {uf.find(0)})),
         )
         if hit
     ]
@@ -612,3 +614,53 @@ def test_graph_eigenvalues_raise_the_matrix_errors(g, t):
     with pytest.raises(InputError) as exc:
         _graph_eigenvalues(g, t)
     assert str(exc.value) == str(expected.value)
+
+
+def _bridged_black(rng: random.Random, n: int, components: int) -> list[tuple[int, int, int]]:
+    """Integer black edges (u, v, w), u < v, weights 1..9, forming exactly
+    ``components`` black components on vertices 0..n-1: a random tree in
+    each part of a random partition, plus a few extra edges inside parts."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), components - 1))
+    parts = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    edges = {}
+    for part in parts:
+        for i in range(1, len(part)):
+            a, b = part[i], part[rng.randrange(i)]
+            edges[min(a, b), max(a, b)] = rng.randint(1, 9)
+        for a, b in itertools.combinations(sorted(part), 2):
+            if rng.random() < 0.2:
+                edges[a, b] = rng.randint(1, 9)
+    return [(u, v, w) for (u, v), w in edges.items()]
+
+
+def test_bridged_reads_are_those_of_the_bridged_black_graph():
+    # with A_empty = 0, _transfer_current hands its reader one (K, d) per
+    # bridging weight k = 1..|Z|+1; each must be what a plain
+    # _transfer_current reads off the same black edges plus an edge of
+    # weight k from vertex 0 to the highest vertex of each black component
+    # without vertex 0, whose Q_k is positive definite
+    rng = random.Random(2027)
+    checked, sizes = 0, Counter()
+    for _ in range(300):
+        z = rng.randint(1, 6)
+        n = rng.randint(z + 2, z + 7)
+        black = _bridged_black(rng, n, z + 1)
+        pairs = list(itertools.combinations(range(n), 2))
+        reds = rng.sample(pairs, rng.randint(1, min(5, len(pairs))))
+        uf = _UnionFind(n)
+        for u, v, _ in black:
+            uf.union(u, v)
+        top = {uf.find(x): x for x in range(n)}  # each component's highest vertex
+        tops = sorted(x for root, x in top.items() if root != uf.find(0))
+        assert len(tops) == z
+        handed = []
+        _transfer_current(n, black, reds, lambda k, d: handed.append((k, d)) or [0])
+        assert len(handed) == z + 1
+        for k, got in enumerate(handed, 1):
+            expect = _transfer_current(n, black + [(0, t, k) for t in tops], reds, lambda k, d: [(k, d)])
+            assert got == expect[0], (n, black, reds, k)
+            checked += 1
+        sizes[z] += 1
+    assert sorted(sizes) == [1, 2, 3, 4, 5, 6] and checked > 1000, (sizes, checked)
