@@ -18,15 +18,13 @@ Then every sample of the chunk goes through one array pipeline,
 gives every sample's black components and the hop distances of its class.
 ``_bordered_stack`` builds every sample's bordered matrix H = [[Q, B],
 [B^T, 0]] from it, and the Hadamard bound of ``_fits_int64`` is checked
-once per sample, on the row norms of H with Q_c in place of Q: Q plus
-c = c(G+) on the diagonal of one row in each black component without
-vertex 0.  The samples that pass take one stacked elimination,
-``_stacked_minors``: ``spectral._schur``'s update on their H, its products
-in int64 and its exact quotients from a rounded float64 division; each
-Q_k of a disconnected black subgraph is stacked next to the others and
-eliminated in full.  Every other sample takes
-``spectral._transfer_current`` with the R = 2 reader
-``discriminants._r2_minors`` one by one, which give the same integers.
+once per sample, on the row norms of H.  The samples that pass take one
+stacked elimination, ``_stacked_minors``: ``spectral._schur``'s update on
+their H, its products in int64 and its exact quotients from a rounded
+float64 division, each zero row of Q dropped and read as ``spectral``
+reads it.  Every other sample takes ``spectral._transfer_current`` with
+the R = 2 reader ``discriminants._r2_minors`` one by one, which give the
+same integers.
 ``classify`` labels one graph by the list BFS of ``_kernels``, the
 reference the array BFS is tested against.  The CSV and the summary are
 written as bytes, with ``os.write`` (``graph._write_file``).  This module
@@ -52,7 +50,7 @@ from . import _kernels
 from .discriminants import _gap_and_log, _r2_minors, _require_r2
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, _Frozen, _write_file
-from .spectral import _transfer_current
+from .spectral import _read_eliminated, _transfer_current
 
 _HIST_LO = -10.0
 _HIST_BINS = 200  # 0.1-wide bins in log10(gap)
@@ -85,7 +83,7 @@ class EnsembleConfig(_Frozen):
     N, every M, samples and seed must be integers (integral floats such as
     1e4 are accepted and stored as ints); p must be a number, stored as a
     float, and is given only under gnp.  Nothing is truncated or coerced,
-    and ``m_values`` is stored as a tuple.
+    and ``m_values`` is stored as a tuple; N is at most 724.
     """
 
     _fields = ("n", "m_values", "samples_per_m", "master_seed", "model", "p")
@@ -117,6 +115,8 @@ class EnsembleConfig(_Frozen):
             p = float(p)
         if n < 2:
             raise InputError("need at least 2 vertices")
+        if n * n > _CHUNK_ENTRIES:  # one sample's N x N array must fit a chunk
+            raise InputError(f"ensemble config N must be at most {math.isqrt(_CHUNK_ENTRIES)}")
         if samples_per_m < 1:
             raise InputError("samples_per_m must be positive")
         if not m_values:
@@ -323,10 +323,10 @@ def _fits_int64(norms: np.ndarray) -> np.ndarray:
 
     By Hadamard's inequality every minor of H is at most the product of the
     norms of its rows, so that product bounds every product of two minors,
-    and ``_stacked_minors`` forms nothing larger than twice one.  The
-    product is decided by the float sum of the log2 norms, far within 1e-3
-    of the exact one; the rows whose sum lies within 1e-3 of 62 take the
-    exact ``math.prod``.
+    and ``_stacked_minors``, whose dropped rows only take rows out of its
+    minors, forms nothing larger than twice one.  The product is decided by
+    the float sum of the log2 norms, far within 1e-3 of the exact one; the
+    rows whose sum lies within 1e-3 of 62 take the exact ``math.prod``.
     """
     norms = np.maximum(norms, 1)
     logs = np.log2(norms).sum(axis=1)
@@ -336,45 +336,35 @@ def _fits_int64(norms: np.ndarray) -> np.ndarray:
     return fits
 
 
-# (-1)^(k+1) C(c, k) at [c, k]: a bordered matrix Q_c that ``_fits_int64``
-# clears has c <= 10 (``_stacked_minors``)
-_WEIGHTS = np.array([[(-1) ** (k + 1) * math.comb(c, k) for k in range(11)] for c in range(11)], dtype=np.int64)
-
-
-def _stacked_minors(h: np.ndarray, bridge: np.ndarray) -> list[list[int]]:
+def _stacked_minors(h: np.ndarray) -> list[list[int]]:
     """[A_empty, A_x, A_y, A_xy] of each bordered matrix of the stack ``h``,
-    as ``discriminants._r2_minors`` reads them off its transfer-current
-    matrix.
+    as ``spectral._transfer_current`` reads them with ``_r2_minors``.
 
-    ``bridge`` marks, per matrix, one row of Q in each black component
-    without vertex 0; with c - 1 of them, c = c(G+), the values are read
-    off Q_k = Q + k on those diagonals for k = 1..c, each eliminated in
-    full, and combined as
-    sum_k (-1)^(k+1) C(c, k) value(k).  With c = 1 that is the one matrix Q.
-
-    Every step is ``spectral._schur``'s update (x p - f y) / prev, on all
-    the Q_k at once, which ``_fits_int64`` must have cleared on Q_c, so on
-    every Q_k.  The products and their difference are formed in int64,
-    below 2^62; the quotient is a minor, below 2^31, so its float64
-    quotient lies within 2^-21 of it and rounds to it exactly.  Each Q_k
-    is positive definite, so every pivot is a leading principal minor and
-    positive: a pivot that is not is an InternalConsistencyError, as is a
-    last division that leaves a remainder.  c <= 10 on a cleared Q_c, so
-    the combination stays below 2^31 * 2^10.
+    Every step is ``spectral._schur``'s update (x p - f y) / prev, on every
+    matrix at once, which ``_fits_int64`` must have cleared: the products
+    are formed in int64, below 2^62, and the quotient, a minor below 2^31,
+    is the rounded float64 quotient, within 2^-21 of it.  A zero pivot on a
+    zero row of Q is dropped as ``spectral._eliminate`` drops it: its red
+    entries are recorded at prev, its row and column zeroed and prev taken
+    as its pivot, which leaves that matrix as it was.  Any other pivot <= 0
+    is an InternalConsistencyError, as is a last division that leaves a
+    remainder.  A matrix with no dropped row is read off its last block,
+    one with dropped rows by ``spectral._read_eliminated``.
     """
-    c = bridge.sum(axis=1) + 1
-    owner = np.repeat(np.arange(len(h)), c)
-    first = np.cumsum(c) - c
-    k = np.arange(len(owner)) - first[owner] + 1
     # the stack's own axis last, so each step runs long contiguous loops
-    h = np.ascontiguousarray(h.transpose(1, 2, 0)[:, :, owner])
-    diag = np.arange(bridge.shape[1])
-    h[diag, diag] += k * bridge[owner].T
-    prev = np.ones(len(owner), dtype=np.int64)
+    h = np.ascontiguousarray(h.transpose(1, 2, 0))
+    prev = np.ones(h.shape[2], dtype=np.int64)
+    dropped: dict[int, list] = {}
     for _ in range(len(h) - 2):
         p = h[0, 0]
         if not (p > 0).all():
-            raise InternalConsistencyError("stacked elimination met a pivot <= 0")
+            zero = np.flatnonzero(p == 0)
+            if (p < 0).any() or h[0, 1:-2, zero].any():
+                raise InternalConsistencyError("stacked elimination met a pivot < 0, or 0 on a nonzero row of Q")
+            for b, entries, q in zip(zero.tolist(), h[0, -2:, zero].tolist(), prev[zero].tolist()):
+                dropped.setdefault(b, []).append((entries, q))
+            h[0, :, zero] = h[:, 0, zero] = 0
+            p = np.where(p, p, prev)
         num = h[1:, 1:] * p
         num -= h[1:, :1] * h[:1, 1:]
         h = np.rint(num / prev).astype(np.int64)
@@ -382,8 +372,11 @@ def _stacked_minors(h: np.ndarray, bridge: np.ndarray) -> list[list[int]]:
     axy, rem = np.divmod(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0], prev)
     if rem.any():
         raise InternalConsistencyError("stacked bordered minor not divisible by det Q")
-    values = np.stack([prev, -h[0, 0], -h[1, 1], axy], axis=1) * _WEIGHTS[c[owner], k][:, None]
-    return np.add.reduceat(values, first, axis=0).tolist() if len(first) else []
+    values = np.stack([prev, -h[0, 0], -h[1, 1], axy], axis=1).tolist()
+    for b, records in dropped.items():
+        (x, f), (_, y) = h[:2, :2, b].tolist()
+        values[b] = _read_eliminated([[x, f], [y]], records, values[b][0], _r2_minors)[:4]
+    return values
 
 
 def _hops(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -434,15 +427,14 @@ def _labels_by_code() -> np.ndarray:
 
 def _stacked(n: int, draws) -> tuple[list[str], dict[int, list[int]]]:
     """The class label of every sample of ``draws`` (``_sample_pairs``
-    draws), and by position the minors of each sample whose bordered
-    matrices Q_k of ``_stacked_minors`` pass the int64 bound.
+    draws), and by position the minors of each sample whose bordered matrix
+    passes the int64 bound.
 
     The chunk's black graphs are one int64 Laplacian stack, which every
     step reads: the BFS of ``_hops`` gives every label (by its code in
-    ``_labels_by_code``), c(G+) and the rows to bridge; ``_bordered_stack``
-    gives every H, whose row norms, with Q_c's bump on the diagonal of Q,
-    pick the samples under the bound, and ``_stacked_minors`` eliminates
-    those.
+    ``_labels_by_code``; a root other than vertex 0 marks a disconnected
+    sample); ``_bordered_stack`` gives every H, whose row norms pick the
+    samples under the bound, which ``_stacked_minors`` eliminates.
     """
     batch = len(draws)
     chosen, r1, r2 = zip(*draws)
@@ -457,22 +449,16 @@ def _stacked(n: int, draws) -> tuple[list[str], dict[int, list[int]]]:
     diag = np.arange(n)
     lap[:, diag, diag] = -lap.sum(axis=2)
     dist, root = _hops(lap)
-    bridge = (root == diag)[:, 1:]
-    c = bridge.sum(axis=1, keepdims=True) + 1
     x, y = reds[:, 0, :, None], reds[:, 1, None, :]
     hops = np.minimum(dist[np.arange(batch)[:, None, None], x, y].reshape(-1, 4), 10)
     hops.sort(axis=1)
     codes = hops @ _HOP_DIGITS
     codes[(x == y).any(axis=(1, 2))] = _ADJ
-    codes[c[:, 0] > 1] = _DISCONNECTED
+    codes[root.any(axis=1)] = _DISCONNECTED
     labels = _labels_by_code()[codes].tolist()
     h = _bordered_stack(lap, reds)
-    # (d + k)^2 = d^2 + k (2 d + k) on each bridged diagonal d of Q
-    bump, q = bridge * c, diag[:-1]
-    norms = np.einsum("bij,bij->bi", h, h)
-    norms[:, q] += bump * (2 * h[:, q, q] + bump)
-    fits = _fits_int64(norms)
-    return labels, dict(zip(np.flatnonzero(fits).tolist(), _stacked_minors(h[fits], bridge[fits])))
+    fits = _fits_int64(np.einsum("bij,bij->bi", h, h))
+    return labels, dict(zip(np.flatnonzero(fits).tolist(), _stacked_minors(h[fits])))
 
 
 def _records(cfg: EnsembleConfig, keys) -> list[EnsembleRecord]:
@@ -526,8 +512,8 @@ def compute_record(cfg: EnsembleConfig, m: int, index: int) -> EnsembleRecord:
 def _chunk_length(n: int) -> int:
     """Samples per chunk at N = ``n``: ``_CHUNK``, or fewer at large N, so
     that each stacked N x N array of a chunk holds at most
-    ``_CHUNK_ENTRIES`` entries (1024 samples up to N = 22, 13 at N = 200)."""
-    return max(1, min(_CHUNK, _CHUNK_ENTRIES // n**2))
+    ``_CHUNK_ENTRIES`` entries (1024 up to N = 22, 13 at N = 200, 1 at 724)."""
+    return min(_CHUNK, _CHUNK_ENTRIES // n**2)
 
 
 def iter_records(cfg: EnsembleConfig):

@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
+MAX_VERTICES = 1 << 12  # of a ``SignedWeightedGraph``
 # Enumeration oracles are exponential; they are meant for corpus-sized inputs.
 ORACLE_MAX_VERTICES = 12
 _ORACLE_MAX_SUBSETS = 4_000_000
@@ -120,6 +121,10 @@ class SignedWeightedGraph(_Frozen):
     The edges are classified by sign once, on construction; the component
     counts and the integer black weights are computed once, on first use.
     Graphs are equal by ``n`` and ``edges``.
+
+    n is at most ``MAX_VERTICES`` = 2^12, sized from the dense routes:
+    ``spectral._eliminate``'s upper triangle holds about N^2 / 2 list
+    slots, 2^23 (64 MiB of 8-byte slots) at the bound.
     """
 
     _fields = ("n", "edges")
@@ -133,6 +138,8 @@ class SignedWeightedGraph(_Frozen):
     def __init__(self, n: int, edges: Iterable[Edge]):
         if not _is_int(n) or n < 1:
             raise InputError(f"vertex count must be a positive integer, got {n!r}")
+        if n > MAX_VERTICES:
+            raise InputError(f"vertex count must be at most {MAX_VERTICES}")
         seen: set[tuple[int, int]] = set()
         norm: list[Edge] = []
         red_indices: list[int] = []

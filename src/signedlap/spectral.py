@@ -14,17 +14,17 @@ of an upper triangle, run by two loops: ``_pivots`` runs it to the end,
 with a unimodular congruence for a zero pivot, and ``_eliminate`` runs it
 over the grounded black Laplacian Q, dropping each zero row and recording
 its red entries.  On the bordered matrix of Q and the red columns,
-``_transfer_current`` runs it over every row of Q and hands the
-transfer-current matrix K and det Q, or each bridged Q_k's in closed form,
-to a reader: every crossing value is a read of K (``_principal_minors``
-for the 2^R coefficients, the diagonal and the off-diagonal for the
-thresholds, the factorization and the R = 2 discriminant).  With no red
-column, ``_touched_block`` stops it at the red-touched vertices and adds
-the red Laplacian there; ``_pivots`` of that block gives the ray's
-determinants and the spectral index of a graph (``_graph_inertia``, with
-``inertia`` of the explicit matrix as its reference).  ``_kernels.det_int``
-serves ``det_rational`` and the ``discriminants.cycle_basis_minor`` oracle
-alone.
+``_transfer_current`` runs it over every row of Q, and ``_read_eliminated``
+(which the ensemble's int64 stack shares) hands K and det Q, or each
+bridged Q_k's in closed form, to a reader: every crossing value is a read
+of K (``_principal_minors`` for the 2^R coefficients, the diagonal and the
+off-diagonal for the thresholds, the factorization and the R = 2
+discriminant).  With no red column, ``_touched_block`` stops it at the
+red-touched vertices and adds the red Laplacian there; ``_pivots`` of that
+block gives the ray's determinants and the spectral index of a graph
+(``_graph_inertia``, with ``inertia`` of the explicit matrix as its
+reference).  ``_kernels.det_int`` serves ``det_rational`` and the
+``discriminants.cycle_basis_minor`` oracle alone.
 """
 
 from __future__ import annotations
@@ -400,21 +400,26 @@ def _graph_inertia(g: SignedWeightedGraph, t: Sequence[Fraction]) -> SpectralInd
 def _transfer_current(n: int, black, reds, read) -> list[int]:
     """``read(K, d)`` for the bordered matrix H = [[Q, B], [B^T, 0]] of
     ``_eliminate``: K = B^T adj(Q) B, the R x R transfer-current matrix held
-    as its upper triangle, and d = det Q.  ``read`` returns a list of
+    as its upper triangle, and d = det Q, read by ``_read_eliminated``, which
+    ``ensemble._stacked_minors`` also calls.  ``read`` returns a list of
     integers, each a minor of H or another integer polynomial in K and d.
-
-    ``_eliminate`` runs over all n - 1 rows of Q and leaves -K over the red
-    columns.  When it drops rows Z, Q is singular (A_empty = 0) and it
-    leaves -K' at d, its last pivot.  Q_k, Q plus a black edge of weight k
-    from vertex 0 to each dropped vertex, is positive definite; its
-    elimination would leave k * d on the Z diagonals beside Y, the recorded
-    entries at d, so |Z| more steps give K_k = k^|Z| K' + k^(|Z|-1) Y^T Y / d
-    and det Q_k = d k^|Z| (a remainder of Y^T Y / d is a fault).  Each value
-    read, a minor over Q_k, is an integer polynomial in k of degree at most
-    |Z|, and the value over Q is its constant term, sum over k = 1..|Z|+1 of
-    (-1)^(k+1) C(|Z|+1, k) * value(k).
     """
-    upper, dropped, d = _eliminate(n, black, reds, n - 1)
+    return _read_eliminated(*_eliminate(n, black, reds, n - 1), read)
+
+
+def _read_eliminated(upper, dropped, d: int, read) -> list[int]:
+    """``read(K, d)`` off an elimination over every row of Q that left
+    ``upper`` over the red columns, the (entries, q) records ``dropped`` and
+    d, its last pivot.  With no row dropped, ``upper`` is -K.  When it drops
+    rows Z, Q is singular (A_empty = 0) and ``upper`` is -K' at d.  Q_k, Q
+    plus a black edge of weight k from vertex 0 to each dropped vertex, is
+    positive definite; its elimination would leave k * d on the Z diagonals
+    beside Y, the recorded entries at d, so |Z| more steps give
+    K_k = k^|Z| K' + k^(|Z|-1) Y^T Y / d and det Q_k = d k^|Z| (a remainder
+    of Y^T Y / d is a fault).  Each value read, a minor over Q_k, is an
+    integer polynomial in k of degree at most |Z|; the value over Q is its
+    constant term, sum over k = 1..|Z|+1 of (-1)^(k+1) C(|Z|+1, k) value(k).
+    """
     if not dropped:
         return read([[-x for x in row] for row in upper], d)
     cols = list(zip(*([x * d // q for x in entries] for entries, q in dropped)))  # Y's columns

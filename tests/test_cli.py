@@ -9,6 +9,7 @@ import random
 import stat
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -250,6 +251,23 @@ def test_disc_gap_outside_float_range_is_input_error(capsys, tmp_path, exponent)
     assert cli.main(["disc", "--input", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "float range" in captured.err
+
+
+@pytest.mark.parametrize("n", [10**30, 2**62, graph.MAX_VERTICES + 1])
+def test_vertex_count_past_the_bound_is_input_error(tmp_path, capsys, n):
+    # a graph of more than graph.MAX_VERTICES vertices is rejected when it
+    # is built: every graph subcommand exits 1 with one error line, no
+    # OverflowError or MemoryError traceback, and allocates nothing of the
+    # graph's size
+    path = _graph_file(tmp_path, "big", {"n": n, "edges": []})
+    for argv in (["analyze"], ["coeffs"], ["crossings", "--ray", "1"], ["disc"], ["factorize"], ["stability"]):
+        tracemalloc.start()
+        try:
+            _assert_one_error_line(capsys, [*argv, "--input", path], f"vertex count must be at most {graph.MAX_VERTICES}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, argv
 
 
 def test_analyze_malformed_json(tmp_path, capsys):
@@ -1163,30 +1181,52 @@ def test_ensemble_records_stream_in_chunks(monkeypatch):
 
 def test_ensemble_over_the_int64_bound_takes_the_scalar_route(tmp_path, capsys, monkeypatch):
     # the scalar route takes exactly the samples over the bound: none at
-    # N = 10, where M = 9 and 12 leave many black subgraphs disconnected,
-    # and every sample at N = 40, where the stack stays empty and the
-    # output is the Python-int core's alone
-    stacked, scalar = [], []
-    stack, transfer_current = ens._stacked_minors, ens._transfer_current
-    monkeypatch.setattr(ens, "_stacked_minors", lambda h, bridge: stacked.append(len(h)) or stack(h, bridge))
+    # N = 10, where M = 9 and 12 leave many black subgraphs disconnected
+    # (each stacked, its values from the core's closed form), and every
+    # sample at N = 40, where the stack stays empty and the output is the
+    # Python-int core's alone
+    stacked, scalar, bridged = [], [], []
+    stack, transfer_current, read_eliminated = ens._stacked_minors, ens._transfer_current, ens._read_eliminated
+    monkeypatch.setattr(ens, "_stacked_minors", lambda h: stacked.append(len(h)) or stack(h))
     monkeypatch.setattr(ens, "_transfer_current", lambda *args: scalar.append(args) or transfer_current(*args))
+    monkeypatch.setattr(ens, "_read_eliminated", lambda *args: bridged.append(args) or read_eliminated(*args))
     cfg_path = tmp_path / "cfg10.json"
     cfg_path.write_text(json.dumps({"N": 10, "M": [9, 12, 45], "samples": 20, "seed": 1}))
     assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(tmp_path / "n10.csv")]) == 0
     capsys.readouterr()
     assert stacked == [60] and scalar == []
-    assert "disconnected_plus" in (tmp_path / "n10.csv").read_text()
+    rows = (tmp_path / "n10.csv").read_text().splitlines()[1:]
+    assert len(bridged) == sum(",disconnected_plus," in row for row in rows) > 0
     stacked.clear()
+    bridged.clear()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"N": 40, "M": [60, 300], "samples": 4, "seed": 1}))
     assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(tmp_path / "a.csv")]) == 0
     assert json.loads(capsys.readouterr().out)["records"] == 8
-    assert stacked == [0] and len(scalar) == 8
+    assert stacked == [0] and len(scalar) == 8 and bridged == []
+    # with no sample under the bound, the scalar route writes the same bytes,
+    # the bridged N = 10 samples included
     monkeypatch.setattr(ens, "_fits_int64", lambda norms: np.zeros(len(norms), dtype=bool))
-    assert cli.main(["ensemble", "--input", str(cfg_path), "--output", str(tmp_path / "b.csv")]) == 0
-    capsys.readouterr()
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert (tmp_path / "a.summary.json").read_bytes() == (tmp_path / "b.summary.json").read_bytes()
+    for config, name in ((tmp_path / "cfg10.json", "n10"), (cfg_path, "a")):
+        assert cli.main(["ensemble", "--input", str(config), "--output", str(tmp_path / f"{name}-scalar.csv")]) == 0
+        capsys.readouterr()
+        for suffix in (".csv", ".summary.json"):
+            assert (tmp_path / f"{name}{suffix}").read_bytes() == (tmp_path / f"{name}-scalar{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1e301, 10**301, 725])
+def test_ensemble_n_past_the_chunk_bound_is_input_error(tmp_path, capsys, n):
+    # one sample's stacked N x N array must fit a chunk (2^19 entries), so
+    # N > 724 exits 1 before anything is drawn or written
+    config = {"N": n, "M": [5, 8], "samples": 3, "seed": 1}
+    message = "ensemble config N must be at most 724"
+    with pytest.raises(signedlap.InputError, match=message):
+        ens.config_from_dict(config)
+    assert ens.config_from_dict({**config, "N": 724}).n == 724
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    _assert_one_error_line(capsys, _ensemble_argv(tmp_path, cfg_path), message)
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_ensemble_rejects_empty_m(tmp_path, capsys):

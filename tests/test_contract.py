@@ -14,8 +14,9 @@ in-process over all seven subcommands.  The graphs have N = 1 and 2, no
 edges, no red edges, R past the ``coeffs`` guard, a disconnected full,
 black or red graph, or a disconnected black subgraph (A_empty = 0).
 Their numbers reach the 4300-digit limit and both ends of the float
-range.  Documents are malformed in many ways, and ensemble configs have
-each field wrong in turn.  ``requests(rng, count)`` draws a larger sweep
+range.  Documents are malformed in many ways (a vertex count past
+``graph.MAX_VERTICES`` among them), and ensemble configs have each field
+wrong in turn (N past 724 among them).  ``requests(rng, count)`` draws a larger sweep
 from the same generator::
 
     PYTHONPATH=src:tests python -c "import random, tempfile, test_contract as t; \\
@@ -150,6 +151,8 @@ def _broken_graph(rng: random.Random) -> dict | bytes:
             {"n": 3, "edges": {}},
             {"n": 0, "edges": []},
             {"n": -2, "edges": []},
+            {"n": 10**30, "edges": []},
+            {"n": 4097, "edges": []},
             {"n": 2.0, "edges": []},
             {"n": True, "edges": []},
             {"n": None, "edges": []},
@@ -203,7 +206,7 @@ def _red_count(doc) -> int:
 _ENSEMBLE = {"N": 6, "M": [5, 8], "samples": 3, "seed": 1}
 _GNP = {"N": 6, "M": [1], "samples": 3, "seed": 2, "model": "gnp", "p": 0.5}
 _WRONG_FIELDS = {
-    "N": (0, 1, 2, -3, "6", 6.5, True, None, [6], float("inf")),
+    "N": (0, 1, 2, -3, "6", 6.5, True, None, [6], float("inf"), 1e301, 10**301, 725),
     "M": ([], [1], [0], [16], [5, 5], "5", [5.5], [True], [-2], {"a": 1}, None),
     "samples": (0, -1, "3", 2.5, True, None, [3]),
     "seed": ("x", 1.5, True, None, [1]),

@@ -23,7 +23,7 @@ from signedlap import InternalConsistencyError, _kernels, component_counts
 from signedlap import ensemble as ens
 from signedlap.ensemble import _bordered_stack, _fits_int64, _stacked_minors
 from signedlap.discriminants import _r2_minors
-from signedlap.spectral import _transfer_current
+from signedlap.spectral import _eliminate, _transfer_current
 
 from conftest import assert_value, kn_with_reds, minor_path_coefficients, swg
 
@@ -227,11 +227,10 @@ def test_coefficients_match_minor_path(monkeypatch):
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def _bordered_rows(n, black, reds, bump=None):
+def _bordered_rows(n, black, reds):
     """H = [[Q, B], [B^T, 0]] entry by entry: Q the unit Laplacian of the
-    ``black`` pairs grounded at vertex 0, plus ``bump[v - 1]`` on the
-    diagonal of vertex v, column i of B the incidence vector of
-    ``reds[i]``."""
+    ``black`` pairs grounded at vertex 0, column i of B the incidence vector
+    of ``reds[i]``."""
     h = [[0] * (n + 1) for _ in range(n + 1)]
     for u, v in black:
         for a, b in ((u, v), (v, u)):
@@ -243,8 +242,6 @@ def _bordered_rows(n, black, reds, bump=None):
         for x, sign in ((u, 1), (v, -1)):
             if x:
                 h[x - 1][col] = h[col][x - 1] = sign
-    for i, k in enumerate(bump or ()):
-        h[i][i] += k
     return h
 
 
@@ -277,14 +274,6 @@ def _bridged_rows(n, black) -> list[int]:
     return [v for v in range(1, n) if root[v] == v]
 
 
-def _bump(n, black, k=None) -> list[int]:
-    """The diagonal that Q_k adds to Q, over the rows of Q: k on every
-    bridged row, k = c(G+) unless given."""
-    rows = _bridged_rows(n, black)
-    k = len(rows) + 1 if k is None else k
-    return [k if v in rows else 0 for v in range(1, n)]
-
-
 def _stack(n, samples):
     """(Laplacian stack, red pairs) arrays of ``_bordered_stack`` for
     ``samples``, (black pairs, red pairs) each: the unit Laplacian of the
@@ -306,8 +295,8 @@ def _scalar_minors(n, black, reds) -> list[int]:
 def test_stacked_minors_match_the_scalar_core(monkeypatch):
     # oracle: the Python-int core on each sample.  The stack holds every grid
     # sample, connected or not; the norms that ``_stacked`` reads off it for
-    # the bound are the row norms of H with Q_c's diagonal, and the Hadamard
-    # bound on them picks the samples it eliminates
+    # the bound are H's own row norms, and the Hadamard bound on them picks
+    # the samples it eliminates
     seen = []
     fits_int64 = ens._fits_int64
     monkeypatch.setattr(ens, "_fits_int64", lambda norms: seen.append(norms) or fits_int64(norms))
@@ -316,26 +305,45 @@ def test_stacked_minors_match_the_scalar_core(monkeypatch):
     for n in range(5, 13):
         grid = list(_grid_samples(n))
         samples = [(black, reds) for _, black, reds in grid]
-        bump = np.array([_bump(n, black) for black, _ in samples], dtype=np.int64)
         h = _bordered_stack(*_stack(n, samples))
-        assert h.tolist() == [_bordered_rows(n, *sample) for sample in samples]
-        rows = [_bordered_rows(n, *sample, b) for sample, b in zip(samples, bump.tolist())]
+        rows = [_bordered_rows(n, *sample) for sample in samples]
+        assert h.tolist() == rows
         seen.clear()
         _, minors = ens._stacked(n, [draw for draw, _, _ in grid])
         (norms,) = seen
-        assert norms.tolist() == [[sum(x * x for x in row) for row in h_c] for h_c in rows]
+        assert norms.tolist() == [[sum(x * x for x in row) for row in h_b] for h_b in rows]
         fits = _fits_int64(norms)
-        assert fits.tolist() == [_hadamard_fits(h_c) for h_c in rows]
-        got = _stacked_minors(h[fits], bump[fits] > 0)
+        assert fits.tolist() == [_hadamard_fits(h_b) for h_b in rows]
+        got = _stacked_minors(h[fits])
         assert got == [_scalar_minors(n, *sample) for sample, f in zip(samples, fits) if f]
         assert all(type(x) is int for values in got for x in values)
         assert minors == dict(zip(np.flatnonzero(fits).tolist(), got))
         assert n > 10 or fits.all()
-        components |= {min(c, 4) for c in (bump[fits] > 0).sum(axis=1) + 1}
+        components |= {min(len(_bridged_rows(n, black)) + 1, 4) for (black, _), f in zip(samples, fits) if f}
         stacked += len(got)
         refused += len(samples) - len(got)
     # c(G+) = 1, 2, 3 and >= 4 all went through the stack
     assert stacked > 200 and refused > 0 and components == {1, 2, 3, 4}
+
+
+def test_stacked_minors_match_the_core_at_every_component_count():
+    # oracle: ``_transfer_current(..., _r2_minors)`` on seeded samples at
+    # N = 8-16, from M = 2 (no black edge, c(G+) = N) up to M = 2N: every
+    # one under the bound is stacked whatever its c(G+), the connected ones
+    # read off the last block, the others through the core's closed form
+    counts = set()
+    for n in range(8, 17):
+        draws = [
+            ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, random.Random(1000 * n + 10 * m + seed))
+            for m in range(2, 2 * n + 1)
+            for seed in range(4)
+        ]
+        samples = [_split(n, draw) for draw in draws]
+        h = _bordered_stack(*_stack(n, samples))
+        fits = _fits_int64(np.einsum("bij,bij->bi", h, h))
+        assert _stacked_minors(h[fits]) == [_scalar_minors(n, *sample) for sample, f in zip(samples, fits) if f]
+        counts |= {len(_bridged_rows(n, black)) + 1 for (black, _), f in zip(samples, fits) if f}
+    assert counts == set(range(1, 17))
 
 
 def _path_draw(n, red1, red2):
@@ -359,30 +367,21 @@ def _draw_graph(n, draw):
     return swg(n, [(u, v, 1) for u, v in black] + [(u, v, -1) for u, v in reds])
 
 
-def test_bound_on_q_alone_does_not_clear_the_bridged_stack():
-    # G(13, 38) at seed 10 has two black components: Q passes the bound but
-    # Q_2 does not, so ``_stacked`` leaves its minors to the Python-int core
-    # and takes the path drawn next to it; it labels both
-    n, m, seed = 13, 38, 10
-    g = sample_graph(n, m, seed)
-    black, reds = [(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges)
-    assert len(_bridged_rows(n, black)) == 1 and _scalar_minors(n, black, reds)[0] == 0
-    assert _hadamard_fits(_bordered_rows(n, black, reds))
-    assert not _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black)))
-    draws = [ens._sample_pairs(EnsembleConfig(n, (m,), 1, 0), m, random.Random(seed)), _path_draw(n, (0, 2), (10, 12))]
-    labels, minors = ens._stacked(n, draws)
-    assert list(minors) == [1]
-    assert labels == [classify(_draw_graph(n, draw)) for draw in draws] == ["disconnected_plus", "8+++"]
-
-
 def _replay(h):
     """The stacked update replayed on Python ints, on one bordered matrix
-    ``h`` (lists): (the largest product or difference it forms, the largest
-    quotient, [A_empty, A_x, A_y, A_xy] as ``_stacked_minors`` reads them)."""
+    ``h`` (lists), each zero pivot dropping its row and column: (the
+    largest product or difference it forms, the largest quotient,
+    [A_empty, A_x, A_y, A_xy] as ``_stacked_minors`` reads them off the
+    last block, which are those of a connected sample)."""
     top = quotient = 0
     prev = 1
     while len(h) > 2:
         p = h[0][0]
+        if not p:
+            # the stack multiplies the rest by prev and divides it back
+            top = max(top, *(abs(x * prev) for row in h[1:] for x in row[1:]))
+            h = [row[1:] for row in h[1:]]
+            continue
         products = [(x * p, h[i][0] * h[0][j]) for i, row in enumerate(h[1:], 1) for j, x in enumerate(row[1:], 1)]
         top = max(top, *(max(abs(a), abs(b), abs(a - b)) for a, b in products))
         h = [[(x * p - row[0] * h[0][j]) // prev for j, x in enumerate(row[1:], 1)] for row in h[1:]]
@@ -396,19 +395,18 @@ def _replay(h):
 
 
 def test_int64_bound_covers_every_product():
-    # the stacked update replayed on Python ints: on every sample whose Q_c
-    # the bound clears, no product or difference it forms on any Q_k reaches
-    # 2^63; the grid holds samples whose products do
+    # the stacked update replayed on Python ints, zero rows dropped: on
+    # every sample whose H the bound clears, connected or not, no product
+    # or difference it forms reaches 2^63; the grid holds samples whose
+    # products do
     beyond = bridged = 0
     for n in range(5, 14):
         for _, black, reds in _grid_samples(n):
-            c = len(_bridged_rows(n, black)) + 1
-            fits = _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black)))
-            for k in range(1, c + 1):
-                top = _replay(_bordered_rows(n, black, reds, _bump(n, black, k)))[0]
-                assert not fits or top < 2**63
-                beyond += top >= 2**63
-            bridged += fits and c > 1
+            h = _bordered_rows(n, black, reds)
+            fits, top = _hadamard_fits(h), _replay(h)[0]
+            assert not fits or top < 2**63
+            beyond += top >= 2**63
+            bridged += fits and len(_bridged_rows(n, black)) > 0
     assert beyond > 0 and bridged > 0
 
 
@@ -461,7 +459,7 @@ def test_float_quotients_are_exact_at_the_int64_bound():
     for r in range(2, 9):
         stack = [_near_bound(random.Random(f"{r}:{seed}"), r) for seed in range(60)]
         assert all(_hadamard_fits(h) for h in stack)
-        got = _stacked_minors(np.array(stack, dtype=np.int64), np.zeros((len(stack), r), dtype=bool))
+        got = _stacked_minors(np.array(stack, dtype=np.int64))
         for h, values in zip(stack, got):
             t, q, expect = _replay(h)
             assert values == expect
@@ -494,43 +492,47 @@ def test_fits_int64_decides_exactly_next_to_the_bound():
     assert expect.count(True) > 20 and expect.count(False) > 20
 
 
-def test_weighted_combination_stays_in_int64():
-    # sum_k (-1)^(k+1) C(c, k) value(k) replayed on Python ints, each value
-    # read off Q_k by the scalar core (Q plus an edge of weight k from
-    # vertex 0 to each bridged vertex): on every sample whose Q_c the bound
-    # clears, c <= 10 and no term or partial sum reaches 2^63; the sum is
-    # the value over Q
-    # (c >= 11 leaves c - 1 >= 10 bridged rows of squared norm >= c^2)
-    assert 10**18 < 2**62 < 11**20
-    seen = set()
-    for n in range(5, 13):
-        for _, black, reds in _grid_samples(n):
-            rows = _bridged_rows(n, black)
-            c = len(rows) + 1
-            if not _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black))):
-                continue
-            assert c <= 10
-            total = [0] * 4
-            for k in range(1, c + 1):
-                values = _transfer_current(n, [(u, v, 1) for u, v in black] + [(0, v, k) for v in rows], reds, _r2_minors)[:4]
-                for i, x in enumerate(values):
-                    term = (-1) ** (k + 1) * math.comb(c, k) * x
-                    total[i] += term
-                    assert abs(term) < 2**63 and abs(total[i]) < 2**63
-            assert total == _scalar_minors(n, black, reds)
-            seen.add(min(c, 4))
-    assert seen == {1, 2, 3, 4}
-
-
 def test_stacked_minors_raise_on_a_zero_pivot_or_an_inexact_division():
-    # 4 black edges on 8 vertices leave Q singular, and without its bridged
-    # rows the stack meets a zero pivot; K12 is over the int64 bound, and
-    # its wrapped products no longer divide exactly
-    for (n, m), match in (((8, 6), "pivot"), ((12, 66), "not divisible")):
-        g = sample_graph(n, m, 1)
-        lap, reds = _stack(n, [([(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges))])
+    # Q = diag(-1, 2) has a negative pivot; Q = [[0, 1], [1, 2]] a zero
+    # pivot whose row within Q is not zero, which no positive semidefinite
+    # Q has; K12 is connected and over the int64 bound, and its wrapped
+    # products no longer divide exactly
+    def bordered(q):
+        return [[*q[0], 1, 0], [*q[1], 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+    g = sample_graph(12, 66, 1)
+    k12 = _bordered_stack(*_stack(12, [([(u, v) for u, v, _ in g.black_edges], tuple(e[:2] for e in g.red_edges))]))
+    for h, match in (
+        (np.array([bordered([[-1, 0], [0, 2]])]), "pivot < 0, or 0 on a nonzero row of Q"),
+        (np.array([bordered([[2, 0], [0, 1]]), bordered([[0, 1], [1, 2]])]), "pivot < 0, or 0 on a nonzero row of Q"),
+        (k12, "not divisible"),
+    ):
         with pytest.raises(InternalConsistencyError, match=match):
-            _stacked_minors(_bordered_stack(lap, reds), np.zeros((1, n - 1), dtype=bool))
+            _stacked_minors(h)
+
+
+def test_stacked_bridged_sample_raises_on_an_inexact_recorded_entry(monkeypatch):
+    # the triangle 0-1-2 and the edge 3-4, red edges (2, 3) and (0, 4): the
+    # stack drops the row of vertex 4 and hands the core's closed form what
+    # ``spectral._eliminate`` leaves, whose Y^T Y / d check then catches a
+    # recorded red entry one too large
+    black, reds = [(0, 1), (0, 2), (1, 2), (3, 4)], ((2, 3), (0, 4))
+    h = _bordered_stack(*_stack(5, [(black, reds)]))
+    real, handed, off_by_one = ens._read_eliminated, [], []
+
+    def watched(upper, dropped, d, read):
+        handed.append((upper, dropped, d))
+        if off_by_one:
+            (entries, q), *rest = dropped
+            dropped = [([entries[0] + 1, *entries[1:]], q), *rest]
+        return real(upper, dropped, d, read)
+
+    monkeypatch.setattr(ens, "_read_eliminated", watched)
+    assert _stacked_minors(h) == [[0, 3, 3, 5]] == [_scalar_minors(5, black, reds)]
+    assert handed == [_eliminate(5, [(u, v, 1) for u, v in black], reds, 4)] and handed[0][1:] == ([([-3, -3], 3)], 3)
+    off_by_one.append(True)
+    with pytest.raises(InternalConsistencyError, match=re.escape("Y^T Y of the dropped rows not divisible by det Q = 3")):
+        _stacked_minors(h)
 
 
 def test_stacked_labels_match_classify():
@@ -568,8 +570,7 @@ def test_stacked_labels_match_classify():
 
 
 def test_samples_over_the_bound_build_no_dense_arrays(monkeypatch):
-    # at N = 200, dense samples (M = 400) fail the bound on Q, and sparse
-    # ones (M = 12) pass it but have c(G+) > 10, so Q_c fails it: no sample
+    # at N = 200, dense samples (M = 400) fail the bound on H: no sample
     # reaches the stacked elimination.  All reach the BFS, in chunks of the
     # production length, whose stacked N x N arrays hold at most 2^19
     # entries each: peak memory stays under half of what one dense float32
@@ -578,10 +579,10 @@ def test_samples_over_the_bound_build_no_dense_arrays(monkeypatch):
     batches, stacked = [], []
     hops, stack = ens._hops, ens._stacked_minors
     monkeypatch.setattr(ens, "_hops", lambda lap: batches.append(len(lap)) or hops(lap))
-    monkeypatch.setattr(ens, "_stacked_minors", lambda h, bridge: stacked.append(len(h)) or stack(h, bridge))
-    cfg = EnsembleConfig(n, (12, 400), 1, 0)
-    draws = [ens._sample_pairs(cfg, m, random.Random(seed)) for m in cfg.m_values for seed in range(128)]
-    assert any(_hadamard_fits(_bordered_rows(n, *_split(n, draw))) for draw in draws[:8])
+    monkeypatch.setattr(ens, "_stacked_minors", lambda h: stacked.append(len(h)) or stack(h))
+    cfg = EnsembleConfig(n, (400,), 1, 0)
+    draws = [ens._sample_pairs(cfg, 400, random.Random(seed)) for seed in range(256)]
+    assert not any(_hadamard_fits(_bordered_rows(n, *_split(n, draw))) for draw in draws[:8])
     length = ens._chunk_length(n)
     tracemalloc.start()
     try:
@@ -596,14 +597,16 @@ def test_samples_over_the_bound_build_no_dense_arrays(monkeypatch):
 
 
 def test_records_route_by_the_bound_alone(monkeypatch):
-    # the Python-int core takes exactly the samples whose Q_c is over the
+    # the Python-int core takes exactly the samples whose H is over the
     # bound, connected or not: none at N <= 10, some at N = 11-12.  One
-    # stacked call per chunk takes every other sample, the ones with a
-    # disconnected black subgraph (bridged) included
-    stacked, scalar = [], []
-    stack, transfer_current = ens._stacked_minors, ens._transfer_current
-    monkeypatch.setattr(ens, "_stacked_minors", lambda h, bridge: stacked.append((len(h), int(bridge.any(axis=1).sum()))) or stack(h, bridge))
+    # stacked call per chunk takes every other sample, and each of those
+    # with a disconnected black subgraph gets its values from the core's
+    # closed form, ``spectral._read_eliminated``
+    stacked, scalar, bridged_reads = [], [], []
+    stack, transfer_current, read_eliminated = ens._stacked_minors, ens._transfer_current, ens._read_eliminated
+    monkeypatch.setattr(ens, "_stacked_minors", lambda h: stacked.append(len(h)) or stack(h))
     monkeypatch.setattr(ens, "_transfer_current", lambda n, black, reds, read: scalar.append((n, black, reds)) or transfer_current(n, black, reds, read))
+    monkeypatch.setattr(ens, "_read_eliminated", lambda *args: bridged_reads.append(args) or read_eliminated(*args))
     over, bridged = {}, 0
     for n in range(5, 13):
         total = n * (n - 1) // 2
@@ -611,6 +614,7 @@ def test_records_route_by_the_bound_alone(monkeypatch):
         cfg = EnsembleConfig(n, ms, 8, master_seed=n)
         scalar.clear()
         stacked.clear()
+        bridged_reads.clear()
         records = ens.generate_records(cfg)
         expect, chunk_bridged = [], 0
         for rec in records:
@@ -619,12 +623,12 @@ def test_records_route_by_the_bound_alone(monkeypatch):
             reds = (rec.red1, rec.red2)
             c = len(_bridged_rows(n, black)) + 1
             assert (c == 1) == rec.gplus_connected
-            if _hadamard_fits(_bordered_rows(n, black, reds, _bump(n, black))):
+            if _hadamard_fits(_bordered_rows(n, black, reds)):
                 chunk_bridged += c > 1
             else:
                 expect.append((n, [(u, v, 1) for u, v in black], reds))
         assert scalar == expect
-        assert stacked == [(len(records) - len(expect), chunk_bridged)]
+        assert stacked == [len(records) - len(expect)] and len(bridged_reads) == chunk_bridged
         over[n] = len(expect)
         bridged += chunk_bridged
     assert not any(over[n] for n in range(5, 11)) and over[11] + over[12] > 0 and bridged > 0

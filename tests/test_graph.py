@@ -16,7 +16,7 @@ from signedlap import (
     spanning_trees,
     two_forests,
 )
-from signedlap.graph import _rational, minor_with_info, red_subset_is_forest
+from signedlap.graph import MAX_VERTICES, _rational, minor_with_info, red_subset_is_forest
 
 from conftest import (
     RATIONAL_STRINGS,
@@ -116,6 +116,15 @@ def test_graph_rejects_boolean_fields():
         SignedWeightedGraph(2, ((False, True, Fraction(1)),))
     with pytest.raises(InputError, match="got bool"):
         SignedWeightedGraph(2, ((0, 1, True),))
+
+
+def test_graph_rejects_a_vertex_count_past_the_bound():
+    assert SignedWeightedGraph(MAX_VERTICES, ((0, MAX_VERTICES - 1, Fraction(1)),)).n == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 2**62, 10**30, 10**5000):
+        with pytest.raises(InputError, match=f"vertex count must be at most {MAX_VERTICES}"):
+            SignedWeightedGraph(n, ())
+        with pytest.raises(InputError, match=f"vertex count must be at most {MAX_VERTICES}"):
+            parse_graph({"n": n, "edges": []})
 
 
 def _over_the_digit_limit() -> int:
