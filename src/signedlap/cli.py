@@ -21,8 +21,9 @@ its own options, is read off the parser's own actions
 definition of every option, default and message.  Files are read and
 written with ``os.read`` and ``os.write`` (``graph._read_file`` and
 ``graph._write_file``), rational strings are read as integer pairs
-(``graph._rational``), and the output is written by ``_json_text``, byte
-for byte what ``json.dumps(payload, indent=2)`` writes.  ``analyze --t``
+(``graph._rational``), and the output is written by the package's one
+JSON writer, ``graph._json_text``, byte for byte what
+``json.dumps(payload, indent=2)`` writes.  ``analyze --t``
 takes its eigenvalues off the integer Laplacian
 (``spectral._graph_eigenvalues``), so no subcommand builds an N x N
 Fraction matrix.
@@ -32,14 +33,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import math
 import sys
 from fractions import Fraction
 
 from . import crossing, discriminants, spectral, stability
 from .errors import InputError, InternalConsistencyError
-from .graph import _decode_json, _read_file, _strings, _write_file, component_counts, parse_graph
+from .graph import _decode_json, _json_text, _read_file, _strings, _write_file, component_counts, parse_graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,49 +74,6 @@ def _parse_fractions(text: str) -> tuple[Fraction, ...]:
     if "" in parts:
         raise InputError(f"empty component in rational vector {text!r}")
     return spectral._rationals(parts, f"the components of {text!r}")
-
-
-_encode_string = json.encoder.encode_basestring_ascii
-
-
-def _json_text(value, indent: str = "") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it when nested at
-    ``indent``: the CLI's one JSON writer.  Dicts with string keys, lists,
-    strings, ints, finite floats, None and the bools are written here, in
-    insertion order, strings through the C encoder that ``json`` itself
-    calls and numbers by ``int.__repr__`` and ``float.__repr__``; anything
-    else, such as a non-finite float, goes to ``json.dumps``.  The
-    pure-Python encoder that ``indent`` selects takes several calls per
-    value."""
-    kind = type(value)
-    if kind is str:
-        return _encode_string(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    inner = indent + "  "
-    # strings, most of the values, are encoded here rather than by a call
-    if kind is dict and all(type(key) is str for key in value):
-        brackets = "{}"
-        items = [
-            f"{_encode_string(key)}: {_encode_string(item) if type(item) is str else _json_text(item, inner)}"
-            for key, item in value.items()
-        ]
-    elif kind is list:
-        brackets = "[]"
-        items = [_encode_string(item) if type(item) is str else _json_text(item, inner) for item in value]
-    else:
-        return json.dumps(value, indent=2).replace("\n", "\n" + indent)
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _emit(payload: dict, output: str | None):

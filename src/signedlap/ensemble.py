@@ -27,7 +27,9 @@ the R = 2 reader ``discriminants._r2_minors`` one by one, which give the
 same integers.
 ``classify`` labels one graph by the list BFS of ``_kernels``, the
 reference the array BFS is tested against.  The CSV and the summary are
-written as bytes, with ``os.write`` (``graph._write_file``).  This module
+written as bytes, with ``os.write`` (``graph._write_file``); the summary's
+text comes from the package's one JSON writer, ``graph._json_text``, with
+its histogram bins held as ``graph._Counts``.  This module
 is the only one that imports numpy at import time, and the package loads
 it only when an ensemble name is first used.
 """
@@ -38,7 +40,6 @@ import _random
 import functools
 import hashlib
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
@@ -49,7 +50,7 @@ import numpy as np
 from . import _kernels
 from .discriminants import _gap_and_log, _r2_minors, _require_r2
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, _Frozen, _write_file
+from .graph import SignedWeightedGraph, _Counts, _Frozen, _json_text, _write_file
 from .spectral import _read_eliminated, _transfer_current
 
 _HIST_LO = -10.0
@@ -602,8 +603,8 @@ class _Tally:
     def __init__(self):
         self.total = self.connected = self.delta_zero = 0
         self.cond: list[float] = []
-        self.all = [0] * _HIST_BINS
-        self.hist: dict[str, list[int]] = {"all": self.all}
+        self.all = _Counts([0] * _HIST_BINS)
+        self.hist: dict[str, _Counts] = {"all": self.all}
 
     def entry(self) -> dict:
         cond = self.cond
@@ -648,7 +649,7 @@ class SummaryFold:
             tally.all[b] += 1
             hist = tally.hist.get(label)
             if hist is None:
-                hist = tally.hist[label] = [0] * _HIST_BINS
+                hist = tally.hist[label] = _Counts([0] * _HIST_BINS)
             hist[b] += 1
         return rec
 
@@ -669,31 +670,8 @@ def summarize(records) -> dict:
     return fold.summary()
 
 
-_encode_key = json.encoder.encode_basestring_ascii
-
-
-def _render(value, indent: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
-    when nested at ``indent``, for dicts with string keys, lists of ints and
-    JSON scalars.  Keys, ints and finite floats go through the C encoders
-    that ``json`` itself calls, and each list is one join over "0"s with
-    only its nonzero entries formatted: the pure-Python encoder that
-    ``indent`` selects takes several calls per histogram bin."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        brackets, items = "{}", [f"{_encode_key(key)}: {_render(value[key], inner)}" for key in sorted(value)]
-    elif isinstance(value, list):
-        brackets, items = "[]", ["0"] * len(value)
-        for i in itertools.compress(range(len(value)), value):
-            items[i] = int.__repr__(value[i])
-    elif type(value) is int or type(value) is float and math.isfinite(value):
-        return repr(value)
-    else:
-        return json.dumps(value)
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-
 def write_summary(summary: dict, path: str):
-    _write_file(path, ((_render(summary, "") + "\n").encode(),))
+    """Write ``summary`` to ``path`` as the bytes of
+    ``json.dumps(summary, indent=2, sort_keys=True) + "\n"``, whatever the
+    order of its keys (``graph._json_text``)."""
+    _write_file(path, ((_json_text(summary, sort_keys=True) + "\n").encode(),))

@@ -218,6 +218,61 @@ def _decode_json(text: str | bytes, what: str):
         raise InputError(f"{what} holds a number too long to read: {exc}") from exc
 
 
+class _Counts(list):
+    """A list of ints, mostly zeros, that ``_json_text`` writes in one join:
+    the ensemble summary's histogram bins."""
+
+    __slots__ = ()
+
+
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "", sort_keys: bool = False) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=sort_keys)``
+    writes it when nested at ``indent``: the package's one JSON writer.
+    Dicts with string keys, lists, strings, ints, finite floats, None and
+    the bools are written here, strings through the C encoder that ``json``
+    itself calls and numbers by ``int.__repr__`` and ``float.__repr__``; a
+    ``_Counts`` is one join over "0"s with only its nonzero entries
+    formatted.  Anything else, such as a non-finite float, goes to
+    ``json.dumps``.  The pure-Python encoder that ``indent`` selects takes
+    several calls per value."""
+    kind = type(value)
+    if kind is str:
+        return _encode_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    # strings, most of the values, are encoded here rather than by a call
+    if kind is dict and all(type(key) is str for key in value):
+        brackets = "{}"
+        items = [
+            f"{_encode_string(key)}: {_encode_string(item) if type(item) is str else _json_text(item, inner, sort_keys)}"
+            for key, item in (sorted(value.items()) if sort_keys else value.items())
+        ]
+    elif kind is list:
+        brackets = "[]"
+        items = [_encode_string(item) if type(item) is str else _json_text(item, inner, sort_keys) for item in value]
+    elif kind is _Counts:
+        brackets, items = "[]", ["0"] * len(value)
+        for i in itertools.compress(range(len(value)), value):
+            items[i] = int.__repr__(value[i])
+    else:
+        return json.dumps(value, indent=2, sort_keys=sort_keys).replace("\n", "\n" + indent)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 _READ_SIZE = 1 << 16
 
 

@@ -475,12 +475,29 @@ _JSON_VALUES = [
     {"b": 1, "a": [True, None, "x"], "é": {"nested": [0.5, -0.0, float("nan")]}},
     {"inf": [float("inf"), 1], "nan": {"x": float("nan")}},
     (1, 2), {"t": (3, [4])}, {1: "int key"}, {"a": {2.5: "float key", None: 0}}, [{True: 1}],
+    {"z": {"y": [{"b": 1, "a": 2}], "x": None}, "a": {"d": {"c": {}, "b": []}, "c": 0}},
+    {"b": [], "a": {}},
+    {"x": None, "y": -1.5e-300, "\u00e9": True, "z": [3, 0]},
+    {"w": -math.inf, "v": math.nan, "n": 10**30, "f": 1 / 3, "k": "\n\"", "h": graph._Counts([0, 12, 0, 100, 0])},
+    pytest.param(graph._Counts([0, -3, 0, 10**40, 0, 0]), id="_Counts([0, -3, 0, 10**40, 0, 0])"),
+    pytest.param(graph._Counts(), id="_Counts()"),
+    # a plain list of falsy and bool entries: written item by item, not
+    # joined over "0"s as a _Counts is
+    [0, 0.0, False, True, None],
 ]
 
 
 @pytest.mark.parametrize("value", _JSON_VALUES, ids=repr)
 def test_json_writer_writes_what_json_dumps_writes(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    # both key orders in one test, so that each value keeps one test id
+    for sort_keys in (False, True):
+        try:
+            expected = json.dumps(value, indent=2, sort_keys=sort_keys)
+        except TypeError:  # sort_keys over keys that do not compare
+            with pytest.raises(TypeError):
+                graph._json_text(value, sort_keys=sort_keys)
+        else:
+            assert graph._json_text(value, sort_keys=sort_keys) == expected
 
 
 def test_json_writer_writes_every_corpus_payload_as_json_dumps(monkeypatch, tmp_path, capsys):

@@ -15,8 +15,10 @@ edges, no red edges, R past the ``coeffs`` guard, a disconnected full,
 black or red graph, or a disconnected black subgraph (A_empty = 0).
 Their numbers reach the 4300-digit limit and both ends of the float
 range.  Documents are malformed in many ways (a vertex count past
-``graph.MAX_VERTICES`` among them), and ensemble configs have each field
-wrong in turn (N past 724 among them).  ``requests(rng, count)`` draws a larger sweep
+``graph.MAX_VERTICES`` among them).  Valid ensemble configs run at N = 6,
+10 and 12, through the stack's dropped rows, the Python-int core past the
+int64 bound and the summary writer; invalid ones have each field wrong in
+turn (N past 724 among them).  ``requests(rng, count)`` draws a larger sweep
 from the same generator::
 
     PYTHONPATH=src:tests python -c "import random, tempfile, test_contract as t; \\
@@ -205,6 +207,10 @@ def _red_count(doc) -> int:
 
 _ENSEMBLE = {"N": 6, "M": [5, 8], "samples": 3, "seed": 1}
 _GNP = {"N": 6, "M": [1], "samples": 3, "seed": 2, "model": "gnp", "p": 0.5}
+# valid configs past N = 6: M = 9 at N = 10 and M = 10 at N = 12 leave
+# every black subgraph disconnected, so the int64 stack drops zero rows;
+# K12 (M = 66) is over the int64 bound and takes the Python-int core
+_VALID = (_ENSEMBLE, _GNP, {"N": 10, "M": [9, 45], "samples": 3, "seed": 3}, {"N": 12, "M": [10, 66], "samples": 2, "seed": 4})
 _WRONG_FIELDS = {
     "N": (0, 1, 2, -3, "6", 6.5, True, None, [6], float("inf"), 1e301, 10**301, 725),
     "M": ([], [1], [0], [16], [5, 5], "5", [5.5], [True], [-2], {"a": 1}, None),
@@ -218,7 +224,7 @@ _WRONG_FIELDS = {
 def _ensemble_config(rng: random.Random) -> dict | bytes:
     roll = rng.random()
     if roll < 0.25:  # valid, small
-        base = dict(rng.choice((_ENSEMBLE, _GNP)))
+        base = dict(rng.choice(_VALID))
         base["seed"] = rng.randrange(2**40)
         return base
     if roll < 0.35:

