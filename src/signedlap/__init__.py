@@ -6,129 +6,110 @@ eigenvalue-crossing discriminants and their spanning-forest / cycle-basis
 duals, hyperplane factorization via wildcard discriminants, l1 stability
 certificates, and Monte Carlo ensembles of random signed graphs.
 
-The ensemble (``signedlap.ensemble``, and the names ``EnsembleConfig``,
-``EnsembleRecord``, ``classify`` and ``sample_graph`` exported here) is
-imported on first use, with numpy, so the exact routes start without
-either.
+``import signedlap`` loads ``signedlap.errors`` alone.  Every other
+module, and every name exported here, is imported on first use (PEP 562).
+A submodule loads itself and what it imports: the CLI imports the layer
+each subcommand runs, so a ``signedlap <command>`` process starts with its
+own modules only.  The first exported name loads the exact layers (every
+module but ``ensemble``, ``_kernels`` and ``cli``), as ``import
+signedlap`` did before; the ensemble's names add ``signedlap.ensemble``
+with numpy.  So a program
+written against the package's names (perfbench's ``checks`` among them)
+has every exact layer loaded before it calls one.
 """
 
 import importlib
 
 from .errors import InputError, InternalConsistencyError
-from .graph import (
-    SignedWeightedGraph,
-    SpanningTree,
-    TwoForest,
-    component_counts,
-    graph_to_dict,
-    is_connected,
-    minor,
-    parse_graph,
-    spanning_trees,
-    two_forests,
-)
-from .spectral import (
-    LaplacianMatrix,
-    SpectralIndex,
-    crossing_count,
-    eigenvalues,
-    index_limits,
-    inertia,
-    laplacian,
-    tree_sum,
-)
-from .crossing import (
-    CrossingPolynomial,
-    RayCrossings,
-    crossing_polynomial,
-    degree_support,
-    graph_ray_crossings,
-    graph_ray_polynomial,
-    ray_crossings,
-    ray_polynomial,
-)
-from .discriminants import (
-    Factorization,
-    Wildcard,
-    cycle_basis_minor,
-    degenerate_point,
-    discriminant,
-    dodgson_identity_holds,
-    factorize,
-    forest_sum,
-    gap,
-    graph_factorization,
-    laplacian_minor,
-    wildcard_basis,
-    wildcard_discriminant,
-    wildcard_forest_sum,
-)
-from .stability import StabilityReport, axis_thresholds, certify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InputError",
-    "InternalConsistencyError",
-    "SignedWeightedGraph",
-    "SpanningTree",
-    "TwoForest",
-    "component_counts",
-    "graph_to_dict",
-    "is_connected",
-    "minor",
-    "parse_graph",
-    "spanning_trees",
-    "two_forests",
-    "LaplacianMatrix",
-    "SpectralIndex",
-    "crossing_count",
-    "eigenvalues",
-    "index_limits",
-    "inertia",
-    "laplacian",
-    "tree_sum",
-    "CrossingPolynomial",
-    "RayCrossings",
-    "crossing_polynomial",
-    "degree_support",
-    "graph_ray_crossings",
-    "graph_ray_polynomial",
-    "ray_crossings",
-    "ray_polynomial",
-    "Factorization",
-    "Wildcard",
-    "cycle_basis_minor",
-    "degenerate_point",
-    "discriminant",
-    "dodgson_identity_holds",
-    "factorize",
-    "forest_sum",
-    "gap",
-    "graph_factorization",
-    "laplacian_minor",
-    "wildcard_basis",
-    "wildcard_discriminant",
-    "wildcard_forest_sum",
-    "StabilityReport",
-    "axis_thresholds",
-    "certify",
-    "EnsembleConfig",
-    "EnsembleRecord",
-    "classify",
-    "sample_graph",
-]
+# each exported name under the module that defines it, in ``__all__`` order
+_EXPORTS = {
+    "errors": ("InputError", "InternalConsistencyError"),
+    "graph": (
+        "SignedWeightedGraph",
+        "SpanningTree",
+        "TwoForest",
+        "component_counts",
+        "graph_to_dict",
+        "is_connected",
+        "minor",
+        "parse_graph",
+        "spanning_trees",
+        "two_forests",
+    ),
+    "spectral": (
+        "LaplacianMatrix",
+        "SpectralIndex",
+        "crossing_count",
+        "eigenvalues",
+        "index_limits",
+        "inertia",
+        "laplacian",
+        "tree_sum",
+    ),
+    "crossing": (
+        "CrossingPolynomial",
+        "RayCrossings",
+        "crossing_polynomial",
+        "degree_support",
+        "graph_ray_crossings",
+        "graph_ray_polynomial",
+        "ray_crossings",
+        "ray_polynomial",
+    ),
+    "discriminants": (
+        "Factorization",
+        "Wildcard",
+        "cycle_basis_minor",
+        "degenerate_point",
+        "discriminant",
+        "dodgson_identity_holds",
+        "factorize",
+        "forest_sum",
+        "gap",
+        "graph_factorization",
+        "laplacian_minor",
+        "wildcard_basis",
+        "wildcard_discriminant",
+        "wildcard_forest_sum",
+    ),
+    "stability": ("StabilityReport", "axis_thresholds", "certify"),
+    "ensemble": ("EnsembleConfig", "EnsembleRecord", "classify", "sample_graph"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+# the exact layers, which the first exported name loads
+_LIBRARY = ("graph", "spectral", "crossing", "polyroots", "discriminants", "stability")
+_SUBMODULES = (
+    "_kernels",
+    "cli",
+    "crossing",
+    "discriminants",
+    "ensemble",
+    "errors",
+    "graph",
+    "polyroots",
+    "spectral",
+    "stability",
+)
 
-_ENSEMBLE_NAMES = ("EnsembleConfig", "EnsembleRecord", "classify", "sample_graph")
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):
-    """Import the ensemble on first use of one of its names (PEP 562)."""
-    if name == "ensemble" or name in _ENSEMBLE_NAMES:
-        module = importlib.import_module(".ensemble", __name__)
-        return module if name == "ensemble" else getattr(module, name)
+    """Import the exact layers and the module that defines ``name``, or
+    the submodule ``name`` alone, on first use (PEP 562).  Nothing is cached
+    here: an exported name is always what its module holds, and an imported
+    submodule becomes an attribute of the package as any import makes it."""
+    if name in _MODULE_OF:
+        for module in _LIBRARY:
+            importlib.import_module(f".{module}", __name__)
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), "ensemble", *_ENSEMBLE_NAMES})
+    return sorted({*globals(), *_MODULE_OF, *_SUBMODULES})

@@ -27,6 +27,13 @@ JSON writer, ``graph._json_text``, byte for byte what
 takes its eigenvalues off the integer Laplacian
 (``spectral._graph_eigenvalues``), so no subcommand builds an N x N
 Fraction matrix.
+
+Each process loads only the modules its subcommand runs.  This module
+imports argparse, ``errors`` and ``graph``'s I/O helpers; each ``_cmd_*``
+imports its own layer on first use: ``analyze`` and ``stability`` the
+spectral core, ``coeffs`` and ``crossings`` ``crossing`` (``crossings``
+adds ``polyroots``), ``disc`` and ``factorize`` ``discriminants``.  Only
+``analyze --t`` (LAPACK eigenvalues) and ``ensemble`` load numpy.
 """
 
 from __future__ import annotations
@@ -36,9 +43,8 @@ import functools
 import sys
 from fractions import Fraction
 
-from . import crossing, discriminants, spectral, stability
 from .errors import InputError, InternalConsistencyError
-from .graph import _decode_json, _json_text, _read_file, _strings, _write_file, component_counts, parse_graph
+from .graph import _decode_json, _json_text, _rationals, _read_file, _strings, _write_file, component_counts, parse_graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +79,7 @@ def _parse_fractions(text: str) -> tuple[Fraction, ...]:
     parts = [part.strip() for part in text.split(",")]
     if "" in parts:
         raise InputError(f"empty component in rational vector {text!r}")
-    return spectral._rationals(parts, f"the components of {text!r}")
+    return _rationals(parts, f"the components of {text!r}")
 
 
 def _emit(payload: dict, output: str | None):
@@ -89,6 +95,8 @@ def _frac(x: Fraction | None) -> str | None:
 
 
 def _cmd_analyze(args) -> dict:
+    from . import spectral
+
     g = _load_graph(args.input)
     c_all, c_plus, c_minus = component_counts(g)
     out = {
@@ -113,11 +121,15 @@ def _cmd_analyze(args) -> dict:
 
 
 def _cmd_coeffs(args) -> dict:
+    from . import crossing
+
     g = _load_graph(args.input)
     return crossing.crossing_polynomial(g).to_json_dict()
 
 
 def _cmd_disc(args) -> dict:
+    from . import discriminants
+
     g = _load_graph(args.input)
     p, sigma = discriminants._disc_minors(g)
     delta = discriminants.discriminant(p)
@@ -132,6 +144,8 @@ def _cmd_disc(args) -> dict:
 
 
 def _cmd_factorize(args) -> dict:
+    from . import discriminants
+
     g = _load_graph(args.input)
     fac = discriminants.graph_factorization(g)
     if fac is None:
@@ -140,6 +154,8 @@ def _cmd_factorize(args) -> dict:
 
 
 def _cmd_stability(args) -> dict:
+    from . import stability
+
     g = _load_graph(args.input)
     if args.t is None:
         return {"thresholds": [_frac(w) for w in stability.axis_thresholds(g)]}
@@ -159,6 +175,8 @@ def _cmd_stability(args) -> dict:
 
 
 def _cmd_crossings(args) -> dict:
+    from . import crossing
+
     g = _load_graph(args.input)
     alpha = _parse_fractions(args.ray)
     result = crossing.graph_ray_crossings(g, alpha)

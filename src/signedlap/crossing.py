@@ -32,7 +32,10 @@ and interpolates exactly.  So
 ``graph_ray_crossings`` costs one elimination plus N - c(G-) + 1 small
 determinants instead of 2^R minors.  ``crossing_polynomial`` with
 ``ray_polynomial`` is the 2^R route, kept for ``coeffs`` and as the test
-oracle.
+oracle.  ``polyroots`` is imported on first use, by ``ray_polynomial``
+and the root isolation of the ray crossings, so ``coeffs`` runs without
+it; the ``RayCrossings`` annotation names it through the package, which
+imports it when the annotation is evaluated.
 
 Bitmask convention: bit k of a coefficient index corresponds to red edge k
 (0-based); serialized binary strings put red edge 0 leftmost.
@@ -44,11 +47,11 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Sequence
 
-from . import polyroots
+import signedlap  # the package resolves ``signedlap.polyroots`` on first use
+
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, _Frozen, _strings, component_counts, is_connected
-from .polyroots import RootRecord
-from .spectral import _pivots, _principal_minors, _rationals, _touched_block, _transfer_current
+from .graph import SignedWeightedGraph, _Frozen, _rationals, _strings, component_counts, is_connected
+from .spectral import _pivots, _principal_minors, _touched_block, _transfer_current
 
 MAX_RED_DEFAULT = 20
 
@@ -198,6 +201,8 @@ def ray_polynomial(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> list[Fra
     """Restriction of M to the ray t*alpha, as a univariate polynomial in t
     (dense rational coefficients, lowest degree first), from all 2^R
     coefficients."""
+    from . import polyroots
+
     alpha = _ray_direction(p.red_count, alpha)
     out = [Fraction(0)] * (p.red_count + 1)
     for mask, a in enumerate(p.coeffs):
@@ -222,7 +227,7 @@ class RayCrossings(NamedTuple):
     and the ray polynomial itself (lowest degree first)."""
 
     alpha: tuple[Fraction, ...]
-    roots: tuple[RootRecord, ...]
+    roots: tuple[signedlap.polyroots.RootRecord, ...]
     polynomial: tuple[Fraction, ...]
 
 
@@ -278,6 +283,8 @@ def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> l
 
 
 def _crossings(q: list[Fraction], alpha: Sequence[Fraction]) -> RayCrossings:
+    from . import polyroots
+
     if not q:
         raise InternalConsistencyError("ray polynomial is identically zero")
     roots = polyroots.positive_roots(q)

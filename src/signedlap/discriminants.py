@@ -27,7 +27,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import _kernels
 from .crossing import CrossingPolynomial, require_nonnegative
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, _Frozen, _is_int, component_counts, minor_with_info, red_subset_is_forest, two_forests
@@ -256,6 +255,8 @@ def cycle_basis_minor(g: SignedWeightedGraph) -> Fraction | None:
     and not the other (``_cycle_minor``, which ``disc`` prints; this
     determinant is its oracle).
     """
+    from . import _kernels
+
     _require_r2(g, "cycle minor")
     if any(w != 1 for _, _, w in g.black_edges):
         raise InputError("cycle minor requires unit black weights")

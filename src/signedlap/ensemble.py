@@ -47,7 +47,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .discriminants import _gap_and_log, _r2_minors, _require_r2
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, _Counts, _Frozen, _json_text, _write_file
@@ -289,6 +288,8 @@ def classify(g: SignedWeightedGraph) -> str:
     the list BFS and component count of ``_kernels``: the reference that
     the array BFS of ``_stacked``, which labels the ensemble, is checked
     against."""
+    from . import _kernels
+
     _require_r2(g, "classification")
     (u1, v1, _), (u2, v2, _) = g.red_edges
     adj: list[list[int]] = [[] for _ in range(g.n)]

@@ -16,6 +16,7 @@ import os
 import re
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational, Real
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
@@ -55,6 +56,28 @@ def _rational(s: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     return Fraction(s)
+
+
+def _exact(x) -> Fraction:
+    """``Fraction(x)`` of a rational given exactly, such as an int, a
+    Fraction or a string (read by ``_rational``); a bool or a float
+    (numpy's too) is a TypeError, not the rational it happens to equal."""
+    if isinstance(x, str):
+        return _rational(x)
+    if isinstance(x, bool) or isinstance(x, Real) and not isinstance(x, Rational):
+        raise TypeError(f"{x!r} is a {type(x).__name__}, not an exact rational")
+    return Fraction(x)
+
+
+def _rationals(xs, what: str, item=_exact) -> tuple:
+    """``tuple(map(item, xs))``, ``item`` ``_exact`` or built on Fraction:
+    the one converter of the rationals a caller passes in.  Anything that is
+    not a finite rational (by default also a bool or a float), or an ``xs``
+    not iterable, is an InputError naming ``what``."""
+    try:
+        return tuple(map(item, xs))
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"{what} must be finite rationals: {exc}") from None
 
 
 def _strings(xs) -> list[str]:

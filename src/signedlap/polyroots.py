@@ -43,7 +43,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import InputError
-from .spectral import _rationals
+from .graph import _rationals
 
 Poly = list[Fraction]
 IntPoly = list[int]
@@ -456,7 +456,7 @@ def positive_roots(p) -> list[RootRecord]:
     p's Sturm sequence comes first; when its last term, gcd(p, p') up to a
     constant, is a constant, p is square-free and the sequence isolates its
     roots directly.  Otherwise the square-free factors each get their own.
-    The coefficients go through ``spectral._rationals``: a float, a bool or
+    The coefficients go through ``graph._rationals``: a float, a bool or
     anything else that is not an exact rational is an InputError.
     """
     p = strip(_rationals(p, "polynomial coefficients"))

@@ -24,19 +24,18 @@ red-touched vertices and adds the red Laplacian there; ``_pivots`` of that
 block gives the ray's determinants and the spectral index of a graph
 (``_graph_inertia``, with ``inertia`` of the explicit matrix as its
 reference).  ``_kernels.det_int`` serves ``det_rational`` and the
-``discriminants.cycle_basis_minor`` oracle alone.
+``discriminants.cycle_basis_minor`` oracle alone, and each imports it on
+first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from numbers import Rational, Real
 from typing import NamedTuple, Sequence
 
-from . import _kernels
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, _rational, component_counts, is_connected
+from .graph import SignedWeightedGraph, _rationals, component_counts, is_connected
 
 
 class SpectralIndex(NamedTuple):
@@ -64,28 +63,6 @@ class LaplacianMatrix:
 
     def __repr__(self):
         return f"LaplacianMatrix(n={self.n})"
-
-
-def _exact(x) -> Fraction:
-    """``Fraction(x)`` of a rational given exactly, such as an int, a
-    Fraction or a string (read by ``graph._rational``); a bool or a float
-    (numpy's too) is a TypeError, not the rational it happens to equal."""
-    if isinstance(x, str):
-        return _rational(x)
-    if isinstance(x, bool) or isinstance(x, Real) and not isinstance(x, Rational):
-        raise TypeError(f"{x!r} is a {type(x).__name__}, not an exact rational")
-    return Fraction(x)
-
-
-def _rationals(xs, what: str, item=_exact) -> tuple:
-    """``tuple(map(item, xs))``, ``item`` ``_exact`` or built on Fraction:
-    the one converter of the rationals a caller passes in.  Anything that is
-    not a finite rational (by default also a bool or a float), or an ``xs``
-    not iterable, is an InputError naming ``what``."""
-    try:
-        return tuple(map(item, xs))
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise InputError(f"{what} must be finite rationals: {exc}") from None
 
 
 def _as_rows(m, symmetric: bool = False) -> tuple[tuple[Fraction, ...], ...]:
@@ -224,6 +201,8 @@ def det_rational(rows) -> Fraction:
 
     Clears denominators row-wise and defers to the exact integer kernel.
     """
+    from . import _kernels
+
     scale = 1
     int_rows = []
     for row in _as_rows(rows):

@@ -1386,68 +1386,140 @@ def _fresh(script, *args):
     return json.loads(proc.stdout)
 
 
-_ENSEMBLE_NAMES = ("EnsembleConfig", "EnsembleRecord", "classify", "sample_graph")
-
 _PACKAGE_API = """
-import json, sys
+import json, pkgutil, sys
 import signedlap
-before = "signedlap.ensemble" in sys.modules
-star = {}
-exec("from signedlap import *", star)
+
+
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "signedlap")
+
+
+imported = loaded()
+names = dir(signedlap)
 try:
     signedlap.no_such_name
 except AttributeError as exc:
     error = str(exc)
 else:
     error = None
+hasattr_ = hasattr(signedlap, "no_such_name")
+untouched = loaded()
+signedlap.laplacian
+library = loaded()
+exports = {}
+for name in signedlap.__all__:
+    obj = getattr(signedlap, name)
+    exports[name] = [obj.__module__, vars(sys.modules[obj.__module__]).get(name) is obj]
+star = {}
+exec("from signedlap import *", star)
+submodules = sorted(m.name for m in pkgutil.iter_modules(signedlap.__path__))
 print(json.dumps({
-    "before": before,
-    "star": sorted(name for name in signedlap.__all__ if star.get(name) is getattr(signedlap, name)),
-    "dir": sorted(name for name in signedlap.__all__ + ["ensemble"] if name in dir(signedlap)),
-    "ensemble": signedlap.ensemble.__name__,
-    "modules": [getattr(signedlap, name).__module__ for name in %r],
+    "imported": imported,
+    "dir": names,
     "error": error,
-    "hasattr": hasattr(signedlap, "no_such_name"),
+    "hasattr": hasattr_,
+    "untouched": untouched,
+    "library": library,
+    "exports": exports,
+    "star": sorted(name for name, obj in star.items() if name != "__builtins__" and obj is getattr(signedlap, name)),
+    "submodules": {m: getattr(signedlap, m) is sys.modules["signedlap." + m] for m in submodules},
 }))
-""" % (_ENSEMBLE_NAMES,)
+"""
 
 
 def test_package_exports_the_ensemble_on_first_use():
+    """``import signedlap`` loads ``errors`` alone; every exported name and
+    every submodule resolves on first use, to what its module holds, and
+    the first exported name loads every exact module."""
     out = _fresh(_PACKAGE_API)
-    assert out["before"] is False
-    assert out["star"] == sorted(signedlap.__all__)
-    assert out["dir"] == sorted(signedlap.__all__ + ["ensemble"])
-    assert out["ensemble"] == "signedlap.ensemble"
-    assert out["modules"] == ["signedlap.ensemble"] * 4
+    assert out["imported"] == out["untouched"] == ["signedlap", "signedlap.errors"]
+    exact = ("crossing", "discriminants", "errors", "graph", "polyroots", "spectral", "stability")
+    assert out["library"] == ["signedlap"] + [f"signedlap.{m}" for m in exact]
     assert out["error"] == "module 'signedlap' has no attribute 'no_such_name'"
     assert out["hasattr"] is False
+    assert list(out["exports"]) == signedlap.__all__
+    assert all(held for _, held in out["exports"].values())
+    assert {module for module, _ in out["exports"].values()} == {
+        f"signedlap.{m}" for m in ("errors", "graph", "spectral", "crossing", "discriminants", "stability", "ensemble")
+    }
+    assert out["star"] == sorted(signedlap.__all__)
+    submodules = sorted(m.stem for m in Path(signedlap.__file__).parent.glob("*.py") if m.stem != "__init__")
+    assert out["submodules"] == dict.fromkeys(submodules, True)
+    assert set(out["dir"]) >= {*signedlap.__all__, *submodules, "__version__"}
+    for name in signedlap.__all__:
+        obj = getattr(signedlap, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
     assert signedlap.ensemble is ens
-    assert all(getattr(signedlap, name) is getattr(ens, name) for name in _ENSEMBLE_NAMES)
+    assert all(getattr(signedlap, name) is getattr(ens, name) for name in ("EnsembleConfig", "EnsembleRecord", "classify", "sample_graph"))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         signedlap.no_such_name
 
 
-# whether each of these modules is loaded and was not before the import
-_LOADED = "[name in sys.modules and name not in before for name in ('numpy', 'signedlap.ensemble', 'dataclasses', 'inspect')]"
+_HINTS = """
+import json, sys, typing
+import signedlap.crossing
+before = "signedlap.polyroots" in sys.modules
+roots = typing.get_type_hints(signedlap.crossing.RayCrossings)["roots"]
+print(json.dumps([before, roots == tuple[signedlap.polyroots.RootRecord, ...]]))
+"""
 
-# the loaded modules after ``import signedlap``, after ``import
-# signedlap.cli`` and after each ``cli.main(argv)``, with its exit code,
-# stdout and stderr
-_STARTUP = f"""
+
+def test_ray_crossings_hints_resolve_without_a_loaded_root_finder():
+    """``crossing`` loads without ``polyroots``, and its public
+    ``RayCrossings`` annotation still resolves, importing it."""
+    assert _fresh(_HINTS) == [False, True]
+
+
+# after ``import signedlap``, after ``import signedlap.cli`` and after
+# ``cli.main(argv)`` when an argv is given: the ``signedlap`` modules
+# loaded, and whether numpy, dataclasses and inspect were loaded and were
+# not before the import; then the run's exit code, stdout and stderr
+_STARTUP = """
 import contextlib, io, json, sys
 before = set(sys.modules)
+
+
+def loaded():
+    new = set(sys.modules) - before
+    return [sorted(name for name in new if name.partition(".")[0] == "signedlap"), [name in new for name in ("numpy", "dataclasses", "inspect")]]
+
+
 import signedlap
-loaded = [{_LOADED}]
+steps = [loaded()]
 import signedlap.cli
-loaded.append({_LOADED})
-runs = []
-for argv in json.loads(sys.argv[1]):
+steps.append(loaded())
+run = None
+if len(sys.argv) > 1:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = signedlap.cli.main(argv)
-    runs.append([code, out.getvalue(), err.getvalue(), {_LOADED}])
-print(json.dumps({{"loaded": loaded, "runs": runs}}))
+        code = signedlap.cli.main(json.loads(sys.argv[1]))
+    run = [code, out.getvalue(), err.getvalue()]
+    steps.append(loaded())
+print(json.dumps({"steps": steps, "run": run}))
 """
+
+_CLI_MODULES = ["signedlap", "signedlap.cli", "signedlap.errors", "signedlap.graph"]
+
+
+def _cli_modules(*names):
+    return sorted(_CLI_MODULES + [f"signedlap.{name}" for name in names])
+
+
+def _start(capsys, argv, files=()):
+    """The ``signedlap`` modules loaded after a fresh ``cli.main(argv)``,
+    and which of numpy, dataclasses and inspect it loaded.  Its exit code,
+    stdout, stderr and ``files`` must be what the same run writes in this
+    process."""
+    out = _fresh(_STARTUP, json.dumps(argv))
+    package, cli_import, (modules, others) = out["steps"]
+    assert package == [["signedlap", "signedlap.errors"], [False] * 3], argv
+    assert cli_import == [_CLI_MODULES, [False] * 3], argv
+    written = [Path(path).read_bytes() for path in files]
+    code, stdout, stderr = out["run"]
+    assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv), argv
+    assert written == [Path(path).read_bytes() for path in files], argv
+    return modules, others
 
 
 def _in_process(capsys, argv):
@@ -1457,37 +1529,34 @@ def _in_process(capsys, argv):
 
 
 def test_exact_commands_start_without_numpy(capsys, k4_file):
-    argvs = [
-        ["coeffs", "--input", k4_file],
-        ["disc", "--input", k4_file],
-        ["factorize", "--input", k4_file],
-        ["stability", "--input", k4_file],
-        ["stability", "--input", k4_file, "--t", "3/10,3/10"],
-        ["crossings", "--input", k4_file, "--ray", "1,2"],
-        ["analyze", "--input", k4_file],
+    """Each subcommand loads only the modules it runs: ``coeffs`` no root
+    finder, no subcommand ``_kernels``, none numpy, dataclasses or inspect."""
+    assert _fresh(_STARTUP)["steps"] == [
+        [["signedlap", "signedlap.errors"], [False] * 3],
+        [_CLI_MODULES, [False] * 3],
     ]
-    out = _fresh(_STARTUP, json.dumps(argvs))
-    assert out["loaded"] == [[False] * 4, [False] * 4]
-    for argv, (code, stdout, stderr, loaded) in zip(argvs, out["runs"], strict=True):
-        assert loaded == [False] * 4, argv
-        assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv), argv
+    expected = [
+        (["analyze", "--input", k4_file], _cli_modules("spectral")),
+        (["coeffs", "--input", k4_file], _cli_modules("spectral", "crossing")),
+        (["disc", "--input", k4_file], _cli_modules("spectral", "crossing", "discriminants")),
+        (["factorize", "--input", k4_file], _cli_modules("spectral", "crossing", "discriminants")),
+        (["stability", "--input", k4_file], _cli_modules("spectral", "stability")),
+        (["stability", "--input", k4_file, "--t", "3/10,3/10"], _cli_modules("spectral", "stability")),
+        (["crossings", "--input", k4_file, "--ray", "1,2"], _cli_modules("spectral", "crossing", "polyroots")),
+    ]
+    for argv, modules in expected:
+        assert _start(capsys, argv) == (modules, [False] * 3), argv
 
 
 def test_analyze_with_t_and_ensemble_load_numpy(capsys, tmp_path, k4_file):
     argv = ["analyze", "--input", k4_file, "--t", "1,1"]
-    out = _fresh(_STARTUP, json.dumps([argv]))
-    ((code, stdout, stderr, loaded),) = out["runs"]
+    modules, others = _start(capsys, argv)
     # numpy brings in inspect, but nothing here loads dataclasses
-    assert out["loaded"][-1] == [False] * 4 and loaded[:3] == [True, False, False]
-    assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv)
+    assert modules == _cli_modules("spectral") and others[:2] == [True, False]
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 9, "M": [9, 20], "samples": 15, "seed": 4}))
     csv = tmp_path / "runs.csv"
     argv = ["ensemble", "--input", str(cfg), "--output", str(csv)]
-    out = _fresh(_STARTUP, json.dumps([argv]))
-    ((code, stdout, stderr, loaded),) = out["runs"]
-    files = [csv.read_bytes(), (tmp_path / "runs.summary.json").read_bytes()]
-    assert out["loaded"][-1] == [False] * 4 and loaded[:3] == [True, True, False]
-    assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv)
-    assert files == [csv.read_bytes(), (tmp_path / "runs.summary.json").read_bytes()]
+    modules, others = _start(capsys, argv, [csv, tmp_path / "runs.summary.json"])
+    assert modules == _cli_modules("spectral", "crossing", "discriminants", "ensemble") and others[:2] == [True, False]
