@@ -10,12 +10,13 @@ certificates, and Monte Carlo ensembles of random signed graphs.
 module, and every name exported here, is imported on first use (PEP 562).
 A submodule loads itself and what it imports: the CLI imports the layer
 each subcommand runs, so a ``signedlap <command>`` process starts with its
-own modules only.  The first exported name loads the exact layers (every
-module but ``ensemble``, ``_kernels`` and ``cli``), as ``import
-signedlap`` did before; the ensemble's names add ``signedlap.ensemble``
-with numpy.  So a program
-written against the package's names (perfbench's ``checks`` among them)
-has every exact layer loaded before it calls one.
+own modules only, and never the enumeration oracles (``oracles``).  The
+first exported name, whichever it is, loads the exact layers and the
+oracles (every module but ``ensemble``, ``_kernels`` and ``cli``), as
+``import signedlap`` did before; the ensemble's names add
+``signedlap.ensemble`` with numpy.  So a program written against the
+package's names (perfbench's ``checks`` among them) has every exact layer
+loaded before it calls one.
 """
 
 import importlib
@@ -29,16 +30,12 @@ _EXPORTS = {
     "errors": ("InputError", "InternalConsistencyError"),
     "graph": (
         "SignedWeightedGraph",
-        "SpanningTree",
-        "TwoForest",
         "component_counts",
         "graph_to_dict",
         "is_connected",
-        "minor",
         "parse_graph",
-        "spanning_trees",
-        "two_forests",
     ),
+    "oracles": ("SpanningTree", "TwoForest", "minor", "spanning_trees", "two_forests"),
     "spectral": (
         "LaplacianMatrix",
         "SpectralIndex",
@@ -79,8 +76,8 @@ _EXPORTS = {
     "ensemble": ("EnsembleConfig", "EnsembleRecord", "classify", "sample_graph"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-# the exact layers, which the first exported name loads
-_LIBRARY = ("graph", "spectral", "crossing", "polyroots", "discriminants", "stability")
+# the exact layers and the oracles, which the first exported name loads
+_LIBRARY = ("graph", "oracles", "spectral", "crossing", "polyroots", "discriminants", "stability")
 _SUBMODULES = (
     "_kernels",
     "cli",
@@ -89,6 +86,7 @@ _SUBMODULES = (
     "ensemble",
     "errors",
     "graph",
+    "oracles",
     "polyroots",
     "spectral",
     "stability",

@@ -14,11 +14,14 @@ strings, and one past Python's digit limit is an input error; floats only
 for approximate quantities (eigenvalues, gap, a root's midpoint), and one
 outside the float range is an input error.
 
-Each request does little fixed work besides its subcommand's.  A
-canonical argv, the subcommand followed only by ``--name value`` pairs of
-its own options, is read off the parser's own actions
-(``_canonical_args``); argparse reads every other argv, and stays the one
-definition of every option, default and message.  Files are read and
+Each request does little fixed work besides its subcommand's.  Every
+option of every subcommand is declared once, in ``_OPTIONS``: its string,
+dest, type, required flag, default and help.  A canonical argv, the
+subcommand followed only by ``--name value`` pairs of its own options, is
+read off that table (``_canonical_args``) with no parser built; argparse,
+imported and built from the same table on first use (``build_parser``),
+reads every other argv and writes every usage, help and usage-error
+message.  Files are read and
 written with ``os.read`` and ``os.write`` (``graph._read_file`` and
 ``graph._write_file``), rational strings are read as integer pairs
 (``graph._rational``), and the output is written by the package's one
@@ -29,34 +32,24 @@ takes its eigenvalues off the integer Laplacian
 Fraction matrix.
 
 Each process loads only the modules its subcommand runs.  This module
-imports argparse, ``errors`` and ``graph``'s I/O helpers; each ``_cmd_*``
+imports ``errors`` and ``graph``'s I/O helpers; each ``_cmd_*``
 imports its own layer on first use: ``analyze`` and ``stability`` the
 spectral core, ``coeffs`` and ``crossings`` ``crossing`` (``crossings``
 adds ``polyroots``), ``disc`` and ``factorize`` ``discriminants``.  Only
-``analyze --t`` (LAPACK eigenvalues) and ``ensemble`` load numpy.
+``analyze --t`` (LAPACK eigenvalues) and ``ensemble`` load numpy, only a
+non-canonical argv loads argparse, and no subcommand loads the
+enumeration oracles (``oracles``).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+import types
 from fractions import Fraction
 
 from .errors import InputError, InternalConsistencyError
 from .graph import _decode_json, _json_text, _rationals, _read_file, _strings, _write_file, component_counts, parse_graph
-
-
-class _Parser(argparse.ArgumentParser):
-    """The CLI's parser.  ``build_parser`` sets ``command_options``: per
-    subcommand, its option strings and the ``Action`` each names, as
-    ``add_argument`` returned them."""
-
-    command_options: dict[str, dict[str, argparse.Action]]
-
-    def error(self, message):  # argparse defaults to exit code 2; keep 1 for input errors
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _read_json(path: str):
@@ -222,66 +215,89 @@ _COMMANDS = {
 }
 
 
+_INPUT = ("--input", "input", None, True, None, "graph JSON path (ensemble: config JSON)")
+_OUTPUT_HELP = "JSON path, else stdout (ensemble: CSV)"
+_OUTPUT = ("--output", "output", None, False, None, _OUTPUT_HELP)
+_T = ("--t", "t", None, False, None, "red magnitudes, comma-separated rationals")
+# every subcommand's options, in the order that --help lists them, each as
+# (option string, dest, type, required, default, help): the one declaration
+# that both ``_canonical_args`` and ``build_parser`` read
+_OPTIONS = {
+    "analyze": (_INPUT, _OUTPUT, _T),
+    "coeffs": (_INPUT, _OUTPUT),
+    "disc": (_INPUT, _OUTPUT),
+    "factorize": (_INPUT, _OUTPUT),
+    "stability": (_INPUT, _OUTPUT, _T),
+    "crossings": (_INPUT, _OUTPUT, ("--ray", "ray", None, True, None, "ray direction, positive rationals")),
+    "ensemble": (
+        _INPUT,
+        ("--output", "output", None, True, None, _OUTPUT_HELP),
+        ("--seed", "seed", int, False, None, "override the config master seed"),
+        ("--threads", "threads", int, False, 1, "ignored: samples run serially"),
+    ),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared, unmodified, by every later call."""
+def build_parser():
+    """The argparse parser of ``_OPTIONS``, built on first use and shared,
+    unmodified, by every later call.  Only an argv that is not canonical
+    needs it, so argparse is imported here."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse defaults to exit code 2; keep 1 for input errors
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     # --help shows the docstring's first two paragraphs, the usage; the
     # rest is about the implementation (python -OO strips the docstring)
     description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
-    parser = _Parser(prog="signedlap", description=description)
-    parser.command_options = {}
+    parser = Parser(prog="signedlap", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, options in _OPTIONS.items():
         p = sub.add_parser(name)
-        actions = [
-            p.add_argument("--input", required=True, help="graph JSON path (ensemble: config JSON)"),
-            p.add_argument("--output", required=name == "ensemble", help="JSON path, else stdout (ensemble: CSV)"),
-        ]
-        if name in ("analyze", "stability"):
-            actions.append(p.add_argument("--t", help="red magnitudes, comma-separated rationals"))
-        if name == "crossings":
-            actions.append(p.add_argument("--ray", required=True, help="ray direction, positive rationals"))
-        if name == "ensemble":
-            actions.append(p.add_argument("--seed", type=int, help="override the config master seed"))
-            actions.append(p.add_argument("--threads", type=int, default=1, help="ignored: samples run serially"))
-        parser.command_options[name] = {option: action for action in actions for option in action.option_strings}
+        for option, dest, kind, required, default, text in options:
+            p.add_argument(option, dest=dest, type=kind, required=required, default=default, help=text)
     return parser
 
 
-def _canonical_args(argv: list[str]) -> argparse.Namespace | None:
-    """``build_parser().parse_args(argv)`` for a canonical ``argv``, read off
-    the parser's own actions; None for any other.
+def _canonical_args(argv: list[str]) -> types.SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for a canonical
+    ``argv``, read off ``_OPTIONS`` with no parser built; None for any other.
 
     Canonical is ``<command>`` followed only by ``--name value`` pairs,
     each name one of that subcommand's option strings, each option given
     once, every required one given, no value starting with "-" and every
-    value that its action's ``type`` takes.  Each action supplies its
-    type, whether it is required and its default, so argparse stays the
-    one definition of every option; help, abbreviations, ``=`` forms and
-    every usage error go to argparse itself.
+    value that its option's type takes.  Help, abbreviations, ``=`` forms
+    and every usage error go to argparse itself.
     """
     if len(argv) % 2 == 0:  # not a command and pairs
         return None
-    options = build_parser().command_options.get(argv[0])
+    options = _OPTIONS.get(argv[0])
     if options is None:
         return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2:  # an option given twice
+        return None
     values = {}
-    for name, value in zip(argv[1::2], argv[2::2]):
-        action = options.get(name)
-        if action is None or action.dest in values or value.startswith("-"):
+    for option, dest, kind, required, default, _ in options:
+        value = given.pop(option, None)
+        if value is None:
+            if required:
+                return None
+            value = default
+        elif value.startswith("-"):
             return None
-        if action.type is not None:
+        elif kind is not None:
             try:
-                value = action.type(value)
+                value = kind(value)
             except (TypeError, ValueError):
                 return None
-        values[action.dest] = value
-    for action in options.values():
-        if action.dest not in values:
-            if action.required:
-                return None
-            values[action.dest] = action.default
-    return argparse.Namespace(command=argv[0], **values)
+        values[dest] = value
+    if given:  # a name that is not one of the subcommand's options
+        return None
+    return types.SimpleNamespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .crossing import CrossingPolynomial, require_nonnegative
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, _Frozen, _is_int, component_counts, minor_with_info, red_subset_is_forest, two_forests
+from .graph import SignedWeightedGraph, _Frozen, _is_int, component_counts
 from .spectral import _as_rows, _transfer_current, det_rational
 
 
@@ -125,10 +125,12 @@ def forest_sum(g: SignedWeightedGraph) -> Fraction:
     weight product ranges over black edges only.  Contract: sigma^2 = |Delta|.
     The global sign depends on the endpoint enumeration order.
     """
+    from . import oracles  # the enumeration loads only where it runs
+
     _require_r2(g, "forest sum")
     u_pair, w_pair = _forest_pairs(g)
     total = Fraction(0)
-    for f in two_forests(g, u_pair, w_pair):
+    for f in oracles.two_forests(g, u_pair, w_pair):
         total += f.epsilon * f.pi
     return total
 
@@ -463,14 +465,16 @@ def wildcard_forest_sum(g: SignedWeightedGraph, w: Wildcard) -> Fraction | None:
     (undefined) when a free red edge collapses to a loop or is merged with a
     parallel edge by the contraction.
     """
+    from . import oracles
+
     reds = g.red_indices
     if w.r != len(reds):
         raise InputError(f"wildcard length {w.r} != red count {len(reds)}")
     contract = {k for k in range(w.r) if k not in (w.i, w.j) and w.bits >> k & 1}
     delete = {k for k in range(w.r) if k not in (w.i, w.j) and not w.bits >> k & 1}
-    if not red_subset_is_forest(g, contract):
+    if not oracles.red_subset_is_forest(g, contract):
         return None  # every coefficient under this wildcard is zero
-    info = minor_with_info(g, contract, delete)
+    info = oracles.minor_with_info(g, contract, delete)
     ni = info.red_map.get(w.i)
     nj = info.red_map.get(w.j)
     if ni is None or nj is None:

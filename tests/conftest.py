@@ -13,7 +13,7 @@ import pytest
 
 from signedlap import SignedWeightedGraph, SpectralIndex, _kernels, minor, tree_sum
 from signedlap import polyroots as pr
-from signedlap.graph import pairs_form_forest, red_subset_is_forest
+from signedlap.oracles import pairs_form_forest, red_subset_is_forest
 from signedlap.spectral import LaplacianMatrix, _eliminate
 
 

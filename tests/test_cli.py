@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import signedlap
-from signedlap import _kernels, cli, crossing, discriminants, graph, spectral, stability
+from signedlap import _kernels, cli, crossing, discriminants, graph, oracles, spectral, stability
 from signedlap import ensemble as ens
 
 from conftest import (
@@ -628,8 +628,8 @@ def test_user_facing_commands_take_no_exponential_or_per_mask_route(monkeypatch,
     def forbidden(*args, **kwargs):
         raise AssertionError("a user-facing command reached an oracle route")
 
-    oracles = (graph.minor, spectral.tree_sum, graph.two_forests, graph.spanning_trees, _kernels.det_int, discriminants.cycle_basis_minor)
-    for fn in oracles:
+    routes = (oracles.minor, spectral.tree_sum, oracles.two_forests, oracles.spanning_trees, _kernels.det_int, discriminants.cycle_basis_minor)
+    for fn in routes:
         _patch_everywhere(monkeypatch, fn, forbidden)
     assert outputs() == expected
     disc = {argv[-1]: json.loads(out) for argv, (_, out, _, _) in zip(runs, expected) if argv[0] == "disc"}
@@ -915,13 +915,35 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys, k4_file):
 
     cli.build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    # a canonical argv is read off the option table: no parser is built
     assert cli.main(["coeffs", "--input", k4_file]) == 0
+    assert cli.main(["analyze", "--input", k4_file, "--t", "1,x"]) == 1  # an input error, not a usage error
+    assert built == []
+    # the first argv that is not canonical builds it, and every later one
+    # shares it
+    assert cli.main(["coeffs", f"--input={k4_file}"]) == 0
     first = len(built)
-    assert first > 0
-    assert cli.main(["disc", "--input", k4_file]) == 0
+    assert first == 1 + len(cli._OPTIONS)  # the parser and one per subcommand
+    assert cli.main(["disc", "--in", k4_file]) == 0
     assert cli.main(["crossings"]) == 1
+    assert cli.main(["disc", "--input", k4_file]) == 0
     assert len(built) == first
     capsys.readouterr()
+
+
+def test_parser_actions_are_the_option_table():
+    # build_parser declares nothing of its own: past --help, each
+    # subcommand's actions are its _OPTIONS entries, field by field and in
+    # order, so the canonical reader and argparse cannot drift apart
+    parser = cli.build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli._OPTIONS) == list(cli._COMMANDS)
+    for name, options in cli._OPTIONS.items():
+        help_action, *actions = sub.choices[name]._actions
+        assert help_action.option_strings == ["-h", "--help"], name
+        assert [(a.option_strings, a.dest, a.type, a.required, a.default, a.help) for a in actions] == [
+            ([option], dest, kind, required, default, text) for option, dest, kind, required, default, text in options
+        ], name
 
 
 def _argparse_outcome(capsys, argv):
@@ -972,8 +994,8 @@ def _argvs() -> list[list[str]]:
         ["ensemble", "--input", "c.json", "--output", "r.csv", "--seed", "2", "--seed", "3"],
     ]
     rng = random.Random("argv")
-    options = cli.build_parser().command_options
-    names = sorted({name for by_name in options.values() for name in by_name})
+    options = cli._OPTIONS
+    names = sorted({option[0] for spec in options.values() for option in spec})
     names += ["--in", "--out", "--bogus", "--input=g.json", "-h", "--help", "--"]
     values = ["g.json", "o.json", "1,1", "1/2", "7", " 8 ", "x", "1_0", "", " ", "coeffs", "-1,2", "-x", "--input"]
     drawn = []
@@ -984,8 +1006,8 @@ def _argvs() -> list[list[str]]:
         command = rng.choice(sorted(options))
         pairs = [
             [name, rng.choice(values[:11]) if rng.random() < 0.9 else rng.choice(values)]
-            for name, action in options[command].items()
-            if rng.random() < (0.95 if action.required else 0.5)
+            for name, _, _, required, _, _ in options[command]
+            if rng.random() < (0.95 if required else 0.5)
         ]
         rng.shuffle(pairs)
         change = rng.random()
@@ -1001,7 +1023,7 @@ def _argvs() -> list[list[str]]:
 
 
 def test_canonical_argv_reads_what_argparse_reads(monkeypatch, capsys):
-    # the canonical form is read off the parser's own actions; every other
+    # the canonical form is read off the option table; every other
     # argv reaches argparse, so main's exit code, stdout and stderr are
     # those of parse_args run directly
     def handler(args):
@@ -1371,12 +1393,13 @@ def test_disc_rejects_other_red_counts_first(monkeypatch, capsys, tmp_path):
     assert captured.out == "" and "operation requires exactly 2 red edges, got 3" in captured.err
 
 
-def _fresh(script, *args):
-    """The JSON that ``script`` prints, run in a fresh interpreter on the
-    ``signedlap`` under test: this process has imported numpy already."""
+def _fresh(script, *args, flags=()):
+    """The JSON that ``script`` prints, run in a fresh interpreter, started
+    with ``flags``, on the ``signedlap`` under test: this process has
+    imported numpy already."""
     path = os.pathsep.join(filter(None, [str(Path(signedlap.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, *flags, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -1434,14 +1457,14 @@ def test_package_exports_the_ensemble_on_first_use():
     the first exported name loads every exact module."""
     out = _fresh(_PACKAGE_API)
     assert out["imported"] == out["untouched"] == ["signedlap", "signedlap.errors"]
-    exact = ("crossing", "discriminants", "errors", "graph", "polyroots", "spectral", "stability")
+    exact = ("crossing", "discriminants", "errors", "graph", "oracles", "polyroots", "spectral", "stability")
     assert out["library"] == ["signedlap"] + [f"signedlap.{m}" for m in exact]
     assert out["error"] == "module 'signedlap' has no attribute 'no_such_name'"
     assert out["hasattr"] is False
     assert list(out["exports"]) == signedlap.__all__
     assert all(held for _, held in out["exports"].values())
     assert {module for module, _ in out["exports"].values()} == {
-        f"signedlap.{m}" for m in ("errors", "graph", "spectral", "crossing", "discriminants", "stability", "ensemble")
+        f"signedlap.{m}" for m in ("errors", "graph", "oracles", "spectral", "crossing", "discriminants", "stability", "ensemble")
     }
     assert out["star"] == sorted(signedlap.__all__)
     submodules = sorted(m.stem for m in Path(signedlap.__file__).parent.glob("*.py") if m.stem != "__init__")
@@ -1473,8 +1496,9 @@ def test_ray_crossings_hints_resolve_without_a_loaded_root_finder():
 
 # after ``import signedlap``, after ``import signedlap.cli`` and after
 # ``cli.main(argv)`` when an argv is given: the ``signedlap`` modules
-# loaded, and whether numpy, dataclasses and inspect were loaded and were
-# not before the import; then the run's exit code, stdout and stderr
+# loaded, and whether numpy, dataclasses, inspect, argparse and typing
+# were loaded and were not before the import; then the run's exit code,
+# stdout and stderr
 _STARTUP = """
 import contextlib, io, json, sys
 before = set(sys.modules)
@@ -1482,7 +1506,7 @@ before = set(sys.modules)
 
 def loaded():
     new = set(sys.modules) - before
-    return [sorted(name for name in new if name.partition(".")[0] == "signedlap"), [name in new for name in ("numpy", "dataclasses", "inspect")]]
+    return [sorted(name for name in new if name.partition(".")[0] == "signedlap"), [name in new for name in ("numpy", "dataclasses", "inspect", "argparse", "typing")]]
 
 
 import signedlap
@@ -1506,18 +1530,18 @@ def _cli_modules(*names):
     return sorted(_CLI_MODULES + [f"signedlap.{name}" for name in names])
 
 
-def _start(capsys, argv, files=()):
+def _start(capsys, argv, files=(), code=0):
     """The ``signedlap`` modules loaded after a fresh ``cli.main(argv)``,
-    and which of numpy, dataclasses and inspect it loaded.  Its exit code,
-    stdout, stderr and ``files`` must be what the same run writes in this
-    process."""
+    and which of numpy, dataclasses, inspect, argparse and typing it
+    loaded.  Its exit code must be ``code``, and its exit code, stdout,
+    stderr and ``files`` what the same run writes in this process."""
     out = _fresh(_STARTUP, json.dumps(argv))
     package, cli_import, (modules, others) = out["steps"]
-    assert package == [["signedlap", "signedlap.errors"], [False] * 3], argv
-    assert cli_import == [_CLI_MODULES, [False] * 3], argv
+    assert package == [["signedlap", "signedlap.errors"], [False] * 5], argv
+    assert cli_import == [_CLI_MODULES, [False] * 5], argv
     written = [Path(path).read_bytes() for path in files]
-    code, stdout, stderr = out["run"]
-    assert code == 0 and [code, stdout, stderr] == _in_process(capsys, argv), argv
+    run = out["run"]
+    assert run[0] == code and run == _in_process(capsys, argv), argv
     assert written == [Path(path).read_bytes() for path in files], argv
     return modules, others
 
@@ -1530,11 +1554,16 @@ def _in_process(capsys, argv):
 
 def test_exact_commands_start_without_numpy(capsys, k4_file):
     """Each subcommand loads only the modules it runs: ``coeffs`` no root
-    finder, no subcommand ``_kernels``, none numpy, dataclasses or inspect."""
-    assert _fresh(_STARTUP)["steps"] == [
-        [["signedlap", "signedlap.errors"], [False] * 3],
-        [_CLI_MODULES, [False] * 3],
-    ]
+    finder, no subcommand ``_kernels`` or ``oracles``, none numpy,
+    dataclasses, inspect or argparse.  ``import signedlap.cli`` loads no
+    typing either; the exact layers' result records are
+    ``typing.NamedTuple``s, so a subcommand may."""
+    # -S: no site module, which may import typing itself
+    for flags in ((), ("-S",)):
+        assert _fresh(_STARTUP, flags=flags)["steps"] == [
+            [["signedlap", "signedlap.errors"], [False] * 5],
+            [_CLI_MODULES, [False] * 5],
+        ], flags
     expected = [
         (["analyze", "--input", k4_file], _cli_modules("spectral")),
         (["coeffs", "--input", k4_file], _cli_modules("spectral", "crossing")),
@@ -1545,18 +1574,37 @@ def test_exact_commands_start_without_numpy(capsys, k4_file):
         (["crossings", "--input", k4_file, "--ray", "1,2"], _cli_modules("spectral", "crossing", "polyroots")),
     ]
     for argv, modules in expected:
-        assert _start(capsys, argv) == (modules, [False] * 3), argv
+        loaded, others = _start(capsys, argv)
+        assert (loaded, others[:4]) == (modules, [False] * 4), argv
+
+
+def test_argparse_loads_only_for_an_argv_that_is_not_canonical(monkeypatch, capsys, k4_file):
+    """An ``=`` form, an abbreviation, --help and a usage error reach
+    argparse, in a fresh process as in this one, and load nothing else."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    expected = [
+        (["coeffs", f"--input={k4_file}"], 0, _cli_modules("spectral", "crossing")),
+        (["disc", "--in", k4_file], 0, _cli_modules("spectral", "crossing", "discriminants")),
+        (["--help"], 0, _CLI_MODULES),
+        (["crossings", "--help"], 0, _CLI_MODULES),
+        (["crossings", "--input", k4_file], 1, _CLI_MODULES),
+        (["ensemble", "--input", k4_file, "--output", "x.csv", "--seed", "x"], 1, _CLI_MODULES),
+    ]
+    for argv, code, modules in expected:
+        loaded, others = _start(capsys, argv, code=code)
+        assert (loaded, others[:4]) == (modules, [False, False, False, True]), argv
 
 
 def test_analyze_with_t_and_ensemble_load_numpy(capsys, tmp_path, k4_file):
     argv = ["analyze", "--input", k4_file, "--t", "1,1"]
     modules, others = _start(capsys, argv)
-    # numpy brings in inspect, but nothing here loads dataclasses
-    assert modules == _cli_modules("spectral") and others[:2] == [True, False]
+    # numpy brings in inspect, but nothing here loads dataclasses or argparse
+    assert modules == _cli_modules("spectral") and others[:2] + others[3:4] == [True, False, False]
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 9, "M": [9, 20], "samples": 15, "seed": 4}))
     csv = tmp_path / "runs.csv"
     argv = ["ensemble", "--input", str(cfg), "--output", str(csv)]
     modules, others = _start(capsys, argv, [csv, tmp_path / "runs.summary.json"])
-    assert modules == _cli_modules("spectral", "crossing", "discriminants", "ensemble") and others[:2] == [True, False]
+    assert modules == _cli_modules("spectral", "crossing", "discriminants", "ensemble")
+    assert others[:2] + others[3:4] == [True, False, False]

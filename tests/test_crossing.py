@@ -22,7 +22,8 @@ from signedlap import (
 )
 from signedlap import _kernels, crossing
 from signedlap.crossing import bits_to_mask, mask_to_bits
-from signedlap.graph import component_counts, red_subset_is_forest
+from signedlap.graph import component_counts
+from signedlap.oracles import red_subset_is_forest
 from signedlap.spectral import SpectralIndex, _graph_inertia
 
 from conftest import (

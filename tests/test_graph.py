@@ -16,7 +16,8 @@ from signedlap import (
     spanning_trees,
     two_forests,
 )
-from signedlap.graph import MAX_VERTICES, _rational, minor_with_info, red_subset_is_forest
+from signedlap.graph import MAX_VERTICES, _rational
+from signedlap.oracles import minor_with_info, red_subset_is_forest
 
 from conftest import (
     RATIONAL_STRINGS,
