@@ -32,10 +32,11 @@ and interpolates exactly.  So
 ``graph_ray_crossings`` costs one elimination plus N - c(G-) + 1 small
 determinants instead of 2^R minors.  ``crossing_polynomial`` with
 ``ray_polynomial`` is the 2^R route, kept for ``coeffs`` and as the test
-oracle.  ``polyroots`` is imported on first use, by ``ray_polynomial``
-and the root isolation of the ray crossings, so ``coeffs`` runs without
-it; the ``RayCrossings`` annotation names it through the package, which
-imports it when the annotation is evaluated.
+oracle; ``evaluate`` and ``ray_polynomial`` read one table of signed
+monomials (``_monomials``).  ``polyroots`` is imported on first use, by
+``ray_polynomial`` and the root isolation of the ray crossings, so
+``coeffs`` runs without it; the ``RayCrossings`` annotation names it
+through the package, which imports it when the annotation is evaluated.
 
 Bitmask convention: bit k of a coefficient index corresponds to red edge k
 (0-based); serialized binary strings put red edge 0 leftmost.
@@ -68,30 +69,13 @@ class CrossingPolynomial(_Frozen):
             raise InputError(f"need {1 << red_count} coefficients for {red_count} red edges")
         vars(self).update(red_count=red_count, coeffs=coeffs)
 
-    def coefficient(self, mask: int) -> Fraction:
-        return self.coeffs[mask]
-
     def evaluate(self, t: Sequence[Fraction]) -> Fraction:
-        """Exact value of M at nonnegative rational magnitudes t."""
+        """Exact value of M at rationals t of any sign: M is a polynomial,
+        so unlike the Laplacian routes it takes negative t too."""
         if len(t) != self.red_count:
             raise InputError(f"expected {self.red_count} magnitudes, got {len(t)}")
         t = _rationals(t, "magnitudes")
-        total = Fraction(0)
-        for mask, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            term = a
-            bits = 0
-            m = mask
-            k = 0
-            while m:
-                if m & 1:
-                    term *= t[k]
-                    bits += 1
-                m >>= 1
-                k += 1
-            total += term if bits % 2 == 0 else -term
-        return total
+        return sum((a * x for a, x in zip(self.coeffs, _monomials(t)) if a), Fraction(0))
 
     def to_json_dict(self) -> dict[str, str]:
         """{``mask_to_bits(mask, R)``: str(A_mask)} in mask order (``graph._strings``)."""
@@ -113,6 +97,15 @@ class CrossingPolynomial(_Frozen):
         return cls(r, tuple(coeffs))
 
 
+def _monomials(x: Sequence[Fraction]) -> list[Fraction]:
+    """(-1)^|I| * prod_{i in I} x_i for every mask I, by doubling: the masks
+    with bit k set follow those without."""
+    out = [Fraction(1)]
+    for xi in x:
+        out += [-p * xi for p in out]
+    return out
+
+
 def mask_to_bits(mask: int, r: int) -> str:
     """Bitmask to binary string, red edge 0 leftmost."""
     return "".join("1" if mask >> k & 1 else "0" for k in range(r))
@@ -128,9 +121,9 @@ def bits_to_mask(bits: str) -> int:
     return mask
 
 
-def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) -> CrossingPolynomial:
+def crossing_polynomial(g: SignedWeightedGraph) -> CrossingPolynomial:
     """All 2^R coefficients from one bordered elimination.  Rejects
-    R > max_red (2^R blow-up guard).
+    R > MAX_RED_DEFAULT (2^R blow-up guard).
 
     The black weights are scaled to integers by the lcm L of their
     denominators, and ``_principal_minors`` reads every A_I * L^(N-1-|I|)
@@ -142,8 +135,8 @@ def crossing_polynomial(g: SignedWeightedGraph, max_red: int = MAX_RED_DEFAULT) 
     """
     reds = [(u, v) for u, v, _ in g.red_edges]
     r = len(reds)
-    if r > max_red:
-        raise InputError(f"{r} red edges exceeds the 2^R guard (max_red={max_red})")
+    if r > MAX_RED_DEFAULT:
+        raise InputError(f"{r} red edges exceeds the 2^R guard (max_red={MAX_RED_DEFAULT})")
     scale, black = g._black_ints
     values = _transfer_current(g.n, black, reds, _principal_minors)
     powers = [scale ** (g.n - 1 - k) for k in range(g.n)]
@@ -179,7 +172,7 @@ def degree_support(p: CrossingPolynomial, g: SignedWeightedGraph) -> tuple[int, 
     _, c_plus, c_minus = component_counts(g)
     expect_lo = c_plus - 1
     expect_hi = g.n - c_minus
-    present = {bin(mask).count("1") for mask, a in enumerate(p.coeffs) if a != 0}
+    present = {mask.bit_count() for mask, a in enumerate(p.coeffs) if a}
     if present != set(range(expect_lo, expect_hi + 1)):
         raise InternalConsistencyError(
             f"degree support {sorted(present)} != expected range [{expect_lo}, {expect_hi}]"
@@ -205,20 +198,9 @@ def ray_polynomial(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> list[Fra
 
     alpha = _ray_direction(p.red_count, alpha)
     out = [Fraction(0)] * (p.red_count + 1)
-    for mask, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        term = a
-        deg = 0
-        m = mask
-        k = 0
-        while m:
-            if m & 1:
-                term *= alpha[k]
-                deg += 1
-            m >>= 1
-            k += 1
-        out[deg] += term if deg % 2 == 0 else -term
+    for mask, (a, x) in enumerate(zip(p.coeffs, _monomials(alpha))):
+        if a:
+            out[mask.bit_count()] += a * x
     return polyroots.strip(out)
 
 

@@ -14,10 +14,12 @@ not the other; ``disc`` reads both off one elimination (``_r2_minors``).
 For R > 2 a wildcard (a 0/1 pattern with two free positions) selects a
 4-coefficient sub-polynomial whose 2x2 discriminant must vanish for the zero
 set to split into hyperplanes; a specific basis of 2^R - R - 1 wildcards is
-sufficient.  `factorize` decides on the 2^R coefficients by exact
-re-expansion, which every factorizable polynomial passes and no other does;
-`graph_factorization` decides on the graph from the off-diagonal of the
-transfer-current matrix K, with no 2^R coefficients.
+sufficient; its string puts red edge 0 leftmost, as the coefficient keys
+do (``crossing.mask_to_bits``).  `factorize` decides on the 2^R
+coefficients by exact re-expansion, which every factorizable polynomial
+passes and no other does; `graph_factorization` decides on the graph from
+the off-diagonal of the transfer-current matrix K, with no 2^R
+coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .crossing import CrossingPolynomial, require_nonnegative
+from .crossing import CrossingPolynomial, bits_to_mask, mask_to_bits, require_nonnegative
 from .errors import InputError, InternalConsistencyError
 from .graph import SignedWeightedGraph, _Frozen, _is_int, component_counts
 from .spectral import _as_rows, _transfer_current, det_rational
@@ -341,20 +343,11 @@ class Wildcard(_Frozen):
         frees = [k for k, ch in enumerate(s) if ch == "*"]
         if len(frees) != 2 or any(ch not in "01*" for ch in s):
             raise InputError(f"wildcard {s!r} must be over 0/1/* with exactly two *")
-        bits = 0
-        for k, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << k
-        return cls(len(s), frees[0], frees[1], bits)
+        return cls(len(s), frees[0], frees[1], bits_to_mask(s.replace("*", "0")))
 
     def to_string(self) -> str:
-        out = []
-        for k in range(self.r):
-            if k in (self.i, self.j):
-                out.append("*")
-            else:
-                out.append("1" if self.bits >> k & 1 else "0")
-        return "".join(out)
+        s = mask_to_bits(self.bits, self.r)
+        return f"{s[: self.i]}*{s[self.i + 1 : self.j]}*{s[self.j + 1 :]}"
 
     def subset_masks(self) -> tuple[int, int, int, int]:
         """(b, b+e_i, b+e_j, b+e_i+e_j)."""

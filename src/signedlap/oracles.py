@@ -6,19 +6,30 @@ against, and the reference routes of ``discriminants.forest_sum`` and
 subcommand imports this module: it loads with the package's exported
 names (``signedlap.minor``, ``signedlap.two_forests``, ...) or on first
 use inside those two reference routes.
+
+One backtracker (``_spanning_edge_sets``) enumerates both: a spanning
+2-forest that keeps two vertices apart is a spanning tree of the graph with
+the two merged.  Red indices and vertices are checked as ints (not bools)
+in range.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
-from .graph import ORACLE_MAX_VERTICES, SignedWeightedGraph, _UnionFind, is_connected
+from .graph import ORACLE_MAX_VERTICES, SignedWeightedGraph, _is_int, _UnionFind
 
 _ORACLE_MAX_SUBSETS = 4_000_000
+
+
+def _check_range(indices: Iterable, n: int, what: str):
+    """Every index an int (not a bool) in 0..n-1, or an InputError."""
+    for i in indices:
+        if not (_is_int(i) and 0 <= i < n):
+            raise InputError(f"{what} {i!r} out of range 0..{n - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +66,7 @@ def minor_with_info(
     if contract & delete:
         raise InputError(f"contract and delete sets overlap: {sorted(contract & delete)}")
     reds = g.red_indices
-    r = len(reds)
-    for idx in contract | delete:
-        if not (isinstance(idx, int) and 0 <= idx < r):
-            raise InputError(f"red index {idx!r} out of range 0..{r - 1}")
+    _check_range(contract | delete, len(reds), "red index")
 
     uf = _UnionFind(g.n)
     for ri in contract:
@@ -128,6 +136,8 @@ def red_subset_is_forest(g: SignedWeightedGraph, indices: Iterable[int]) -> bool
     """Whether the given red edges form a forest.  A cyclic subset can never
     lie inside a spanning tree, so its crossing coefficient is zero."""
     reds = g.red_edges
+    indices = list(indices)
+    _check_range(indices, len(reds), "red index")
     return pairs_form_forest(g.n, (reds[ri][:2] for ri in indices))
 
 
@@ -155,22 +165,17 @@ def _check_oracle_size(g: SignedWeightedGraph):
         )
 
 
-def spanning_trees(g: SignedWeightedGraph) -> list[SpanningTree]:
-    """Exhaustive, duplicate-free spanning tree enumeration.
+def _spanning_edge_sets(ends: Sequence[tuple[int, int]], parent: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every edge set that joins the classes of the union-find ``parent``
+    (a root is its own parent) into one without a cycle, as its positions
+    in ``ends`` ascending, in ``itertools.combinations`` order: with every
+    vertex its own class, the spanning trees.
 
-    Backtracks over the edge sequence with union-find state and prunes any
-    branch whose remaining edges cannot reconnect the current partition.
-    Disconnected input yields the empty list.
+    Backtracks over the edge sequence with union-find state, including each
+    edge before leaving it out, and leaves an edge out only if the rest can
+    still join the current classes.  A loop is never included, and nothing
+    is yielded when the edges cannot join the classes.
     """
-    _check_oracle_size(g)
-    n, edges = g.n, g.edges
-    one = Fraction(1)
-    if n == 1:
-        return [SpanningTree((), one, one)]
-    if not is_connected(g):
-        return []
-    m = len(edges)
-    out: list[SpanningTree] = []
     chosen: list[int] = []
 
     def find(parent: list[int], x: int) -> int:
@@ -179,42 +184,48 @@ def spanning_trees(g: SignedWeightedGraph) -> list[SpanningTree]:
             x = parent[x]
         return x
 
+    def connects(i: int, parent: list[int], ncomp: int) -> bool:
+        """Whether edges i.. join the ncomp classes of ``parent`` into one."""
+        p = parent.copy()
+        for a, b in ends[i:]:
+            if ncomp == 1:
+                break
+            ra, rb = find(p, a), find(p, b)
+            if ra != rb:
+                p[ra] = rb
+                ncomp -= 1
+        return ncomp == 1
+
     def rec(i: int, parent: list[int], ncomp: int):
         if ncomp == 1:
-            pi = one
-            pib = one
-            for e in chosen:
-                w = edges[e][2]
-                pi *= w
-                if w > 0:
-                    pib *= w
-            out.append(SpanningTree(tuple(chosen), pi, pib))
+            yield tuple(chosen)
             return
-        if i == m:
-            return
-        u, v, _ = edges[i]
+        u, v = ends[i]  # there is an edge i: the classes can still be joined
         ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             p2 = parent.copy()
             p2[ru] = rv
             chosen.append(i)
-            rec(i + 1, p2, ncomp - 1)
+            yield from rec(i + 1, p2, ncomp - 1)
             chosen.pop()
-        # exclude edge i only if the rest can still connect everything
-        p3 = parent.copy()
-        nc = ncomp
-        for j in range(i + 1, m):
-            a, b, _ = edges[j]
-            ra, rb = find(p3, a), find(p3, b)
-            if ra != rb:
-                p3[ra] = rb
-                nc -= 1
-                if nc == 1:
-                    break
-        if nc == 1:
-            rec(i + 1, parent, ncomp)
+        if connects(i + 1, parent, ncomp):
+            yield from rec(i + 1, parent, ncomp)
 
-    rec(0, list(range(n)), n)
+    ncomp = sum(p == v for v, p in enumerate(parent))
+    if connects(0, parent, ncomp):
+        yield from rec(0, parent, ncomp)
+
+
+def spanning_trees(g: SignedWeightedGraph) -> list[SpanningTree]:
+    """Exhaustive, duplicate-free spanning tree enumeration
+    (``_spanning_edge_sets``).  Disconnected input yields the empty list."""
+    _check_oracle_size(g)
+    one = Fraction(1)
+    out: list[SpanningTree] = []
+    for tree in _spanning_edge_sets([(u, v) for u, v, _ in g.edges], list(range(g.n))):
+        weights = [g.edges[e][2] for e in tree]
+        pi_black = math.prod((w for w in weights if w > 0), start=one)
+        out.append(SpanningTree(tree, math.prod(weights, start=one), pi_black))
     return out
 
 
@@ -224,47 +235,39 @@ def two_forests(
     w_pair: Sequence[int],
 ) -> list[TwoForest]:
     """All spanning 2-forests in which each tree holds exactly one vertex of
-    ``u_pair`` and one of ``w_pair`` (the pairs may overlap as vertex sets).
+    ``u_pair`` and one of ``w_pair`` (the pairs may overlap as vertex sets),
+    in ``itertools.combinations`` order of their edge positions.
 
-    epsilon is the sign of the matching permutation under the given
-    enumeration orders: +1 when u_pair[0] and w_pair[0] share a component.
+    ``_spanning_edge_sets`` from u_pair[0] and u_pair[1] in one class gives
+    the spanning 2-forests that keep the two apart, which are the spanning
+    trees of ``g`` with the two merged; those that keep w_pair apart too
+    are kept.  epsilon is the sign of the matching permutation under the
+    given enumeration orders: +1 when u_pair[0] and w_pair[0] share a
+    component.
     """
     _check_oracle_size(g)
+    _check_range((*u_pair, *w_pair), g.n, "vertex")
     if len(set(u_pair)) != 2 or len(set(w_pair)) != 2:
         raise InputError("u_pair and w_pair must each contain two distinct vertices")
     n, edges = g.n, g.edges
     m = len(edges)
-    k = n - 2
-    if k < 0 or k > m:
-        return []
-    if math.comb(m, k) > _ORACLE_MAX_SUBSETS:
-        raise InputError(f"2-forest enumeration too large: C({m},{k}) subsets")
+    if math.comb(m, n - 2) > _ORACLE_MAX_SUBSETS:
+        raise InputError(f"2-forest enumeration too large: C({m},{n - 2}) subsets")
     u0, u1 = u_pair
     w0, w1 = w_pair
-    uset = {u0, u1}
-    wset = {w0, w1}
+    parent = list(range(n))
+    parent[u1] = u0
+    everything = frozenset(range(n))
     out: list[TwoForest] = []
-    for subset in itertools.combinations(range(m), k):
+    for subset in _spanning_edge_sets([(u, v) for u, v, _ in edges], parent):
         uf = _UnionFind(n)
-        ok = True
         for e in subset:
-            a, b, _ = edges[e]
-            if not uf.union(a, b):
-                ok = False
-                break
-        if not ok:
+            uf.union(*edges[e][:2])
+        if uf.find(w0) == uf.find(w1):
             continue
-        # acyclic with n-2 edges => exactly 2 components
-        comp: dict[int, list[int]] = {}
-        for v in range(n):
-            comp.setdefault(uf.find(v), []).append(v)
-        parts = [frozenset(vs) for vs in comp.values()]
-        p0, p1 = sorted(parts, key=min)
-        if len(uset & p0) != 1 or len(wset & p0) != 1:
-            continue
+        zero = uf.find(0)
+        p0 = frozenset(v for v in range(n) if uf.find(v) == zero)  # the parts ordered by least vertex
         eps = 1 if (u0 in p0) == (w0 in p0) else -1
-        pi = Fraction(1)
-        for e in subset:
-            pi *= edges[e][2]
-        out.append(TwoForest(subset, (p0, p1), eps, pi))
+        pi = math.prod((edges[e][2] for e in subset), start=Fraction(1))
+        out.append(TwoForest(subset, (p0, everything - p0), eps, pi))
     return out

@@ -342,9 +342,9 @@ def test_mask_bit_convention():
 
 
 def test_red_count_guard():
-    g = swg(3, [(0, 1, -1), (1, 2, -1), (0, 2, -1)])
-    with pytest.raises(InputError):
-        crossing_polynomial(g, max_red=2)
+    # one red edge past the guard is rejected, with the whole message
+    with pytest.raises(InputError, match=r"^21 red edges exceeds the 2\^R guard \(max_red=20\)$"):
+        crossing_polynomial(triangle_chain(21))
 
 
 def test_interpolated_ray_polynomial_matches_the_2r_expansion():

@@ -259,6 +259,13 @@ def test_red_subset_is_forest_counts_components():
     assert red_subset_is_forest(g, [])
 
 
+@pytest.mark.parametrize("indices", [[-1], [True], [5]])
+def test_red_subset_is_forest_rejects_red_indices_out_of_range(indices):
+    # -1 would read the last red edge, True red 1, and 5 raise IndexError
+    with pytest.raises(InputError, match=r"red index .* out of range 0\.\.1"):
+        red_subset_is_forest(k4_shared(), indices)
+
+
 def test_minor_contract_merges_parallel_weights():
     g = swg(4, [(0, 1, -1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)])
     m = minor(g, {0}, set())
@@ -284,6 +291,13 @@ def test_minor_rejects_overlap():
 def test_minor_rejects_red_indices_out_of_range(contract, delete):
     with pytest.raises(InputError, match=r"out of range 0\.\.1"):
         minor(k4_shared(), contract, delete)
+
+
+@pytest.mark.parametrize("route", [minor, minor_with_info])
+def test_minor_rejects_a_bool_red_index(route):
+    # True is an int to isinstance, but not red index 1
+    with pytest.raises(InputError, match=r"red index True out of range 0\.\.1"):
+        route(k4_shared(), {True}, set())
 
 
 def test_minor_zero_merge_drops_edge():
@@ -402,18 +416,24 @@ def test_two_forests_pairs_need_two_distinct_vertices(u_pair, w_pair):
         two_forests(k4_shared(), u_pair, w_pair)
 
 
+@pytest.mark.parametrize("u_pair", [(-1, 2), (True, 2), (0, 4), (0, "1")])
+def test_two_forests_reject_terminals_out_of_range(u_pair):
+    with pytest.raises(InputError, match=r"vertex .* out of range 0\.\.3"):
+        two_forests(k4_shared(), u_pair, (0, 1))
+
+
 def test_two_forests_need_n_minus_2_edges():
     # N = 5 and one edge: no 2-forest has the N - 2 = 3 edges it needs
     assert two_forests(swg(5, [(0, 1, 1)]), (0, 1), (2, 3)) == []
 
 
 def test_two_forests_over_the_subset_cap_raise_before_enumerating(monkeypatch):
-    import itertools
+    from signedlap import oracles
 
     def enumerate_nothing(*args):
-        raise AssertionError("the subsets were enumerated")
+        raise AssertionError("the forests were enumerated")
 
-    monkeypatch.setattr(itertools, "combinations", enumerate_nothing)
+    monkeypatch.setattr(oracles, "_spanning_edge_sets", enumerate_nothing)
     with pytest.raises(InputError, match=r"too large: C\(66,10\) subsets"):
         two_forests(kn_with_reds(12, []), (0, 1), (2, 3))
 

@@ -8,6 +8,14 @@ at the glue vertex the Laplacian is block diagonal, and a Laplacian has
 the all-ones kernel vector, so the index is the parts' indices added, less
 one zero.  Relabelling the vertices, with the edge order kept, changes no
 output.
+
+Deletion-contraction: a spanning tree either leaves red edge i out or
+holds it, so the coefficients with bit i clear are those of the graph
+with i deleted, and those with bit i set are those of the graph with i
+contracted.  Scaling: multiplying every black weight by c > 0 multiplies
+A_I by c^(N-1-|I|), so M_c(t) = c^(N-1) M(t / c) and L_c(c t) = c L(t):
+the index is unchanged when the magnitudes scale too, and the ray roots
+and the axis thresholds scale by c.
 """
 
 import random
@@ -17,9 +25,11 @@ from types import SimpleNamespace
 import pytest
 
 from signedlap import cli
-from signedlap.crossing import crossing_polynomial, graph_ray_polynomial
+from signedlap.crossing import crossing_polynomial, graph_ray_crossings, graph_ray_polynomial
 from signedlap.graph import component_counts
+from signedlap.oracles import minor_with_info
 from signedlap.spectral import _graph_inertia
+from signedlap.stability import axis_thresholds
 
 from conftest import random_connected_graph, random_fraction, swg
 
@@ -125,3 +135,58 @@ def test_relabelling_the_vertices_changes_no_output(monkeypatch):
         got, permuted = _outputs(monkeypatch, relabelled, t, ray)
         assert got == expected, g
         assert permuted == pytest.approx(eigenvalues, rel=1e-9, abs=1e-9), g
+
+
+def _graphs():
+    """Seeded connected graphs with R = 1..6, and one at N = 40."""
+    rng = random.Random(_SEED + 4)
+    out = [random_connected_graph(rng, n_max=8, extra_max=8, red_choices=(1, 2, 3, 4, 5, 6)) for _ in range(80)]
+    out.append(random_connected_graph(rng, n_min=40, n_max=40, extra_max=20, red_choices=(6,)))
+    return out
+
+
+def test_deletion_contraction_of_each_red_edge():
+    contracted = 0
+    for g in _graphs():
+        coeffs = crossing_polynomial(g).coeffs
+        for i in range(g.red_count):
+            for contract, delete, bit in (((), {i}, 0), ({i}, (), 1 << i)):
+                info = minor_with_info(g, contract, delete)
+                new = info.red_map  # the other red edges, by their index in the minor
+                positions = info.graph.red_indices
+                if any(k is None or positions[k] in info.merged_positions for k in new.values()):
+                    assert bit, g  # only a contraction merges edges
+                    continue
+                contracted += bool(bit)
+                minor_coeffs = crossing_polynomial(info.graph).coeffs
+                for mask, a in enumerate(coeffs):
+                    if mask & 1 << i == bit:
+                        assert a == minor_coeffs[sum(1 << k for j, k in new.items() if mask >> j & 1)], (g, i, mask)
+    assert contracted > 100
+
+
+def _scaled(g, c):
+    """``g`` with every black weight times c."""
+    return swg(g.n, [(u, v, w * c if w > 0 else w) for u, v, w in g.edges])
+
+
+def test_scaling_the_black_weights():
+    rng = random.Random(_SEED + 5)
+    for g in _graphs():
+        c = random_fraction(rng, 9, 5)
+        gc = _scaled(g, c)
+        expected = (a * c ** (g.n - 1 - mask.bit_count()) for mask, a in enumerate(crossing_polynomial(g).coeffs))
+        assert crossing_polynomial(gc).coeffs == tuple(expected), g
+        t = [random_fraction(rng, 30, 10) for _ in range(g.red_count)]
+        assert _graph_inertia(gc, [c * x for x in t]) == _graph_inertia(g, t), g
+        alpha = [random_fraction(rng, 9, 5) for _ in range(g.red_count)]
+        roots, scaled = graph_ray_crossings(g, alpha).roots, graph_ray_crossings(gc, alpha).roots
+        assert len(scaled) == len(roots), g
+        for x, y in zip(roots, scaled):
+            assert y.multiplicity == x.multiplicity, g
+            if x.value is None:  # both isolating intervals hold c times the root
+                assert y.value is None and c * x.lo <= y.hi and y.lo <= c * x.hi, g
+            else:
+                assert y.value == c * x.value, g
+        if component_counts(g)[1] == 1:
+            assert axis_thresholds(gc) == [None if w is None else c * w for w in axis_thresholds(g)], g
