@@ -19,7 +19,8 @@ do (``crossing.mask_to_bits``).  `factorize` decides on the 2^R
 coefficients by exact re-expansion, which every factorizable polynomial
 passes and no other does; `graph_factorization` decides on the graph from
 the off-diagonal of the transfer-current matrix K, with no 2^R
-coefficients.
+coefficients.  The rows and columns named to ``laplacian_minor`` and
+``dodgson_identity_holds`` are read by ``graph._indices``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 from .crossing import CrossingPolynomial, bits_to_mask, mask_to_bits, require_nonnegative
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, _Frozen, _is_int, component_counts
+from .graph import SignedWeightedGraph, _Frozen, _indices, _is_int, component_counts
 from .spectral import _as_rows, _transfer_current, det_rational
 
 
@@ -199,24 +200,16 @@ def _cycle_minor(g: SignedWeightedGraph, sigma: Fraction) -> Fraction | None:
     return -sigma if (u_pair[0] != u1) != (w_pair[0] != u2) else sigma
 
 
-def _check_indices(indices, n: int):
-    for i in indices:
-        if not _is_int(i):
-            raise InputError(f"index {i!r} is not an integer")
-        if not 0 <= i < n:
-            raise InputError(f"index {i} out of range 0..{n - 1}")
-
-
 def laplacian_minor(m, rows_removed: Sequence[int], cols_removed: Sequence[int]) -> Fraction:
     """Exact determinant of the matrix with the given rows and columns removed."""
     rows = _as_rows(m)
     n = len(rows)
+    rows_removed, cols_removed = _indices(rows_removed, n, "index"), _indices(cols_removed, n, "index")
     rset, cset = set(rows_removed), set(cols_removed)
     if len(rset) != len(rows_removed) or len(cset) != len(cols_removed):
         raise InputError("removed index sets contain duplicates")
     if len(rset) != len(cset):
         raise InputError("must remove equally many rows and columns")
-    _check_indices(rset | cset, n)
     keep_r = [i for i in range(n) if i not in rset]
     keep_c = [j for j in range(n) if j not in cset]
     return det_rational([[rows[i][j] for j in keep_c] for i in keep_r])
@@ -229,10 +222,9 @@ def dodgson_identity_holds(m, i: int, j: int, k: int, l: int) -> bool:
     the discriminant/minor calculus; exposed as an identity oracle.
     """
     rows = _as_rows(m)
-    n = len(rows)
+    i, j, k, l = _indices((i, j, k, l), len(rows), "index")
     if i == j or k == l:
         raise InputError("need two distinct rows and two distinct columns")
-    _check_indices((i, j, k, l), n)
     i, j = sorted((i, j))  # the identity is stated for ordered index pairs
     k, l = sorted((k, l))
     full = det_rational(rows)
@@ -332,6 +324,8 @@ class Wildcard(_Frozen):
     bits: int  # mask over the fixed positions
 
     def __init__(self, r: int, i: int, j: int, bits: int):
+        if not all(map(_is_int, (r, i, j, bits))):
+            raise InputError(f"wildcard fields must be integers, got ({r!r}, {i!r}, {j!r}, {bits!r})")
         if not (0 <= i < j < r):
             raise InputError(f"free positions ({i}, {j}) invalid for length {r}")
         if bits & (1 << i) or bits & (1 << j):
@@ -362,17 +356,12 @@ def wildcard_basis(r: int) -> list[Wildcard]:
     before the second free position zero, bits after it unconstrained."""
     if r < 2:
         raise InputError(f"wildcards need at least 2 red edges, got {r}")
-    out = []
-    for j in range(1, r):
-        for i in range(j):
-            tail = list(range(j + 1, r))
-            for choice in itertools.product((0, 1), repeat=len(tail)):
-                bits = 0
-                for pos, bit in zip(tail, choice):
-                    if bit:
-                        bits |= 1 << pos
-                out.append(Wildcard(r, i, j, bits))
-    return out
+    return [
+        Wildcard(r, i, j, bits_to_mask("0" * (j + 1) + "".join(tail)))
+        for j in range(1, r)
+        for i in range(j)
+        for tail in itertools.product("01", repeat=r - j - 1)
+    ]
 
 
 def wildcard_discriminant(p: CrossingPolynomial, w: Wildcard) -> Fraction:

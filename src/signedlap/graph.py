@@ -3,11 +3,12 @@
 Edges carry nonzero Fractions; the sign encodes the coloring (positive =
 black, negative = red).  Red edges are indexed 0..R-1 by their position in
 the edge sequence, never by weight magnitude.  Also the JSON wire format,
-the package's one JSON reader and writer, its file I/O and the component
-counts.  The minors and the exhaustive spanning-tree / 2-forest
-enumerations, the test suite's brute-force oracles, live in ``oracles``,
-which no CLI subcommand loads; ``minor`` and ``two_forests`` still resolve
-here, on first use, for code that looks them up in this module.
+the package's one JSON reader and writer, its file I/O, its one reader of
+the indices a caller names (``_indices``) and the component counts.  The
+minors and the exhaustive spanning-tree / 2-forest enumerations, the test
+suite's brute-force oracles, live in ``oracles``, which no CLI subcommand
+loads; ``minor`` and ``two_forests`` still resolve here, on first use, for
+code that looks them up in this module.
 """
 
 from __future__ import annotations
@@ -36,6 +37,19 @@ def _is_int(x) -> bool:
     """An int and not a bool: JSON true and false decode to bools, which
     Python counts as ints, and are rejected rather than read as 1 and 0."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _indices(values, n: int, what: str) -> tuple[int, ...]:
+    """``tuple(values)``, each an int (not a bool) in 0..n-1, else an
+    InputError naming ``what``: the one reader of the indices a caller names."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InputError(f"{what} list must be iterable, got {values!r}") from None
+    for i in values:
+        if not (_is_int(i) and 0 <= i < n):
+            raise InputError(f"{what} {i!r} out of range 0..{n - 1}")
+    return values
 
 
 _INTEGER_PAIR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

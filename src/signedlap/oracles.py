@@ -9,8 +9,9 @@ use inside those two reference routes.
 
 One backtracker (``_spanning_edge_sets``) enumerates both: a spanning
 2-forest that keeps two vertices apart is a spanning tree of the graph with
-the two merged.  Red indices and vertices are checked as ints (not bools)
-in range.
+the two merged.  Every red index and vertex a caller names is read by
+``graph._indices``: an int, not a bool, in range; a repeated red index
+names the same edge.
 """
 
 from __future__ import annotations
@@ -20,16 +21,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
-from .graph import ORACLE_MAX_VERTICES, SignedWeightedGraph, _is_int, _UnionFind
+from .graph import ORACLE_MAX_VERTICES, SignedWeightedGraph, _indices, _UnionFind
 
 _ORACLE_MAX_SUBSETS = 4_000_000
-
-
-def _check_range(indices: Iterable, n: int, what: str):
-    """Every index an int (not a bool) in 0..n-1, or an InputError."""
-    for i in indices:
-        if not (_is_int(i) and 0 <= i < n):
-            raise InputError(f"{what} {i!r} out of range 0..{n - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +55,11 @@ def minor_with_info(
     exact-zero merged weights.  Surviving edges keep the order of their first
     appearance in the original sequence.
     """
-    contract = frozenset(contract)
-    delete = frozenset(delete)
+    reds = g.red_indices
+    contract = frozenset(_indices(contract, len(reds), "red index"))
+    delete = frozenset(_indices(delete, len(reds), "red index"))
     if contract & delete:
         raise InputError(f"contract and delete sets overlap: {sorted(contract & delete)}")
-    reds = g.red_indices
-    _check_range(contract | delete, len(reds), "red index")
 
     uf = _UnionFind(g.n)
     for ri in contract:
@@ -127,18 +120,22 @@ def minor(g: SignedWeightedGraph, contract: Iterable[int], delete: Iterable[int]
 
 
 def pairs_form_forest(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
-    """Whether the edges (u, v) on vertices 0..n-1 form a forest."""
-    uf = _UnionFind(n)
-    return all(uf.union(u, v) for u, v in pairs)
+    """Whether the edges (u, v) on vertices 0..n-1, each pair read by
+    ``_indices`` and two vertices, form a forest: each lowers the count of
+    components by one."""
+    ends = [_indices(pair, n, "vertex") for pair in pairs]
+    if any(len(pair) != 2 for pair in ends):
+        raise InputError("each pair must hold two vertices")
+    return _UnionFind(n).merge((*pair, None) for pair in ends) == n - len(ends)
 
 
 def red_subset_is_forest(g: SignedWeightedGraph, indices: Iterable[int]) -> bool:
-    """Whether the given red edges form a forest.  A cyclic subset can never
-    lie inside a spanning tree, so its crossing coefficient is zero."""
+    """Whether the given red edges, a repeat naming the same edge, form a
+    forest: each lowers the count of components by one.  A cyclic subset
+    can never lie inside a spanning tree, so its crossing coefficient is 0."""
     reds = g.red_edges
-    indices = list(indices)
-    _check_range(indices, len(reds), "red index")
-    return pairs_form_forest(g.n, (reds[ri][:2] for ri in indices))
+    indices = set(_indices(indices, len(reds), "red index"))
+    return _UnionFind(g.n).merge(reds[ri] for ri in indices) == g.n - len(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +243,14 @@ def two_forests(
     component.
     """
     _check_oracle_size(g)
-    _check_range((*u_pair, *w_pair), g.n, "vertex")
-    if len(set(u_pair)) != 2 or len(set(w_pair)) != 2:
+    u_pair, w_pair = _indices(u_pair, g.n, "vertex"), _indices(w_pair, g.n, "vertex")
+    if any(len(pair) != 2 or pair[0] == pair[1] for pair in (u_pair, w_pair)):
         raise InputError("u_pair and w_pair must each contain two distinct vertices")
     n, edges = g.n, g.edges
     m = len(edges)
     if math.comb(m, n - 2) > _ORACLE_MAX_SUBSETS:
         raise InputError(f"2-forest enumeration too large: C({m},{n - 2}) subsets")
-    u0, u1 = u_pair
-    w0, w1 = w_pair
+    (u0, u1), (w0, w1) = u_pair, w_pair
     parent = list(range(n))
     parent[u1] = u0
     everything = frozenset(range(n))

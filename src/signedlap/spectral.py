@@ -65,14 +65,22 @@ class LaplacianMatrix:
         return f"LaplacianMatrix(n={self.n})"
 
 
+def _entry(x) -> Fraction:
+    """``Fraction(x)`` of a matrix entry, a float read exactly; a bool is a
+    TypeError, not the 1 or 0 it equals, as in ``graph._exact``."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool, not a rational")
+    return Fraction(x)
+
+
 def _as_rows(m, symmetric: bool = False) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows of a square matrix as Fractions; an entry that is not a
-    finite rational, any other shape, or with ``symmetric`` set an
+    """The rows of a square matrix as Fractions (``_entry``); an entry that
+    is not a finite rational, any other shape, or with ``symmetric`` set an
     asymmetric matrix, is an InputError.  The one normalizer of every matrix
     argument: a ``LaplacianMatrix`` has passed it already."""
     if isinstance(m, LaplacianMatrix):
         return m.rows
-    rows = _rationals(m, "matrix entries", lambda row: tuple(map(Fraction, row)))
+    rows = _rationals(m, "matrix entries", lambda row: tuple(map(_entry, row)))
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise InputError("matrix must be square")

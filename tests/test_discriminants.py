@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -139,7 +140,8 @@ def test_forest_dual_matches_forest_sum_value_and_sign():
         ([0], [1, 1], "duplicates"),
         ([0], [3], "index 3 out of range 0..2"),
         ([-1], [0], "index -1 out of range 0..2"),
-        (["0"], [0], "index '0' is not an integer"),
+        (["0"], [0], "index '0' out of range 0..2"),
+        (0, 0, "index list must be iterable, got 0"),
     ],
 )
 def test_laplacian_minor_rejects_bad_index_sets(rows, cols, msg):
@@ -207,7 +209,7 @@ def test_dodgson_identity():
 
 def test_minor_and_dodgson_reject_malformed_matrices_and_indices():
     # a wide matrix is not cut to its leading square, a tall one is not an
-    # IndexError, and an index is an integer, not a float or a bool
+    # IndexError, and an index is an int, not a float or a bool
     for m in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
         with pytest.raises(InputError, match="square"):
             laplacian_minor(m, [], [])
@@ -215,11 +217,18 @@ def test_minor_and_dodgson_reject_malformed_matrices_and_indices():
             dodgson_identity_holds(m, 0, 1, 0, 1)
     m = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     for bad in (0.5, 1.0, True):
-        with pytest.raises(InputError, match="not an integer"):
+        with pytest.raises(InputError, match=re.escape(f"index {bad!r} out of range 0..2")):
             laplacian_minor(m, [bad], [0])
-        with pytest.raises(InputError, match="not an integer"):
+        with pytest.raises(InputError, match=re.escape(f"index {bad!r} out of range 0..2")):
             dodgson_identity_holds(m, 0, 2, bad, 2)
     assert laplacian_minor(m, [1], [1]) == 4 and dodgson_identity_holds(m, 0, 2, 0, 2)
+
+
+def test_dodgson_reads_a_bool_index_as_no_index():
+    # True == 1, so (True, 1) read as two equal rows
+    m = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    with pytest.raises(InputError, match=r"index True out of range 0\.\.2"):
+        dodgson_identity_holds(m, True, 1, 0, 1)
 
 
 def test_cycle_minor_k4():
@@ -354,6 +363,14 @@ def test_wildcard_is_a_validated_immutable_value():
     assert_value(w, Wildcard(4, 0, 2, 0b0010), Wildcard(4, 0, 2, 0), Wildcard(5, 0, 2, 0b0010), (4, 0, 2, 0b0010))
     assert repr(w) == "Wildcard(r=4, i=0, j=2, bits=2)"
     assert len(set(wildcard_basis(6))) == 2**6 - 6 - 1
+
+
+@pytest.mark.parametrize("args", [(3, 0, True, 0), (2.0, 0, 1, 0), (3, 0, 1, True), (3, 0.0, 1, 0)])
+def test_wildcard_fields_are_ints(args):
+    # (3, 0, True, 0) was j = 1 and wrote "**0", (2.0, 0, 1, 0) raised a bare
+    # TypeError in to_string, and (3, 0, 1, True) said the bits overlap
+    with pytest.raises(InputError, match=r"^wildcard fields must be integers, got \("):
+        Wildcard(*args)
 
 
 def test_factorization_is_an_immutable_record():

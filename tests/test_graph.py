@@ -17,7 +17,7 @@ from signedlap import (
     two_forests,
 )
 from signedlap.graph import MAX_VERTICES, _rational
-from signedlap.oracles import minor_with_info, red_subset_is_forest
+from signedlap.oracles import minor_with_info, pairs_form_forest, red_subset_is_forest
 
 from conftest import (
     RATIONAL_STRINGS,
@@ -257,6 +257,9 @@ def test_red_subset_is_forest_counts_components():
         assert red_subset_is_forest(g, iter(subset)) == forest
     assert not red_subset_is_forest(g, [0, 1, 2])
     assert red_subset_is_forest(g, [])
+    # a repeat names the same edge, as in minor_with_info: [0, 0] read as a 2-cycle
+    assert red_subset_is_forest(g, [0, 0]) and red_subset_is_forest(g, [3, 4, 3])
+    assert red_subset_is_forest(k4_shared(), [0, 0])
 
 
 @pytest.mark.parametrize("indices", [[-1], [True], [5]])
@@ -410,8 +413,12 @@ def test_two_forests_unsatisfiable():
     assert two_forests(g, (0, 3), (1, 2)) == []
 
 
-@pytest.mark.parametrize("u_pair,w_pair", [((0, 0), (1, 2)), ((0, 1), (2, 2)), ((0,), (1, 2))])
+@pytest.mark.parametrize(
+    "u_pair,w_pair", [((0, 0), (1, 2)), ((0, 1), (2, 2)), ((0,), (1, 2)), ((0, 1, 1), (2, 3)), ((0, 1), (2, 3, 0))]
+)
 def test_two_forests_pairs_need_two_distinct_vertices(u_pair, w_pair):
+    # (0, 1, 1) passed a check of two distinct entries and raised a bare
+    # ValueError at the unpacking
     with pytest.raises(InputError, match="two distinct vertices"):
         two_forests(k4_shared(), u_pair, w_pair)
 
@@ -420,6 +427,47 @@ def test_two_forests_pairs_need_two_distinct_vertices(u_pair, w_pair):
 def test_two_forests_reject_terminals_out_of_range(u_pair):
     with pytest.raises(InputError, match=r"vertex .* out of range 0\.\.3"):
         two_forests(k4_shared(), u_pair, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda g: minor(g, 0, ()),
+        lambda g: minor_with_info(g, (), 0),
+        lambda g: red_subset_is_forest(g, 0),
+        lambda g: two_forests(g, 0, (2, 3)),
+        lambda g: two_forests(g, (0, 1), 2),
+    ],
+    ids=["minor", "minor_with_info", "red_subset_is_forest", "two_forests_u", "two_forests_w"],
+)
+def test_oracle_index_lists_that_are_not_iterable_are_input_errors(route):
+    # each raised a bare TypeError
+    with pytest.raises(InputError, match=r"(red index|vertex) list must be iterable, got [02]$"):
+        route(k4_shared())
+
+
+@pytest.mark.parametrize(
+    "pairs,msg",
+    [
+        ([(0, 5)], r"vertex 5 out of range 0\.\.2"),
+        ([(0, 1), (True, 2)], r"vertex True out of range 0\.\.2"),
+        ([(0, 1), 2], "vertex list must be iterable, got 2"),
+        ([(0, 1, 2)], "each pair must hold two vertices"),
+        ([(0,)], "each pair must hold two vertices"),
+    ],
+    ids=["out_of_range", "bool", "not_iterable", "three_vertices", "one_vertex"],
+)
+def test_pairs_form_forest_reads_each_pair_as_two_vertices(pairs, msg):
+    # (0, 5) raised a bare IndexError
+    with pytest.raises(InputError, match=msg):
+        pairs_form_forest(3, pairs)
+
+
+def test_pairs_form_forest_examples():
+    assert pairs_form_forest(3, [(0, 1), (1, 2)]) and pairs_form_forest(3, [])
+    assert not pairs_form_forest(3, [(0, 1), (1, 0)])
+    assert not pairs_form_forest(3, [(0, 1), (1, 2), (0, 2)])
+    assert not pairs_form_forest(3, [(1, 1)])  # a loop is a cycle
 
 
 def test_two_forests_need_n_minus_2_edges():

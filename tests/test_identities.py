@@ -6,8 +6,12 @@ graph is a spanning tree of each part, so every coefficient is a product,
 A_(I1, I2) = A_I1(G1) * A_I2(G2), and so is the ray polynomial.  Grounded
 at the glue vertex the Laplacian is block diagonal, and a Laplacian has
 the all-ones kernel vector, so the index is the parts' indices added, less
-one zero.  Relabelling the vertices, with the edge order kept, changes no
-output.
+one zero.  The axis threshold of a red edge is A_empty / A_e, in which the
+other part's A_empty cancels, so the thresholds concatenate.  Relabelling
+the vertices with the edge order kept, or reordering the edges with the
+red edges' order kept, changes no output.  Swapping the two red edges of
+an R = 2 graph swaps the coefficient bits and the thresholds and keeps
+sigma and the cycle minor.
 
 Deletion-contraction: a spanning tree either leaves red edge i out or
 holds it, so the coefficients with bit i clear are those of the graph
@@ -26,6 +30,7 @@ import pytest
 
 from signedlap import cli
 from signedlap.crossing import crossing_polynomial, graph_ray_crossings, graph_ray_polynomial
+from signedlap.discriminants import _cycle_minor, _disc_minors
 from signedlap.graph import component_counts
 from signedlap.oracles import minor_with_info
 from signedlap.spectral import _graph_inertia
@@ -56,6 +61,21 @@ def _relabel(g, rng):
     return swg(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
 
 
+def _with_reds(n, edges, reds):
+    """The graph on ``edges`` with its red edges, in order, replaced by
+    ``reds``."""
+    reds = iter(reds)
+    return swg(n, [next(reds) if w < 0 else (u, v, w) for u, v, w in edges])
+
+
+def _reordered(g, rng):
+    """``g`` with its edge sequence shuffled and its red edges kept in
+    their order."""
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    return _with_reds(g.n, edges, g.red_edges)
+
+
 def _times(p, q):
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -76,12 +96,33 @@ def _pairs():
     return out
 
 
+def _assert_coefficients_multiply(g1, g2, g):
+    r1 = g1.red_count
+    c1, c2 = crossing_polynomial(g1).coeffs, crossing_polynomial(g2).coeffs
+    # bit i of a mask is red i: G1's reds are the low r1 bits
+    assert crossing_polynomial(g).coeffs == tuple(c1[m & ((1 << r1) - 1)] * c2[m >> r1] for m in range(1 << g.red_count)), g
+
+
 def test_one_sum_coefficients_multiply_with_the_bits_concatenated():
     for g1, g2, g in _pairs():
-        r1 = g1.red_count
-        c1, c2 = crossing_polynomial(g1).coeffs, crossing_polynomial(g2).coeffs
-        # bit i of a mask is red i: G1's reds are the low r1 bits
-        assert crossing_polynomial(g).coeffs == tuple(c1[m & ((1 << r1) - 1)] * c2[m >> r1] for m in range(1 << g.red_count)), g
+        _assert_coefficients_multiply(g1, g2, g)
+
+
+def test_one_sum_coefficients_multiply_at_n_101():
+    rng = random.Random(_SEED + 6)
+    g1, g2 = (random_connected_graph(rng, n_min=51, n_max=51, extra_max=12, red_choices=(3,)) for _ in range(2))
+    g = _one_sum(g1, g2, rng.randrange(g1.n), rng.randrange(g2.n))
+    assert g.n == 101 and g.red_count == 6
+    _assert_coefficients_multiply(g1, g2, g)
+
+
+def test_one_sum_thresholds_concatenate():
+    glued = 0
+    for g1, g2, g in _pairs():
+        if component_counts(g1)[1] == component_counts(g2)[1] == 1:
+            assert axis_thresholds(g) == axis_thresholds(g1) + axis_thresholds(g2), g
+            glued += 1
+    assert glued >= 10
 
 
 def test_one_sum_index_adds_less_one_zero():
@@ -135,6 +176,52 @@ def test_relabelling_the_vertices_changes_no_output(monkeypatch):
         got, permuted = _outputs(monkeypatch, relabelled, t, ray)
         assert got == expected, g
         assert permuted == pytest.approx(eigenvalues, rel=1e-9, abs=1e-9), g
+
+
+def _run(capsys, graph, argv):
+    """The exit code, stdout and stderr of ``cli.main`` on ``argv`` with
+    the graph ``graph`` as its input."""
+    code = cli.main([argv[0], "--input", graph, *argv[1:]])
+    return (code, *capsys.readouterr())
+
+
+def test_reordering_the_edges_changes_no_output(monkeypatch, capsys):
+    # the reds keep their order, so the coefficient bits keep their meaning
+    rng = random.Random(_SEED + 7)
+    graphs = {}
+    monkeypatch.setattr(cli, "_load_graph", graphs.__getitem__)
+    runs = 0
+    for _, _, g in _pairs():
+        t = ",".join(str(random_fraction(rng, 30, 10)) for _ in range(g.red_count))
+        ray = ",".join(str(random_fraction(rng, 9, 5)) for _ in range(g.red_count))
+        graphs["g"], graphs["reordered"] = g, _reordered(g, rng)
+        if graphs["reordered"] == g:
+            continue  # at most one black edge: nothing to reorder
+        for argv in (
+            ["analyze"], ["analyze", "--t", t], ["coeffs"], ["disc"], ["factorize"],
+            ["stability"], ["stability", "--t", t], ["crossings", "--ray", ray],
+        ):
+            expected = _run(capsys, "g", argv)
+            assert _run(capsys, "reordered", argv) == expected, (g, argv)
+            runs += expected[0] == 0
+    assert runs > 200
+
+
+def test_swapping_the_two_reds():
+    rng = random.Random(_SEED + 8)
+    cycle_minors = thresholds = 0
+    for k in range(200):
+        g = random_connected_graph(rng, n_max=8, extra_max=8, red_choices=(2,), unit_weights=k % 2 == 0)
+        swapped = _with_reds(g.n, g.edges, g.red_edges[::-1])
+        (p, sigma), (q, tau) = _disc_minors(g), _disc_minors(swapped)
+        c0, c1, c2, c3 = p.coeffs
+        assert q.coeffs == (c0, c2, c1, c3), g
+        assert tau == sigma and _cycle_minor(swapped, tau) == _cycle_minor(g, sigma), g
+        cycle_minors += _cycle_minor(g, sigma) is not None
+        if component_counts(g)[1] == 1:
+            assert axis_thresholds(swapped) == axis_thresholds(g)[::-1], g
+            thresholds += 1
+    assert cycle_minors > 20 and thresholds > 100
 
 
 def _graphs():

@@ -19,11 +19,13 @@ from signedlap import (
     SpectralIndex,
     crossing_count,
     crossing_polynomial,
+    dodgson_identity_holds,
     eigenvalues,
     graph_ray_crossings,
     index_limits,
     inertia,
     laplacian,
+    laplacian_minor,
     ray_crossings,
     spanning_trees,
     tree_sum,
@@ -59,6 +61,8 @@ def test_laplacian_single_black_edge():
     g = swg(2, [(0, 1, 2)])
     lap = laplacian(g)
     assert lap.rows == ((Fraction(-2), Fraction(2)), (Fraction(2), Fraction(-2)))
+    assert lap == laplacian(g) != laplacian(swg(2, [(0, 1, 3)]))
+    assert repr(laplacian(k4_shared())) == "LaplacianMatrix(n=4)"
 
 
 def test_laplacian_triangle_unit():
@@ -98,11 +102,13 @@ _RATIONAL_VECTOR_ROUTES = (
 @pytest.mark.parametrize("route", _RATIONAL_VECTOR_ROUTES)
 @pytest.mark.parametrize("bad", ["abc", None, math.inf, math.nan, "1/0", True, 0.5])
 def test_rational_vectors_that_are_not_finite_rationals_are_input_errors(bad, route):
-    # magnitudes, rays and coefficients go through the converter of the
-    # matrix entries: a bare ValueError, TypeError, OverflowError or
-    # ZeroDivisionError escaped each of these.  A bool or a float is not
-    # taken for the rational it equals (True would be 1, 0.1 would be
-    # 3602879701896397/36028797018963968)
+    # magnitudes, rays and coefficients go through graph._rationals, as the
+    # matrix entries do: a bare ValueError, TypeError, OverflowError or
+    # ZeroDivisionError escaped each of these.  They are read by _exact, so
+    # a bool or a float is not taken for the rational it equals (True would
+    # be 1, 0.1 would be 3602879701896397/36028797018963968).  A matrix
+    # entry is read by spectral._entry, which reads a float exactly and
+    # rejects a bool (test_a_bool_is_not_a_matrix_entry)
     g = k4_shared()
     p = crossing_polynomial(g)
     calls = {
@@ -117,6 +123,26 @@ def test_rational_vectors_that_are_not_finite_rationals_are_input_errors(bad, ro
     }
     with pytest.raises(InputError, match="must be finite rationals"):
         calls[route]()
+
+
+@pytest.mark.parametrize(
+    "route", ["inertia", "eigenvalues", "det_rational", "laplacian_minor", "dodgson_identity_holds", "LaplacianMatrix"]
+)
+def test_a_bool_is_not_a_matrix_entry(route):
+    # each took True as 1: inertia([[True]]) was (0, 0, 1)
+    m = [[True, 1], [1, 2]]
+    calls = {
+        "inertia": lambda: inertia(m),
+        "eigenvalues": lambda: eigenvalues(m),
+        "det_rational": lambda: det_rational(m),
+        "laplacian_minor": lambda: laplacian_minor(m, [0], [0]),
+        "dodgson_identity_holds": lambda: dodgson_identity_holds(m, 0, 1, 0, 1),
+        "LaplacianMatrix": lambda: LaplacianMatrix(m),
+    }
+    with pytest.raises(InputError, match="matrix entries must be finite rationals: True is a bool"):
+        calls[route]()
+    # a float entry is the rational it equals exactly
+    assert det_rational([[0.5, 1], [1, 2]]) == 0 and inertia([[0.5]]) == SpectralIndex(0, 0, 1)
 
 
 def test_inertia_diagonal():
