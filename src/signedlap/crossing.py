@@ -51,22 +51,27 @@ from typing import NamedTuple, Sequence
 import signedlap  # the package resolves ``signedlap.polyroots`` on first use
 
 from .errors import InputError, InternalConsistencyError
-from .graph import SignedWeightedGraph, _Frozen, _rationals, _strings, component_counts, is_connected
+from .graph import SignedWeightedGraph, _Frozen, _is_int, _rationals, _strings, component_counts, is_connected
 from .spectral import _pivots, _principal_minors, _touched_block, _transfer_current
 
 MAX_RED_DEFAULT = 20
 
 
 class CrossingPolynomial(_Frozen):
-    """Coefficients A_I by bitmask; evaluation applies the (-1)^|I| signs."""
+    """Coefficients A_I by bitmask, 2^R read by ``graph._rationals`` for an
+    int R >= 0 (not a bool); evaluation applies the (-1)^|I| signs."""
 
     _fields = ("red_count", "coeffs")
     red_count: int
     coeffs: tuple[Fraction, ...]
 
-    def __init__(self, red_count: int, coeffs: tuple[Fraction, ...]):
-        if len(coeffs) != 1 << red_count:
-            raise InputError(f"need {1 << red_count} coefficients for {red_count} red edges")
+    def __init__(self, red_count: int, coeffs: Sequence[Fraction]):
+        if not _is_int(red_count) or red_count < 0:
+            raise InputError(f"red count must be a nonnegative integer, got {red_count!r}")
+        coeffs = _rationals(coeffs, "coefficients")
+        if red_count >= 64 or len(coeffs) != 1 << red_count:  # no tuple holds 2^64 items
+            need = 1 << red_count if red_count < 64 else f"2^{red_count}"
+            raise InputError(f"need {need} coefficients for {red_count} red edges")
         vars(self).update(red_count=red_count, coeffs=coeffs)
 
     def evaluate(self, t: Sequence[Fraction]) -> Fraction:
@@ -91,10 +96,10 @@ class CrossingPolynomial(_Frozen):
         r = len(next(iter(d)))
         if len(d) != 1 << r or any(len(k) != r for k in d):
             raise InputError("coefficient mapping must cover every length-R bitmask")
-        coeffs = [Fraction(0)] * (1 << r)
-        for key, val in zip(d, _rationals(d.values(), "coefficients")):
+        coeffs = [None] * (1 << r)
+        for key, val in d.items():
             coeffs[bits_to_mask(key)] = val
-        return cls(r, tuple(coeffs))
+        return cls(r, coeffs)
 
 
 def _monomials(x: Sequence[Fraction]) -> list[Fraction]:
@@ -150,7 +155,7 @@ def crossing_polynomial(g: SignedWeightedGraph) -> CrossingPolynomial:
         if x < 0:
             require_nonnegative(a, mask)
         coeffs.append(a)
-    return CrossingPolynomial(r, tuple(coeffs))
+    return CrossingPolynomial(r, coeffs)
 
 
 def require_nonnegative(a: Fraction, mask: int):
@@ -167,6 +172,8 @@ def degree_support(p: CrossingPolynomial, g: SignedWeightedGraph) -> tuple[int, 
     Returns (k_min, k_max).  A violation is an implementation fault, not bad
     input, and raises InternalConsistencyError.
     """
+    if p.red_count != g.red_count:
+        raise InputError(f"polynomial red count {p.red_count} != graph red count {g.red_count}")
     if not is_connected(g):
         raise InputError("degree bounds require a connected graph")
     _, c_plus, c_minus = component_counts(g)
@@ -267,9 +274,7 @@ def graph_ray_polynomial(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> l
 def _crossings(q: list[Fraction], alpha: Sequence[Fraction]) -> RayCrossings:
     from . import polyroots
 
-    if not q:
-        raise InternalConsistencyError("ray polynomial is identically zero")
-    roots = polyroots.positive_roots(q)
+    roots = polyroots.positive_roots(q)  # a zero q is an InputError there
     return RayCrossings(tuple(Fraction(a) for a in alpha), tuple(roots), tuple(q))
 
 
@@ -288,4 +293,7 @@ def ray_crossings(p: CrossingPolynomial, alpha: Sequence[Fraction]) -> RayCrossi
 def graph_ray_crossings(g: SignedWeightedGraph, alpha: Sequence[Fraction]) -> RayCrossings:
     """``ray_crossings`` of ``g``'s crossing polynomial, from
     ``graph_ray_polynomial``: no 2^R coefficients, no bound on R."""
-    return _crossings(graph_ray_polynomial(g, alpha), alpha)
+    q = graph_ray_polynomial(g, alpha)
+    if not q:
+        raise InternalConsistencyError("ray polynomial is identically zero")
+    return _crossings(q, alpha)

@@ -163,7 +163,7 @@ def _disc_minors(g: SignedWeightedGraph) -> tuple[CrossingPolynomial, Fraction]:
     *coeffs, sigma = (Fraction(x, scale ** (g.n - 1 - size)) for x, size in zip(values, (0, 1, 1, 2, 1)))
     for mask, a in enumerate(coeffs):
         require_nonnegative(a, mask)
-    return CrossingPolynomial(2, tuple(coeffs)), sigma
+    return CrossingPolynomial(2, coeffs), sigma
 
 
 def _cycle_minor(g: SignedWeightedGraph, sigma: Fraction) -> Fraction | None:
@@ -321,13 +321,15 @@ class Wildcard(_Frozen):
     r: int
     i: int  # first free position (0-based)
     j: int  # second free position, i < j
-    bits: int  # mask over the fixed positions
+    bits: int  # mask over the fixed positions, in 0..2^r - 1
 
     def __init__(self, r: int, i: int, j: int, bits: int):
         if not all(map(_is_int, (r, i, j, bits))):
             raise InputError(f"wildcard fields must be integers, got ({r!r}, {i!r}, {j!r}, {bits!r})")
         if not (0 <= i < j < r):
             raise InputError(f"free positions ({i}, {j}) invalid for length {r}")
+        if bits < 0 or bits.bit_length() > r:
+            raise InputError(f"fixed bits {bits} do not fit length {r}")
         if bits & (1 << i) or bits & (1 << j):
             raise InputError("fixed bits overlap the free positions")
         vars(self).update(r=r, i=i, j=j, bits=bits)
@@ -354,8 +356,8 @@ def wildcard_basis(r: int) -> list[Wildcard]:
     """The 2^r - r - 1 wildcards whose vanishing discriminants certify full
     hyperplane factorization: both free positions anywhere, every fixed bit
     before the second free position zero, bits after it unconstrained."""
-    if r < 2:
-        raise InputError(f"wildcards need at least 2 red edges, got {r}")
+    if not _is_int(r) or r < 2:
+        raise InputError(f"wildcards need at least 2 red edges, got {r!r}")
     return [
         Wildcard(r, i, j, bits_to_mask("0" * (j + 1) + "".join(tail)))
         for j in range(1, r)

@@ -78,7 +78,12 @@ def _rational(s: str) -> Fraction:
 def _exact(x) -> Fraction:
     """``Fraction(x)`` of a rational given exactly, such as an int, a
     Fraction or a string (read by ``_rational``); a bool or a float
-    (numpy's too) is a TypeError, not the rational it happens to equal."""
+    (numpy's too) is a TypeError, not the rational it happens to equal.
+    A Fraction, returned as it is, and an int, what the core passes, go first."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, str):
         return _rational(x)
     if isinstance(x, bool) or isinstance(x, Real) and not isinstance(x, Rational):

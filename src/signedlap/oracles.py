@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
-from .graph import ORACLE_MAX_VERTICES, SignedWeightedGraph, _indices, _UnionFind
+from .graph import ORACLE_MAX_VERTICES, SignedWeightedGraph, _indices, _is_int, _UnionFind
 
 _ORACLE_MAX_SUBSETS = 4_000_000
 
@@ -122,7 +122,13 @@ def minor(g: SignedWeightedGraph, contract: Iterable[int], delete: Iterable[int]
 def pairs_form_forest(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
     """Whether the edges (u, v) on vertices 0..n-1, each pair read by
     ``_indices`` and two vertices, form a forest: each lowers the count of
-    components by one."""
+    components by one.  ``n`` is read as ``SignedWeightedGraph`` reads it."""
+    if not _is_int(n) or n < 1:
+        raise InputError(f"vertex count must be a positive integer, got {n!r}")
+    try:
+        pairs = tuple(pairs)
+    except TypeError:
+        raise InputError(f"pair list must be iterable, got {pairs!r}") from None
     ends = [_indices(pair, n, "vertex") for pair in pairs]
     if any(len(pair) != 2 for pair in ends):
         raise InputError("each pair must hold two vertices")

@@ -1,10 +1,11 @@
 """Exact univariate polynomial arithmetic and positive real root isolation.
 
-Polynomials are dense coefficient lists, lowest degree first: Fractions on
-input, Python ints once made primitive (``_primitive``, Sturm sequences,
-square-free factors).  The driver ``positive_roots`` returns every positive
-real root with its multiplicity, and after the first scaling to integers it
-runs on Python ints only.
+Polynomials are dense coefficient lists, lowest degree first: read on input
+by ``strip`` through ``graph._rationals`` (a float, a bool or anything else
+not an exact rational is an InputError), Python ints once made primitive
+(``_primitive``, Sturm sequences, square-free factors).  The driver
+``positive_roots`` returns every positive real root with its multiplicity,
+and after the first scaling to integers it runs on Python ints only.
 
 One primitive remainder sequence (Collins; Brown and Traub) carries both the
 multiplicities and the isolation.  ``_remainders`` divides by integer
@@ -52,17 +53,19 @@ _WIDTH = Fraction(1, 10**30)
 
 
 def strip(p) -> Poly:
-    p = [Fraction(c) for c in p]
+    """p read by ``graph._rationals``, trailing zeros dropped: the one reader of a caller's polynomial."""
+    p = list(_rationals(p, "polynomial coefficients"))
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def derivative(p: Poly) -> Poly:
+def _derivative(p: IntPoly) -> IntPoly:
     return [c * k for k, c in enumerate(p)][1:]
 
 
 def multiply(p: Poly, q: Poly) -> Poly:
+    p, q = strip(p), strip(q)
     if not p or not q:
         return []
     out = [Fraction(0)] * (len(p) + len(q) - 1)
@@ -71,7 +74,7 @@ def multiply(p: Poly, q: Poly) -> Poly:
             continue
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return strip(out)
+    return out  # both leads are nonzero, so is their product
 
 
 def _content_free(p: IntPoly) -> IntPoly:
@@ -178,13 +181,13 @@ def square_free_decomposition(p) -> list[tuple[IntPoly, int]]:
     a = _primitive(p)
     if len(a) < 2:
         return []
-    da = derivative(a)
+    da = _derivative(a)
     g = _gcd(a, da)
     b, c = _quotient(a, g), _quotient(da, g)
     out: list[tuple[IntPoly, int]] = []
     i = 1
     while len(b) > 1:
-        d = _difference(c, derivative(b))
+        d = _difference(c, _derivative(b))
         ai = _gcd(b, d)
         if len(ai) > 1:
             out.append((ai, i))
@@ -197,7 +200,7 @@ def sturm_sequence(p) -> list[IntPoly]:
     """p, p' and the negated remainders, each scaled by a positive rational
     to content-free integers (``_remainders``)."""
     a = _primitive_keep_sign(p)
-    return _remainders(a, _content_free(derivative(a))) if a else []
+    return _remainders(a, _content_free(_derivative(a))) if a else []
 
 
 def _sign_changes(values) -> int:
@@ -456,10 +459,9 @@ def positive_roots(p) -> list[RootRecord]:
     p's Sturm sequence comes first; when its last term, gcd(p, p') up to a
     constant, is a constant, p is square-free and the sequence isolates its
     roots directly.  Otherwise the square-free factors each get their own.
-    The coefficients go through ``graph._rationals``: a float, a bool or
-    anything else that is not an exact rational is an InputError.
+    The coefficients are read by ``strip``.
     """
-    p = strip(_rationals(p, "polynomial coefficients"))
+    p = strip(p)
     if not p:
         raise InputError("zero polynomial has no well-defined root set")
     while p and p[0] == 0:  # roots at 0 are not positive roots

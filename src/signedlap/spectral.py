@@ -175,7 +175,8 @@ def _eigvalsh(rows: list[list[int]], scale: int) -> np.ndarray:
     except OverflowError:
         raise InputError(message) from None
     underflow = any(x and not y for row, frow in zip(rows, floats) for x, y in zip(row, frow))
-    if underflow or not np.isfinite(ev := np.linalg.eigvalsh(np.array(floats, dtype=np.float64))).all():
+    square = np.array(floats, dtype=np.float64).reshape(len(rows), len(rows))  # [] is the 0 x 0 matrix
+    if underflow or not np.isfinite(ev := np.linalg.eigvalsh(square)).all():
         raise InputError(message)
     return ev
 

@@ -213,6 +213,12 @@ def test_degree_support_and_crossing_count_need_a_connected_graph():
         crossing_count(g)
 
 
+def test_degree_support_of_a_polynomial_and_graph_that_do_not_match_is_an_input_error():
+    # was an InternalConsistencyError: degree support [0, 1, 2] != expected range [1, 1]
+    with pytest.raises(InputError, match=r"^polynomial red count 2 != graph red count 1$"):
+        degree_support(crossing_polynomial(k4_shared()), swg(2, [(0, 1, -1)]))
+
+
 def test_degree_support_detects_corruption():
     g = k4_shared()
     p = crossing_polynomial(g)
@@ -324,10 +330,54 @@ def test_crossing_polynomial_is_a_validated_immutable_value():
     assert repr(same) == (
         "CrossingPolynomial(red_count=2, coeffs=(Fraction(3, 1), Fraction(5, 1), Fraction(5, 1), Fraction(3, 1)))"
     )
+    # a list of coefficients is read into the tuple (it could not be hashed)
+    listed, tupled = CrossingPolynomial(1, [F(1), F(2)]), CrossingPolynomial(1, (F(1), F(2)))
+    assert listed == tupled and hash(listed) == hash(tupled)
     # a ray's crossings are a named tuple: 3 - 10t + 3t^2 along (1, 1)
     result = graph_ray_crossings(k4_shared(), [F(1), F(1)])
     assert [r.value for r in result.roots] == [F(1, 3), F(3)]
     assert_value(result, ray_crossings(p, [F(1), F(1)]), graph_ray_crossings(k4_shared(), [F(1), F(2)]))
+
+
+def test_crossing_polynomial_reads_its_coefficients_as_exact_rationals():
+    from signedlap import factorize, gap
+
+    # (0.5, 0.25) was accepted: evaluate gave a float and factorize alpha=0.5
+    p = CrossingPolynomial(1, ("1/2", 1))
+    assert p.coeffs == (F(1, 2), F(1)) and type(p.evaluate([1])) is F
+    for coeffs, message in (((0.5, 0.25), "0.5 is a float"), ((F(1), True), "True is a bool"), (3, "not iterable")):
+        with pytest.raises(InputError, match=f"^coefficients must be finite rationals: .*{message}"):
+            CrossingPolynomial(1, coeffs)
+    with pytest.raises(InputError, match="^coefficients must be finite rationals: 1.0 is a float"):
+        gap(CrossingPolynomial(2, (1.0, 2.0, 3.0, 4.0)))  # a bare AttributeError
+    with pytest.raises(InputError, match="^coefficients must be finite rationals: 0.5 is a float"):
+        CrossingPolynomial.from_json_dict({"0": 0.5, "1": "1/4"})
+    assert factorize(CrossingPolynomial.from_json_dict({"0": "1/2", "1": 1})) == (F(1, 2), (F(2),))
+
+
+@pytest.mark.parametrize(
+    "r,coeffs,msg",
+    [
+        (-1, (), "red count must be a nonnegative integer, got -1"),  # a bare ValueError
+        (2.0, (1, 2, 3, 4), r"red count must be a nonnegative integer, got 2\.0"),  # a bare TypeError
+        (True, (1, 2), "red count must be a nonnegative integer, got True"),  # was accepted
+        ("2", (1, 2, 3, 4), "red count must be a nonnegative integer, got '2'"),
+        (0, (), "need 1 coefficients for 0 red edges"),
+        (63, (1, 2), "need 9223372036854775808 coefficients for 63 red edges"),
+        (64, (1, 2), r"need 2\^64 coefficients for 64 red edges"),
+        # 2^R in digits passed the int-to-string limit: a bare ValueError
+        (10**6, (), r"need 2\^1000000 coefficients for 1000000 red edges"),
+    ],
+)
+def test_crossing_polynomial_red_count_is_an_int_and_fixes_the_length(r, coeffs, msg):
+    with pytest.raises(InputError, match=f"^{msg}$"):
+        CrossingPolynomial(r, coeffs)
+
+
+def test_ray_crossings_of_the_zero_polynomial_is_an_input_error():
+    # was the exit-2 InternalConsistencyError "ray polynomial is identically zero"
+    with pytest.raises(InputError, match="^zero polynomial has no well-defined root set$"):
+        ray_crossings(CrossingPolynomial(1, (F(0), F(0))), [1])
 
 
 def test_mask_bit_convention():

@@ -302,6 +302,13 @@ def test_wildcard_basis_r2_forced():
         wildcard_basis(1)
 
 
+@pytest.mark.parametrize("r", [2.0, True, "3", None])
+def test_wildcard_basis_needs_an_int_length(r):
+    # 2.0 raised a bare TypeError from range; True was read as 1
+    with pytest.raises(InputError, match=f"^wildcards need at least 2 red edges, got {re.escape(repr(r))}$"):
+        wildcard_basis(r)
+
+
 def test_wildcard_basis_cardinality():
     for r in range(2, 13):
         assert len(wildcard_basis(r)) == 2 ** r - r - 1
@@ -363,6 +370,17 @@ def test_wildcard_is_a_validated_immutable_value():
     assert_value(w, Wildcard(4, 0, 2, 0b0010), Wildcard(4, 0, 2, 0), Wildcard(5, 0, 2, 0b0010), (4, 0, 2, 0b0010))
     assert repr(w) == "Wildcard(r=4, i=0, j=2, bits=2)"
     assert len(set(wildcard_basis(6))) == 2**6 - 6 - 1
+
+
+@pytest.mark.parametrize("r,bits", [(2, -4), (2, -1), (2, 4), (3, 0b1000), (3, 1 << 100)])
+def test_wildcard_fixed_bits_fit_the_length(r, bits):
+    # (2, -4) gave the discriminant -16 on K4 (negative masks index from the
+    # end), (2, 4) a bare IndexError there, and (3, 0b1000) wrote "**0"
+    # though it is not the wildcard "**0" reads as
+    with pytest.raises(InputError, match=f"^fixed bits {bits} do not fit length {r}$"):
+        Wildcard(r, 0, 1, bits)
+    for w in wildcard_basis(r):
+        assert Wildcard.from_string(w.to_string()) == w
 
 
 @pytest.mark.parametrize("args", [(3, 0, True, 0), (2.0, 0, 1, 0), (3, 0, 1, True), (3, 0.0, 1, 0)])

@@ -447,20 +447,37 @@ def test_oracle_index_lists_that_are_not_iterable_are_input_errors(route):
 
 
 @pytest.mark.parametrize(
-    "pairs,msg",
+    "n,pairs,msg",
     [
-        ([(0, 5)], r"vertex 5 out of range 0\.\.2"),
-        ([(0, 1), (True, 2)], r"vertex True out of range 0\.\.2"),
-        ([(0, 1), 2], "vertex list must be iterable, got 2"),
-        ([(0, 1, 2)], "each pair must hold two vertices"),
-        ([(0,)], "each pair must hold two vertices"),
+        (3, [(0, 5)], r"vertex 5 out of range 0\.\.2"),
+        (3, [(0, 1), (True, 2)], r"vertex True out of range 0\.\.2"),
+        (3, [(0, 1), 2], "vertex list must be iterable, got 2"),
+        (3, [(0, 1, 2)], "each pair must hold two vertices"),
+        (3, [(0,)], "each pair must hold two vertices"),
+        (3, 0, "pair list must be iterable, got 0"),
+        (True, [], "vertex count must be a positive integer, got True"),
+        (0, [], "vertex count must be a positive integer, got 0"),
+        (-2, [], "vertex count must be a positive integer, got -2"),
+        (3.0, [], r"vertex count must be a positive integer, got 3\.0"),
     ],
-    ids=["out_of_range", "bool", "not_iterable", "three_vertices", "one_vertex"],
+    ids=[
+        "out_of_range",
+        "bool",
+        "not_iterable",
+        "three_vertices",
+        "one_vertex",
+        "pairs_not_iterable",
+        "n_bool",
+        "n_zero",
+        "n_negative",
+        "n_float",
+    ],
 )
-def test_pairs_form_forest_reads_each_pair_as_two_vertices(pairs, msg):
-    # (0, 5) raised a bare IndexError
+def test_pairs_form_forest_reads_each_pair_as_two_vertices(n, pairs, msg):
+    # (0, 5) raised a bare IndexError and a pair list of 0 a bare TypeError;
+    # n = True, 0 and -2 answered True
     with pytest.raises(InputError, match=msg):
-        pairs_form_forest(3, pairs)
+        pairs_form_forest(n, pairs)
 
 
 def test_pairs_form_forest_examples():

@@ -108,39 +108,81 @@ def test_one_sum_coefficients_multiply_with_the_bits_concatenated():
         _assert_coefficients_multiply(g1, g2, g)
 
 
-def test_one_sum_coefficients_multiply_at_n_101():
-    rng = random.Random(_SEED + 6)
-    g1, g2 = (random_connected_graph(rng, n_min=51, n_max=51, extra_max=12, red_choices=(3,)) for _ in range(2))
+def _with_reds_added(g, rng, count):
+    """``g`` with ``count`` red edges added on pairs it does not join."""
+    present = {(u, v) for u, v, _ in g.edges}
+    free = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in present]
+    return swg(g.n, [*g.edges, *((u, v, -random_fraction(rng)) for u, v in rng.sample(free, count))])
+
+
+def _glued_at_n_101(seed, black_connected):
+    """A seeded pair of N = 51 parts with three red edges each, and their
+    1-sum at N = 101: the reds placed at random, or added to an all-black
+    part so that each part's black subgraph is connected."""
+    rng = random.Random(seed)
+    reds = (0,) if black_connected else (3,)
+    g1, g2 = (random_connected_graph(rng, n_min=51, n_max=51, extra_max=12, red_choices=reds) for _ in range(2))
+    if black_connected:
+        g1, g2 = _with_reds_added(g1, rng, 3), _with_reds_added(g2, rng, 3)
     g = _one_sum(g1, g2, rng.randrange(g1.n), rng.randrange(g2.n))
     assert g.n == 101 and g.red_count == 6
-    _assert_coefficients_multiply(g1, g2, g)
+    return g1, g2, g
+
+
+def test_one_sum_coefficients_multiply_at_n_101():
+    _assert_coefficients_multiply(*_glued_at_n_101(_SEED + 6, black_connected=False))
+
+
+def _assert_thresholds_concatenate(g1, g2, g):
+    assert axis_thresholds(g) == axis_thresholds(g1) + axis_thresholds(g2), g
 
 
 def test_one_sum_thresholds_concatenate():
     glued = 0
     for g1, g2, g in _pairs():
         if component_counts(g1)[1] == component_counts(g2)[1] == 1:
-            assert axis_thresholds(g) == axis_thresholds(g1) + axis_thresholds(g2), g
+            _assert_thresholds_concatenate(g1, g2, g)
             glued += 1
     assert glued >= 10
+
+
+def _assert_index_adds(g1, g2, g, rng):
+    t1 = [random_fraction(rng, 30, 10) for _ in range(g1.red_count)]
+    t2 = [random_fraction(rng, 30, 10) for _ in range(g2.red_count)]
+    (a, b, c), (d, e, f) = _graph_inertia(g1, t1), _graph_inertia(g2, t2)
+    assert tuple(_graph_inertia(g, t1 + t2)) == (a + d, b + e - 1, c + f), g
 
 
 def test_one_sum_index_adds_less_one_zero():
     rng = random.Random(_SEED + 1)
     for g1, g2, g in _pairs():
-        t1 = [random_fraction(rng, 30, 10) for _ in range(g1.red_count)]
-        t2 = [random_fraction(rng, 30, 10) for _ in range(g2.red_count)]
-        (a, b, c), (d, e, f) = _graph_inertia(g1, t1), _graph_inertia(g2, t2)
-        assert tuple(_graph_inertia(g, t1 + t2)) == (a + d, b + e - 1, c + f), g
+        _assert_index_adds(g1, g2, g, rng)
+
+
+def _assert_ray_polynomial_multiplies(g1, g2, g, rng):
+    alpha = [random_fraction(rng, 9, 5) for _ in range(g.red_count)]
+    p1 = graph_ray_polynomial(g1, alpha[: g1.red_count])
+    p2 = graph_ray_polynomial(g2, alpha[g1.red_count :])
+    assert graph_ray_polynomial(g, alpha) == _times(p1, p2), g
 
 
 def test_one_sum_ray_polynomial_multiplies():
     rng = random.Random(_SEED + 2)
     for g1, g2, g in _pairs():
-        alpha = [random_fraction(rng, 9, 5) for _ in range(g.red_count)]
-        p1 = graph_ray_polynomial(g1, alpha[: g1.red_count])
-        p2 = graph_ray_polynomial(g2, alpha[g1.red_count :])
-        assert graph_ray_polynomial(g, alpha) == _times(p1, p2), g
+        _assert_ray_polynomial_multiplies(g1, g2, g, rng)
+
+
+def test_one_sum_index_ray_polynomial_and_thresholds_at_n_101():
+    rng = random.Random(_SEED + 7)
+    scattered = _glued_at_n_101(_SEED + 6, black_connected=False)
+    connected = _glued_at_n_101(_SEED + 8, black_connected=True)
+    # the scattered reds cut both black subgraphs; the added ones cut neither
+    assert [component_counts(part)[1] for part in scattered[:2]] == [3, 4]
+    assert [component_counts(part)[1] for part in connected] == [1, 1, 1]
+    for triple in (scattered, connected):
+        _assert_index_adds(*triple, rng)
+        _assert_ray_polynomial_multiplies(*triple, rng)
+    _assert_thresholds_concatenate(*connected)
 
 
 def _outputs(monkeypatch, g, t, ray):

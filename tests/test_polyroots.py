@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic and positive root isolation."""
 
+import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -177,6 +179,43 @@ def test_positive_roots_take_exact_rationals_only(p, message):
     with pytest.raises(InputError, match=f"polynomial coefficients must be finite rationals: .*{message}"):
         pr.positive_roots(p)
     assert pr.positive_roots(["-1/10", 1, 0]) == [pr.RootRecord(F(1, 10), F(1, 10), F(1, 10), 1)]
+
+
+@pytest.mark.parametrize(
+    "route",
+    [pr.strip, pr.cauchy_bound, pr.sturm_sequence, pr.square_free_decomposition, pr.positive_roots],
+)
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ([0.1], "0.1 is a float"),
+        ([0.5, 1], "0.5 is a float"),  # cauchy_bound returned 2
+        ([1.5, 2], "1.5 is a float"),  # sturm_sequence read [3, 4]
+        ([True, True], "True is a bool"),  # sturm_sequence read [1, 1]
+        ([math.nan, 1], "nan is a float"),  # a bare ValueError
+        ([math.inf, 1], "inf is a float"),  # a bare OverflowError
+        (3, "'int' object is not iterable"),  # a bare TypeError
+    ],
+)
+def test_every_polynomial_routine_reads_exact_rationals_only(route, p, message):
+    with pytest.raises(InputError, match=f"^polynomial coefficients must be finite rationals: {re.escape(message)}"):
+        route(p)
+
+
+def test_multiply_reads_both_factors():
+    # ["1"] * ["2"] raised a bare TypeError and [0.1] * [1] read the float
+    assert pr.multiply(["1"], ["2"]) == [F(2)]
+    assert pr.multiply(["1/2", 0], [3, "-1", 0]) == [F(3, 2), F(-1, 2)]
+    assert pr.multiply([0, 0], [1]) == [] and pr.multiply([1], []) == []
+    for p, q in (([0.1], [1]), ([1], [0.1]), ([1], 2)):
+        with pytest.raises(InputError, match="^polynomial coefficients must be finite rationals: "):
+            pr.multiply(p, q)
+
+
+def test_strip_reads_strings_and_the_derivative_is_private():
+    # derivative(["1", "2", "3"]) repeated strings: ['2', '33']
+    assert pr.strip(["1", "2/4", 0, "0"]) == [F(1), F(1, 2)]
+    assert not hasattr(pr, "derivative")
 
 
 @pytest.mark.parametrize("p", [[], [0]])

@@ -358,6 +358,10 @@ def test_eigenvalues_examples():
     g = swg(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     assert np.allclose(eigenvalues(laplacian(g)), [-3.0, -3.0, 0.0])
     assert np.allclose(eigenvalues(np.zeros((3, 3))), 0.0)
+    # the 0 x 0 matrix has no eigenvalues, as inertia and det_rational read it
+    # (a bare numpy LinAlgError before)
+    assert eigenvalues([]).shape == (0,)
+    assert inertia([]) == SpectralIndex(0, 0, 0) and det_rational([]) == 1
 
 
 def test_eigenvalue_tolerance_contract():
